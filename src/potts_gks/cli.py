@@ -38,7 +38,8 @@ from .random_cluster import (
 
 
 def _emit(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True))
+    # strict JSON: a NaN or inf raises ValueError, reported by run() as exit 2
+    print(json.dumps(obj, sort_keys=True, allow_nan=False))
 
 
 def _emit_summary(summary: dict, csv: bool) -> None:
@@ -258,8 +259,7 @@ def _cmd_mc(args) -> int:
         sweeps=args.sweeps,
         burn_in=args.burn_in,
         seed=args.seed,
-        chains=max(1, args.jobs),
-        jobs=max(1, args.jobs),
+        chains=max(1, args.chains),
         rao_blackwell=args.rao,
     )
     _emit(est.to_json_dict())
@@ -345,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--rao", action="store_true", help="variance-reduced mode")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--chains", type=int, default=1, help="independent chains")
     p.set_defaults(func=_cmd_mc)
 
     p = sub.add_parser("fuzz", help="randomized search for violations")

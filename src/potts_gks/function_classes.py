@@ -73,17 +73,22 @@ def moments(f: SpinFunction, M: int) -> MomentTable:
     return MomentTable(f.q, M, tuple(S))
 
 
+def _first_bad_moment(S, tol: float) -> tuple[int, int, float] | None:
+    """(m, 0, margin) for the first S_m that is non-real or negative."""
+    for m, s in enumerate(S):
+        if abs(s.imag) > tol:
+            return (m, 0, -abs(s.imag))
+        if s.real < -tol:
+            return (m, 0, s.real)
+    return None
+
+
 def moments_real_nonneg(
     f: SpinFunction, M: int, tol: float = DEFAULT_TOL
 ) -> tuple[bool, tuple[int, int, float] | None]:
     """Check only that every S_m (m <= M) is real and non-negative."""
-    tab = moments(f, M)
-    for m, s in enumerate(tab.S):
-        if abs(s.imag) > tol:
-            return False, (m, 0, -abs(s.imag))
-        if s.real < -tol:
-            return False, (m, 0, s.real)
-    return True, None
+    violation = _first_bad_moment(moments(f, M).S, tol)
+    return violation is None, violation
 
 
 def check_Fq(
@@ -92,10 +97,11 @@ def check_Fq(
     """Certify the moment conditions for all m, n >= 0 with m + n <= M."""
     if M < 1:
         raise ModelError(f"M must be >= 1, got {M}")
-    ok, violation = moments_real_nonneg(f, M, tol)
-    if not ok:
+    S = moments(f, M).S
+    violation = _first_bad_moment(S, tol)
+    if violation is not None:
         return MembershipReport(False, None, M, tol, violation)
-    S = [s.real for s in moments(f, M).S]
+    S = [s.real for s in S]
     q = f.q
     for total in range(M + 1):
         for m in range(total // 2 + 1):

@@ -8,6 +8,14 @@ with non-negative couplings J and fields h. Expectations of products
 prod_{v in R} f(sigma_v) are computed by exhaustive enumeration of the
 q^|V| spin states, in lexicographic order, with pairwise/compensated
 accumulation so results are reproducible across runs.
+
+Overflow policy: weights are exponentiated in one place only
+(_shifted_weight_blocks), and always after subtracting the largest
+log-weight sum(J) + sum(h), attained at sigma == 0. Every shifted weight
+lies in [0, 1] and the all-zero state contributes 1, so the shifted
+partition sum is finite and at least 1 for any finite J and h. One
+reducer (spin_means) returns log Z and every requested mean from a single
+walk of the states; the other exact routines are thin callers of it.
 """
 
 from __future__ import annotations
@@ -23,9 +31,6 @@ import numpy as np
 
 DEFAULT_STATE_CAP = 1 << 24
 CAP_ENV_VAR = "POTTS_GKS_CAP"
-
-# beyond this, exp(sum J + sum h) is at overflow risk: switch to shifted logs
-_LOG_SPACE_THRESHOLD = 600.0
 
 _STATE_CHUNK = 1 << 16
 
@@ -282,21 +287,6 @@ def factor_values(
     return vals
 
 
-def _log_weight_shift(model: PottsModel) -> float:
-    """Shift applied before exponentiation when overflow is possible.
-
-    The maximal log-weight sum(J) + sum(h) is attained at sigma == 0, so
-    shifting by it keeps every exponential in [0, 1].
-    """
-    span = (
-        len(model.edges) * max(model.J, default=0.0)
-        + model.n_vertices * max(model.h, default=0.0)
-    )
-    if span <= _LOG_SPACE_THRESHOLD:
-        return 0.0
-    return fsum(model.J) + fsum(model.h)
-
-
 def potts_weight(model: PottsModel, sigma: Sequence[int]) -> float:
     """Unnormalized Gibbs weight exp{sum J_e delta_e + sum h_v delta_v}."""
     arr = validate_spin_config(model, sigma)
@@ -310,28 +300,78 @@ def potts_weight(model: PottsModel, sigma: Sequence[int]) -> float:
         return math.inf
 
 
+def _max_log_weight(model: PottsModel) -> float:
+    """sum(J) + sum(h), the log-weight of sigma == 0 and the largest one."""
+    return fsum(model.J) + fsum(model.h)
+
+
+def _shifted_weight_blocks(
+    model: PottsModel, cap: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(states, exp(log-weight - sum J - sum h)) per block of one pass.
+
+    The only place spin-state weights are exponentiated; see the module
+    docstring for why the shift makes every weight lie in [0, 1].
+    """
+    shift = _max_log_weight(model)
+    for block in iter_state_blocks(model, cap):
+        yield block, np.exp(state_log_weights(model, block) - shift)
+
+
+def _coordinate_sites(model: PottsModel, coordinate) -> tuple[int, int | None]:
+    """Sites of a coordinate's Kronecker delta, the derivative of the
+    log-weight in that coordinate: (u, v) for the coupling of the edge
+    <u,v>, sigma_u == sigma_v; (v, None) for the field at the vertex v,
+    sigma_v == 0."""
+    if isinstance(coordinate, str):
+        return model.vertex_index(coordinate), None
+    u, v = coordinate
+    model.edge_position(u, v)
+    return model.vertex_index(u), model.vertex_index(v)
+
+
+def spin_means(
+    model: PottsModel,
+    columns: Sequence[tuple[Sequence[tuple[SpinFunction, Iterable[str]]], object]],
+    cap: int | None = None,
+) -> tuple[float, list[complex]]:
+    """log Z and the Gibbs mean of every column, from one pass over the states.
+
+    A column is (factors, coordinate): the per-state value
+    prod_i prod_{v in R_i} f_i(sigma_v), times the Kronecker delta of the
+    coordinate (an edge (u, v) or a vertex name) unless it is None. An
+    empty factor list is the constant 1.
+    """
+    prepared = [
+        (check_factors(model, fs), None if c is None else _coordinate_sites(model, c))
+        for fs, c in columns
+    ]
+    den, parts = [], [[] for _ in prepared]
+    for block, w in _shifted_weight_blocks(model, cap):
+        den.append(float(np.sum(w)))
+        for (factors, sites), out in zip(prepared, parts):
+            wc = w
+            if sites is not None:
+                i, j = sites
+                wc = w * (block[:, i] == (0 if j is None else block[:, j]))
+            out.append(np.sum(wc * factor_values(factors, block)))
+    z = fsum(den)
+    means = [
+        complex(fsum(p.real for p in out) / z, fsum(p.imag for p in out) / z)
+        for out in parts
+    ]
+    return _max_log_weight(model) + math.log(z), means
+
+
 def log_partition_function(model: PottsModel, cap: int | None = None) -> float:
     """log Z by exhaustive enumeration (stable for large couplings/fields)."""
-    shift = fsum(model.J) + fsum(model.h)
-    parts = [
-        float(np.sum(np.exp(state_log_weights(model, block) - shift)))
-        for block in iter_state_blocks(model, cap)
-    ]
-    return shift + math.log(fsum(parts))
+    return spin_means(model, (), cap)[0]
 
 
 def partition_function(model: PottsModel, cap: int | None = None) -> float:
     """Z = sum over all spin states of potts_weight (may overflow to inf)."""
-    shift = _log_weight_shift(model)
-    parts = [
-        float(np.sum(np.exp(state_log_weights(model, block) - shift)))
-        for block in iter_state_blocks(model, cap)
-    ]
-    total = fsum(parts)
-    if shift == 0.0:
-        return total
     try:
-        return math.exp(shift) * total
+        return math.exp(log_partition_function(model, cap))
     except OverflowError:
         return math.inf
 
@@ -339,11 +379,7 @@ def partition_function(model: PottsModel, cap: int | None = None) -> float:
 def potts_distribution(model: PottsModel, cap: int | None = None) -> np.ndarray:
     """pi over all spin states, indexed lexicographically (sigma_0 most
     significant digit)."""
-    shift = _log_weight_shift(model)
-    blocks = [
-        np.exp(state_log_weights(model, block) - shift)
-        for block in iter_state_blocks(model, cap)
-    ]
+    blocks = [w for _, w in _shifted_weight_blocks(model, cap)]
     return np.concatenate(blocks) / fsum(float(np.sum(b)) for b in blocks)
 
 
@@ -357,15 +393,4 @@ def potts_expectation(
     An empty factor list gives 1. The weight shift cancels in the ratio,
     so arbitrarily large J/h are safe here.
     """
-    prepared = check_factors(model, factors)
-    shift = _log_weight_shift(model)
-    num_re, num_im, den = [], [], []
-    for block in iter_state_blocks(model, cap):
-        w = np.exp(state_log_weights(model, block) - shift)
-        fv = factor_values(prepared, block)
-        num = np.sum(w * fv)
-        num_re.append(num.real)
-        num_im.append(num.imag)
-        den.append(float(np.sum(w)))
-    z = fsum(den)
-    return complex(fsum(num_re) / z, fsum(num_im) / z)
+    return spin_means(model, [(factors, None)], cap)[1][0]

@@ -14,7 +14,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from math import fsum
+from math import expm1
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -33,11 +33,8 @@ from .model import (
     ModelError,
     PottsModel,
     SpinFunction,
-    check_factors,
-    factor_values,
-    iter_state_blocks,
     potts_expectation,
-    state_log_weights,
+    spin_means,
 )
 
 DEFAULT_VERIFY_TOL = 1e-8
@@ -163,42 +160,6 @@ def verify_real_nonneg(
     )
 
 
-def _mean_with_delta(
-    model: PottsModel,
-    factors,
-    edge_position: int | None,
-    vertex_index: int | None,
-    cap: int | None,
-) -> tuple[complex, complex, float]:
-    """One pass returning <F>, <F * delta>, <delta> for a single coordinate."""
-    prepared = check_factors(model, factors)
-    index = {v: i for i, v in enumerate(model.vertices)}
-    if edge_position is not None:
-        u, v = model.edges[edge_position]
-        iu, iv = index[u], index[v]
-    parts_f, parts_fd, parts_d, parts_w = [], [], [], []
-    for block in iter_state_blocks(model, cap):
-        w = np.exp(state_log_weights(model, block))
-        fv = factor_values(prepared, block)
-        if edge_position is not None:
-            delta = (block[:, iu] == block[:, iv]).astype(float)
-        else:
-            delta = (block[:, vertex_index] == 0).astype(float)
-        parts_f.append(np.sum(w * fv))
-        parts_fd.append(np.sum(w * fv * delta))
-        parts_d.append(float(np.sum(w * delta)))
-        parts_w.append(float(np.sum(w)))
-    z = fsum(parts_w)
-    mean_f = complex(
-        fsum(p.real for p in parts_f) / z, fsum(p.imag for p in parts_f) / z
-    )
-    mean_fd = complex(
-        fsum(p.real for p in parts_fd) / z, fsum(p.imag for p in parts_fd) / z
-    )
-    mean_d = fsum(parts_d) / z
-    return mean_f, mean_fd, mean_d
-
-
 def verify_monotone(
     model: PottsModel,
     f: SpinFunction,
@@ -212,34 +173,31 @@ def verify_monotone(
 
     Two criteria, both reported: the exact derivative (the covariance of
     f^R with the coordinate's Kronecker delta) and finite upward
-    comparisons at steps 0.1 and 1.0.
+    comparisons at steps 0.1 and 1.0. All come from the same three means:
+    delta is 0 or 1, so e^{s delta} = 1 + (e^s - 1) delta and the mean at
+    the coordinate plus s is (<F> + c<F delta>) / (1 + c<delta>) with
+    c = e^s - 1, which differs from <F> by c cov / (1 + c<delta>).
     """
     R = tuple(R)
-    if isinstance(coordinate, str):
-        which, vertex_index, edge_position = "h", model.vertex_index(coordinate), None
+    field = isinstance(coordinate, str)
+    if field:
+        model.vertex_index(coordinate)
         coord_label = f"h[{coordinate}]"
     else:
         u, v = coordinate
-        which, vertex_index, edge_position = "J", None, model.edge_position(u, v)
+        model.edge_position(u, v)
         coord_label = f"J[{u},{v}]"
-    certify(
-        model,
-        f,
-        membership_bound(R) if M is None else M,
-        need_peak=(which == "h"),
-    )
+    certify(model, f, membership_bound(R) if M is None else M, need_peak=field)
     factors = [(f, R)]
-    mean, mean_fd, mean_d = _mean_with_delta(
-        model, factors, edge_position, vertex_index, cap
+    _, (mean, mean_fd, mean_d) = spin_means(
+        model, [(factors, None), (factors, coordinate), ((), coordinate)], cap
     )
+    mean_d = mean_d.real
     cov = mean_fd - mean * mean_d
     fd_margins = {}
     for step in _FD_STEPS:
-        if which == "J":
-            bumped = model.with_coupling(edge_position, model.J[edge_position] + step)
-        else:
-            bumped = model.with_field(vertex_index, model.h[vertex_index] + step)
-        fd_margins[step] = (potts_expectation(bumped, factors, cap) - mean).real
+        c = expm1(step)
+        fd_margins[step] = (c * cov / (1.0 + c * mean_d)).real
     margin = _fold_margin(
         min(cov.real, *fd_margins.values()), abs(cov.imag), tol
     )
@@ -274,9 +232,9 @@ def verify_gks_pair(
     """<f^R f^S> >= <f^R><f^S> for certified f."""
     R, S = tuple(R), tuple(S)
     certify(model, f, membership_bound(R, S) if M is None else M)
-    lhs = potts_expectation(model, [(f, R), (f, S)], cap)
-    mR = potts_expectation(model, [(f, R)], cap)
-    mS = potts_expectation(model, [(f, S)], cap)
+    _, (lhs, mR, mS) = spin_means(
+        model, [([(f, R), (f, S)], None), ([(f, R)], None), ([(f, S)], None)], cap
+    )
     primary = lhs.real - mR.real * mS.real
     imag = max(abs(lhs.imag), abs(mR.imag), abs(mS.imag))
     margin = _fold_margin(primary, imag, tol)
@@ -316,9 +274,9 @@ def verify_disjoint_support(
     ok, violation = moments_real_nonneg(f1, bound, MEMBERSHIP_TOL)
     if not ok:
         raise NotCertified(f"f1 moments not real/non-negative: {violation}")
-    lhs = potts_expectation(model, [(f0, R), (f1, S)], cap)
-    m0 = potts_expectation(model, [(f0, R)], cap)
-    m1 = potts_expectation(model, [(f1, S)], cap)
+    _, (lhs, m0, m1) = spin_means(
+        model, [([(f0, R), (f1, S)], None), ([(f0, R)], None), ([(f1, S)], None)], cap
+    )
     primary = m0.real * m1.real - lhs.real
     imag = max(abs(lhs.imag), abs(m0.imag), abs(m1.imag))
     margin = _fold_margin(primary, imag, tol)

@@ -5,8 +5,9 @@ import math
 
 import pytest
 
-from potts_gks import PottsModel
+from potts_gks import PottsModel, make_family, verify
 from potts_gks.cli import run
+from potts_gks.mc import estimate_pooled
 
 LN3 = math.log(3)
 
@@ -24,10 +25,19 @@ def edge_model_path(tmp_path):
     return str(path)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-finite JSON constant {name}")
+
+
 def run_lines(capsys, argv):
+    """Exit code and stdout lines, each parsed as strict JSON (no NaN/inf)."""
     code = run(argv)
     out = capsys.readouterr().out
-    lines = [json.loads(line) for line in out.strip().splitlines() if line]
+    lines = [
+        json.loads(line, parse_constant=_reject_constant)
+        for line in out.strip().splitlines()
+        if line
+    ]
     return code, lines
 
 
@@ -74,6 +84,47 @@ def test_verify_monotone_all_coordinates(capsys, edge_model_path):
     assert code == 0
     coords = [l["details"]["coordinate"] for l in lines if l["type"] == "verification"]
     assert coords == ["J[u,v]", "h[u]", "h[v]"]
+
+
+@pytest.mark.parametrize(
+    "J, fields, coordinate",
+    [
+        (800.0, {}, ["--edge", "u,v"]),
+        (1.0, {"u": 800.0}, ["--vertex", "u"]),
+    ],
+)
+def test_verify_monotone_extreme_weights_pass(capsys, tmp_path, J, fields, coordinate):
+    # e^800 overflows a double; the theorem still holds and the margins are finite
+    path = tmp_path / "extreme.json"
+    path.write_text(json.dumps({"q": 2, "vertices": ["u", "v"],
+                                "edges": [{"u": "u", "v": "v", "J": J}],
+                                "fields": fields}))
+    code, lines = run_lines(
+        capsys,
+        ["verify", "monotone", "--model", str(path), "--f", "A", "--R", "u,v",
+         *coordinate],
+    )
+    assert code == 0
+    report = lines[0]
+    assert report["verdict"] == "pass"
+    assert math.isfinite(report["margin"])
+    assert all(math.isfinite(x) for x in report["details"]["finite_steps"].values())
+
+
+def test_non_finite_report_exits_two(capsys, monkeypatch, edge_model_path):
+    def nan_report(model, f, R, S, **kw):
+        return verify.VerificationReport(
+            "gks_pair", "x", complex("nan"), 0j, math.nan, 1e-8, False
+        )
+
+    monkeypatch.setattr(verify, "verify_gks_pair", nan_report)
+    code = run(["verify", "gks", "--model", edge_model_path, "--f", "A",
+                "--R", "u", "--S", "v"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error" in captured.err
+    for line in captured.out.splitlines():
+        json.loads(line, parse_constant=_reject_constant)
 
 
 def test_verify_disjoint(capsys, edge_model_path):
@@ -163,6 +214,21 @@ def test_mc_estimate(capsys, edge_model_path):
     est = lines[0]
     assert est["type"] == "estimate"
     assert abs(est["mean"][0] - 0.125) <= 4 * est["std_error"]
+
+
+def test_mc_chains_match_estimate_pooled(capsys, edge_model_path):
+    code, lines = run_lines(
+        capsys,
+        ["mc", "--model", edge_model_path, "--f", "familyA", "--R", "u", "--S", "v",
+         "--sweeps", "2000", "--seed", "7", "--chains", "2"],
+    )
+    assert code == 0
+    model = PottsModel.from_json_file(edge_model_path)
+    f = make_family("A", 2)
+    factors = [(f, ("u",)), (f, ("v",))]
+    want = estimate_pooled(model, factors, sweeps=2000, seed=7, chains=2)
+    assert lines[0] == want.to_json_dict()
+    assert lines[0]["sweeps"] == 4000
 
 
 def test_mc_requires_seed(capsys, edge_model_path):

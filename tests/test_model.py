@@ -223,7 +223,7 @@ def test_field_saturation():
 
 
 def test_log_space_path_matches_analytic():
-    # |E| max J > 600 forces the shifted-log path; single edge analytic:
+    # J = 700, near where e^J overflows a double; single edge analytic:
     # <delta_e> = e^J q / (e^J q + q(q-1)) = 1 / (1 + (q-1) e^{-J})
     m = edge_model(q=3, J=700.0, h=(0.0, 0.0))
     f_same = [(SpinFunction((1, 0, 0)), ("u",)), (SpinFunction((1, 0, 0)), ("v",))]

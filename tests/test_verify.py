@@ -20,6 +20,9 @@ from potts_gks import (
     verify_monotone,
     verify_real_nonneg,
 )
+from potts_gks import model as model_module
+from potts_gks import verify as verify_module
+from potts_gks.instances import verification_suite
 from potts_gks.verify import report_to_json_dict
 from strategies import model_function_region
 
@@ -140,6 +143,26 @@ def test_monotone_derivative_matches_small_finite_difference():
     assert report.details["derivative"] == pytest.approx(secant, rel=1e-4)
 
 
+def test_monotone_finite_steps_match_reenumeration():
+    # the finite steps come from the base pass; re-enumerate the bumped model
+    for model in verification_suite():
+        q = model.q
+        R = model.vertices[::2]
+        for f in (make_family("A", q), make_family("B", q)):
+            for coord in list(model.edges) + list(model.vertices):
+                report = verify_monotone(model, f, R, coord)
+                base = potts_expectation(model, [(f, R)])
+                for step, got in report.details["finite_steps"].items():
+                    if isinstance(coord, str):
+                        i = model.vertex_index(coord)
+                        bumped = model.with_field(i, model.h[i] + float(step))
+                    else:
+                        k = model.edge_position(*coord)
+                        bumped = model.with_coupling(k, model.J[k] + float(step))
+                    want = (potts_expectation(bumped, [(f, R)]) - base).real
+                    assert got == pytest.approx(want, abs=1e-12)
+
+
 def test_monotone_h_coordinate_requires_peak_class():
     # raising h leaves the field-free regime, so F_q alone cannot gate it
     m = PottsModel(("u", "v"), (("u", "v"),), (0.5,), (0.0, 0.0), 3)
@@ -191,6 +214,29 @@ def test_gks_rejects_uncertified_function():
 # ---------------------------------------------------------------------------
 # disjoint support
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "claim, args",
+    [
+        (verify_monotone, (make_family("A", 3), ("u",), ("u", "v"))),
+        (verify_monotone, (make_family("A", 3), ("u", "v"), "v")),
+        (verify_gks_pair, (make_family("B", 3), ("u",), ("v",))),
+        (verify_disjoint_support,
+         (SpinFunction((1, 0, 0)), SpinFunction((0, 1, 0)), ("u",), ("v",))),
+    ],
+)
+def test_each_claim_walks_the_states_once(monkeypatch, claim, args):
+    passes = []
+    walk = model_module.iter_state_blocks
+
+    def counted(*a, **kw):
+        passes.append(1)
+        return walk(*a, **kw)
+
+    monkeypatch.setattr(model_module, "iter_state_blocks", counted)
+    assert claim(edge_model(q=3, h=(0.3, 0.0)), *args).verdict
+    assert len(passes) == 1
 
 
 def test_disjoint_indicator_pair_single_edge():
@@ -291,6 +337,27 @@ def test_fuzz_deterministic_replay():
     )
     assert dump(a).encode() == dump(b).encode()
     assert a.checks_run == b.checks_run
+
+
+def test_fuzz_extreme_couplings_and_fields_stay_finite(monkeypatch):
+    # J and h up to 1e3: exp of the raw log-weights overflows a double
+    reports = []
+    for name in ("verify_real_nonneg", "verify_monotone", "verify_gks_pair",
+                 "verify_disjoint_support"):
+        check = getattr(verify_module, name)
+
+        def collect(*args, _check=check, **kwargs):
+            report = _check(*args, **kwargs)
+            reports.append(report)
+            return report
+
+        monkeypatch.setattr(verify_module, name, collect)
+    config = FuzzConfig(trials=150, seed=5, J_range=(0.0, 1e3), h_range=(0.0, 1e3))
+    result = fuzz(config)
+    assert result.failures == []
+    assert len(reports) == result.checks_run > 300
+    for report in reports:
+        json.dumps(report_to_json_dict(report), allow_nan=False)
 
 
 def test_fuzz_respects_cap():
