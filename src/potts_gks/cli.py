@@ -29,11 +29,11 @@ from .model import (
     potts_expectation,
 )
 from .random_cluster import (
+    _check_bond_config,
     augment,
     coupled_spin_marginal,
     rc_distribution,
     rc_expectation,
-    rc_probability,
 )
 
 
@@ -156,12 +156,13 @@ def _cmd_rc(args) -> int:
         )
         failed += diff > 1e-10
     if args.omega:
-        omega = [int(c) for c in args.omega]
+        bits = _check_bond_config(aug, [int(c) for c in args.omega])
+        code = sum(bit << i for i, bit in enumerate(bits))
         _emit(
             {
                 "type": "rc_probability",
                 "omega": args.omega,
-                "probability": rc_probability(aug, omega, args.cap),
+                "probability": float(dist[code]),
             }
         )
     _emit_summary(

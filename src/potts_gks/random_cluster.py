@@ -11,12 +11,18 @@ ghost's. Colouring the ghost's cluster 0 and every other cluster with an
 independent uniform spin recovers the Potts measure exactly; that
 coupling, the conditional expectations it induces, and the connectivity
 event used by the disjoint-support inequality all live here.
+
+Every exact sum over the 2^|E+| bond configurations comes from one
+reducer, _bond_weight_blocks: it labels the clusters of a whole block of
+configurations at once with numpy, and callers that need only the cluster
+partition (the coupled marginal, the tower identity) reduce the block to
+its distinct partitions before doing any per-partition Python work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import expm1, fsum
+from math import expm1, factorial, fsum
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -33,6 +39,13 @@ from .model import (
 )
 
 _P_MAX = float(np.nextafter(1.0, 0.0))  # keep p < 1 even for huge J, h
+
+_BOND_BLOCK = 1 << 16  # bond configurations per block of _bond_weight_blocks
+
+# i! for the partition keys: a row of labels has labels[i] <= i, so the
+# key sum_i labels[i] * i! identifies it and is below (n+1)!, which int64
+# holds for n+1 <= 20
+_FACTORIALS = np.array([factorial(i) for i in range(20)], dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -149,15 +162,100 @@ def check_bond_cap(aug: AugmentedGraph, cap: int | None = None) -> int:
     return cap
 
 
+def _merge(
+    labels: np.ndarray, k: np.ndarray, a: int, b: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Open the bond <a,b> in every row of a label block.
+
+    The larger of the two cluster labels is replaced by the smaller, so
+    every label stays the minimum node index of its cluster; the cluster
+    count k drops by one in the rows where the two clusters differed.
+    """
+    la, lb = labels[:, a], labels[:, b]
+    hi, lo = np.maximum(la, lb)[:, None], np.minimum(la, lb)[:, None]
+    return np.where(labels == hi, lo, labels), k - (la != lb)
+
+
+def _bond_weight_blocks(
+    aug: AugmentedGraph, cap: int | None = None
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(labels, weights) for every bond configuration, in blocks in code order.
+
+    Row r of a block is code start + r: labels[r] is what _labels_from_bits
+    gives for it (int8; n+1 <= m + 1 nodes, far below 127 under any cap
+    that can be enumerated) and weights[r] its unnormalized weight
+    q^k prod p^w (1-p)^(1-w). The low min(m, log2 _BOND_BLOCK) bonds are
+    enumerated once, by doubling: the rows of the codes with bit j set are
+    the rows of the codes < 2^j with bond j merged, and the bond factors
+    double as x(1-p_j) and xp_j. Each block fixes the high bonds and merges
+    them into that table, so a block holds _BOND_BLOCK rows whatever m is.
+    Callers must not write to the yielded arrays.
+    """
+    check_bond_cap(aug, cap)
+    m, n1 = aug.n_bonds, aug.n_vertices + 1
+    low = min(m, _BOND_BLOCK.bit_length() - 1)
+    table = np.arange(n1, dtype=np.int8)[None, :]
+    k_table = np.array([n1], dtype=np.int8)
+    factors = np.ones(1)
+    for (a, b), p in zip(aug.edge_index[:low], aug.p[:low]):
+        merged, k_merged = _merge(table, k_table, a, b)
+        table = np.concatenate([table, merged])
+        k_table = np.concatenate([k_table, k_merged])
+        factors = np.concatenate([factors * (1.0 - p), factors * p])
+    q_pow = np.array([float(aug.base.q) ** k for k in range(n1 + 1)])
+    for high in range(2 ** (m - low)):
+        labels, k, factor = table, k_table, 1.0
+        for j in range(low, m):
+            if (high >> (j - low)) & 1:
+                labels, k = _merge(labels, k, *aug.edge_index[j])
+                factor *= aug.p[j]
+            else:
+                factor *= 1.0 - aug.p[j]
+        yield labels, q_pow[k] * (factors * factor)
+
+
+def _group_partitions(
+    labels: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One row per distinct partition, with the summed weight of its rows."""
+    n1 = labels.shape[1]
+    if n1 <= len(_FACTORIALS):
+        keys = labels @ _FACTORIALS[:n1]
+    else:  # the factorial key would overflow int64: compare the rows' bytes
+        keys = np.ascontiguousarray(labels).view(np.dtype((np.void, n1))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return labels[first], np.bincount(inverse, weights)
+
+
+def _bond_partitions(
+    aug: AugmentedGraph, cap: int | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct cluster partitions of positive weight and their total weights.
+
+    Row j of `labels` is one partition as labels of the n+1 nodes; weights[j]
+    sums the weights of every bond configuration with that partition, so a
+    function of the partition alone is averaged over at most Bell(n+1) rows
+    instead of 2^m.
+    """
+    parts = [_group_partitions(*block) for block in _bond_weight_blocks(aug, cap)]
+    labels = np.concatenate([lab for lab, _ in parts])
+    weights = np.concatenate([w for _, w in parts])
+    if len(parts) > 1:
+        labels, weights = _group_partitions(labels, weights)
+    keep = weights > 0.0
+    return labels[keep], weights[keep]
+
+
 def iter_bond_configs(
     aug: AugmentedGraph, cap: int | None = None
 ) -> Iterator[tuple[int, list[int], list[int]]]:
     """Yield (code, bits, labels) for every bond configuration of E+."""
-    check_bond_cap(aug, cap)
     m = aug.n_bonds
-    for code in range(2**m):
-        bits = [(code >> i) & 1 for i in range(m)]
-        yield code, bits, _labels_from_bits(aug, bits)
+    code = 0
+    for labels, _ in _bond_weight_blocks(aug, cap):
+        for row in labels.tolist():
+            yield code, [(code >> i) & 1 for i in range(m)], row
+            code += 1
 
 
 def rc_weight_from_labels(
@@ -177,10 +275,7 @@ def rc_weight(aug: AugmentedGraph, omega: Sequence[int]) -> float:
 
 
 def rc_partition(aug: AugmentedGraph, cap: int | None = None) -> float:
-    return fsum(
-        rc_weight_from_labels(aug, bits, labels)
-        for _, bits, labels in iter_bond_configs(aug, cap)
-    )
+    return fsum(float(np.sum(w)) for _, w in _bond_weight_blocks(aug, cap))
 
 
 def rc_probability(
@@ -192,13 +287,8 @@ def rc_probability(
 
 def rc_distribution(aug: AugmentedGraph, cap: int | None = None) -> np.ndarray:
     """phi over all bond configurations, indexed by code (bit i = edge i)."""
-    w = np.array(
-        [
-            rc_weight_from_labels(aug, bits, labels)
-            for _, bits, labels in iter_bond_configs(aug, cap)
-        ]
-    )
-    return w / fsum(w.tolist())
+    blocks = [w for _, w in _bond_weight_blocks(aug, cap)]
+    return np.concatenate(blocks) / fsum(float(np.sum(w)) for w in blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -232,23 +322,22 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
     """
     n, q = aug.n_vertices, aug.base.q
     check_state_cap(aug.base, cap)
-    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64) if n else np.zeros(0, int)
+    place = [q ** (n - 1 - v) for v in range(n)]
+    colours = np.arange(q, dtype=np.int64)
     marginal = np.zeros(q**n)
-    total = 0.0
-    for _, bits, labels in iter_bond_configs(aug, cap):
-        w = rc_weight_from_labels(aug, bits, labels)
-        total += w
+    labels_rows, weights = _bond_partitions(aug, cap)
+    for labels, w in zip(labels_rows.tolist(), weights.tolist()):
         ghost_label = labels[aug.ghost_index]
         strides: dict[int, int] = {}
         for v in range(n):
             lab = labels[v]
             if lab != ghost_label:
-                strides[lab] = strides.get(lab, 0) + int(place[v])
+                strides[lab] = strides.get(lab, 0) + place[v]
         flat = np.zeros(1, dtype=np.int64)
         for s in strides.values():
-            flat = (flat[:, None] + s * np.arange(q, dtype=np.int64)[None, :]).ravel()
+            flat = (flat[:, None] + s * colours[None, :]).ravel()
         np.add.at(marginal, flat, w / q ** len(strides))
-    return marginal / total
+    return marginal / fsum(weights.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -374,12 +463,11 @@ def rc_expectation(
     prepared = _prepare_condexp(aug.base, factors)
     q = aug.base.q
     ghost = aug.ghost_index
-    num_re, num_im, den = [], [], []
-    for _, bits, labels in iter_bond_configs(aug, cap):
-        w = rc_weight_from_labels(aug, bits, labels)
+    labels_rows, weights = _bond_partitions(aug, cap)
+    num_re, num_im = [], []
+    for labels, w in zip(labels_rows.tolist(), weights.tolist()):
         g = _condexp_from_labels(prepared, labels, labels[ghost], q)
         num_re.append(w * g.real)
         num_im.append(w * g.imag)
-        den.append(w)
-    z = fsum(den)
+    z = fsum(weights.tolist())
     return complex(fsum(num_re) / z, fsum(num_im) / z)

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from potts_gks import PottsModel, make_family, verify
+from potts_gks import PottsModel, augment, make_family, rc_probability, verify
 from potts_gks.cli import run
 from potts_gks.mc import estimate_pooled
 
@@ -202,6 +202,31 @@ def test_rc_checks(capsys, edge_model_path):
     assert by_type["tower_check"]["verdict"] == "pass"
     assert by_type["rc_probability"]["probability"] > 0
     assert lines[-1]["type"] == "summary"
+
+
+@pytest.mark.parametrize("omega", ["000", "100", "011"])
+def test_rc_omega_probability_matches_rc_probability(capsys, edge_model_path, omega):
+    code, lines = run_lines(
+        capsys, ["rc", "--model", edge_model_path, "--omega", omega]
+    )
+    assert code == 0
+    got = next(l for l in lines if l["type"] == "rc_probability")["probability"]
+    aug = augment(PottsModel.from_json_file(edge_model_path))
+    assert abs(got - rc_probability(aug, [int(c) for c in omega])) <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "omega, message",
+    [
+        ("102", "bond configuration must be 3 bits over E+, got [1, 0, 2]"),
+        ("10", "bond configuration must be 3 bits over E+, got [1, 0]"),
+        ("1x0", "invalid literal for int()"),
+    ],
+)
+def test_rc_malformed_omega_exits_2(capsys, edge_model_path, omega, message):
+    code = run(["rc", "--model", edge_model_path, "--omega", omega])
+    assert code == 2
+    assert message in capsys.readouterr().err
 
 
 def test_mc_estimate(capsys, edge_model_path):

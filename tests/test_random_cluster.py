@@ -1,6 +1,7 @@
 """Random-cluster representation: weights, coupling, conditional means."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,7 +25,18 @@ from potts_gks import (
     rc_probability,
     sample_spins,
 )
-from potts_gks.random_cluster import iter_bond_configs, omega_from_code, rc_weight
+from potts_gks import random_cluster
+from potts_gks.random_cluster import (
+    _P_MAX,
+    _bond_partitions,
+    _bond_weight_blocks,
+    _group_partitions,
+    _labels_from_bits,
+    iter_bond_configs,
+    omega_from_code,
+    rc_partition,
+    rc_weight,
+)
 from oracles import brute_coupled_marginal, brute_rc_weight
 from strategies import model_function_region, small_models
 
@@ -176,6 +188,118 @@ def test_rc_weight_matches_bfs_oracle(model):
 def test_rc_probability_single_config():
     aug = augment(edge_model())
     assert rc_probability(aug, [1, 0, 0]) == pytest.approx(1.0 / 3.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the block reducer
+# ---------------------------------------------------------------------------
+
+
+@given(small_models(max_n=4))
+def test_bond_blocks_match_per_config_labels_and_weights(model):
+    # blocks of 2^3 codes, so most models cross several blocks
+    aug = augment(model)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(random_cluster, "_BOND_BLOCK", 1 << 3)
+        blocks = list(_bond_weight_blocks(aug))
+        parts = _bond_partitions(aug)
+    assert all(len(w) <= 8 for _, w in blocks)
+    labels = np.concatenate([lab for lab, _ in blocks])
+    weights = np.concatenate([w for _, w in blocks])
+    assert labels.shape == (2**aug.n_bonds, aug.n_vertices + 1)
+    by_partition = {}
+    for code in range(2**aug.n_bonds):
+        omega = omega_from_code(aug, code)
+        want = _labels_from_bits(aug, omega)
+        assert labels[code].tolist() == want
+        assert weights[code] == pytest.approx(brute_rc_weight(aug, omega), rel=1e-12)
+        key = tuple(want)
+        by_partition[key] = by_partition.get(key, 0.0) + weights[code]
+    got = {tuple(row): w for row, w in zip(parts[0].tolist(), parts[1].tolist())}
+    assert len(got) == parts[0].shape[0]
+    assert got.keys() == {k for k, w in by_partition.items() if w > 0}
+    for key, w in got.items():
+        assert w == pytest.approx(by_partition[key], rel=1e-12)
+
+
+@pytest.mark.parametrize("n1", [6, 20, 21, 25])
+def test_partition_grouping_on_wide_label_rows(n1):
+    # rows up to 20 nodes are keyed by sum_i labels[i] * i!, wider ones by
+    # their bytes; both must group exactly like the rows themselves
+    rng = np.random.default_rng(n1)
+    nodes = np.arange(n1)
+    rows = np.minimum(rng.integers(0, n1, size=(200, n1)), nodes)
+    rows[:, -1] = rng.choice([0, n1 - 1], size=200)  # the largest key digit
+    rows = rows[rng.integers(0, 200, size=600)].astype(np.int8)
+    weights = rng.random(600)
+    labels, sums = _group_partitions(rows, weights)
+    want = {}
+    for row, w in zip(rows.tolist(), weights.tolist()):
+        want[tuple(row)] = want.get(tuple(row), 0.0) + w
+    got = {tuple(row): w for row, w in zip(labels.tolist(), sums.tolist())}
+    assert len(got) == labels.shape[0] == len(want)
+    for key, w in want.items():
+        assert got[key] == pytest.approx(w, rel=1e-12)
+
+
+def test_reducer_past_one_block_matches_per_code_sums():
+    # 6 vertices and 11 edges: 17 bonds, two blocks at the default size
+    names = "abcdef"
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4),
+             (3, 5), (4, 5), (0, 5)]
+    model = PottsModel(
+        tuple(names),
+        tuple((names[i], names[j]) for i, j in pairs),
+        tuple(0.2 + 0.1 * i for i in range(len(pairs))),
+        (0.3, 0.0, 0.7, 0.0, 0.0, 1.1),
+        2,
+    )
+    aug = augment(model)
+    assert 2**aug.n_bonds == 2 * random_cluster._BOND_BLOCK
+    # P(sigma = 000111) as a product of indicator factors
+    factors = [(SpinFunction((1, 0)), ("a", "b", "c")),
+               (SpinFunction((0, 1)), ("d", "e", "f"))]
+    weights, terms = [], []
+    for code in range(2**aug.n_bonds):
+        omega = omega_from_code(aug, code).tolist()
+        w = rc_weight(aug, omega)
+        weights.append(w)
+        terms.append(w * conditional_expectation(aug, omega, factors).real)
+    z = math.fsum(weights)
+    want = math.fsum(terms) / z
+    assert rc_partition(aug) == pytest.approx(z, rel=1e-12)
+    assert abs(rc_expectation(aug, factors) - want) <= 1e-12
+    assert abs(coupled_spin_marginal(aug)[0b000111] - want) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        PottsModel(("u", "v", "w"), (("u", "v"), ("v", "w"), ("u", "w")),
+                   (1e3, 1e3, 1e3), (0.0, 0.0, 0.0), 3),
+        path3(q=2, J=1e3, h=(1e3, 0.0, 0.0)),
+        PottsModel(("a", "b", "c", "d"),
+                   (("a", "b"), ("b", "c"), ("c", "d"), ("a", "c")),
+                   (1e3, 0.5, 1e3, 2.0), (0.0, 1e3, 0.0, 0.3), 4),
+    ],
+)
+def test_bond_reducer_extreme_regime(model):
+    # p at _P_MAX on J, h = 1e3 and ghost p = 0 at h = 0
+    aug = augment(model)
+    assert _P_MAX in aug.p and 0.0 in aug.p
+    f = make_family("B", model.q)
+    R = model.vertices[:2]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        dist = rc_distribution(aug)
+        marginal = coupled_spin_marginal(aug)
+        pi = potts_distribution(model)
+        lhs = rc_expectation(aug, [(f, R)])
+        rhs = potts_expectation(model, [(f, R)])
+    assert np.all(np.isfinite(dist))
+    assert abs(math.fsum(dist.tolist()) - 1.0) <= 1e-12
+    assert 0.5 * float(np.sum(np.abs(marginal - pi))) <= 1e-10
+    assert abs(lhs - rhs) <= 1e-10
 
 
 # ---------------------------------------------------------------------------
