@@ -260,7 +260,7 @@ def _cmd_mc(args) -> int:
         sweeps=args.sweeps,
         burn_in=args.burn_in,
         seed=args.seed,
-        chains=max(1, args.chains),
+        chains=args.chains,
         rao_blackwell=args.rao,
     )
     _emit(est.to_json_dict())

@@ -7,10 +7,10 @@ cluster to 0, every other cluster uniformly). The joint construction
 leaves the Potts measure invariant; the test suite checks that rather
 than assuming it.
 
-The sweep loop runs as a list-state pure-Python kernel by default; with
-numba installed (the optional ``jit`` extra) the array kernel is compiled
-instead. Both produce the same sample stream bit for bit, and ``KERNEL``
-names the one in use. All randomness comes from one numpy Generator,
+The sweep loop is one pure-Python kernel over random_cluster's augmented
+graph: its bonds and their probabilities come from ``augment``, and the
+Rao-Blackwellized samples from the same cluster factors as the exact
+conditional expectation. All randomness comes from one numpy Generator,
 consumed in a fixed layout, so a seed pins the estimate bit for bit.
 """
 
@@ -18,20 +18,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import compress
-from math import expm1, sqrt
+from math import sqrt
 from operator import itemgetter
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import ModelError, PottsModel, SpinFunction, check_factors
+from .model import ModelError, PottsModel, SpinFunction
+from .random_cluster import _ghost_factor, _mixed_moment, _moment_table, augment
 
 _SWEEP_BLOCK = 1 << 14
 _N_BATCHES = 16
 
 
 class BadWindow(ModelError):
-    """burn_in must be smaller than sweeps."""
+    """burn_in must lie in [0, sweeps), and at least one chain must run."""
 
 
 @dataclass
@@ -59,110 +60,6 @@ class Estimate:
         }
 
 
-def _uf_find(parent, x):
-    while parent[x] != x:
-        parent[x] = parent[parent[x]]
-        x = parent[x]
-    return x
-
-
-def _run_chain_arrays(
-    edge_u,
-    edge_v,
-    p_edge,
-    p_ghost,
-    members,
-    ftab,
-    powtab,
-    rao,
-    bond_u,
-    colour_u,
-    spins,
-    samples,
-):
-    """Advance the chain one sweep per row of bond_u, recording one sample
-    per sweep (raw functional of the new spins, or its conditional
-    expectation given the bonds when rao is set).
-
-    This array kernel is the one numba compiles; run as plain Python it is
-    the reference that _run_chain_lists reproduces."""
-    sweeps = bond_u.shape[0]
-    E = edge_u.shape[0]
-    n = spins.shape[0]
-    L = members.shape[0]
-    q = ftab.shape[1]
-    parent = np.empty(n + 1, dtype=np.int64)
-    colour = np.empty(n + 1, dtype=np.int64)
-    root_of = np.empty(n, dtype=np.int64)
-    mcount = np.empty((n + 1, max(L, 1)), dtype=np.int64)
-    for s in range(sweeps):
-        for x in range(n + 1):
-            parent[x] = x
-        for k in range(E):
-            a = edge_u[k]
-            b = edge_v[k]
-            if spins[a] == spins[b] and bond_u[s, k] < p_edge[k]:
-                ra = _uf_find(parent, a)
-                rb = _uf_find(parent, b)
-                if ra != rb:
-                    if ra < rb:
-                        parent[rb] = ra
-                    else:
-                        parent[ra] = rb
-        for vtx in range(n):
-            if spins[vtx] == 0 and bond_u[s, E + vtx] < p_ghost[vtx]:
-                ra = _uf_find(parent, vtx)
-                rb = _uf_find(parent, n)
-                if ra != rb:
-                    if ra < rb:
-                        parent[rb] = ra
-                    else:
-                        parent[ra] = rb
-        groot = _uf_find(parent, n)
-        for x in range(n + 1):
-            colour[x] = -1
-        colour[groot] = 0
-        cidx = 0
-        for vtx in range(n):
-            r = _uf_find(parent, vtx)
-            root_of[vtx] = r
-            if colour[r] < 0:
-                c = int(colour_u[s, cidx] * q)
-                if c >= q:
-                    c = q - 1
-                colour[r] = c
-                cidx += 1
-            spins[vtx] = colour[r]
-        if rao:
-            for x in range(n + 1):
-                for i in range(L):
-                    mcount[x, i] = 0
-            for i in range(L):
-                for vtx in range(n):
-                    if members[i, vtx]:
-                        mcount[root_of[vtx], i] += 1
-            val = complex(1.0, 0.0)
-            for i in range(L):
-                val = val * powtab[i, 0, mcount[groot, i]]
-            for x in range(n):
-                if parent[x] == x and x != groot:
-                    acc = complex(0.0, 0.0)
-                    for y in range(q):
-                        t = complex(1.0, 0.0)
-                        for i in range(L):
-                            t = t * powtab[i, y, mcount[x, i]]
-                        acc = acc + t
-                    val = val * (acc / q)
-            samples[s] = val
-        else:
-            val = complex(1.0, 0.0)
-            for i in range(L):
-                for vtx in range(n):
-                    if members[i, vtx]:
-                        val = val * ftab[i, spins[vtx]]
-            samples[s] = val
-
-
 class _Memo(dict):
     """fn(key) for each key, computed on first lookup."""
 
@@ -177,42 +74,32 @@ class _Memo(dict):
         return value
 
 
-def _run_chain_lists(
-    edge_u,
-    edge_v,
-    p_edge,
-    p_ghost,
-    members,
-    ftab,
-    powtab,
-    rao,
-    bond_u,
-    colour_u,
-    spins,
-    samples,
-):
-    """_run_chain_arrays with its state in Python lists, bit for bit the same.
+def _run_chain(aug, prepared, powtab, rao, bond_u, colour_u, spins, samples):
+    """Advance the chain one sweep per row of bond_u, recording one sample
+    per sweep (raw functional of the new spins, or its conditional
+    expectation given the bonds when rao is set).
 
-    The spin-independent half of every test is computed once per block with
-    numpy: which bonds pass their uniform, and which colour each uniform
-    picks. A sample depends on the sweep only through the member spins
-    (raw) or the members' cluster counts (Rao-Blackwellized), so its
-    complex products are memoized by those and computed by the array kernel's
-    arithmetic, in the same numpy scalar types.
+    The chain state lives in Python lists. The spin-independent half of
+    every test is computed once per block with numpy: which bonds pass
+    their uniform, and which colour each uniform picks. A sample depends
+    on the sweep only through the member spins (raw) or the members'
+    cluster counts (Rao-Blackwellized), so its complex product is memoized
+    by those; the cluster factors are random_cluster's _ghost_factor and
+    _mixed_moment.
     """
-    E = edge_u.shape[0]
-    n = spins.shape[0]
-    L = members.shape[0]
-    q = ftab.shape[1]
+    n = aug.n_vertices
+    q = aug.base.q
+    L = len(prepared)
+    W = aug.n_bonds
     # the ghost is vertex n with spin 0, so a ghost bond's test is a real
     # bond's: equal spins, and a uniform below its probability
-    bonds = list(zip(edge_u.tolist(), edge_v.tolist())) + [(v, n) for v in range(n)]
-    W = E + n
+    bonds = aug.edge_index
     # flattened row-major: the sweep of row r reads its bonds from
     # opened[r*W : r*W + W] and its colours from picks[r*n] on
-    opened = (bond_u < np.concatenate((p_edge, p_ghost))).tobytes()
+    opened = (bond_u < np.array(aug.p)).tobytes()
     picks = memoryview(np.minimum((colour_u * q).astype(np.int64), q - 1).ravel())
-    flat = [(i, v) for i in range(L) for v in np.flatnonzero(members[i]).tolist()]
+    ftab = [f.as_array() for f, _ in prepared]
+    flat = [(i, v) for i, (_, idx) in enumerate(prepared) for v in sorted(idx)]
     # cluster counts of factor i are digit i of a base-(max_m + 1) code
     base = powtab.shape[2]
     weights = [(v, base**i) for i, v in flat]
@@ -220,31 +107,15 @@ def _run_chain_lists(
     def counts(code):
         return [code // base**i % base for i in range(L)]
 
-    def ghost_factor(code):
-        val = complex(1.0, 0.0)
-        for i, m in enumerate(counts(code)):
-            val = val * powtab[i, 0, m]
-        return val
-
-    def cluster_factor(code):
-        m = counts(code)
-        acc = complex(0.0, 0.0)
-        for y in range(q):
-            t = complex(1.0, 0.0)
-            for i in range(L):
-                t = t * powtab[i, y, m[i]]
-            acc = acc + t
-        return acc / q
-
     def raw_product(key):
         val = complex(1.0, 0.0)
         # itemgetter of a single index returns the bare spin, not a 1-tuple
         for (i, _), x in zip(flat, key if len(flat) != 1 else (key,)):
-            val = val * ftab[i, x]
+            val = val * ftab[i][x]
         return val
 
-    ghost_tab = _Memo(ghost_factor)
-    cluster_tab = _Memo(cluster_factor)
+    ghost_tab = _Memo(lambda code: _ghost_factor(powtab, counts(code)))
+    cluster_tab = _Memo(lambda code: _mixed_moment(powtab, counts(code)))
     raw_tab = _Memo(raw_product)
     member_spins = itemgetter(*(v for _, v in flat)) if flat else lambda _: ()
 
@@ -299,65 +170,21 @@ def _run_chain_lists(
     samples[:] = out
 
 
-try:  # pragma: no cover - exercised implicitly everywhere
-    import numba
-
-    _uf_find = numba.njit(cache=True, inline="always")(_uf_find)
-    _run_chain = numba.njit(cache=True, nogil=True)(_run_chain_arrays)
-    KERNEL = "numba"
-except ImportError:  # pragma: no cover
-    _run_chain = _run_chain_lists
-    KERNEL = "python"
-
-
-def _chain_arrays(model: PottsModel):
-    index = {v: i for i, v in enumerate(model.vertices)}
-    edge_u = np.array([index[u] for u, _ in model.edges], dtype=np.int64)
-    edge_v = np.array([index[v] for _, v in model.edges], dtype=np.int64)
-    p_edge = np.array([-expm1(-J) for J in model.J])
-    p_ghost = np.array([-expm1(-h) for h in model.h])
-    return edge_u, edge_v, p_edge, p_ghost
-
-
-def _measurement_arrays(
-    model: PottsModel, factors: Sequence[tuple[SpinFunction, Iterable[str]]]
-):
-    prepared = check_factors(model, factors)
-    n, q = model.n_vertices, model.q
-    L = len(prepared)
-    members = np.zeros((L, n), dtype=np.uint8)
-    ftab = np.zeros((L, q), dtype=np.complex128)
-    max_m = max((len(idx) for _, idx in prepared), default=0)
-    powtab = np.zeros((L, q, max_m + 1), dtype=np.complex128)
-    for i, (f, idx) in enumerate(prepared):
-        for v in idx:
-            members[i, v] = 1
-        ftab[i] = f.as_array()
-        powtab[i, :, 0] = 1.0
-        for m in range(1, max_m + 1):
-            powtab[i, :, m] = powtab[i, :, m - 1] * ftab[i]
-    return members, ftab, powtab
-
-
 def sw_sweep(
     model: PottsModel, state: ChainState, rng: np.random.Generator
 ) -> ChainState:
     """One bond-then-colour sweep; returns the new chain state."""
-    edge_u, edge_v, p_edge, p_ghost = _chain_arrays(model)
+    aug = augment(model)
     n = model.n_vertices
-    members, ftab, powtab = _measurement_arrays(model, [])
     spins = np.array(state.spins, dtype=np.int64).copy()
     if spins.shape != (n,):
         raise ModelError("chain state must carry one spin per vertex")
     if n and (spins.min() < 0 or spins.max() >= model.q):
         raise ModelError(f"spins must lie in [0, {model.q - 1}]")
-    bond_u = rng.random((1, len(edge_u) + n))
+    bond_u = rng.random((1, aug.n_bonds))
     colour_u = rng.random((1, n))
     samples = np.empty(1, dtype=np.complex128)
-    _run_chain(
-        edge_u, edge_v, p_edge, p_ghost, members, ftab, powtab, False,
-        bond_u, colour_u, spins, samples,
-    )
+    _run_chain(aug, *_moment_table(model, []), False, bond_u, colour_u, spins, samples)
     return ChainState(spins, state.sweep + 1)
 
 
@@ -373,18 +200,18 @@ def _single_chain(
     rng: np.random.Generator,
     rao_blackwell: bool,
 ) -> np.ndarray:
-    edge_u, edge_v, p_edge, p_ghost = _chain_arrays(model)
-    members, ftab, powtab = _measurement_arrays(model, factors)
+    aug = augment(model)
+    prepared, powtab = _moment_table(model, factors)
     n = model.n_vertices
     spins = np.zeros(n, dtype=np.int64)
     samples = np.empty(sweeps, dtype=np.complex128)
     for start in range(0, sweeps, _SWEEP_BLOCK):
         stop = min(start + _SWEEP_BLOCK, sweeps)
-        bond_u = rng.random((stop - start, len(edge_u) + n))
+        bond_u = rng.random((stop - start, aug.n_bonds))
         colour_u = rng.random((stop - start, n))
         _run_chain(
-            edge_u, edge_v, p_edge, p_ghost, members, ftab, powtab,
-            bool(rao_blackwell), bond_u, colour_u, spins, samples[start:stop],
+            aug, prepared, powtab, bool(rao_blackwell),
+            bond_u, colour_u, spins, samples[start:stop],
         )
     return samples
 
@@ -443,27 +270,30 @@ def estimate_pooled(
     jobs: int = 1,
     rao_blackwell: bool = False,
 ) -> Estimate:
-    """Independent chains with spawned seeds, merged in chain order."""
-    if chains <= 1:
+    """Independent chains with spawned seeds, run one after another and
+    merged in chain order.
+
+    `jobs` is ignored and kept only for callers that still pass it: the
+    pure-Python kernel holds the GIL, so threads would not overlap.
+    """
+    if chains < 1:
+        raise BadWindow(f"need at least one chain, got {chains}")
+    if chains == 1:
         return estimate(model, factors, sweeps, burn_in, seed, rao_blackwell)
     if burn_in is None:
         burn_in = sweeps // 10
     if not 0 <= burn_in < sweeps:
         raise BadWindow(f"need 0 <= burn_in < sweeps, got {burn_in} >= {sweeps}")
-    children = np.random.SeedSequence(seed).spawn(chains)
-
-    def one(child) -> Estimate:
-        rng = np.random.default_rng(child)
-        samples = _single_chain(model, factors, sweeps, rng, rao_blackwell)
-        return _summarize(samples, sweeps, burn_in)
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(one, children))
-    else:
-        parts = [one(child) for child in children]
+    parts = [
+        _summarize(
+            _single_chain(
+                model, factors, sweeps, np.random.default_rng(child), rao_blackwell
+            ),
+            sweeps,
+            burn_in,
+        )
+        for child in np.random.SeedSequence(seed).spawn(chains)
+    ]
     n_each = sweeps - burn_in
     total = chains * n_each
     mean = sum(p.mean * n_each for p in parts) / total

@@ -258,20 +258,13 @@ def iter_bond_configs(
             code += 1
 
 
-def rc_weight_from_labels(
-    aug: AugmentedGraph, bits: Sequence[int], labels: Sequence[int]
-) -> float:
-    k_all = len(set(labels))
-    w = float(aug.base.q) ** k_all
-    for p, bit in zip(aug.p, bits):
-        w *= p if bit else 1.0 - p
-    return w
-
-
 def rc_weight(aug: AugmentedGraph, omega: Sequence[int]) -> float:
     """Unnormalized weight prod p^w (1-p)^(1-w) * q^k, k incl. ghost cluster."""
     bits = _check_bond_config(aug, omega)
-    return rc_weight_from_labels(aug, bits, _labels_from_bits(aug, bits))
+    w = float(aug.base.q) ** len(set(_labels_from_bits(aug, bits)))
+    for p, bit in zip(aug.p, bits):
+        w *= p if bit else 1.0 - p
+    return w
 
 
 def rc_partition(aug: AugmentedGraph, cap: int | None = None) -> float:
@@ -345,62 +338,89 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _power_table(f: SpinFunction, max_m: int) -> list[list[complex]]:
-    """table[x][m] = f(x)**m with 0**0 == 1."""
-    out = []
-    for x in range(f.q):
-        row = [1 + 0j]
-        for _ in range(max_m):
-            row.append(row[-1] * f.values[x])
-        out.append(row)
-    return out
-
-
-def _prepare_condexp(
+def _moment_table(
     base: PottsModel, factors: Sequence[tuple[SpinFunction, Iterable[str]]]
-) -> list[tuple[list[list[complex]], tuple[int, ...]]]:
+) -> tuple[list[tuple[SpinFunction, tuple[int, ...]]], np.ndarray]:
+    """check_factors' output and powtab[i, x, m] = f_i(x)**m (0**0 = 1).
+
+    m runs up to the largest region. Powers come from repeated numpy
+    multiplication, the arithmetic the Monte Carlo digest was frozen with.
+    """
     prepared = check_factors(base, factors)
-    return [(_power_table(f, len(idx)), idx) for f, idx in prepared]
+    L, max_m = len(prepared), max((len(idx) for _, idx in prepared), default=0)
+    values = np.array([f.values for f, _ in prepared], dtype=np.complex128)
+    powtab = np.empty((L, base.q, max_m + 1), dtype=np.complex128)
+    powtab[:, :, 0] = 1.0
+    for m in range(1, max_m + 1):
+        powtab[:, :, m] = powtab[:, :, m - 1] * values
+    return prepared, powtab
+
+
+def _ghost_factor(powtab: np.ndarray, ms: Sequence[int]) -> complex:
+    """prod_i f_i(0)**m_i: the ghost cluster is coloured 0."""
+    val = complex(1.0, 0.0)
+    for i, m in enumerate(ms):
+        val = val * powtab[i, 0, m]
+    return val
+
+
+def _mixed_moment(powtab: np.ndarray, ms: Sequence[int]) -> complex:
+    """(1/q) sum_y prod_i f_i(y)**m_i: a non-ghost cluster's uniform colour.
+
+    The sum is a numpy complex scalar whenever a factor is present, so
+    `acc / q` is numpy's complex division, not Python's.
+    """
+    q = powtab.shape[1]
+    acc = complex(0.0, 0.0)
+    for y in range(q):
+        t = complex(1.0, 0.0)
+        for i, m in enumerate(ms):
+            t = t * powtab[i, y, m]
+        acc = acc + t
+    return acc / q
 
 
 def _condexp_from_labels(
-    prepared: list[tuple[list[list[complex]], tuple[int, ...]]],
+    powtab: np.ndarray,
+    regions: Sequence[tuple[int, ...]],
     labels: Sequence[int],
     ghost_label: int,
-    q: int,
     include_ghost: bool = True,
 ) -> complex:
     """E( prod_i f_i(sigma)^{R_i} | omega ) from cluster labels.
 
-    Ghost cluster contributes prod_i f_i(0)^{|R_i ∩ A_g|}; every other
-    cluster contributes the uniform mixed moment (1/q) sum_x prod_i
-    f_i(x)^{m_i}, exponents m_i = |R_i ∩ cluster|.
+    Ghost cluster contributes _ghost_factor, every other cluster its
+    _mixed_moment, with exponents m_i = |R_i ∩ cluster|.
     """
     counts: dict[int, list[int]] = {}
-    for i, (_, idx) in enumerate(prepared):
+    for i, idx in enumerate(regions):
         for v in idx:
-            lab = labels[v]
-            if lab not in counts:
-                counts[lab] = [0] * len(prepared)
-            counts[lab][i] += 1
-    value = 1 + 0j
+            counts.setdefault(labels[v], [0] * len(regions))[i] += 1
+    value = complex(1.0, 0.0)
     for lab, ms in counts.items():
-        if lab == ghost_label:
-            if not include_ghost:
-                continue
-            for i, (pow_table, _) in enumerate(prepared):
-                value *= pow_table[0][ms[i]]
-        else:
-            terms = []
-            for x in range(q):
-                t = 1 + 0j
-                for i, (pow_table, _) in enumerate(prepared):
-                    t *= pow_table[x][ms[i]]
-                terms.append(t)
-            value *= complex(
-                fsum(t.real for t in terms) / q, fsum(t.imag for t in terms) / q
-            )
-    return value
+        if lab != ghost_label:
+            value = value * _mixed_moment(powtab, ms)
+        elif include_ghost:
+            value = value * _ghost_factor(powtab, ms)
+    return complex(value)
+
+
+def _condexp(
+    aug: AugmentedGraph,
+    omega: Sequence[int],
+    factors: Sequence[tuple[SpinFunction, Iterable[str]]],
+    include_ghost: bool = True,
+) -> complex:
+    bits = _check_bond_config(aug, omega)
+    labels = _labels_from_bits(aug, bits)
+    prepared, powtab = _moment_table(aug.base, factors)
+    return _condexp_from_labels(
+        powtab,
+        [idx for _, idx in prepared],
+        labels,
+        labels[aug.ghost_index],
+        include_ghost,
+    )
 
 
 def conditional_expectation(
@@ -409,12 +429,7 @@ def conditional_expectation(
     factors: Sequence[tuple[SpinFunction, Iterable[str]]],
 ) -> complex:
     """E( prod_i f_i(sigma)^{R_i} | omega ) under the cluster colouring."""
-    bits = _check_bond_config(aug, omega)
-    labels = _labels_from_bits(aug, bits)
-    prepared = _prepare_condexp(aug.base, factors)
-    return _condexp_from_labels(
-        prepared, labels, labels[aug.ghost_index], aug.base.q
-    )
+    return _condexp(aug, omega, factors)
 
 
 def cluster_moment_product(
@@ -430,12 +445,7 @@ def cluster_moment_product(
     is the second factor of the disjoint-support factorization, where the
     connectivity indicator makes the ghost term moot.
     """
-    bits = _check_bond_config(aug, omega)
-    labels = _labels_from_bits(aug, bits)
-    prepared = _prepare_condexp(aug.base, [(f, region)])
-    return _condexp_from_labels(
-        prepared, labels, labels[aug.ghost_index], aug.base.q, include_ghost
-    )
+    return _condexp(aug, omega, [(f, region)], include_ghost)
 
 
 def event_Z(
@@ -460,13 +470,13 @@ def rc_expectation(
     cap: int | None = None,
 ) -> complex:
     """phi-average of the conditional expectation (the tower identity LHS)."""
-    prepared = _prepare_condexp(aug.base, factors)
-    q = aug.base.q
+    prepared, powtab = _moment_table(aug.base, factors)
+    regions = [idx for _, idx in prepared]
     ghost = aug.ghost_index
     labels_rows, weights = _bond_partitions(aug, cap)
     num_re, num_im = [], []
     for labels, w in zip(labels_rows.tolist(), weights.tolist()):
-        g = _condexp_from_labels(prepared, labels, labels[ghost], q)
+        g = _condexp_from_labels(powtab, regions, labels, labels[ghost])
         num_re.append(w * g.real)
         num_im.append(w * g.imag)
     z = fsum(weights.tolist())

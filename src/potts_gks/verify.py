@@ -171,12 +171,15 @@ def verify_monotone(
 ) -> VerificationReport:
     """<f^R> non-decreasing in the given coupling or field coordinate.
 
-    Two criteria, both reported: the exact derivative (the covariance of
-    f^R with the coordinate's Kronecker delta) and finite upward
-    comparisons at steps 0.1 and 1.0. All come from the same three means:
-    delta is 0 or 1, so e^{s delta} = 1 + (e^s - 1) delta and the mean at
-    the coordinate plus s is (<F> + c<F delta>) / (1 + c<delta>) with
-    c = e^s - 1, which differs from <F> by c cov / (1 + c<delta>).
+    Reports the exact derivative (the covariance of f^R with the
+    coordinate's Kronecker delta) and finite upward steps at 0.1 and 1.0;
+    the margin is the smallest of them. All come from the same three
+    means: delta is 0 or 1, so e^{s delta} = 1 + (e^s - 1) delta and the
+    mean at the coordinate plus s is (<F> + c<F delta>) / (1 + c<delta>)
+    with c = e^s - 1, which differs from <F> by c cov / (1 + c<delta>).
+    With c > 0 each step is a positive multiple of the derivative and
+    always has its sign, so the steps are not a second route; the
+    independent one is re-enumerating the bumped model, which the tests do.
     """
     R = tuple(R)
     field = isinstance(coordinate, str)

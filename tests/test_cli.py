@@ -256,6 +256,18 @@ def test_mc_chains_match_estimate_pooled(capsys, edge_model_path):
     assert lines[0]["sweeps"] == 4000
 
 
+@pytest.mark.parametrize("chains", ["0", "-3"])
+def test_mc_fewer_than_one_chain_exits_two(capsys, edge_model_path, chains):
+    code = run(["mc", "--model", edge_model_path, "--f", "familyA", "--R", "u",
+                "--S", "v", "--sweeps", "2000", "--seed", "7", "--chains", chains])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"need at least one chain, got {chains}" in captured.err
+    lines = [json.loads(line, parse_constant=_reject_constant)
+             for line in captured.out.splitlines() if line]
+    assert all(line["type"] != "estimate" for line in lines)
+
+
 def test_mc_requires_seed(capsys, edge_model_path):
     with pytest.raises(SystemExit) as exc:
         run(["mc", "--model", edge_model_path, "--sweeps", "100"])

@@ -21,15 +21,9 @@ from potts_gks import (
     sw_sweep,
 )
 from potts_gks.instances import torus_grid
-from potts_gks.mc import (
-    _chain_arrays,
-    _measurement_arrays,
-    _run_chain_arrays,
-    _run_chain_lists,
-    _single_chain,
-    initial_state,
-)
-from strategies import model_function_region
+from potts_gks.mc import _run_chain, _single_chain, initial_state
+from potts_gks.random_cluster import _moment_table, augment, conditional_expectation
+from strategies import certified_functions, model_function_region, small_models
 from strategies import regions as regions_of
 
 LN2 = math.log(2)
@@ -123,6 +117,9 @@ def test_estimate_rejects_bad_window():
         estimate(edge_model(), [], sweeps=100, burn_in=100, seed=0)
     with pytest.raises(BadWindow):
         estimate(edge_model(), [], sweeps=100, burn_in=-1, seed=0)
+    for chains in (0, -2):
+        with pytest.raises(BadWindow):
+            estimate_pooled(edge_model(), [], sweeps=100, seed=0, chains=chains)
 
 
 def test_estimate_deterministic():
@@ -272,65 +269,182 @@ def _digest_family(kind, q):
     return make_family(kind, q, [1 - x / q for x in range(q)] if kind == "C" else None)
 
 
-def _digest(mc_mod):
-    out = {}
-    for key in FROZEN_DIGEST:
+def test_kernel_reproduces_frozen_digest():
+    # same seeds, same pre-drawn randomness, same arithmetic as the array
+    # kernel the digest was frozen from
+    for key, want in FROZEN_DIGEST.items():
         name, spec, sweeps, seed, rao = key
         model = DIGEST_MODELS[name]
         factors = [(_digest_family(kind, model.q), region) for kind, region in spec]
-        est = mc_mod.estimate(model, factors, sweeps=sweeps, seed=seed, rao_blackwell=rao)
-        out[key] = (est.mean, est.std_error, est.effective_samples)
-    return out
+        est = estimate(model, factors, sweeps=sweeps, seed=seed, rao_blackwell=rao)
+        assert (est.mean, est.std_error, est.effective_samples) == want, key
 
 
-def test_python_fallback_matches_compiled_kernel(monkeypatch):
-    # same pre-drawn randomness, same arithmetic: the kernel as loaded
-    # (compiled when numba is installed) and the pure-Python kernel must
-    # both reproduce the frozen digest exactly
-    import importlib
-    import sys
+def _uf_find(parent, x):
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
 
-    import potts_gks.mc as mc_mod
 
-    loaded = _digest(mc_mod)
-    monkeypatch.setitem(sys.modules, "numba", None)  # forces ImportError
-    try:
-        fallback = importlib.reload(mc_mod)
-        assert fallback.KERNEL == "python"
-        python = _digest(fallback)
-    finally:
-        monkeypatch.undo()
-        importlib.reload(mc_mod)
-    for key, want in FROZEN_DIGEST.items():
-        assert python[key] == loaded[key], key
-        assert python[key] == want, key
+def _run_chain_arrays(
+    edge_u,
+    edge_v,
+    p_edge,
+    p_ghost,
+    members,
+    ftab,
+    powtab,
+    rao,
+    bond_u,
+    colour_u,
+    spins,
+    samples,
+):
+    """Advance the chain one sweep per row of bond_u, recording one sample
+    per sweep (raw functional of the new spins, or its conditional
+    expectation given the bonds when rao is set).
+
+    The array kernel FROZEN_DIGEST was taken from, run as plain Python: the
+    reference that mc._run_chain reproduces."""
+    sweeps = bond_u.shape[0]
+    E = edge_u.shape[0]
+    n = spins.shape[0]
+    L = members.shape[0]
+    q = ftab.shape[1]
+    parent = np.empty(n + 1, dtype=np.int64)
+    colour = np.empty(n + 1, dtype=np.int64)
+    root_of = np.empty(n, dtype=np.int64)
+    mcount = np.empty((n + 1, max(L, 1)), dtype=np.int64)
+    for s in range(sweeps):
+        for x in range(n + 1):
+            parent[x] = x
+        for k in range(E):
+            a = edge_u[k]
+            b = edge_v[k]
+            if spins[a] == spins[b] and bond_u[s, k] < p_edge[k]:
+                ra = _uf_find(parent, a)
+                rb = _uf_find(parent, b)
+                if ra != rb:
+                    if ra < rb:
+                        parent[rb] = ra
+                    else:
+                        parent[ra] = rb
+        for vtx in range(n):
+            if spins[vtx] == 0 and bond_u[s, E + vtx] < p_ghost[vtx]:
+                ra = _uf_find(parent, vtx)
+                rb = _uf_find(parent, n)
+                if ra != rb:
+                    if ra < rb:
+                        parent[rb] = ra
+                    else:
+                        parent[ra] = rb
+        groot = _uf_find(parent, n)
+        for x in range(n + 1):
+            colour[x] = -1
+        colour[groot] = 0
+        cidx = 0
+        for vtx in range(n):
+            r = _uf_find(parent, vtx)
+            root_of[vtx] = r
+            if colour[r] < 0:
+                c = int(colour_u[s, cidx] * q)
+                if c >= q:
+                    c = q - 1
+                colour[r] = c
+                cidx += 1
+            spins[vtx] = colour[r]
+        if rao:
+            for x in range(n + 1):
+                for i in range(L):
+                    mcount[x, i] = 0
+            for i in range(L):
+                for vtx in range(n):
+                    if members[i, vtx]:
+                        mcount[root_of[vtx], i] += 1
+            val = complex(1.0, 0.0)
+            for i in range(L):
+                val = val * powtab[i, 0, mcount[groot, i]]
+            for x in range(n):
+                if parent[x] == x and x != groot:
+                    acc = complex(0.0, 0.0)
+                    for y in range(q):
+                        t = complex(1.0, 0.0)
+                        for i in range(L):
+                            t = t * powtab[i, y, mcount[x, i]]
+                        acc = acc + t
+                    val = val * (acc / q)
+            samples[s] = val
+        else:
+            val = complex(1.0, 0.0)
+            for i in range(L):
+                for vtx in range(n):
+                    if members[i, vtx]:
+                        val = val * ftab[i, spins[vtx]]
+            samples[s] = val
 
 
 @settings(max_examples=25)
 @given(data=st.data())
 def test_list_kernel_matches_array_kernel(data):
-    # the list kernel against the array kernel run as plain Python, on the
-    # same uniforms: identical spins after every block, identical samples
+    # the kernel against the reference array kernel on the same uniforms:
+    # identical spins after every block, identical samples
     model, f, _ = data.draw(model_function_region(max_n=5, max_q=4))
     regions = [data.draw(regions_of(model)) for _ in range(data.draw(st.integers(0, 2)))]
     factors = [(f, R) for R in regions if R]
     rao = data.draw(st.booleans())
     seed = data.draw(st.integers(0, 2**32 - 1))
-    edge_u, edge_v, p_edge, p_ghost = _chain_arrays(model)
-    members, ftab, powtab = _measurement_arrays(model, factors)
+    aug = augment(model)
+    prepared, powtab = _moment_table(model, factors)
+    n, E = model.n_vertices, len(model.edges)
+    edge_u = np.array([a for a, _ in aug.edge_index[:E]], dtype=np.int64)
+    edge_v = np.array([b for _, b in aug.edge_index[:E]], dtype=np.int64)
+    p = np.array(aug.p)
+    members = np.zeros((len(prepared), n), dtype=np.uint8)
+    ftab = np.zeros((len(prepared), model.q), dtype=np.complex128)
+    for i, (g, idx) in enumerate(prepared):
+        members[i, list(idx)] = 1
+        ftab[i] = g.as_array()
     rng = np.random.default_rng(seed)
-    n = model.n_vertices
     spins = {kernel: np.zeros(n, dtype=np.int64) for kernel in ("arrays", "lists")}
     for rows in (1, 40, 7):
-        bond_u = rng.random((rows, len(edge_u) + n))
+        bond_u = rng.random((rows, aug.n_bonds))
         colour_u = rng.random((rows, n))
-        samples = {}
-        for name, kernel in (("arrays", _run_chain_arrays), ("lists", _run_chain_lists)):
-            samples[name] = np.empty(rows, dtype=np.complex128)
-            kernel(edge_u, edge_v, p_edge, p_ghost, members, ftab, powtab, rao,
-                   bond_u, colour_u, spins[name], samples[name])
+        samples = {name: np.empty(rows, dtype=np.complex128) for name in spins}
+        _run_chain_arrays(edge_u, edge_v, p[:E], p[E:], members, ftab, powtab, rao,
+                          bond_u, colour_u, spins["arrays"], samples["arrays"])
+        _run_chain(aug, prepared, powtab, rao,
+                   bond_u, colour_u, spins["lists"], samples["lists"])
         assert np.array_equal(spins["arrays"], spins["lists"])
         assert samples["arrays"].tobytes() == samples["lists"].tobytes()
+
+
+@settings(max_examples=50)
+@given(data=st.data())
+def test_rao_blackwell_sample_is_conditional_expectation(data):
+    # one sweep from known spins: the bonds it opens are those whose
+    # endpoints agree (the ghost has spin 0) and whose uniform is below p,
+    # and its Rao-Blackwellized sample is E(prod f^R | omega) for that omega
+    model = data.draw(small_models())
+    f = data.draw(certified_functions(model.q))
+    factors = [(f, data.draw(regions_of(model))) for _ in range(data.draw(st.integers(1, 2)))]
+    n = model.n_vertices
+    old = data.draw(st.lists(st.integers(0, model.q - 1), min_size=n, max_size=n))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    aug = augment(model)
+    bond_u = rng.random((1, aug.n_bonds))
+    spins = np.array(old, dtype=np.int64)
+    sample = np.empty(1, dtype=np.complex128)
+    _run_chain(aug, *_moment_table(model, factors), True,
+               bond_u, rng.random((1, n)), spins, sample)
+    sp = old + [0]
+    omega = [
+        int(sp[a] == sp[b] and u < p)
+        for (a, b), u, p in zip(aug.edge_index, bond_u[0], aug.p)
+    ]
+    assert abs(sample[0] - conditional_expectation(aug, omega, factors)) <= 1e-13
+    new = spins.tolist() + [0]
+    assert all(new[a] == new[b] for (a, b), w in zip(aug.edge_index, omega) if w)
 
 
 def test_pooled_chains_merge_deterministically():
