@@ -72,20 +72,16 @@ def _load_model(path: str) -> PottsModel:
 
 
 def _build_factors(args, model: PottsModel):
-    factors = []
-    f = _parse_function(args.f, model.q) if args.f else None
-    R = _parse_region(getattr(args, "R", None))
-    S = _parse_region(getattr(args, "S", None))
-    if f is not None:
-        factors.append((f, R))
-        if S or getattr(args, "f1", None):
-            f1 = (
-                _parse_function(args.f1, model.q)
-                if getattr(args, "f1", None)
-                else f
-            )
-            factors.append((f1, S))
-    return factors, f, R, S
+    """[(f, R)], plus (f1 or f, S) when --S or --f1 is given."""
+    if not args.f:
+        return []
+    f = _parse_function(args.f, model.q)
+    factors = [(f, _parse_region(args.R))]
+    S = _parse_region(args.S)
+    if S or args.f1:
+        f1 = _parse_function(args.f1, model.q) if args.f1 else f
+        factors.append((f1, S))
+    return factors
 
 
 # ---------------------------------------------------------------------------
@@ -97,7 +93,7 @@ def _cmd_exact(args) -> int:
     model = _load_model(args.model)
     if args.dump_model:
         _emit({"type": "model", "model": model.to_json_dict()})
-    factors, f, R, S = _build_factors(args, model)
+    factors = _build_factors(args, model)
     if factors:
         value = potts_expectation(model, factors, args.cap)
         _emit(
@@ -253,7 +249,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_mc(args) -> int:
     model = _load_model(args.model)
-    factors, f, R, S = _build_factors(args, model)
+    factors = _build_factors(args, model)
     est = mc.estimate_pooled(
         model,
         factors,
@@ -292,15 +288,22 @@ def _cmd_fuzz(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser, model_required: bool = True) -> None:
-    p.add_argument("--model", required=model_required, help="model JSON path")
+_SHARED_FLAGS = {
+    "--f1": dict(help="second function (products, disjoint pairs)"),
+    "--S": dict(help="comma-separated vertex list"),
+    "--tol": dict(type=float, default=verify.DEFAULT_VERIFY_TOL),
+    "--M": dict(type=int, default=0, help="membership exponent bound"),
+    "--cap": dict(type=int, default=None, help="enumeration cap"),
+}
+
+
+def _add_common(p: argparse.ArgumentParser, *shared: str) -> None:
+    """--model --f --R --csv, plus the named flags of _SHARED_FLAGS."""
+    p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--f", help="function: family name, JSON spec, or path")
-    p.add_argument("--f1", help="second function (products, disjoint pairs)")
     p.add_argument("--R", help="comma-separated vertex list")
-    p.add_argument("--S", help="comma-separated vertex list")
-    p.add_argument("--tol", type=float, default=verify.DEFAULT_VERIFY_TOL)
-    p.add_argument("--M", type=int, default=0, help="membership exponent bound")
-    p.add_argument("--cap", type=int, default=None, help="enumeration cap")
+    for flag in shared:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
     p.add_argument("--csv", action="store_true", help="summary as CSV")
 
 
@@ -313,12 +316,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("exact", help="expectations by exhaustive enumeration")
-    _add_common(p)
+    _add_common(p, "--f1", "--S", "--cap")
     p.add_argument("--dump-model", action="store_true")
     p.set_defaults(func=_cmd_exact)
 
     p = sub.add_parser("rc", help="random-cluster probabilities and coupling")
-    _add_common(p)
+    _add_common(p, "--cap")
     p.add_argument("--omega", help="bond configuration as a 01 string over E+")
     p.set_defaults(func=_cmd_rc)
 
@@ -335,13 +338,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check a correlation inequality")
     p.add_argument("claim", choices=["real", "monotone", "gks", "disjoint"])
-    _add_common(p)
+    _add_common(p, *_SHARED_FLAGS)
     p.add_argument("--edge", help="edge coordinate for monotone, as u,v")
     p.add_argument("--vertex", help="vertex coordinate for monotone")
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("mc", help="cluster Monte Carlo estimate")
-    _add_common(p)
+    _add_common(p, "--f1", "--S")
     p.add_argument("--sweeps", type=int, required=True)
     p.add_argument("--burn-in", type=int, default=None, dest="burn_in")
     p.add_argument("--seed", type=int, required=True)

@@ -12,18 +12,19 @@ independent uniform spin recovers the Potts measure exactly; that
 coupling, the conditional expectations it induces, and the connectivity
 event used by the disjoint-support inequality all live here.
 
-Every exact sum over the 2^|E+| bond configurations comes from one
-reducer, _bond_weight_blocks: it labels the clusters of a whole block of
-configurations at once with numpy, and callers that need only the cluster
-partition (the coupled marginal, the tower identity) reduce the block to
-its distinct partitions before doing any per-partition Python work.
+Every cluster label comes from _merge, which opens one bond in every row
+of a label table: a single omega is labelled on a one-row table, and
+every exact sum over the 2^|E+| bond configurations comes from one
+reducer, _bond_weight_blocks, which labels a whole block at once. Callers
+that need only the cluster partition (the coupled marginal, the tower
+identity, per_config) reduce a block to its distinct partitions first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import expm1, factorial, fsum
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -73,11 +74,6 @@ class AugmentedGraph:
     def n_bonds(self) -> int:
         return len(self.edge_index)
 
-    @property
-    def edges(self) -> tuple[tuple[str, str], ...]:
-        names = self.base.vertices + (self.ghost,)
-        return tuple((names[a], names[b]) for a, b in self.edge_index)
-
 
 def augment(model: PottsModel) -> AugmentedGraph:
     """Attach the ghost vertex; every vertex gets a ghost edge (p=0 if h=0)."""
@@ -116,29 +112,9 @@ def omega_from_code(aug: AugmentedGraph, code: int) -> np.ndarray:
     return np.array([(code >> i) & 1 for i in range(aug.n_bonds)], dtype=np.uint8)
 
 
-def _labels_from_bits(aug: AugmentedGraph, bits: Sequence[int]) -> list[int]:
-    """Connected-component label per node, canonicalized to min node index."""
-    n1 = aug.n_vertices + 1
-    parent = list(range(n1))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for (a, b), bit in zip(aug.edge_index, bits):
-        if bit:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-    return [find(x) for x in range(n1)]
-
-
 def clusters(aug: AugmentedGraph, omega: Sequence[int]) -> ClusterPartition:
     """Open clusters of omega; isolated vertices are singletons."""
-    bits = _check_bond_config(aug, omega)
-    labels = _labels_from_bits(aug, bits)
+    labels = _omega_labels(aug, omega)
     ghost_label = labels[aug.ghost_index]
     groups: dict[int, list[str]] = {}
     for i, v in enumerate(aug.base.vertices):
@@ -176,20 +152,35 @@ def _merge(
     return np.where(labels == hi, lo, labels), k - (la != lb)
 
 
+def _omega_labels(aug: AugmentedGraph, omega: Sequence[int]) -> list[int]:
+    """Cluster labels of one omega: _merge on a one-row table, per open bond.
+
+    No cap bounds the vertex count here, so labels are int64, not int8.
+    """
+    bits = _check_bond_config(aug, omega)
+    labels = np.arange(aug.n_vertices + 1, dtype=np.int64)[None, :]
+    k = np.zeros(1, dtype=np.int64)
+    for (a, b), bit in zip(aug.edge_index, bits):
+        if bit:
+            labels, k = _merge(labels, k, a, b)
+    return labels[0].tolist()
+
+
 def _bond_weight_blocks(
     aug: AugmentedGraph, cap: int | None = None
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(labels, weights) for every bond configuration, in blocks in code order.
 
-    Row r of a block is code start + r: labels[r] is what _labels_from_bits
-    gives for it (int8; n+1 <= m + 1 nodes, far below 127 under any cap
-    that can be enumerated) and weights[r] its unnormalized weight
-    q^k prod p^w (1-p)^(1-w). The low min(m, log2 _BOND_BLOCK) bonds are
-    enumerated once, by doubling: the rows of the codes with bit j set are
-    the rows of the codes < 2^j with bond j merged, and the bond factors
-    double as x(1-p_j) and xp_j. Each block fixes the high bonds and merges
-    them into that table, so a block holds _BOND_BLOCK rows whatever m is.
-    Callers must not write to the yielded arrays.
+    Row r of a block is code start + r: labels[r] gives every node the
+    minimum node index of its cluster, as _omega_labels does (int8; n+1 <=
+    m + 1 nodes, far below 127 under any cap that can be enumerated), and
+    weights[r] is its unnormalized weight q^k prod p^w (1-p)^(1-w). The
+    low min(m, log2 _BOND_BLOCK) bonds are enumerated once, by doubling:
+    the rows of the codes with bit j set are the rows of the codes < 2^j
+    with bond j merged, and the bond factors double as x(1-p_j) and xp_j.
+    Each block fixes the high bonds and merges them into that table, so a
+    block holds _BOND_BLOCK rows whatever m is. Callers must not write to
+    the yielded arrays.
     """
     check_bond_cap(aug, cap)
     m, n1 = aug.n_bonds, aug.n_vertices + 1
@@ -214,16 +205,22 @@ def _bond_weight_blocks(
         yield labels, q_pow[k] * (factors * factor)
 
 
-def _group_partitions(
-    labels: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One row per distinct partition, with the summed weight of its rows."""
+def _unique_partitions(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique over label rows by partition: (first row, inverse) per key."""
     n1 = labels.shape[1]
     if n1 <= len(_FACTORIALS):
         keys = labels @ _FACTORIALS[:n1]
     else:  # the factorial key would overflow int64: compare the rows' bytes
         keys = np.ascontiguousarray(labels).view(np.dtype((np.void, n1))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    return first, inverse
+
+
+def _group_partitions(
+    labels: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One row per distinct partition, with the summed weight of its rows."""
+    first, inverse = _unique_partitions(labels)
     return labels[first], np.bincount(inverse, weights)
 
 
@@ -246,22 +243,29 @@ def _bond_partitions(
     return labels[keep], weights[keep]
 
 
-def iter_bond_configs(
-    aug: AugmentedGraph, cap: int | None = None
-) -> Iterator[tuple[int, list[int], list[int]]]:
-    """Yield (code, bits, labels) for every bond configuration of E+."""
-    m = aug.n_bonds
-    code = 0
+def per_config(
+    aug: AugmentedGraph, fn: Callable[[np.ndarray], object], cap: int | None = None
+) -> list:
+    """fn(omega) for every bond configuration, in code order.
+
+    fn must depend on omega only through its cluster partition: it is
+    called once per distinct partition of each block of _bond_weight_blocks,
+    on the block's first code with that partition, and its value is
+    repeated for the block's other codes.
+    """
+    values: list = []
     for labels, _ in _bond_weight_blocks(aug, cap):
-        for row in labels.tolist():
-            yield code, [(code >> i) & 1 for i in range(m)], row
-            code += 1
+        first, inverse = _unique_partitions(labels)
+        start = len(values)
+        reps = [fn(omega_from_code(aug, start + int(r))) for r in first]
+        values.extend(reps[i] for i in inverse.tolist())
+    return values
 
 
 def rc_weight(aug: AugmentedGraph, omega: Sequence[int]) -> float:
     """Unnormalized weight prod p^w (1-p)^(1-w) * q^k, k incl. ghost cluster."""
     bits = _check_bond_config(aug, omega)
-    w = float(aug.base.q) ** len(set(_labels_from_bits(aug, bits)))
+    w = float(aug.base.q) ** len(set(_omega_labels(aug, bits)))
     for p, bit in zip(aug.p, bits):
         w *= p if bit else 1.0 - p
     return w
@@ -293,8 +297,7 @@ def sample_spins(
     aug: AugmentedGraph, omega: Sequence[int], rng: np.random.Generator
 ) -> np.ndarray:
     """Colour clusters: ghost's cluster gets 0, the rest iid uniform spins."""
-    bits = _check_bond_config(aug, omega)
-    labels = _labels_from_bits(aug, bits)
+    labels = _omega_labels(aug, omega)
     ghost_label = labels[aug.ghost_index]
     q, n = aug.base.q, aug.n_vertices
     colour: dict[int, int] = {ghost_label: 0}
@@ -411,16 +414,11 @@ def _condexp(
     factors: Sequence[tuple[SpinFunction, Iterable[str]]],
     include_ghost: bool = True,
 ) -> complex:
-    bits = _check_bond_config(aug, omega)
-    labels = _labels_from_bits(aug, bits)
+    labels = _omega_labels(aug, omega)
     prepared, powtab = _moment_table(aug.base, factors)
-    return _condexp_from_labels(
-        powtab,
-        [idx for _, idx in prepared],
-        labels,
-        labels[aug.ghost_index],
-        include_ghost,
-    )
+    regions = [idx for _, idx in prepared]
+    ghost_label = labels[aug.ghost_index]
+    return _condexp_from_labels(powtab, regions, labels, ghost_label, include_ghost)
 
 
 def conditional_expectation(
@@ -455,13 +453,10 @@ def event_Z(
     S: Iterable[str],
 ) -> int:
     """1 iff no open path joins S to R or to the ghost."""
-    bits = _check_bond_config(aug, omega)
-    labels = _labels_from_bits(aug, bits)
-    r_idx = region_indices(aug.base, R)
-    s_idx = region_indices(aug.base, S)
-    blocked = {labels[v] for v in r_idx}
+    labels = _omega_labels(aug, omega)
+    blocked = {labels[v] for v in region_indices(aug.base, R)}
     blocked.add(labels[aug.ghost_index])
-    return 0 if any(labels[v] in blocked for v in s_idx) else 1
+    return 0 if any(labels[v] in blocked for v in region_indices(aug.base, S)) else 1
 
 
 def rc_expectation(

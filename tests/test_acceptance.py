@@ -36,7 +36,7 @@ from potts_gks import (
     verify_real_nonneg,
 )
 from potts_gks.instances import torus_grid, verification_suite
-from potts_gks.random_cluster import iter_bond_configs
+from potts_gks.random_cluster import per_config
 
 TOL_COUPLING = 1e-10
 TOL_TOWER = 1e-10
@@ -190,14 +190,17 @@ def test_criterion_5_disjoint_support(suite):
         # the indicator factorization, configuration by configuration
         aug = augment(model)
         for (f0, f1), (R, S) in zip(pairs[:3], regions[:3]):
-            for _, bits, _ in iter_bond_configs(aug):
-                lhs = conditional_expectation(aug, bits, [(f0, R), (f1, S)])
+
+            def residual(omega):
+                lhs = conditional_expectation(aug, omega, [(f0, R), (f1, S)])
                 rhs = (
-                    event_Z(aug, bits, R, S)
-                    * cluster_moment_product(aug, bits, f0, R)
-                    * cluster_moment_product(aug, bits, f1, S, include_ghost=False)
+                    event_Z(aug, omega, R, S)
+                    * cluster_moment_product(aug, omega, f0, R)
+                    * cluster_moment_product(aug, omega, f1, S, include_ghost=False)
                 )
-                worst_factorization = max(worst_factorization, abs(lhs - rhs))
+                return abs(lhs - rhs)
+
+            worst_factorization = max(worst_factorization, *per_config(aug, residual))
     _announce(
         "5 disjoint-support",
         worst >= -TOL_CHECK and worst_factorization <= TOL_PER_CONFIG,
@@ -220,9 +223,11 @@ def test_criterion_6_bond_monotonicity(suite):
                 else make_family(kind, model.q)
             )
             R = _seeded_region(rng, model) or model.vertices[:1]
-            values = np.empty(2**m_bonds, dtype=np.complex128)
-            for code, bits, _ in iter_bond_configs(aug):
-                values[code] = conditional_expectation(aug, bits, [(f, R)])
+            values = np.array(
+                per_config(
+                    aug, lambda omega: conditional_expectation(aug, omega, [(f, R)])
+                )
+            )
             codes = np.arange(2**m_bonds)
             for e in range(m_bonds):
                 closed = codes[(codes >> e) & 1 == 0]

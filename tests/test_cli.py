@@ -274,6 +274,32 @@ def test_mc_requires_seed(capsys, edge_model_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("rc", "--S", "v"),
+        ("rc", "--f1", "familyA"),
+        ("rc", "--tol", "1e-6"),
+        ("rc", "--M", "8"),
+        ("exact", "--tol", "1e-6"),
+        ("exact", "--M", "8"),
+        ("mc", "--tol", "1e-6"),
+        ("mc", "--M", "8"),
+        ("mc", "--cap", "64"),
+    ],
+)
+def test_flags_a_command_ignores_are_rejected(capsys, edge_model_path, command,
+                                              flag, value):
+    argv = [command, "--model", edge_model_path, "--f", "familyA", "--R", "u",
+            flag, value]
+    if command == "mc":
+        argv += ["--sweeps", "100", "--seed", "1"]
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
 def test_fuzz_command(capsys):
     code, lines = run_lines(
         capsys, ["fuzz", "--trials", "50", "--seed", "42", "--n-max", "4"]

@@ -31,13 +31,12 @@ from potts_gks.random_cluster import (
     _bond_partitions,
     _bond_weight_blocks,
     _group_partitions,
-    _labels_from_bits,
-    iter_bond_configs,
     omega_from_code,
+    per_config,
     rc_partition,
     rc_weight,
 )
-from oracles import brute_coupled_marginal, brute_rc_weight
+from oracles import bfs_components, brute_coupled_marginal, brute_rc_weight
 from strategies import model_function_region, small_models
 
 LN2 = math.log(2)
@@ -114,8 +113,6 @@ def test_clusters_transitive_connectivity():
 def test_clusters_partition_vertices(model):
     # every bond configuration: parts are disjoint, non-empty, cover V,
     # and match BFS components of the open subgraph
-    from oracles import bfs_components
-
     aug = augment(model)
     for code in range(0, 2**aug.n_bonds, 7):  # stride keeps examples fast
         omega = omega_from_code(aug, code)
@@ -132,6 +129,49 @@ def test_clusters_partition_vertices(model):
             model.vertices[i] for i in sorted(ghost_comp) if i < aug.n_vertices
         )
         assert part.ghost_cluster == want_ghost
+
+
+def test_single_config_labels_past_int8_range():
+    # 150 vertices and the ghost: int8 labels would wrap past 127 nodes,
+    # and the wrapped labels would sort the cluster of v101..v149 first
+    n = 150
+    names = tuple(f"v{i}" for i in range(n))
+    model = PottsModel(names, tuple(zip(names, names[1:])), (1.0,) * (n - 1),
+                       (0.5,) * n, 2)
+    aug = augment(model)
+    real_open = [1] * (n - 1) + [0] * n
+    ghost_open = [1] * (n - 1) + [0] * (n - 1) + [1]  # ghost bond to the last
+    cut = real_open[:100] + [0] + real_open[101:]  # v100-v101 closed
+    part = clusters(aug, real_open)
+    assert part.ghost_cluster == () and part.other_clusters == (names,)
+    part = clusters(aug, ghost_open)
+    assert part.ghost_cluster == names and part.k == 0
+    assert clusters(aug, cut).other_clusters == (names[:101], names[101:])
+    assert event_Z(aug, cut, (names[0],), (names[-1],)) == 1
+    for omega in (real_open, ghost_open, cut):
+        assert rc_weight(aug, omega) == pytest.approx(
+            brute_rc_weight(aug, omega), rel=1e-12
+        )
+    for omega in (real_open, ghost_open):
+        assert event_Z(aug, omega, (names[0],), (names[-1],)) == 0
+
+
+@given(small_models(max_n=4))
+def test_per_config_matches_per_code_calls(model):
+    # blocks of 2^3 codes, so most partitions recur in several blocks
+    aug = augment(model)
+    f = make_family("A", model.q)
+    R, S = model.vertices[:2], model.vertices[-1:]
+    fns = [
+        lambda omega: conditional_expectation(aug, omega, [(f, R), (f, S)]),
+        lambda omega: event_Z(aug, omega, R, S),
+        lambda omega: clusters(aug, omega),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(random_cluster, "_BOND_BLOCK", 1 << 3)
+        for fn in fns:
+            want = [fn(omega_from_code(aug, c)) for c in range(2**aug.n_bonds)]
+            assert per_config(aug, fn) == want
 
 
 def test_omega_code_round_trip():
@@ -210,7 +250,10 @@ def test_bond_blocks_match_per_config_labels_and_weights(model):
     by_partition = {}
     for code in range(2**aug.n_bonds):
         omega = omega_from_code(aug, code)
-        want = _labels_from_bits(aug, omega)
+        want = [0] * (aug.n_vertices + 1)  # each node's minimum component index
+        for comp in bfs_components(aug.n_vertices + 1, zip(aug.edge_index, omega)):
+            for x in comp:
+                want[x] = min(comp)
         assert labels[code].tolist() == want
         assert weights[code] == pytest.approx(brute_rc_weight(aug, omega), rel=1e-12)
         key = tuple(want)
@@ -259,14 +302,15 @@ def test_reducer_past_one_block_matches_per_code_sums():
     # P(sigma = 000111) as a product of indicator factors
     factors = [(SpinFunction((1, 0)), ("a", "b", "c")),
                (SpinFunction((0, 1)), ("d", "e", "f"))]
-    weights, terms = [], []
-    for code in range(2**aug.n_bonds):
-        omega = omega_from_code(aug, code).tolist()
-        w = rc_weight(aug, omega)
-        weights.append(w)
-        terms.append(w * conditional_expectation(aug, omega, factors).real)
+    weights = np.concatenate([w for _, w in _bond_weight_blocks(aug)]).tolist()
+    for code in range(0, 2**aug.n_bonds, 997):
+        omega = omega_from_code(aug, code)
+        assert weights[code] == pytest.approx(rc_weight(aug, omega), rel=1e-12)
+    g = per_config(
+        aug, lambda omega: conditional_expectation(aug, omega, factors).real
+    )
     z = math.fsum(weights)
-    want = math.fsum(terms) / z
+    want = math.fsum(w * x for w, x in zip(weights, g)) / z
     assert rc_partition(aug) == pytest.approx(z, rel=1e-12)
     assert abs(rc_expectation(aug, factors) - want) <= 1e-12
     assert abs(coupled_spin_marginal(aug)[0b000111] - want) <= 1e-12
@@ -449,9 +493,9 @@ def test_tower_identity_pairs(mfr):
 
 def _monotone_on_bond_lattice(model, f, R):
     aug = augment(model)
-    values = {}
-    for code, bits, labels in iter_bond_configs(aug):
-        values[code] = conditional_expectation(aug, bits, [(f, R)])
+    values = per_config(
+        aug, lambda omega: conditional_expectation(aug, omega, [(f, R)])
+    )
     for code in range(2**aug.n_bonds):
         for e in range(aug.n_bonds):
             if not (code >> e) & 1:
@@ -478,11 +522,15 @@ def test_condexp_cluster_product_bound(kind):
     model = path3(q=q, J=1.0, h=(0.5, 0.0, 0.25))
     R, S = ("u", "v"), ("v", "w")
     aug = augment(model)
-    for _, bits, _ in iter_bond_configs(aug):
-        joint = conditional_expectation(aug, bits, [(f, R), (f, S)])
-        gR = conditional_expectation(aug, bits, [(f, R)])
-        gS = conditional_expectation(aug, bits, [(f, S)])
-        assert joint.real >= (gR * gS).real - 1e-12
+
+    def sides(omega):
+        joint = conditional_expectation(aug, omega, [(f, R), (f, S)])
+        gR = conditional_expectation(aug, omega, [(f, R)])
+        gS = conditional_expectation(aug, omega, [(f, S)])
+        return joint.real, (gR * gS).real
+
+    for joint, product in per_config(aug, sides):
+        assert joint >= product - 1e-12
 
 
 def test_condexp_cluster_product_bound_relaxed_class_field_free():
@@ -509,13 +557,17 @@ def test_condexp_cluster_product_bound_relaxed_class_field_free():
 
 def _factorization_holds_everywhere(model, f0, f1, R, S):
     aug = augment(model)
-    for _, bits, _ in iter_bond_configs(aug):
-        lhs = conditional_expectation(aug, bits, [(f0, R), (f1, S)])
+
+    def sides(omega):
+        lhs = conditional_expectation(aug, omega, [(f0, R), (f1, S)])
         rhs = (
-            event_Z(aug, bits, R, S)
-            * cluster_moment_product(aug, bits, f0, R, include_ghost=True)
-            * cluster_moment_product(aug, bits, f1, S, include_ghost=False)
+            event_Z(aug, omega, R, S)
+            * cluster_moment_product(aug, omega, f0, R, include_ghost=True)
+            * cluster_moment_product(aug, omega, f1, S, include_ghost=False)
         )
+        return lhs, rhs
+
+    for lhs, rhs in per_config(aug, sides):
         assert lhs == pytest.approx(rhs, abs=1e-12)
 
 
