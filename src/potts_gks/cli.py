@@ -206,7 +206,6 @@ def _cmd_verify(args) -> int:
     model = _load_model(args.model)
     f = _parse_function(args.f, model.q)
     R = _parse_region(args.R)
-    S = _parse_region(args.S)
     kw = {"tol": args.tol, "cap": args.cap}
     if args.M:
         kw["M"] = args.M
@@ -216,8 +215,10 @@ def _cmd_verify(args) -> int:
     elif args.claim == "monotone":
         coords = []
         if args.edge:
-            u, v = _parse_region(args.edge)
-            coords.append((u, v))
+            edge = _parse_region(args.edge)
+            if len(edge) != 2:
+                raise ModelError(f"--edge needs two vertices as u,v, got {args.edge!r}")
+            coords.append(edge)
         if args.vertex:
             coords.append(args.vertex)
         if not coords:  # default: every coordinate
@@ -225,11 +226,12 @@ def _cmd_verify(args) -> int:
         for coord in coords:
             reports.append(verify.verify_monotone(model, f, R, coord, **kw))
     elif args.claim == "gks":
-        reports.append(verify.verify_gks_pair(model, f, R, S, **kw))
+        reports.append(verify.verify_gks_pair(model, f, R, _parse_region(args.S), **kw))
     elif args.claim == "disjoint":
         if not args.f1:
             raise ModelError("verify disjoint needs --f1 for the second function")
         f1 = _parse_function(args.f1, model.q)
+        S = _parse_region(args.S)
         reports.append(verify.verify_disjoint_support(model, f, f1, R, S, **kw))
     failures = 0
     for report in reports:
@@ -297,10 +299,14 @@ _SHARED_FLAGS = {
 }
 
 
-def _add_common(p: argparse.ArgumentParser, *shared: str) -> None:
+# what each verify claim reads of _SHARED_FLAGS besides --tol --M --cap
+_CLAIMS = {"real": (), "monotone": (), "gks": ("--S",), "disjoint": ("--f1", "--S")}
+
+
+def _add_common(p: argparse.ArgumentParser, *shared: str, f_required=False) -> None:
     """--model --f --R --csv, plus the named flags of _SHARED_FLAGS."""
     p.add_argument("--model", required=True, help="model JSON path")
-    p.add_argument("--f", help="function: family name, JSON spec, or path")
+    p.add_argument("--f", required=f_required, help="family name, JSON spec, or path")
     p.add_argument("--R", help="comma-separated vertex list")
     for flag in shared:
         p.add_argument(flag, **_SHARED_FLAGS[flag])
@@ -337,11 +343,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_fclass)
 
     p = sub.add_parser("verify", help="check a correlation inequality")
-    p.add_argument("claim", choices=["real", "monotone", "gks", "disjoint"])
-    _add_common(p, *_SHARED_FLAGS)
-    p.add_argument("--edge", help="edge coordinate for monotone, as u,v")
-    p.add_argument("--vertex", help="vertex coordinate for monotone")
-    p.set_defaults(func=_cmd_verify)
+    claims = p.add_subparsers(dest="claim", required=True)
+    for claim, shared in _CLAIMS.items():
+        c = claims.add_parser(claim)
+        _add_common(c, *shared, "--tol", "--M", "--cap", f_required=True)
+        if claim == "monotone":
+            c.add_argument("--edge", help="edge coordinate, as u,v")
+            c.add_argument("--vertex", help="vertex coordinate")
+        c.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("mc", help="cluster Monte Carlo estimate")
     _add_common(p, "--f1", "--S")

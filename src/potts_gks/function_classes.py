@@ -17,7 +17,7 @@ import cmath
 from dataclasses import dataclass
 from math import fsum
 
-from .model import ModelError, SpinFunction
+from .model import ModelError, SpinFunction, integer_q
 
 DEFAULT_M = 16
 DEFAULT_TOL = 1e-9
@@ -165,7 +165,7 @@ def spin_function_from_spec(spec: dict) -> SpinFunction:
     """
     try:
         kind = str(spec["kind"]).upper().removeprefix("FAMILY")
-        q = int(spec["q"])
+        q = integer_q(spec["q"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelError(f"malformed function spec: {exc}") from exc
     values = spec.get("values")

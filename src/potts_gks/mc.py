@@ -8,10 +8,10 @@ leaves the Potts measure invariant; the test suite checks that rather
 than assuming it.
 
 The sweep loop is one pure-Python kernel over random_cluster's augmented
-graph: its bonds and their probabilities come from ``augment``, and the
-Rao-Blackwellized samples from the same cluster factors as the exact
-conditional expectation. All randomness comes from one numpy Generator,
-consumed in a fixed layout, so a seed pins the estimate bit for bit.
+graph: its bonds and their probabilities come from ``augment``, and its
+Rao-Blackwellized samples from _ClusterFactors.product, the routine behind
+the exact conditional expectation. All randomness comes from one numpy
+Generator, consumed in a fixed layout, so a seed pins the estimate bit for bit.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import ModelError, PottsModel, SpinFunction
-from .random_cluster import _ghost_factor, _mixed_moment, _moment_table, augment
+from .model import ModelError, PottsModel, SpinFunction, validate_spin_config
+from .random_cluster import _ClusterFactors, augment
 
 _SWEEP_BLOCK = 1 << 14
 _N_BATCHES = 16
@@ -60,36 +60,19 @@ class Estimate:
         }
 
 
-class _Memo(dict):
-    """fn(key) for each key, computed on first lookup."""
-
-    __slots__ = ("fn",)
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
-def _run_chain(aug, prepared, powtab, rao, bond_u, colour_u, spins, samples):
+def _run_chain(aug, table, rao, bond_u, colour_u, spins, samples):
     """Advance the chain one sweep per row of bond_u, recording one sample
     per sweep (raw functional of the new spins, or its conditional
     expectation given the bonds when rao is set).
 
     The chain state lives in Python lists. The spin-independent half of
     every test is computed once per block with numpy: which bonds pass
-    their uniform, and which colour each uniform picks. A sample depends
-    on the sweep only through the member spins (raw) or the members'
-    cluster counts (Rao-Blackwellized), so its complex product is memoized
-    by those; the cluster factors are random_cluster's _ghost_factor and
-    _mixed_moment.
+    their uniform, and which colour each uniform picks. A raw sample is
+    memoized by the member spins; a Rao-Blackwellized one is table.product,
+    the routine behind the exact conditional expectation, on the clusters.
     """
     n = aug.n_vertices
     q = aug.base.q
-    L = len(prepared)
     W = aug.n_bonds
     # the ghost is vertex n with spin 0, so a ghost bond's test is a real
     # bond's: equal spins, and a uniform below its probability
@@ -98,25 +81,18 @@ def _run_chain(aug, prepared, powtab, rao, bond_u, colour_u, spins, samples):
     # opened[r*W : r*W + W] and its colours from picks[r*n] on
     opened = (bond_u < np.array(aug.p)).tobytes()
     picks = memoryview(np.minimum((colour_u * q).astype(np.int64), q - 1).ravel())
-    ftab = [f.as_array() for f, _ in prepared]
-    flat = [(i, v) for i, (_, idx) in enumerate(prepared) for v in sorted(idx)]
-    # cluster counts of factor i are digit i of a base-(max_m + 1) code
-    base = powtab.shape[2]
-    weights = [(v, base**i) for i, v in flat]
-
-    def counts(code):
-        return [code // base**i % base for i in range(L)]
+    ftab = [f.as_array() for f, _ in table.prepared]
+    flat = [(i, v) for i, (_, idx) in enumerate(table.prepared) for v in sorted(idx)]
 
     def raw_product(key):
         val = complex(1.0, 0.0)
         # itemgetter of a single index returns the bare spin, not a 1-tuple
         for (i, _), x in zip(flat, key if len(flat) != 1 else (key,)):
             val = val * ftab[i][x]
+        raw_tab[key] = val
         return val
 
-    ghost_tab = _Memo(lambda code: _ghost_factor(powtab, counts(code)))
-    cluster_tab = _Memo(lambda code: _mixed_moment(powtab, counts(code)))
-    raw_tab = _Memo(raw_product)
+    raw_tab = {}
     member_spins = itemgetter(*(v for _, v in flat)) if flat else lambda _: ()
 
     sp = spins.tolist() + [0]
@@ -156,15 +132,10 @@ def _run_chain(aug, prepared, powtab, rao, bond_u, colour_u, spins, samples):
                 cidx += 1
                 roots.append(v)
         if rao:
-            code_of = {}
-            for v, w in weights:
-                r = par[v]
-                code_of[r] = code_of.get(r, 0) + w
-            val = ghost_tab[code_of.get(groot, 0)]
-            for x in roots:
-                val = val * cluster_tab[code_of.get(x, 0)]
+            val = table.product(par, groot, roots)
         else:
-            val = raw_tab[member_spins(sp)]
+            key = member_spins(sp)
+            val = raw_tab[key] if key in raw_tab else raw_product(key)
         out.append(val)
     spins[:] = sp[:n]
     samples[:] = out
@@ -175,16 +146,11 @@ def sw_sweep(
 ) -> ChainState:
     """One bond-then-colour sweep; returns the new chain state."""
     aug = augment(model)
-    n = model.n_vertices
-    spins = np.array(state.spins, dtype=np.int64).copy()
-    if spins.shape != (n,):
-        raise ModelError("chain state must carry one spin per vertex")
-    if n and (spins.min() < 0 or spins.max() >= model.q):
-        raise ModelError(f"spins must lie in [0, {model.q - 1}]")
+    spins = validate_spin_config(model, state.spins).copy()
     bond_u = rng.random((1, aug.n_bonds))
-    colour_u = rng.random((1, n))
+    colour_u = rng.random((1, model.n_vertices))
     samples = np.empty(1, dtype=np.complex128)
-    _run_chain(aug, *_moment_table(model, []), False, bond_u, colour_u, spins, samples)
+    _run_chain(aug, _ClusterFactors(model, []), False, bond_u, colour_u, spins, samples)
     return ChainState(spins, state.sweep + 1)
 
 
@@ -195,13 +161,14 @@ def initial_state(model: PottsModel) -> ChainState:
 
 def _single_chain(
     model: PottsModel,
-    factors,
+    table: _ClusterFactors,
     sweeps: int,
-    rng: np.random.Generator,
+    seed,
     rao_blackwell: bool,
 ) -> np.ndarray:
+    """The samples of one chain; seed is anything np.random.default_rng takes."""
+    rng = np.random.default_rng(seed)
     aug = augment(model)
-    prepared, powtab = _moment_table(model, factors)
     n = model.n_vertices
     spins = np.zeros(n, dtype=np.int64)
     samples = np.empty(sweeps, dtype=np.complex128)
@@ -209,14 +176,20 @@ def _single_chain(
         stop = min(start + _SWEEP_BLOCK, sweeps)
         bond_u = rng.random((stop - start, aug.n_bonds))
         colour_u = rng.random((stop - start, n))
-        _run_chain(
-            aug, prepared, powtab, bool(rao_blackwell),
-            bond_u, colour_u, spins, samples[start:stop],
-        )
+        _run_chain(aug, table, bool(rao_blackwell), bond_u, colour_u, spins,
+                   samples[start:stop])
     return samples
 
 
-def _summarize(samples: np.ndarray, sweeps: int, burn_in: int) -> Estimate:
+def _window(sweeps: int, burn_in: int | None) -> int:
+    """burn_in, sweeps // 10 by default, checked to lie in [0, sweeps)."""
+    burn_in = sweeps // 10 if burn_in is None else burn_in
+    if not 0 <= burn_in < sweeps:
+        raise BadWindow(f"need 0 <= burn_in < sweeps, got {burn_in} >= {sweeps}")
+    return burn_in
+
+
+def _summarize(samples: np.ndarray, burn_in: int) -> Estimate:
     kept = samples[burn_in:]
     N = kept.shape[0]
     mean = complex(np.mean(kept))
@@ -234,7 +207,7 @@ def _summarize(samples: np.ndarray, sweeps: int, burn_in: int) -> Estimate:
     else:
         var_sample = 0.0
     ess = min(float(N), var_sample / se**2) if se > 0.0 else float(N)
-    return Estimate(mean, se, ess, sweeps, burn_in)
+    return Estimate(mean, se, ess, samples.shape[0], burn_in)
 
 
 def estimate(
@@ -251,13 +224,9 @@ def estimate(
     the conditional expectation given the bonds instead of the raw spin
     functional, which cannot increase the variance.
     """
-    if burn_in is None:
-        burn_in = sweeps // 10
-    if not 0 <= burn_in < sweeps:
-        raise BadWindow(f"need 0 <= burn_in < sweeps, got {burn_in} >= {sweeps}")
-    rng = np.random.default_rng(seed)
-    samples = _single_chain(model, factors, sweeps, rng, rao_blackwell)
-    return _summarize(samples, sweeps, burn_in)
+    burn_in = _window(sweeps, burn_in)
+    table = _ClusterFactors(model, factors)
+    return _summarize(_single_chain(model, table, sweeps, seed, rao_blackwell), burn_in)
 
 
 def estimate_pooled(
@@ -280,18 +249,10 @@ def estimate_pooled(
         raise BadWindow(f"need at least one chain, got {chains}")
     if chains == 1:
         return estimate(model, factors, sweeps, burn_in, seed, rao_blackwell)
-    if burn_in is None:
-        burn_in = sweeps // 10
-    if not 0 <= burn_in < sweeps:
-        raise BadWindow(f"need 0 <= burn_in < sweeps, got {burn_in} >= {sweeps}")
+    burn_in = _window(sweeps, burn_in)
+    table = _ClusterFactors(model, factors)
     parts = [
-        _summarize(
-            _single_chain(
-                model, factors, sweeps, np.random.default_rng(child), rao_blackwell
-            ),
-            sweeps,
-            burn_in,
-        )
+        _summarize(_single_chain(model, table, sweeps, child, rao_blackwell), burn_in)
         for child in np.random.SeedSequence(seed).spawn(chains)
     ]
     n_each = sweeps - burn_in

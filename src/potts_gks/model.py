@@ -158,7 +158,9 @@ class PottsModel:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PottsModel":
         try:
-            q = int(data["q"])
+            q = integer_q(data["q"])
+            if not isinstance(data["vertices"], list):
+                raise ModelError(f'"vertices" must be a list, got {data["vertices"]!r}')
             vertices = tuple(str(v) for v in data["vertices"])
             edges = tuple((str(e["u"]), str(e["v"])) for e in data.get("edges", []))
             J = tuple(float(e.get("J", 0.0)) for e in data.get("edges", []))
@@ -175,6 +177,13 @@ class PottsModel:
     def from_json_file(cls, path: str) -> "PottsModel":
         with open(path) as fh:
             return cls.from_json_dict(json.load(fh))
+
+
+def integer_q(raw: object) -> int:
+    """q from outside input, which must be an integer: 2.7 or "3" is refused."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
+        raise BadQ(f"q must be an integer, got {raw!r}")
+    return int(raw)
 
 
 def validate_model(model: PottsModel) -> None:

@@ -13,11 +13,11 @@ coupling, the conditional expectations it induces, and the connectivity
 event used by the disjoint-support inequality all live here.
 
 Every cluster label comes from _merge, which opens one bond in every row
-of a label table: a single omega is labelled on a one-row table, and
-every exact sum over the 2^|E+| bond configurations comes from one
-reducer, _bond_weight_blocks, which labels a whole block at once. Callers
-that need only the cluster partition (the coupled marginal, the tower
-identity, per_config) reduce a block to its distinct partitions first.
+of a label table: a single omega is labelled on a one-row table, and every
+exact sum over the 2^|E+| bond configurations comes from one reducer,
+_bond_weight_blocks, which labels a whole block; callers that need only the
+partition reduce a block to its distinct partitions first. One routine,
+_ClusterFactors.product, gives E(prod f^R | omega) here and to mc's sampler.
 """
 
 from __future__ import annotations
@@ -341,84 +341,85 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def _moment_table(
-    base: PottsModel, factors: Sequence[tuple[SpinFunction, Iterable[str]]]
-) -> tuple[list[tuple[SpinFunction, tuple[int, ...]]], np.ndarray]:
-    """check_factors' output and powtab[i, x, m] = f_i(x)**m (0**0 = 1).
+class _ClusterFactors:
+    """E( prod_i f_i(sigma)^{R_i} | omega ) as a product over omega's clusters.
 
-    m runs up to the largest region. Powers come from repeated numpy
-    multiplication, the arithmetic the Monte Carlo digest was frozen with.
+    The ghost's cluster contributes prod_i f_i(0)^{m_i}, every other cluster
+    (1/q) sum_y prod_i f_i(y)^{m_i}, where m_i = |R_i ∩ cluster|. Built once
+    per factor list; powtab[i, x, m] = f_i(x)**m comes from repeated numpy
+    multiplication, the arithmetic the Monte Carlo digest was frozen with. A
+    member (v, base**i) per vertex of each region makes a cluster's m_i the
+    base-(max_m + 1) digits of one code, by which both factors are memoized.
     """
-    prepared = check_factors(base, factors)
-    L, max_m = len(prepared), max((len(idx) for _, idx in prepared), default=0)
-    values = np.array([f.values for f, _ in prepared], dtype=np.complex128)
-    powtab = np.empty((L, base.q, max_m + 1), dtype=np.complex128)
-    powtab[:, :, 0] = 1.0
-    for m in range(1, max_m + 1):
-        powtab[:, :, m] = powtab[:, :, m - 1] * values
-    return prepared, powtab
 
+    def __init__(self, base: PottsModel, factors) -> None:
+        self.prepared = prepared = check_factors(base, factors)
+        max_m = max((len(idx) for _, idx in prepared), default=0)
+        values = np.array([f.values for f, _ in prepared], dtype=np.complex128)
+        self.powtab = np.empty((len(prepared), base.q, max_m + 1), dtype=np.complex128)
+        self.powtab[:, :, 0] = 1.0
+        for m in range(1, max_m + 1):
+            self.powtab[:, :, m] = self.powtab[:, :, m - 1] * values
+        self.members = [(v, (max_m + 1) ** i) for i, (_, idx) in enumerate(prepared)
+                        for v in sorted(idx)]
+        self._ghost: dict[int, complex] = {}
+        self._cluster: dict[int, complex] = {}
 
-def _ghost_factor(powtab: np.ndarray, ms: Sequence[int]) -> complex:
-    """prod_i f_i(0)**m_i: the ghost cluster is coloured 0."""
-    val = complex(1.0, 0.0)
-    for i, m in enumerate(ms):
-        val = val * powtab[i, 0, m]
-    return val
+    def _counts(self, code: int) -> list[int]:
+        base = self.powtab.shape[2]
+        return [code // base**i % base for i in range(len(self.prepared))]
 
+    def _ghost_factor(self, code: int) -> complex:
+        """prod_i f_i(0)**m_i: the ghost cluster is coloured 0."""
+        val = complex(1.0, 0.0)
+        for i, m in enumerate(self._counts(code)):
+            val = val * self.powtab[i, 0, m]
+        self._ghost[code] = val
+        return val
 
-def _mixed_moment(powtab: np.ndarray, ms: Sequence[int]) -> complex:
-    """(1/q) sum_y prod_i f_i(y)**m_i: a non-ghost cluster's uniform colour.
+    def _mixed_moment(self, code: int) -> complex:
+        """(1/q) sum_y prod_i f_i(y)**m_i: a non-ghost cluster's uniform colour.
 
-    The sum is a numpy complex scalar whenever a factor is present, so
-    `acc / q` is numpy's complex division, not Python's.
-    """
-    q = powtab.shape[1]
-    acc = complex(0.0, 0.0)
-    for y in range(q):
-        t = complex(1.0, 0.0)
-        for i, m in enumerate(ms):
-            t = t * powtab[i, y, m]
-        acc = acc + t
-    return acc / q
+        The sum is a numpy complex scalar whenever a factor is present, so
+        `acc / q` is numpy's complex division, not Python's.
+        """
+        powtab, ms = self.powtab, self._counts(code)
+        q = powtab.shape[1]
+        acc = complex(0.0, 0.0)
+        for y in range(q):
+            t = complex(1.0, 0.0)
+            for i, m in enumerate(ms):
+                t = t * powtab[i, y, m]
+            acc = acc + t
+        val = self._cluster[code] = acc / q
+        return val
 
+    def product(self, root, groot, roots, include_ghost=True) -> complex:
+        """root[v] is the cluster root of real vertex v, groot the ghost's.
 
-def _condexp_from_labels(
-    powtab: np.ndarray,
-    regions: Sequence[tuple[int, ...]],
-    labels: Sequence[int],
-    ghost_label: int,
-    include_ghost: bool = True,
-) -> complex:
-    """E( prod_i f_i(sigma)^{R_i} | omega ) from cluster labels.
+        The ghost's factor comes first (unless include_ghost is False), then
+        the factor of each other root in the order given; a cluster that no
+        region touches has factor exactly 1.
+        """
+        code_of: dict[int, int] = {}
+        for v, w in self.members:
+            r = root[v]
+            code_of[r] = code_of.get(r, 0) + w
+        ghost, cluster = self._ghost, self._cluster
+        val = complex(1.0, 0.0)
+        if include_ghost:
+            code = code_of.get(groot, 0)
+            val = ghost[code] if code in ghost else self._ghost_factor(code)
+        for x in roots:
+            code = code_of.get(x, 0)
+            val = val * (cluster[code] if code in cluster else self._mixed_moment(code))
+        return val
 
-    Ghost cluster contributes _ghost_factor, every other cluster its
-    _mixed_moment, with exponents m_i = |R_i ∩ cluster|.
-    """
-    counts: dict[int, list[int]] = {}
-    for i, idx in enumerate(regions):
-        for v in idx:
-            counts.setdefault(labels[v], [0] * len(regions))[i] += 1
-    value = complex(1.0, 0.0)
-    for lab, ms in counts.items():
-        if lab != ghost_label:
-            value = value * _mixed_moment(powtab, ms)
-        elif include_ghost:
-            value = value * _ghost_factor(powtab, ms)
-    return complex(value)
-
-
-def _condexp(
-    aug: AugmentedGraph,
-    omega: Sequence[int],
-    factors: Sequence[tuple[SpinFunction, Iterable[str]]],
-    include_ghost: bool = True,
-) -> complex:
-    labels = _omega_labels(aug, omega)
-    prepared, powtab = _moment_table(aug.base, factors)
-    regions = [idx for _, idx in prepared]
-    ghost_label = labels[aug.ghost_index]
-    return _condexp_from_labels(powtab, regions, labels, ghost_label, include_ghost)
+    def of_labels(self, labels: Sequence[int], include_ghost: bool = True) -> complex:
+        """product() on a label row of _merge, whose roots are its fixed points."""
+        g = labels[-1]
+        roots = [v for v, lab in enumerate(labels) if lab == v and v != g]
+        return self.product(labels, g, roots, include_ghost)
 
 
 def conditional_expectation(
@@ -427,7 +428,8 @@ def conditional_expectation(
     factors: Sequence[tuple[SpinFunction, Iterable[str]]],
 ) -> complex:
     """E( prod_i f_i(sigma)^{R_i} | omega ) under the cluster colouring."""
-    return _condexp(aug, omega, factors)
+    labels = _omega_labels(aug, omega)
+    return complex(_ClusterFactors(aug.base, factors).of_labels(labels))
 
 
 def cluster_moment_product(
@@ -443,7 +445,9 @@ def cluster_moment_product(
     is the second factor of the disjoint-support factorization, where the
     connectivity indicator makes the ghost term moot.
     """
-    return _condexp(aug, omega, [(f, region)], include_ghost)
+    labels = _omega_labels(aug, omega)
+    table = _ClusterFactors(aug.base, [(f, region)])
+    return complex(table.of_labels(labels, include_ghost))
 
 
 def event_Z(
@@ -465,13 +469,11 @@ def rc_expectation(
     cap: int | None = None,
 ) -> complex:
     """phi-average of the conditional expectation (the tower identity LHS)."""
-    prepared, powtab = _moment_table(aug.base, factors)
-    regions = [idx for _, idx in prepared]
-    ghost = aug.ghost_index
+    table = _ClusterFactors(aug.base, factors)
     labels_rows, weights = _bond_partitions(aug, cap)
     num_re, num_im = [], []
     for labels, w in zip(labels_rows.tolist(), weights.tolist()):
-        g = _condexp_from_labels(powtab, regions, labels, labels[ghost])
+        g = table.of_labels(labels)
         num_re.append(w * g.real)
         num_im.append(w * g.imag)
     z = fsum(weights.tolist())

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
-from itertools import combinations
+from dataclasses import dataclass, field, replace
 from math import expm1
 from typing import Iterable, Sequence
 
@@ -27,7 +26,7 @@ from .function_classes import (
     make_family,
     moments_real_nonneg,
 )
-from .instances import model_from_indices
+from .instances import random_model
 from .model import (
     EnumerationTooLarge,
     ModelError,
@@ -302,6 +301,9 @@ def verify_disjoint_support(
 # ---------------------------------------------------------------------------
 
 
+_BOUNDARY_PROB = 0.1  # chance of a fuzzed model with J = 0, and separately h = 0
+
+
 @dataclass(frozen=True)
 class FuzzConfig:
     trials: int
@@ -312,7 +314,6 @@ class FuzzConfig:
     J_range: tuple[float, float] = (0.0, 3.0)
     h_range: tuple[float, float] = (0.0, 3.0)
     families: tuple[str, ...] = ("A", "B", "C", "table")
-    boundary_prob: float = 0.1
     tol: float = DEFAULT_VERIFY_TOL
     cap: int | None = None
 
@@ -339,16 +340,14 @@ class FuzzResult:
 
 
 def _draw_model(rng: np.random.Generator, cfg: FuzzConfig) -> PottsModel:
-    q = int(rng.choice(cfg.q_values))
-    n = int(rng.integers(cfg.n_range[0], cfg.n_range[1] + 1))
-    pairs = [e for e in combinations(range(n), 2) if rng.random() < cfg.edge_density]
-    J = tuple(float(rng.uniform(*cfg.J_range)) for _ in pairs)
-    h = tuple(float(rng.uniform(*cfg.h_range)) for _ in range(n))
-    if rng.random() < cfg.boundary_prob:
-        J = (0.0,) * len(J)
-    if rng.random() < cfg.boundary_prob:
-        h = (0.0,) * len(h)
-    return model_from_indices(n, pairs, q, J=J, h=h)
+    model = random_model(
+        rng, cfg.q_values, cfg.n_range, cfg.edge_density, cfg.J_range, cfg.h_range
+    )
+    if rng.random() < _BOUNDARY_PROB:
+        model = replace(model, J=(0.0,) * len(model.J))
+    if rng.random() < _BOUNDARY_PROB:
+        model = replace(model, h=(0.0,) * len(model.h))
+    return model
 
 
 def _draw_function(rng: np.random.Generator, q: int, kind: str) -> SpinFunction:

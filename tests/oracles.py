@@ -104,5 +104,31 @@ def brute_coupled_marginal(aug) -> dict[tuple[int, ...], float]:
     return {k: v / total for k, v in marginal.items()}
 
 
+def brute_condexp(aug, omega, factors, include_ghost=True) -> complex:
+    """E(prod_i f_i(sigma)^{R_i} | omega): BFS clusters, the ghost's coloured 0,
+    the rest averaged over all q^k colourings (ghost's factors dropped when
+    include_ghost is False)."""
+    n = aug.n_vertices
+    q = aug.base.q
+    index = {v: i for i, v in enumerate(aug.base.vertices)}
+    comps = bfs_components(n + 1, zip(aug.edge_index, omega))
+    ghost = next(c for c in comps if n in c)
+    others = [c for c in comps if n not in c]
+    total = 0j
+    for colours in product(range(q), repeat=len(others)):
+        sigma = [0] * n
+        for comp, colour in zip(others, colours):
+            for v in comp:
+                sigma[v] = colour
+        val = 1 + 0j
+        for f, region in factors:
+            for name in region:
+                v = index[name]
+                if include_ghost or v not in ghost:
+                    val *= f.values[sigma[v]]
+        total += val
+    return total / q ** len(others)
+
+
 def brute_moment(f: SpinFunction, m: int) -> complex:
     return sum(v**m if m else 1 + 0j for v in f.values)

@@ -168,6 +168,27 @@ def test_model_with_unknown_field_vertex_exits_two(capsys, tmp_path):
     assert run(["exact", "--model", str(bad)]) == 2
 
 
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"q": 2.7, "vertices": ["a"]}, "q must be an integer, got 2.7"),
+        ({"q": 2, "vertices": "ab"}, "\"vertices\" must be a list, got 'ab'"),
+    ],
+)
+def test_model_json_is_rejected_not_coerced(capsys, tmp_path, model, message):
+    # q = 2.7 used to run as q = 2, and "ab" as the vertices a and b
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(model))
+    assert run(["exact", "--model", str(bad)]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_fclass_fractional_q_exits_two(capsys):
+    # used to certify the 4th roots of unity
+    assert run(["fclass", "--f", json.dumps({"kind": "B", "q": 4.9})]) == 2
+    assert "q must be an integer, got 4.9" in capsys.readouterr().err
+
+
 def test_function_q_mismatch_exits_two(capsys, edge_model_path):
     spec = json.dumps({"kind": "A", "q": 5})
     code = run(["verify", "gks", "--model", edge_model_path, "--f", spec,
@@ -286,18 +307,44 @@ def test_mc_requires_seed(capsys, edge_model_path):
         ("mc", "--tol", "1e-6"),
         ("mc", "--M", "8"),
         ("mc", "--cap", "64"),
+        ("verify real", "--f1", "familyB"),
+        ("verify monotone", "--f1", "familyB"),
+        ("verify gks", "--f1", "familyB"),
+        ("verify real", "--S", "v"),
+        ("verify monotone", "--S", "v"),
+        ("verify real", "--edge", "u,v"),
+        ("verify gks", "--edge", "u,v"),
+        ("verify disjoint", "--edge", "u,v"),
+        ("verify real", "--vertex", "u"),
+        ("verify gks", "--vertex", "u"),
+        ("verify disjoint", "--vertex", "u"),
     ],
 )
 def test_flags_a_command_ignores_are_rejected(capsys, edge_model_path, command,
                                               flag, value):
-    argv = [command, "--model", edge_model_path, "--f", "familyA", "--R", "u",
-            flag, value]
+    argv = [*command.split(), "--model", edge_model_path, "--f", "familyA",
+            "--R", "u", flag, value]
     if command == "mc":
         argv += ["--sweeps", "100", "--seed", "1"]
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("edge", ["u", "u,v,u"])
+def test_verify_monotone_edge_needs_two_vertices(capsys, edge_model_path, edge):
+    code = run(["verify", "monotone", "--model", edge_model_path, "--f", "A",
+                "--R", "u", "--edge", edge])
+    assert code == 2
+    assert f"--edge needs two vertices as u,v, got {edge!r}" in capsys.readouterr().err
+
+
+def test_verify_without_f_exits_two(capsys, edge_model_path):
+    with pytest.raises(SystemExit) as exc:
+        run(["verify", "real", "--model", edge_model_path, "--R", "u"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --f" in capsys.readouterr().err
 
 
 def test_fuzz_command(capsys):

@@ -11,6 +11,7 @@ from scipy import stats
 from potts_gks import (
     BadWindow,
     ChainState,
+    ModelError,
     PottsModel,
     SpinFunction,
     estimate,
@@ -22,7 +23,7 @@ from potts_gks import (
 )
 from potts_gks.instances import torus_grid
 from potts_gks.mc import _run_chain, _single_chain, initial_state
-from potts_gks.random_cluster import _moment_table, augment, conditional_expectation
+from potts_gks.random_cluster import _ClusterFactors, augment, conditional_expectation
 from strategies import certified_functions, model_function_region, small_models
 from strategies import regions as regions_of
 
@@ -82,6 +83,29 @@ def test_sweep_leaves_potts_measure_invariant():
         counts[2 * new.spins[0] + new.spins[1]] += 1
     p = stats.chisquare(counts, pi * n_draws).pvalue
     assert p > 0.01, (counts, pi * n_draws)
+
+
+@pytest.mark.parametrize(
+    "spins, message",
+    [
+        ([0], "one entry per vertex"),
+        ([0, 0, 0], "one entry per vertex"),
+        ([0, 2], r"spins must lie in \[0, 1\]"),
+        ([-1, 0], r"spins must lie in \[0, 1\]"),
+    ],
+)
+def test_sweep_rejects_a_bad_state(spins, message):
+    with pytest.raises(ModelError, match=message):
+        sw_sweep(edge_model(), ChainState(np.array(spins)), np.random.default_rng(0))
+
+
+def test_sweep_leaves_the_given_state_alone():
+    m = PottsModel(("u", "v"), (), (), (0.0, 0.0), 5)
+    spins = np.zeros(2, dtype=np.int64)
+    rng = np.random.default_rng(4)
+    states = [sw_sweep(m, ChainState(spins), rng).spins for _ in range(20)]
+    assert spins.tolist() == [0, 0]
+    assert any(s.any() for s in states)
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +211,9 @@ def test_rao_blackwell_agrees_and_reduces_variance(model, q):
     # per-sample variance cannot grow under conditioning
     rng_a = np.random.default_rng(7)
     rng_b = np.random.default_rng(7)
-    s_raw = _single_chain(model, factors, 20_000, rng_a, rao_blackwell=False)
-    s_rb = _single_chain(model, factors, 20_000, rng_b, rao_blackwell=True)
+    table = _ClusterFactors(model, factors)
+    s_raw = _single_chain(model, table, 20_000, rng_a, rao_blackwell=False)
+    s_rb = _single_chain(model, table, 20_000, rng_b, rao_blackwell=True)
     assert np.var(s_rb[2000:]) <= np.var(s_raw[2000:]) + 1e-12
 
 
@@ -395,7 +420,8 @@ def test_list_kernel_matches_array_kernel(data):
     rao = data.draw(st.booleans())
     seed = data.draw(st.integers(0, 2**32 - 1))
     aug = augment(model)
-    prepared, powtab = _moment_table(model, factors)
+    table = _ClusterFactors(model, factors)
+    prepared, powtab = table.prepared, table.powtab
     n, E = model.n_vertices, len(model.edges)
     edge_u = np.array([a for a, _ in aug.edge_index[:E]], dtype=np.int64)
     edge_v = np.array([b for _, b in aug.edge_index[:E]], dtype=np.int64)
@@ -413,8 +439,7 @@ def test_list_kernel_matches_array_kernel(data):
         samples = {name: np.empty(rows, dtype=np.complex128) for name in spins}
         _run_chain_arrays(edge_u, edge_v, p[:E], p[E:], members, ftab, powtab, rao,
                           bond_u, colour_u, spins["arrays"], samples["arrays"])
-        _run_chain(aug, prepared, powtab, rao,
-                   bond_u, colour_u, spins["lists"], samples["lists"])
+        _run_chain(aug, table, rao, bond_u, colour_u, spins["lists"], samples["lists"])
         assert np.array_equal(spins["arrays"], spins["lists"])
         assert samples["arrays"].tobytes() == samples["lists"].tobytes()
 
@@ -435,7 +460,7 @@ def test_rao_blackwell_sample_is_conditional_expectation(data):
     bond_u = rng.random((1, aug.n_bonds))
     spins = np.array(old, dtype=np.int64)
     sample = np.empty(1, dtype=np.complex128)
-    _run_chain(aug, *_moment_table(model, factors), True,
+    _run_chain(aug, _ClusterFactors(model, factors), True,
                bond_u, rng.random((1, n)), spins, sample)
     sp = old + [0]
     omega = [

@@ -3,9 +3,10 @@
 import math
 import warnings
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from scipy import stats
 
 from potts_gks import (
@@ -36,8 +37,14 @@ from potts_gks.random_cluster import (
     rc_partition,
     rc_weight,
 )
-from oracles import bfs_components, brute_coupled_marginal, brute_rc_weight
-from strategies import model_function_region, small_models
+from oracles import (
+    bfs_components,
+    brute_condexp,
+    brute_coupled_marginal,
+    brute_rc_weight,
+)
+from strategies import certified_functions, model_function_region, small_models
+from strategies import regions as regions_of
 
 LN2 = math.log(2)
 
@@ -447,6 +454,24 @@ def test_condexp_empty_factors_is_one():
 # ---------------------------------------------------------------------------
 # the connectivity event
 # ---------------------------------------------------------------------------
+
+
+@settings(max_examples=30)
+@given(data=st.data())
+def test_condexp_matches_colouring_oracle(data):
+    # every omega of the model against an oracle that colours BFS clusters
+    model = data.draw(small_models(max_n=4))
+    aug = augment(model)
+    f, g = (data.draw(certified_functions(model.q)) for _ in range(2))
+    R, S = (data.draw(regions_of(model)) for _ in range(2))
+    for code in range(2**aug.n_bonds):
+        omega = omega_from_code(aug, code)
+        for factors in ([(f, R)], [(f, R), (g, S)]):
+            want = brute_condexp(aug, omega, factors)
+            assert abs(conditional_expectation(aug, omega, factors) - want) <= 1e-12
+        want = brute_condexp(aug, omega, [(f, R)], include_ghost=False)
+        got = cluster_moment_product(aug, omega, f, R, include_ghost=False)
+        assert abs(got - want) <= 1e-12
 
 
 def test_event_all_closed():
