@@ -31,7 +31,7 @@ def main() -> int:
     f = make_family("A", args.q)
     factors = [(f, ("s00", "s01"))]
     exact = potts_expectation(model, factors).real
-    print(f"# exact <f^R> = {exact:.12f}  (3^9 states)")
+    print(f"# exact <f^R> = {exact:.12f}  (variable elimination)")
     print(f"{'sweeps':>8} {'mode':>4} {'estimate':>14} {'stderr':>10} "
           f"{'true err':>10} {'ess':>10} {'secs':>6}")
     for sweeps in args.sweeps:

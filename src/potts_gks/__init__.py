@@ -1,10 +1,10 @@
 """Potts correlation-inequality verification toolkit.
 
-Exact enumeration of the q-state ferromagnetic Potts model with external
-field, its ghost-vertex random-cluster representation and coupling,
-moment-based function classes, inequality verifiers with a fuzzing
-harness, and a cluster Monte Carlo sampler for instances beyond
-enumeration range.
+Exact means of the q-state ferromagnetic Potts model with external field
+by variable elimination, its ghost-vertex random-cluster representation
+and coupling, moment-based function classes, inequality verifiers with a
+fuzzing harness, and a cluster Monte Carlo sampler for instances beyond
+exact range.
 """
 
 from .function_classes import (

@@ -8,6 +8,7 @@ summary object last (--csv renders just the summary as CSV). Exit codes:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -267,6 +268,8 @@ def _cmd_mc(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.n_max < 1:
+        raise ModelError(f"--n-max must be at least 1, got {args.n_max}")
     config = verify.FuzzConfig(
         trials=args.trials,
         seed=args.seed,
@@ -313,7 +316,10 @@ def _add_common(p: argparse.ArgumentParser, *shared: str, f_required=False) -> N
     p.add_argument("--csv", action="store_true", help="summary as CSV")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: argparse looks up stdout and
+    stderr when it prints, so redirected output still reaches the caller."""
     parser = argparse.ArgumentParser(
         prog="potts-gks",
         description="Exact and Monte Carlo checks of Potts correlation "

@@ -8,6 +8,7 @@ import numpy as np
 
 from .model import PottsModel
 
+# vertex i >= 6 is named f"v{i}"; a-f stay, as fuzz report digests hash them
 _NAMES = ("a", "b", "c", "d", "e", "f")
 
 # isomorphism-distinct simple graphs on up to 4 vertices, as index pairs
@@ -40,8 +41,8 @@ def model_from_indices(
     J=1.0,
     h=0.0,
 ) -> PottsModel:
-    vertices = _NAMES[:n]
-    edges = tuple((_NAMES[i], _NAMES[j]) for i, j in edge_pairs)
+    vertices = _NAMES[:n] + tuple(f"v{i}" for i in range(len(_NAMES), n))
+    edges = tuple((vertices[i], vertices[j]) for i, j in edge_pairs)
     J_vec = tuple(J) if np.iterable(J) else (float(J),) * len(edges)
     h_vec = tuple(h) if np.iterable(h) else (float(h),) * n
     return PottsModel(vertices, edges, J_vec, h_vec, q)

@@ -1,31 +1,37 @@
-"""Ferromagnetic q-state Potts model on a finite graph, with exact enumeration.
+"""Ferromagnetic q-state Potts model on a finite graph, with exact sums.
 
 The probability of a spin configuration sigma is proportional to
 
     exp( sum_e J_e [sigma_x == sigma_y]  +  sum_v h_v [sigma_v == 0] )
 
 with non-negative couplings J and fields h. Expectations of products
-prod_{v in R} f(sigma_v) are computed by exhaustive enumeration of the
-q^|V| spin states, in lexicographic order, with pairwise/compensated
-accumulation so results are reproducible across runs.
+prod_{v in R} f(sigma_v) are exact sums over the q^|V| spin states,
+computed by variable elimination: the weight factorises into one table
+per vertex (field and f) and one per edge (coupling), and summing the
+vertices out in a min-degree order costs O(|V| q^(w+1)), where w is the
+order's width. One reducer (spin_means) returns log Z and
+every requested mean from a single elimination; the other exact routines
+are thin callers of it. Only potts_distribution, which needs the whole
+law, still lists the states.
 
-Overflow policy: weights are exponentiated in one place only
-(_shifted_weight_blocks), and always after subtracting the largest
-log-weight sum(J) + sum(h), attained at sigma == 0. Every shifted weight
-lies in [0, 1] and the all-zero state contributes 1, so the shifted
-partition sum is finite and at least 1 for any finite J and h. One
-reducer (spin_means) returns log Z and every requested mean from a single
-walk of the states; the other exact routines are thin callers of it.
+Overflow policy: every table is shifted so that its largest entry, at
+spin 0 or on the diagonal, is 1: a site table is 1 at sigma == 0 and
+e^{-h_v} elsewhere, a pair table 1 on the diagonal and e^{-J_e} off it.
+Their product is the weight divided by e^{sum(J) + sum(h)}, attained at
+sigma == 0. Every entry lies in [0, 1] and the all-zero state contributes
+1 to every partial sum, so the shifted partition sum is finite and at
+least 1 for any finite J and h.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
 from dataclasses import dataclass
 from math import fsum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -33,6 +39,8 @@ DEFAULT_STATE_CAP = 1 << 24
 CAP_ENV_VAR = "POTTS_GKS_CAP"
 
 _STATE_CHUNK = 1 << 16
+# numpy 1.x einsum iterates at most 32 arrays, its output included
+_MAX_OPERANDS = 31
 
 
 class ModelError(ValueError):
@@ -60,11 +68,16 @@ class BadRegion(ModelError):
 
 
 class EnumerationTooLarge(ModelError):
-    """State space exceeds the enumeration cap; use the MC sampler instead."""
+    """An exact sum needs a table larger than the cap; use the MC sampler.
+
+    The table is q^(w+1) x columns for spin means (w the elimination
+    width), all q^|V| states for the full spin law, and all 2^|E+| bond
+    configurations for the random-cluster measure.
+    """
 
 
 def default_cap() -> int:
-    """Enumeration cap: POTTS_GKS_CAP env var if set, else 2**24 states."""
+    """Table-size cap: POTTS_GKS_CAP env var if set, else 2**24 entries."""
     raw = os.environ.get(CAP_ENV_VAR)
     return int(raw) if raw else DEFAULT_STATE_CAP
 
@@ -284,18 +297,6 @@ def state_log_weights(model: PottsModel, states: np.ndarray) -> np.ndarray:
     return lw
 
 
-def factor_values(
-    factors: list[tuple[SpinFunction, tuple[int, ...]]], states: np.ndarray
-) -> np.ndarray:
-    """prod_i prod_{v in R_i} f_i(sigma_v) for each row of `states`."""
-    vals = np.ones(states.shape[0], dtype=np.complex128)
-    for f, idx in factors:
-        table = f.as_array()
-        for i in idx:
-            vals *= table[states[:, i]]
-    return vals
-
-
 def potts_weight(model: PottsModel, sigma: Sequence[int]) -> float:
     """Unnormalized Gibbs weight exp{sum J_e delta_e + sum h_v delta_v}."""
     arr = validate_spin_config(model, sigma)
@@ -319,24 +320,104 @@ def _shifted_weight_blocks(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """(states, exp(log-weight - sum J - sum h)) per block of one pass.
 
-    The only place spin-state weights are exponentiated; see the module
-    docstring for why the shift makes every weight lie in [0, 1].
+    Serves potts_distribution, the one caller that needs every state's
+    weight; the shift is the one spin_means applies table by table.
     """
     shift = _max_log_weight(model)
     for block in iter_state_blocks(model, cap):
         yield block, np.exp(state_log_weights(model, block) - shift)
 
 
-def _coordinate_sites(model: PottsModel, coordinate) -> tuple[int, int | None]:
-    """Sites of a coordinate's Kronecker delta, the derivative of the
-    log-weight in that coordinate: (u, v) for the coupling of the edge
-    <u,v>, sigma_u == sigma_v; (v, None) for the field at the vertex v,
-    sigma_v == 0."""
+# ---------------------------------------------------------------------------
+# variable elimination
+# ---------------------------------------------------------------------------
+
+
+def _coordinate_position(model: PottsModel, coordinate) -> tuple[bool, int]:
+    """Where a coordinate's Kronecker delta, the derivative of the
+    log-weight in that coordinate, acts: (True, v) for the field at the
+    vertex v, sigma_v == 0; (False, k) for the coupling of the edge k,
+    sigma_u == sigma_v."""
     if isinstance(coordinate, str):
-        return model.vertex_index(coordinate), None
-    u, v = coordinate
-    model.edge_position(u, v)
-    return model.vertex_index(u), model.vertex_index(v)
+        return True, model.vertex_index(coordinate)
+    return False, model.edge_position(*coordinate)
+
+
+class _Plan(NamedTuple):
+    """Bucket elimination of one graph: einsum steps over operand ids.
+
+    Operands 0..n-1 are the site tables, n..n+m-1 the pair tables in edge
+    order, and step k appends operand n+m+k. Every operand has the column
+    axis, labelled 0, in front of its vertex axes.
+    """
+
+    width: int  # most neighbours a vertex has when it is summed out
+    steps: tuple[tuple, ...]  # (operand ids, their sublists, output sublist)
+    roots: tuple[int, ...]  # the operands left with only the column axis
+
+
+@functools.lru_cache(maxsize=128)  # a run revisits few graphs; a plan is ~2 KB
+def _elimination_plan(n: int, pairs: tuple[tuple[int, int], ...]) -> _Plan:
+    """Min-degree order (ties to the lower index) and its einsum steps.
+
+    Each step sums out one vertex, except the last, which sums out every
+    vertex left once at most w + 1 remain: the largest table stays
+    q^(w+1) entries per column, and small graphs take fewer steps.
+    Depends on the graph alone, so one plan serves every J, h, q and
+    column set on it.
+    """
+    adj = [set() for _ in range(n)]
+    for u, v in pairs:
+        adj[u].add(v)
+        adj[v].add(u)
+    order, width, left = [], 0, set(range(n))
+    while left:
+        v = min(left, key=lambda x: (len(adj[x]), x))
+        left.remove(v)
+        for a in adj[v]:
+            adj[a].discard(v)
+            adj[a].update(b for b in adj[v] if b != a)
+        width = max(width, len(adj[v]))
+        order.append(v)
+    scopes = [(v,) for v in range(n)] + list(pairs)
+    live = set(range(len(scopes)))
+    steps = []
+    for k, v in enumerate(order):
+        group = order[k:] if n - k <= width + 1 else [v]
+        ids = sorted(i for i in live if any(x in group for x in scopes[i]))
+        live.difference_update(ids)
+        kept = sorted({x for i in ids for x in scopes[i]}.difference(group))
+        axis = {x: j for j, x in enumerate((*group, *kept), 1)}
+        joint = tuple(range(len(axis) + 1))
+        # fold the operands past _MAX_OPERANDS into joint tables over the bucket
+        while len(ids) > _MAX_OPERANDS:
+            chunk, ids = ids[:_MAX_OPERANDS], ids[_MAX_OPERANDS:]
+            subs = tuple((0, *(axis[x] for x in scopes[i])) for i in chunk)
+            steps.append((tuple(chunk), subs, joint))
+            ids.insert(0, len(scopes))
+            scopes.append((*group, *kept))
+        subs = tuple((0, *(axis[x] for x in scopes[i])) for i in ids)
+        steps.append((tuple(ids), subs, (0, *(axis[x] for x in kept))))
+        live.add(len(scopes))
+        scopes.append(tuple(kept))
+        if len(group) > 1:
+            break
+    return _Plan(width, tuple(steps), tuple(sorted(live)))
+
+
+def _eliminate(plan: _Plan, site: np.ndarray, pair: np.ndarray) -> np.ndarray:
+    """Sum the product of the (n, C, q) site and (m, C, q, q) pair tables
+    over all spin states, per column: the (C,) column sums."""
+    tables = [*site, *pair]
+    for ids, subs, out in plan.steps:
+        args = []
+        for i, sub in zip(ids, subs):
+            args += (tables[i], sub)
+        tables.append(np.einsum(*args, out))
+    total = np.ones(site.shape[1], dtype=site.dtype)
+    for i in plan.roots:
+        total = total * tables[i]
+    return total
 
 
 def spin_means(
@@ -344,36 +425,59 @@ def spin_means(
     columns: Sequence[tuple[Sequence[tuple[SpinFunction, Iterable[str]]], object]],
     cap: int | None = None,
 ) -> tuple[float, list[complex]]:
-    """log Z and the Gibbs mean of every column, from one pass over the states.
+    """log Z and the Gibbs mean of every column, from one elimination pass.
 
     A column is (factors, coordinate): the per-state value
     prod_i prod_{v in R_i} f_i(sigma_v), times the Kronecker delta of the
     coordinate (an edge (u, v) or a vertex name) unless it is None. An
     empty factor list is the constant 1.
+
+    Column 0 of the tables is Z itself. A column's factors multiply its
+    slice of the site tables; a field coordinate zeroes sigma != 0 in its
+    column of the vertex's site table, and a coupling coordinate keeps
+    only the diagonal of its column of the edge's pair table.
     """
     prepared = [
-        (check_factors(model, fs), None if c is None else _coordinate_sites(model, c))
+        (check_factors(model, fs), None if c is None else _coordinate_position(model, c))
         for fs, c in columns
     ]
-    den, parts = [], [[] for _ in prepared]
-    for block, w in _shifted_weight_blocks(model, cap):
-        den.append(float(np.sum(w)))
-        for (factors, sites), out in zip(prepared, parts):
-            wc = w
-            if sites is not None:
-                i, j = sites
-                wc = w * (block[:, i] == (0 if j is None else block[:, j]))
-            out.append(np.sum(wc * factor_values(factors, block)))
-    z = fsum(den)
-    means = [
-        complex(fsum(p.real for p in out) / z, fsum(p.imag for p in out) / z)
-        for out in parts
-    ]
-    return _max_log_weight(model) + math.log(z), means
+    n, q, n_cols = model.n_vertices, model.q, 1 + len(prepared)
+    index = {v: i for i, v in enumerate(model.vertices)}
+    plan = _elimination_plan(n, tuple((index[u], index[v]) for u, v in model.edges))
+    cap = default_cap() if cap is None else cap
+    joint = q ** (plan.width + 1) * n_cols
+    if joint > cap:
+        raise EnumerationTooLarge(
+            f"elimination width {plan.width}: a {q}^{plan.width + 1} x {n_cols} "
+            f"= {joint} entry table exceeds cap {cap}"
+        )
+    complex_valued = any(
+        x.imag for factors, _ in prepared for f, _ in factors for x in f.values
+    )
+    site = np.ones((n, n_cols, q), dtype=complex if complex_valued else float)
+    site[:, :, 1:] = np.exp(-np.asarray(model.h, dtype=float))[:, None, None]
+    pair = np.empty((len(model.edges), n_cols, q * q))
+    pair[...] = np.exp(-np.asarray(model.J, dtype=float))[:, None, None]
+    pair[..., :: q + 1] = 1.0  # the diagonal of each flattened q x q table
+    pair = pair.reshape(len(model.edges), n_cols, q, q)
+    for c, (factors, position) in enumerate(prepared, 1):
+        for f, idx in factors:
+            values = f.as_array() if complex_valued else f.as_array().real
+            for i in idx:
+                site[i, c] *= values
+        if position is not None:
+            field, k = position
+            if field:
+                site[k, c, 1:] = 0.0
+            else:
+                pair[k, c] = np.eye(q)
+    sums = _eliminate(plan, site, pair)
+    z = float(sums[0].real)
+    return _max_log_weight(model) + math.log(z), [complex(s / z) for s in sums[1:]]
 
 
 def log_partition_function(model: PottsModel, cap: int | None = None) -> float:
-    """log Z by exhaustive enumeration (stable for large couplings/fields)."""
+    """log Z by variable elimination (stable for large couplings/fields)."""
     return spin_means(model, (), cap)[0]
 
 

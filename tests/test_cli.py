@@ -357,6 +357,24 @@ def test_fuzz_command(capsys):
     assert lines[-1]["trials"] == 50
 
 
+def test_fuzz_past_six_vertices(capsys):
+    code, lines = run_lines(
+        capsys, ["fuzz", "--trials", "20", "--seed", "1", "--n-max", "12"]
+    )
+    assert code == 0
+    assert lines[-1]["trials"] == 20
+    assert lines[-1]["skipped_too_large"] == 0
+
+
+@pytest.mark.parametrize("n_max", ["0", "-1"])
+def test_fuzz_n_max_below_one_exits_two(capsys, n_max):
+    code = run(["fuzz", "--trials", "5", "--seed", "1", "--n-max", n_max])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"--n-max must be at least 1, got {n_max}" in captured.err
+    assert captured.out == ""
+
+
 def test_cap_flag_limits_enumeration(capsys, edge_model_path):
     code = run(["rc", "--model", edge_model_path, "--cap", "4"])
     err = capsys.readouterr().err

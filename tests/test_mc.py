@@ -480,3 +480,12 @@ def test_pooled_chains_merge_deterministically():
     assert a == b  # merge order fixed by seed list, not by scheduling
     exact = potts_expectation(edge_model(), factors)
     assert abs(a.mean - exact) <= 5 * a.std_error
+
+
+def test_pooled_estimate_on_a_torus_past_the_state_cap():
+    # 2^36 states, so the exact mean is only reachable by elimination
+    m = torus_grid(6, 6, 2, 0.4, 0.1)
+    factors = [(make_family("C", 2, (1.0, 0.0)), ("s00", "s33"))]
+    exact = potts_expectation(m, factors)
+    est = estimate_pooled(m, factors, sweeps=3000, seed=0, chains=4)
+    assert abs(est.mean - exact) <= 4 * est.std_error

@@ -1,6 +1,7 @@
 """Core model: validation, weights, partition function, expectations."""
 
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -23,8 +24,9 @@ from potts_gks import (
     potts_weight,
     validate_model,
 )
+from potts_gks.model import log_partition_function, spin_means
 from oracles import brute_expectation, brute_partition
-from strategies import model_function_region, small_models
+from strategies import certified_functions, model_function_region, regions, small_models
 
 LN2 = math.log(2)
 LN3 = math.log(3)
@@ -261,23 +263,95 @@ def test_chunked_enumeration_large_tree():
 
 
 def test_enumeration_cap_enforced():
-    m = PottsModel(tuple(f"v{i}" for i in range(25)), (), (), (0.0,) * 25, 2)
-    with pytest.raises(EnumerationTooLarge):
+    # K26 at q = 2 has elimination width 25: a 2^26 x 1 table, past 2^24
+    names = tuple(f"v{i}" for i in range(26))
+    edges = tuple(combinations(names, 2))
+    m = PottsModel(names, edges, (0.1,) * len(edges), (0.0,) * 26, 2)
+    with pytest.raises(EnumerationTooLarge, match="width 25"):
         partition_function(m)
 
 
+def zero_coupling_edge():
+    # width 1 with one column (Z): the largest table holds 2^2 x 1 = 4 entries
+    return PottsModel(("u", "v"), (("u", "v"),), (0.0,), (0.0, 0.0), 2)
+
+
 def test_enumeration_cap_override():
-    m = PottsModel(("u", "v"), (), (), (0.0, 0.0), 2)
+    m = zero_coupling_edge()
     with pytest.raises(EnumerationTooLarge):
         partition_function(m, cap=3)
     assert partition_function(m, cap=4) == pytest.approx(4.0)
 
 
 def test_enumeration_cap_env(monkeypatch):
+    m = zero_coupling_edge()
     monkeypatch.setenv("POTTS_GKS_CAP", "3")
-    m = PottsModel(("u", "v"), (), (), (0.0, 0.0), 2)
     with pytest.raises(EnumerationTooLarge):
         partition_function(m)
+    monkeypatch.setenv("POTTS_GKS_CAP", "4")
+    assert partition_function(m) == pytest.approx(4.0)
+
+
+# ---------------------------------------------------------------------------
+# exact means past the state cap, and every column kind
+# ---------------------------------------------------------------------------
+
+
+def test_cycle_partition_function_past_the_state_cap():
+    # 3^40 states; transfer matrix of the field-free cycle:
+    # Z = (e^J + q - 1)^n + (q - 1)(e^J - 1)^n
+    n, q, J = 40, 3, 0.7
+    names = tuple(f"v{i}" for i in range(n))
+    edges = tuple((names[i], names[(i + 1) % n]) for i in range(n))
+    m = PottsModel(names, edges, (J,) * n, (0.0,) * n, q)
+    want = math.log((math.exp(J) + q - 1) ** n + (q - 1) * (math.exp(J) - 1) ** n)
+    assert log_partition_function(m) == pytest.approx(want, abs=1e-12)
+
+
+def test_star_with_more_operands_than_one_einsum_takes():
+    # the last step sums out the centre and one leaf over 72 operands, 69 of
+    # them messages from the other leaves; a tree has
+    # Z = q prod_e (e^{J_e} + q - 1)
+    leaves = tuple(f"v{i}" for i in range(1, 71))
+    J = tuple(0.01 * i for i in range(70))
+    m = PottsModel(("c", *leaves), tuple(("c", v) for v in leaves), J, (0.0,) * 71, 3)
+    want = math.log(3) + math.fsum(math.log(math.exp(j) + 2) for j in J)
+    assert log_partition_function(m) == pytest.approx(want, abs=1e-12)
+
+
+_small_complex = st.complex_numbers(
+    max_magnitude=1, allow_nan=False, allow_infinity=False
+)
+
+
+@given(small_models(), st.data())
+def test_every_column_kind_matches_oracle(model, data):
+    # a coordinate column is the oracle with the delta folded into the
+    # factors: [sigma_v == 0] is the indicator of 0 at v, and
+    # [sigma_u == sigma_v] the sum over s of the indicator of s at u and v
+    q = model.q
+    f = SpinFunction(tuple(data.draw(st.lists(_small_complex, min_size=q, max_size=q))))
+    g = data.draw(certified_functions(q))
+    R, S = data.draw(regions(model)), data.draw(regions(model))
+    v = data.draw(st.sampled_from(model.vertices))
+    one = [SpinFunction(tuple(float(x == s) for x in range(q))) for s in range(q)]
+    columns = [([(f, R)], None), ([(f, R), (g, S)], None), ([(g, S)], v)]
+    wants = [
+        brute_expectation(model, [(f, R)]),
+        brute_expectation(model, [(f, R), (g, S)]),
+        brute_expectation(model, [(g, S), (one[0], (v,))]),
+    ]
+    if model.edges:
+        a, b = data.draw(st.sampled_from(model.edges))
+        columns += [([(f, R)], (a, b)), ((), (a, b))]
+        wants += [
+            sum(brute_expectation(model, [(f, R), (e, (a,)), (e, (b,))]) for e in one),
+            sum(brute_expectation(model, [(e, (a,)), (e, (b,))]) for e in one),
+        ]
+    log_z, means = spin_means(model, columns)
+    assert log_z == pytest.approx(math.log(brute_partition(model)), abs=1e-12)
+    for got, want in zip(means, wants, strict=True):
+        assert abs(got - want) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

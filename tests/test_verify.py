@@ -227,14 +227,15 @@ def test_gks_rejects_uncertified_function():
     ],
 )
 def test_each_claim_walks_the_states_once(monkeypatch, claim, args):
+    # one elimination sums every column over all states
     passes = []
-    walk = model_module.iter_state_blocks
+    eliminate = model_module._eliminate
 
     def counted(*a, **kw):
         passes.append(1)
-        return walk(*a, **kw)
+        return eliminate(*a, **kw)
 
-    monkeypatch.setattr(model_module, "iter_state_blocks", counted)
+    monkeypatch.setattr(model_module, "_eliminate", counted)
     assert claim(edge_model(q=3, h=(0.3, 0.0)), *args).verdict
     assert len(passes) == 1
 
