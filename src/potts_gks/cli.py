@@ -207,9 +207,7 @@ def _cmd_verify(args) -> int:
     model = _load_model(args.model)
     f = _parse_function(args.f, model.q)
     R = _parse_region(args.R)
-    kw = {"tol": args.tol, "cap": args.cap}
-    if args.M:
-        kw["M"] = args.M
+    kw = {"tol": args.tol, "M": args.M, "cap": args.cap}
     reports = []
     if args.claim == "real":
         reports.append(verify.verify_real_nonneg(model, f, R, **kw))
@@ -297,8 +295,8 @@ _SHARED_FLAGS = {
     "--f1": dict(help="second function (products, disjoint pairs)"),
     "--S": dict(help="comma-separated vertex list"),
     "--tol": dict(type=float, default=verify.DEFAULT_VERIFY_TOL),
-    "--M": dict(type=int, default=0, help="membership exponent bound"),
-    "--cap": dict(type=int, default=None, help="enumeration cap"),
+    "--M": dict(type=int, default=None, help="membership exponent bound"),
+    "--cap": dict(type=int, default=None, help="table-size cap, in entries"),
 }
 
 
@@ -327,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("exact", help="expectations by exhaustive enumeration")
+    p = sub.add_parser("exact", help="exact expectations by variable elimination")
     _add_common(p, "--f1", "--S", "--cap")
     p.add_argument("--dump-model", action="store_true")
     p.set_defaults(func=_cmd_exact)

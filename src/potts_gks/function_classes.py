@@ -170,10 +170,14 @@ def spin_function_from_spec(spec: dict) -> SpinFunction:
         raise ModelError(f"malformed function spec: {exc}") from exc
     values = spec.get("values")
     if values is not None:
-        values = [
-            complex(v[0], v[1]) if isinstance(v, (list, tuple)) else complex(v)
-            for v in values
-        ]
+        try:
+            values = [
+                complex(*v) if isinstance(v, (list, tuple)) and len(v) == 2
+                else complex(v)
+                for v in values
+            ]
+        except (TypeError, ValueError) as exc:
+            raise ModelError(f"malformed function values {values!r}: {exc}") from exc
     if kind == "TABLE":
         if values is None:
             raise ModelError('function spec kind "table" needs "values"')

@@ -11,8 +11,8 @@ per vertex (field and f) and one per edge (coupling), and summing the
 vertices out in a min-degree order costs O(|V| q^(w+1)), where w is the
 order's width. One reducer (spin_means) returns log Z and
 every requested mean from a single elimination; the other exact routines
-are thin callers of it. Only potts_distribution, which needs the whole
-law, still lists the states.
+are thin callers of it. potts_distribution, which needs the whole law,
+multiplies the same tables out into one q^|V| array instead of summing.
 
 Overflow policy: every table is shifted so that its largest entry, at
 spin 0 or on the diagonal, is 1: a site table is 1 at sigma == 0 and
@@ -31,14 +31,13 @@ import math
 import os
 from dataclasses import dataclass
 from math import fsum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 DEFAULT_STATE_CAP = 1 << 24
 CAP_ENV_VAR = "POTTS_GKS_CAP"
 
-_STATE_CHUNK = 1 << 16
 # numpy 1.x einsum iterates at most 32 arrays, its output included
 _MAX_OPERANDS = 31
 
@@ -79,7 +78,20 @@ class EnumerationTooLarge(ModelError):
 def default_cap() -> int:
     """Table-size cap: POTTS_GKS_CAP env var if set, else 2**24 entries."""
     raw = os.environ.get(CAP_ENV_VAR)
-    return int(raw) if raw else DEFAULT_STATE_CAP
+    if not raw:
+        return DEFAULT_STATE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise ModelError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+
+
+def _check_cap(entries: int, what: str, cap: int | None) -> None:
+    """Raise EnumerationTooLarge if `what`, a table of `entries` entries,
+    is larger than the cap (default_cap() when cap is None)."""
+    cap = default_cap() if cap is None else cap
+    if entries > cap:
+        raise EnumerationTooLarge(f"{what}: {entries} entries exceed cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -178,12 +190,14 @@ class PottsModel:
             edges = tuple((str(e["u"]), str(e["v"])) for e in data.get("edges", []))
             J = tuple(float(e.get("J", 0.0)) for e in data.get("edges", []))
             fields = data.get("fields", {}) or {}
+            if not isinstance(fields, dict):
+                raise ModelError(f'"fields" must be an object, got {fields!r}')
+            for v in fields:
+                if str(v) not in vertices:
+                    raise BadRegion(f"field given for unknown vertex {v!r}")
+            h = tuple(float(fields.get(v, 0.0)) for v in vertices)
         except (KeyError, TypeError) as exc:
             raise ModelError(f"malformed model JSON: {exc}") from exc
-        for v in fields:
-            if str(v) not in vertices:
-                raise BadRegion(f"field given for unknown vertex {v!r}")
-        h = tuple(float(fields.get(v, 0.0)) for v in vertices)
         return cls(vertices, edges, J, h, q)
 
     @classmethod
@@ -256,47 +270,6 @@ def check_factors(
     return out
 
 
-# ---------------------------------------------------------------------------
-# enumeration machinery
-# ---------------------------------------------------------------------------
-
-
-def check_state_cap(model: PottsModel, cap: int | None = None) -> int:
-    cap = default_cap() if cap is None else cap
-    if model.n_states > cap:
-        raise EnumerationTooLarge(
-            f"{model.q}^{model.n_vertices} = {model.n_states} states exceeds cap {cap}"
-        )
-    return cap
-
-
-def iter_state_blocks(model: PottsModel, cap: int | None = None) -> Iterator[np.ndarray]:
-    """Yield (m, |V|) int8 blocks of spin states in lexicographic order."""
-    check_state_cap(model, cap)
-    n, q = model.n_vertices, model.q
-    total = model.n_states
-    if n == 0:
-        yield np.zeros((1, 0), dtype=np.int8)
-        return
-    place = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, _STATE_CHUNK):
-        idx = np.arange(start, min(start + _STATE_CHUNK, total), dtype=np.int64)
-        yield ((idx[:, None] // place[None, :]) % q).astype(np.int8)
-
-
-def state_log_weights(model: PottsModel, states: np.ndarray) -> np.ndarray:
-    """log of the unnormalized Gibbs weight for each row of `states`."""
-    lw = np.zeros(states.shape[0])
-    index = {v: i for i, v in enumerate(model.vertices)}
-    for (u, v), J in zip(model.edges, model.J):
-        if J != 0.0:
-            lw += J * (states[:, index[u]] == states[:, index[v]])
-    for i, h in enumerate(model.h):
-        if h != 0.0:
-            lw += h * (states[:, i] == 0)
-    return lw
-
-
 def potts_weight(model: PottsModel, sigma: Sequence[int]) -> float:
     """Unnormalized Gibbs weight exp{sum J_e delta_e + sum h_v delta_v}."""
     arr = validate_spin_config(model, sigma)
@@ -310,27 +283,25 @@ def potts_weight(model: PottsModel, sigma: Sequence[int]) -> float:
         return math.inf
 
 
-def _max_log_weight(model: PottsModel) -> float:
-    """sum(J) + sum(h), the log-weight of sigma == 0 and the largest one."""
-    return fsum(model.J) + fsum(model.h)
-
-
-def _shifted_weight_blocks(
-    model: PottsModel, cap: int | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(states, exp(log-weight - sum J - sum h)) per block of one pass.
-
-    Serves potts_distribution, the one caller that needs every state's
-    weight; the shift is the one spin_means applies table by table.
-    """
-    shift = _max_log_weight(model)
-    for block in iter_state_blocks(model, cap):
-        yield block, np.exp(state_log_weights(model, block) - shift)
-
-
 # ---------------------------------------------------------------------------
 # variable elimination
 # ---------------------------------------------------------------------------
+
+
+def _tables(
+    model: PottsModel, n_cols: int, dtype: type = float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The shifted (n, C, q) site and (m, C, q, q) pair tables, C = n_cols
+    columns alike: a site table is 1 at sigma == 0 and e^{-h_v} elsewhere,
+    a pair table, indexed (sigma_u, sigma_v) in edge order, 1 on the
+    diagonal and e^{-J_e} off it."""
+    n, q, m = model.n_vertices, model.q, len(model.edges)
+    site = np.ones((n, n_cols, q), dtype=dtype)
+    site[:, :, 1:] = np.exp(-np.asarray(model.h, dtype=float))[:, None, None]
+    pair = np.empty((m, n_cols, q * q))
+    pair[...] = np.exp(-np.asarray(model.J, dtype=float))[:, None, None]
+    pair[..., :: q + 1] = 1.0  # the diagonal of each flattened q x q table
+    return site, pair.reshape(m, n_cols, q, q)
 
 
 def _coordinate_position(model: PottsModel, coordinate) -> tuple[bool, int]:
@@ -444,22 +415,15 @@ def spin_means(
     n, q, n_cols = model.n_vertices, model.q, 1 + len(prepared)
     index = {v: i for i, v in enumerate(model.vertices)}
     plan = _elimination_plan(n, tuple((index[u], index[v]) for u, v in model.edges))
-    cap = default_cap() if cap is None else cap
-    joint = q ** (plan.width + 1) * n_cols
-    if joint > cap:
-        raise EnumerationTooLarge(
-            f"elimination width {plan.width}: a {q}^{plan.width + 1} x {n_cols} "
-            f"= {joint} entry table exceeds cap {cap}"
-        )
+    _check_cap(
+        q ** (plan.width + 1) * n_cols,
+        f"a {q}^{plan.width + 1} x {n_cols} table at elimination width {plan.width}",
+        cap,
+    )
     complex_valued = any(
         x.imag for factors, _ in prepared for f, _ in factors for x in f.values
     )
-    site = np.ones((n, n_cols, q), dtype=complex if complex_valued else float)
-    site[:, :, 1:] = np.exp(-np.asarray(model.h, dtype=float))[:, None, None]
-    pair = np.empty((len(model.edges), n_cols, q * q))
-    pair[...] = np.exp(-np.asarray(model.J, dtype=float))[:, None, None]
-    pair[..., :: q + 1] = 1.0  # the diagonal of each flattened q x q table
-    pair = pair.reshape(len(model.edges), n_cols, q, q)
+    site, pair = _tables(model, n_cols, complex if complex_valued else float)
     for c, (factors, position) in enumerate(prepared, 1):
         for f, idx in factors:
             values = f.as_array() if complex_valued else f.as_array().real
@@ -473,7 +437,9 @@ def spin_means(
                 pair[k, c] = np.eye(q)
     sums = _eliminate(plan, site, pair)
     z = float(sums[0].real)
-    return _max_log_weight(model) + math.log(z), [complex(s / z) for s in sums[1:]]
+    # the tables' shift: sum(J) + sum(h), the log-weight of sigma == 0
+    log_z = fsum(model.J) + fsum(model.h) + math.log(z)
+    return log_z, [complex(s / z) for s in sums[1:]]
 
 
 def log_partition_function(model: PottsModel, cap: int | None = None) -> float:
@@ -491,9 +457,23 @@ def partition_function(model: PottsModel, cap: int | None = None) -> float:
 
 def potts_distribution(model: PottsModel, cap: int | None = None) -> np.ndarray:
     """pi over all spin states, indexed lexicographically (sigma_0 most
-    significant digit)."""
-    blocks = [w for _, w in _shifted_weight_blocks(model, cap)]
-    return np.concatenate(blocks) / fsum(float(np.sum(b)) for b in blocks)
+    significant digit).
+
+    Column 0 of the elimination tables, multiplied out on a q^|V| array
+    instead of summed: each table broadcasts on its vertex axes.
+    """
+    n, q = model.n_vertices, model.q
+    _check_cap(model.n_states, f"the spin law over {q}^{n} states", cap)
+    site, pair = _tables(model, 1)
+    law = np.ones((q,) * n)
+    for i in range(n):
+        law *= site[i, 0].reshape((q,) + (1,) * (n - 1 - i))
+    index = {v: i for i, v in enumerate(model.vertices)}
+    for (u, v), table in zip(model.edges, pair[:, 0]):
+        a, b = sorted((index[u], index[v]))  # a pair table is symmetric
+        law *= table.reshape((q,) + (1,) * (b - a - 1) + (q,) + (1,) * (n - 1 - b))
+    law = law.ravel()
+    return law / law.sum()
 
 
 def potts_expectation(

@@ -29,13 +29,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from .model import (
-    EnumerationTooLarge,
     ModelError,
     PottsModel,
     SpinFunction,
+    _check_cap,
     check_factors,
-    check_state_cap,
-    default_cap,
     region_indices,
 )
 
@@ -129,15 +127,6 @@ def clusters(aug: AugmentedGraph, omega: Sequence[int]) -> ClusterPartition:
 # ---------------------------------------------------------------------------
 
 
-def check_bond_cap(aug: AugmentedGraph, cap: int | None = None) -> int:
-    cap = default_cap() if cap is None else cap
-    if 2**aug.n_bonds > cap:
-        raise EnumerationTooLarge(
-            f"2^{aug.n_bonds} bond configurations exceed cap {cap}"
-        )
-    return cap
-
-
 def _merge(
     labels: np.ndarray, k: np.ndarray, a: int, b: int
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -182,7 +171,7 @@ def _bond_weight_blocks(
     block holds _BOND_BLOCK rows whatever m is. Callers must not write to
     the yielded arrays.
     """
-    check_bond_cap(aug, cap)
+    _check_cap(2**aug.n_bonds, f"the 2^{aug.n_bonds} bond configurations", cap)
     m, n1 = aug.n_bonds, aug.n_vertices + 1
     low = min(m, _BOND_BLOCK.bit_length() - 1)
     table = np.arange(n1, dtype=np.int8)[None, :]
@@ -314,10 +303,10 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
     """Spin law sum_w phi(w) P(sigma|w), over lexicographic spin states.
 
     Must agree with the Potts measure; the acceptance suite checks total
-    variation against exact enumeration.
+    variation against potts_distribution.
     """
     n, q = aug.n_vertices, aug.base.q
-    check_state_cap(aug.base, cap)
+    _check_cap(q**n, f"the spin law over {q}^{n} states", cap)
     place = [q ** (n - 1 - v) for v in range(n)]
     colours = np.arange(q, dtype=np.int64)
     marginal = np.zeros(q**n)

@@ -1,11 +1,11 @@
 """Checks of the correlation inequalities on concrete instances.
 
 Every check gates on membership first (the hypotheses are part of the
-claim), computes both sides exactly by enumeration, and reports the raw
-margin. margin is the worst signed slack across the claim's constraints,
-so verdict == (margin >= -tolerance) holds for every report. The fuzzer
-drives the same checks over randomized instances and returns violations
-only; with the hypotheses enforced there should be none.
+claim), computes both sides exactly by variable elimination, and reports
+the raw margin. margin is the worst signed slack across the claim's
+constraints, so verdict == (margin >= -tolerance) holds for every report.
+The fuzzer drives the same checks over randomized instances and returns
+violations only; with the hypotheses enforced there should be none.
 """
 
 from __future__ import annotations

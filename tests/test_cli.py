@@ -148,6 +148,16 @@ def test_verify_uncertified_is_input_error(capsys, edge_model_path):
     assert "not certified" in err
 
 
+def test_verify_bound_zero_exits_two(capsys, edge_model_path):
+    # --M 0 used to certify at the default bound
+    code = run(["verify", "gks", "--model", edge_model_path, "--f", "familyA",
+                "--R", "u", "--S", "v", "--M", "0"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "M must be >= 1, got 0" in captured.err
+    assert captured.out == ""
+
+
 def test_exact_missing_model_exits_two(capsys):
     code = run(["exact", "--model", "does-not-exist.json"])
     assert code == 2
@@ -173,6 +183,8 @@ def test_model_with_unknown_field_vertex_exits_two(capsys, tmp_path):
     [
         ({"q": 2.7, "vertices": ["a"]}, "q must be an integer, got 2.7"),
         ({"q": 2, "vertices": "ab"}, "\"vertices\" must be a list, got 'ab'"),
+        ({"q": 2, "vertices": ["a"], "fields": ["a"]}, "\"fields\" must be an object"),
+        ({"q": 2, "vertices": ["a"], "fields": {"a": None}}, "malformed model JSON"),
     ],
 )
 def test_model_json_is_rejected_not_coerced(capsys, tmp_path, model, message):

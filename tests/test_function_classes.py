@@ -213,3 +213,7 @@ def test_spec_families_and_tables():
         spin_function_from_spec({"kind": "table", "q": 3, "values": [1.0]})
     with pytest.raises(ModelError):
         spin_function_from_spec({"kind": "nope", "q": 3})
+    # values that are not a list of numbers or [re, im] pairs
+    for values in (5, [[1]], [None, 1]):
+        with pytest.raises(ModelError, match="malformed function values"):
+            spin_function_from_spec({"kind": "table", "q": 2, "values": values})

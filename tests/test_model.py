@@ -1,7 +1,7 @@
 """Core model: validation, weights, partition function, expectations."""
 
 import math
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from potts_gks import (
     BadQ,
     BadRegion,
     EnumerationTooLarge,
+    ModelError,
     NegativeCoupling,
     NegativeField,
     PottsModel,
@@ -25,7 +26,7 @@ from potts_gks import (
     validate_model,
 )
 from potts_gks.model import log_partition_function, spin_means
-from oracles import brute_expectation, brute_partition
+from oracles import brute_expectation, brute_partition, brute_weight
 from strategies import certified_functions, model_function_region, regions, small_models
 
 LN2 = math.log(2)
@@ -146,6 +147,12 @@ def test_distribution_normalized(model):
     pi = potts_distribution(model)
     assert np.all(pi >= 0)
     assert math.fsum(pi.tolist()) == pytest.approx(1.0, abs=1e-12)
+    # entry k is the k-th state of itertools.product: sigma_0 most significant
+    z = brute_partition(model)
+    states = product(range(model.q), repeat=model.n_vertices)
+    for got, sigma in zip(pi.tolist(), states, strict=True):
+        assert got == pytest.approx(brute_weight(model, sigma) / z, rel=1e-12)
+    assert potts_distribution(PottsModel((), (), (), (), model.q)).tolist() == [1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +259,8 @@ def test_log_partition_function():
 
 
 def test_chunked_enumeration_large_tree():
-    # 2^20 states, crossing many chunk boundaries; a tree has the closed
-    # form Z = q * prod_e (e^{J_e} + q - 1)
+    # 2^20 states, a path: elimination keeps every table at 2^2 entries;
+    # a tree has the closed form Z = q * prod_e (e^{J_e} + q - 1)
     n = 20
     vertices = tuple(f"v{i}" for i in range(n))
     edges = tuple((f"v{i}", f"v{i+1}") for i in range(n - 1))
@@ -290,6 +297,9 @@ def test_enumeration_cap_env(monkeypatch):
         partition_function(m)
     monkeypatch.setenv("POTTS_GKS_CAP", "4")
     assert partition_function(m) == pytest.approx(4.0)
+    monkeypatch.setenv("POTTS_GKS_CAP", "abc")
+    with pytest.raises(ModelError, match="POTTS_GKS_CAP must be an integer, got 'abc'"):
+        partition_function(m)
 
 
 # ---------------------------------------------------------------------------
