@@ -3,7 +3,8 @@
 
 Runs every inequality check on the atlas + random suite and prints the
 minimum margin per claim (all should be >= -1e-8, and in practice sit at
-rounding level).
+rounding level). Exits 1 when a worst margin is below -DEFAULT_VERIFY_TOL,
+that is, when some report's verdict fails.
 
     python scripts/suite_margins.py
 """
@@ -22,6 +23,7 @@ from potts_gks import (
     verify_real_nonneg,
 )
 from potts_gks.instances import verification_suite
+from potts_gks.verify import DEFAULT_VERIFY_TOL
 
 
 def main() -> int:
@@ -56,7 +58,7 @@ def main() -> int:
     print(f"{'claim':<18} {'checks':>7} {'worst margin':>14}")
     for claim in sorted(worst):
         print(f"{claim:<18} {counts[claim]:>7} {worst[claim]:>14.3e}")
-    return 0
+    return 1 if min(worst.values()) < -DEFAULT_VERIFY_TOL else 0
 
 
 if __name__ == "__main__":

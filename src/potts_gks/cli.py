@@ -1,8 +1,10 @@
 """Command-line front end.
 
 Reports stream as JSON lines on stdout, one object per check, with a
-summary object last (--csv renders just the summary as CSV). Exit codes:
-0 all checks passed, 1 at least one violation, 2 malformed input.
+summary object last (--csv renders just the summary as CSV). Each
+subcommand returns its summary; run() writes it and maps its violations
+to the exit code: 0 all checks passed, 1 at least one violation, 2
+malformed input.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ import numpy as np
 
 from . import mc, verify
 from .function_classes import (
+    DEFAULT_M,
+    DEFAULT_TOL,
     check_Fq_i,
     make_family,
     spin_function_from_spec,
@@ -43,13 +47,14 @@ def _emit(obj: dict) -> None:
     print(json.dumps(obj, sort_keys=True, allow_nan=False))
 
 
-def _emit_summary(summary: dict, csv: bool) -> None:
-    if csv:
-        keys = sorted(summary)
-        print(",".join(keys))
-        print(",".join(str(summary[k]) for k in keys))
-    else:
-        _emit(summary)
+def _summary(violations: int = 0, **extra) -> dict:
+    return {"type": "summary", "status": "ok", "violations": violations, **extra}
+
+
+def _emit_check(obj: dict, value: float, tolerance: float) -> bool:
+    """Emit obj with its verdict, value <= tolerance; True when it fails."""
+    _emit({**obj, "verdict": "pass" if value <= tolerance else "fail"})
+    return value > tolerance
 
 
 def _parse_region(raw: str | None) -> tuple[str, ...]:
@@ -90,7 +95,7 @@ def _build_factors(args, model: PottsModel):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_exact(args) -> int:
+def _cmd_exact(args) -> dict:
     model = _load_model(args.model)
     if args.dump_model:
         _emit({"type": "model", "model": model.to_json_dict()})
@@ -104,54 +109,52 @@ def _cmd_exact(args) -> int:
                 "value": [value.real, value.imag],
             }
         )
-    _emit_summary({"type": "summary", "status": "ok", "violations": 0}, args.csv)
-    return 0
+    return _summary()
 
 
-def _cmd_rc(args) -> int:
+def _cmd_rc(args) -> dict:
     model = _load_model(args.model)
     aug = augment(model)
-    failed = 0
     dist = rc_distribution(aug, args.cap)
     residual = abs(fsum(dist.tolist()) - 1.0)
-    _emit(
+    failed = _emit_check(
         {
             "type": "rc_normalization",
             "configs": int(dist.shape[0]),
             "residual": residual,
-            "verdict": "pass" if residual <= 1e-12 else "fail",
-        }
+        },
+        residual,
+        1e-12,
     )
-    failed += residual > 1e-12
     marginal = coupled_spin_marginal(aug, args.cap)
     pi = potts_distribution(model, args.cap)
     tv = 0.5 * float(np.sum(np.abs(marginal - pi)))
-    _emit(
+    failed += _emit_check(
         {
             "type": "coupling_check",
             "total_variation": tv,
             "tolerance": 1e-10,
-            "verdict": "pass" if tv <= 1e-10 else "fail",
-        }
+        },
+        tv,
+        1e-10,
     )
-    failed += tv > 1e-10
     if args.f:
         f = _parse_function(args.f, model.q)
         R = _parse_region(args.R)
         lhs = rc_expectation(aug, [(f, R)], args.cap)
         rhs = potts_expectation(model, [(f, R)], args.cap)
         diff = abs(lhs - rhs)
-        _emit(
+        failed += _emit_check(
             {
                 "type": "tower_check",
                 "rc_mean": [lhs.real, lhs.imag],
                 "potts_mean": [rhs.real, rhs.imag],
                 "difference": diff,
                 "tolerance": 1e-10,
-                "verdict": "pass" if diff <= 1e-10 else "fail",
-            }
+            },
+            diff,
+            1e-10,
         )
-        failed += diff > 1e-10
     if args.omega:
         bits = _check_bond_config(aug, [int(c) for c in args.omega])
         code = sum(bit << i for i, bit in enumerate(bits))
@@ -162,13 +165,10 @@ def _cmd_rc(args) -> int:
                 "probability": float(dist[code]),
             }
         )
-    _emit_summary(
-        {"type": "summary", "status": "ok", "violations": int(failed)}, args.csv
-    )
-    return 1 if failed else 0
+    return _summary(int(failed))
 
 
-def _cmd_fclass(args) -> int:
+def _cmd_fclass(args) -> dict:
     if args.f:
         f = _parse_function(args.f, args.q or 2)
     else:
@@ -192,18 +192,10 @@ def _cmd_fclass(args) -> int:
             "verdict": "pass" if report.passed else "fail",
         }
     )
-    _emit_summary(
-        {
-            "type": "summary",
-            "status": "ok",
-            "violations": 0 if report.passed else 1,
-        },
-        args.csv,
-    )
-    return 0 if report.passed else 1
+    return _summary(0 if report.passed else 1)
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     model = _load_model(args.model)
     f = _parse_function(args.f, model.q)
     R = _parse_region(args.R)
@@ -232,23 +224,12 @@ def _cmd_verify(args) -> int:
         f1 = _parse_function(args.f1, model.q)
         S = _parse_region(args.S)
         reports.append(verify.verify_disjoint_support(model, f, f1, R, S, **kw))
-    failures = 0
     for report in reports:
         _emit(verify.report_to_json_dict(report))
-        failures += not report.verdict
-    _emit_summary(
-        {
-            "type": "summary",
-            "status": "ok",
-            "checks": len(reports),
-            "violations": failures,
-        },
-        args.csv,
-    )
-    return 1 if failures else 0
+    return _summary(sum(not r.verdict for r in reports), checks=len(reports))
 
 
-def _cmd_mc(args) -> int:
+def _cmd_mc(args) -> dict:
     model = _load_model(args.model)
     factors = _build_factors(args, model)
     est = mc.estimate_pooled(
@@ -261,11 +242,10 @@ def _cmd_mc(args) -> int:
         rao_blackwell=args.rao,
     )
     _emit(est.to_json_dict())
-    _emit_summary({"type": "summary", "status": "ok", "violations": 0}, args.csv)
-    return 0
+    return _summary()
 
 
-def _cmd_fuzz(args) -> int:
+def _cmd_fuzz(args) -> dict:
     if args.n_max < 1:
         raise ModelError(f"--n-max must be at least 1, got {args.n_max}")
     config = verify.FuzzConfig(
@@ -282,8 +262,7 @@ def _cmd_fuzz(args) -> int:
     result = verify.fuzz(config)
     for report in result.failures:
         _emit(verify.report_to_json_dict(report))
-    _emit_summary(result.summary_dict(), args.csv)
-    return 1 if result.failures else 0
+    return result.summary_dict()
 
 
 # ---------------------------------------------------------------------------
@@ -341,8 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", help="JSON value list (for C and table)")
     p.add_argument("--f", help="full function spec or path (overrides --kind)")
     p.add_argument("--i", type=int, default=0)
-    p.add_argument("--M", type=int, default=16)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--M", type=int, default=DEFAULT_M)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_fclass)
 
@@ -385,10 +364,17 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        summary = args.func(args)
+        if args.csv:
+            keys = sorted(summary)
+            print(",".join(keys))
+            print(",".join(str(summary[k]) for k in keys))
+        else:
+            _emit(summary)
     except (ModelError, OSError, json.JSONDecodeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 1 if summary["violations"] else 0
 
 
 def main() -> None:

@@ -188,14 +188,14 @@ class PottsModel:
                 raise ModelError(f'"vertices" must be a list, got {data["vertices"]!r}')
             vertices = tuple(str(v) for v in data["vertices"])
             edges = tuple((str(e["u"]), str(e["v"])) for e in data.get("edges", []))
-            J = tuple(float(e.get("J", 0.0)) for e in data.get("edges", []))
+            J = tuple(_number(e.get("J", 0.0), "J") for e in data.get("edges", []))
             fields = data.get("fields", {}) or {}
             if not isinstance(fields, dict):
                 raise ModelError(f'"fields" must be an object, got {fields!r}')
             for v in fields:
                 if str(v) not in vertices:
                     raise BadRegion(f"field given for unknown vertex {v!r}")
-            h = tuple(float(fields.get(v, 0.0)) for v in vertices)
+            h = tuple(_number(fields.get(v, 0.0), f"field of {v!r}") for v in vertices)
         except (KeyError, TypeError) as exc:
             raise ModelError(f"malformed model JSON: {exc}") from exc
         return cls(vertices, edges, J, h, q)
@@ -211,6 +211,14 @@ def integer_q(raw: object) -> int:
     if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
         raise BadQ(f"q must be an integer, got {raw!r}")
     return int(raw)
+
+
+def _number(raw: object, what: str) -> float:
+    """A coupling or field from outside input: "1.5", true or null is refused
+    with a TypeError, which from_json_dict reports as malformed JSON."""
+    if isinstance(raw, bool) or not isinstance(raw, (int, float, np.integer)):
+        raise TypeError(f"{what} must be a number, got {raw!r}")
+    return float(raw)
 
 
 def validate_model(model: PottsModel) -> None:

@@ -32,12 +32,12 @@ from .model import (
     ModelError,
     PottsModel,
     SpinFunction,
+    _coordinate_position,
     potts_expectation,
     spin_means,
 )
 
 DEFAULT_VERIFY_TOL = 1e-8
-MEMBERSHIP_TOL = 1e-9
 _FD_STEPS = (0.1, 1.0)
 
 
@@ -99,7 +99,6 @@ def certify(
     model: PottsModel,
     f: SpinFunction,
     M: int,
-    tol: float = MEMBERSHIP_TOL,
     need_peak: bool = False,
 ) -> MembershipReport:
     """Require f in F_q^0, or just F_q when the field vanishes.
@@ -110,7 +109,7 @@ def certify(
     """
     field_free = all(h == 0.0 for h in model.h)
     relaxed = field_free and not need_peak
-    report = check_Fq(f, M, tol) if relaxed else check_Fq_i(f, 0, M, tol)
+    report = check_Fq(f, M) if relaxed else check_Fq_i(f, 0, M)
     if not report.passed:
         raise NotCertified(
             f"function not certified ({'F_q' if relaxed else 'F_q^0'}, "
@@ -121,12 +120,44 @@ def certify(
     return report
 
 
-def _fold_margin(primary: float, imag_residual: float, tol: float) -> float:
-    """Margin such that (margin >= -tol) == (primary >= -tol and imag <= tol),
+def _report(
+    claim: str,
+    model: PottsModel,
+    parts: tuple,
+    lhs: complex,
+    rhs: complex,
+    primary: float,
+    imag: float,
+    tol: float,
+    details: dict,
+) -> VerificationReport:
+    """The report of one claim; parts are the inputs digested besides the
+    model. The margin is the primary slack folded with the imaginary
+    residual, so (margin >= -tol) == (primary >= -tol and imag <= tol)
     without masking the informative slack in the usual all-real case."""
-    if imag_residual <= tol:
-        return primary
-    return min(primary, -imag_residual)
+    margin = primary if imag <= tol else min(primary, -imag)
+    return VerificationReport(
+        claim=claim,
+        inputs=_digest(claim, model.to_json_dict(), *parts),
+        lhs=lhs,
+        rhs=rhs,
+        margin=margin,
+        tolerance=tol,
+        verdict=margin >= -tol,
+        details=details,
+    )
+
+
+def _pair_means(
+    model: PottsModel, factors_a: list, factors_b: list, cap: int | None
+) -> tuple[complex, float, float]:
+    """<a b>, the real product <a><b>, and the largest imaginary part of
+    the three means, from one three-column pass."""
+    _, (both, a, b) = spin_means(
+        model, [(factors_a + factors_b, None), (factors_a, None), (factors_b, None)], cap
+    )
+    imag = max(abs(both.imag), abs(a.imag), abs(b.imag))
+    return both, a.real * b.real, imag
 
 
 # ---------------------------------------------------------------------------
@@ -146,16 +177,10 @@ def verify_real_nonneg(
     R = tuple(R)
     certify(model, f, membership_bound(R) if M is None else M)
     mean = potts_expectation(model, [(f, R)], cap)
-    margin = _fold_margin(mean.real, abs(mean.imag), tol)
-    return VerificationReport(
-        claim="real_nonneg",
-        inputs=_digest("real_nonneg", model.to_json_dict(), f.values, R),
-        lhs=mean,
-        rhs=0.0,
-        margin=margin,
-        tolerance=tol,
-        verdict=margin >= -tol,
-        details={"imag_residual": abs(mean.imag), "real_part": mean.real},
+    imag = abs(mean.imag)
+    details = {"imag_residual": imag, "real_part": mean.real}
+    return _report(
+        "real_nonneg", model, (f.values, R), mean, 0.0, mean.real, imag, tol, details
     )
 
 
@@ -181,14 +206,8 @@ def verify_monotone(
     independent one is re-enumerating the bumped model, which the tests do.
     """
     R = tuple(R)
-    field = isinstance(coordinate, str)
-    if field:
-        model.vertex_index(coordinate)
-        coord_label = f"h[{coordinate}]"
-    else:
-        u, v = coordinate
-        model.edge_position(u, v)
-        coord_label = f"J[{u},{v}]"
+    field, _ = _coordinate_position(model, coordinate)
+    coord_label = f"h[{coordinate}]" if field else "J[{},{}]".format(*coordinate)
     certify(model, f, membership_bound(R) if M is None else M, need_peak=field)
     factors = [(f, R)]
     _, (mean, mean_fd, mean_d) = spin_means(
@@ -200,25 +219,16 @@ def verify_monotone(
     for step in _FD_STEPS:
         c = expm1(step)
         fd_margins[step] = (c * cov / (1.0 + c * mean_d)).real
-    margin = _fold_margin(
-        min(cov.real, *fd_margins.values()), abs(cov.imag), tol
-    )
-    return VerificationReport(
-        claim="monotone",
-        inputs=_digest(
-            "monotone", model.to_json_dict(), f.values, R, coord_label
-        ),
-        lhs=cov,
-        rhs=0.0,
-        margin=margin,
-        tolerance=tol,
-        verdict=margin >= -tol,
-        details={
-            "coordinate": coord_label,
-            "derivative": cov.real,
-            "finite_steps": {str(s): m for s, m in fd_margins.items()},
-            "imag_residual": abs(cov.imag),
-        },
+    details = {
+        "coordinate": coord_label,
+        "derivative": cov.real,
+        "finite_steps": {str(s): m for s, m in fd_margins.items()},
+        "imag_residual": abs(cov.imag),
+    }
+    primary = min(cov.real, *fd_margins.values())
+    return _report(
+        "monotone", model, (f.values, R, coord_label), cov, 0.0, primary,
+        abs(cov.imag), tol, details,
     )
 
 
@@ -234,21 +244,12 @@ def verify_gks_pair(
     """<f^R f^S> >= <f^R><f^S> for certified f."""
     R, S = tuple(R), tuple(S)
     certify(model, f, membership_bound(R, S) if M is None else M)
-    _, (lhs, mR, mS) = spin_means(
-        model, [([(f, R), (f, S)], None), ([(f, R)], None), ([(f, S)], None)], cap
-    )
-    primary = lhs.real - mR.real * mS.real
-    imag = max(abs(lhs.imag), abs(mR.imag), abs(mS.imag))
-    margin = _fold_margin(primary, imag, tol)
-    return VerificationReport(
-        claim="gks_pair",
-        inputs=_digest("gks_pair", model.to_json_dict(), f.values, R, S),
-        lhs=lhs,
-        rhs=complex(mR.real * mS.real),
-        margin=margin,
-        tolerance=tol,
-        verdict=margin >= -tol,
-        details={"gks_margin": primary, "imag_residual": imag},
+    lhs, product, imag = _pair_means(model, [(f, R)], [(f, S)], cap)
+    primary = lhs.real - product
+    details = {"gks_margin": primary, "imag_residual": imag}
+    return _report(
+        "gks_pair", model, (f.values, R, S), lhs, complex(product), primary,
+        imag, tol, details,
     )
 
 
@@ -273,26 +274,15 @@ def verify_disjoint_support(
         raise NotDisjoint("f0 * f1 must vanish pointwise")
     bound = membership_bound(R, S) if M is None else M
     certify(model, f0, bound)
-    ok, violation = moments_real_nonneg(f1, bound, MEMBERSHIP_TOL)
+    ok, violation = moments_real_nonneg(f1, bound)
     if not ok:
         raise NotCertified(f"f1 moments not real/non-negative: {violation}")
-    _, (lhs, m0, m1) = spin_means(
-        model, [([(f0, R), (f1, S)], None), ([(f0, R)], None), ([(f1, S)], None)], cap
-    )
-    primary = m0.real * m1.real - lhs.real
-    imag = max(abs(lhs.imag), abs(m0.imag), abs(m1.imag))
-    margin = _fold_margin(primary, imag, tol)
-    return VerificationReport(
-        claim="disjoint_support",
-        inputs=_digest(
-            "disjoint_support", model.to_json_dict(), f0.values, f1.values, R, S
-        ),
-        lhs=lhs,
-        rhs=complex(m0.real * m1.real),
-        margin=margin,
-        tolerance=tol,
-        verdict=margin >= -tol,
-        details={"anticorrelation_margin": primary, "imag_residual": imag},
+    lhs, product, imag = _pair_means(model, [(f0, R)], [(f1, S)], cap)
+    primary = product - lhs.real
+    details = {"anticorrelation_margin": primary, "imag_residual": imag}
+    return _report(
+        "disjoint_support", model, (f0.values, f1.values, R, S), lhs,
+        complex(product), primary, imag, tol, details,
     )
 
 
@@ -365,7 +355,7 @@ def _draw_function(rng: np.random.Generator, q: int, kind: str) -> SpinFunction:
             vals = scale * rng.uniform(0.0, 1.0, size=q)
             vals[0] = vals.max()
             f = SpinFunction(tuple(vals))
-            if check_Fq_i(f, 0, DEFAULT_M, MEMBERSHIP_TOL).passed:
+            if check_Fq_i(f, 0).passed:
                 return f
     if kind == "shiftA":
         base = make_family("A", q).values

@@ -178,6 +178,9 @@ def test_model_with_unknown_field_vertex_exits_two(capsys, tmp_path):
     assert run(["exact", "--model", str(bad)]) == 2
 
 
+EDGE_AB = {"q": 2, "vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "J": 1.0}]}
+
+
 @pytest.mark.parametrize(
     "model, message",
     [
@@ -185,10 +188,21 @@ def test_model_with_unknown_field_vertex_exits_two(capsys, tmp_path):
         ({"q": 2, "vertices": "ab"}, "\"vertices\" must be a list, got 'ab'"),
         ({"q": 2, "vertices": ["a"], "fields": ["a"]}, "\"fields\" must be an object"),
         ({"q": 2, "vertices": ["a"], "fields": {"a": None}}, "malformed model JSON"),
+        (EDGE_AB | {"edges": [{"u": "a", "v": "b", "J": "1.5"}]},
+         "malformed model JSON: J must be a number, got '1.5'"),
+        (EDGE_AB | {"edges": [{"u": "a", "v": "b", "J": "x"}]},
+         "J must be a number, got 'x'"),
+        (EDGE_AB | {"edges": [{"u": "a", "v": "b", "J": True}]},
+         "J must be a number, got True"),
+        (EDGE_AB | {"edges": [{"u": "a", "v": "b", "J": None}]},
+         "J must be a number, got None"),
+        (EDGE_AB | {"fields": {"a": True}}, "field of 'a' must be a number, got True"),
+        (EDGE_AB | {"fields": {"b": "0.5"}}, "field of 'b' must be a number, got '0.5'"),
     ],
 )
 def test_model_json_is_rejected_not_coerced(capsys, tmp_path, model, message):
-    # q = 2.7 used to run as q = 2, and "ab" as the vertices a and b
+    # q = 2.7 used to run as q = 2, "ab" as the vertices a and b, and a
+    # J of "1.5" or a field of true as 1.5 and 1.0
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(model))
     assert run(["exact", "--model", str(bad)]) == 2
@@ -350,6 +364,24 @@ def test_verify_monotone_edge_needs_two_vertices(capsys, edge_model_path, edge):
                 "--R", "u", "--edge", edge])
     assert code == 2
     assert f"--edge needs two vertices as u,v, got {edge!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "coordinate, message",
+    [
+        (["--edge", "u,z"], "no edge <u,z> in model"),
+        (["--edge", "u,u"], "no edge <u,u> in model"),
+        (["--vertex", "z"], "unknown vertex 'z'"),
+    ],
+)
+def test_verify_monotone_unknown_coordinate_exits_two(capsys, edge_model_path,
+                                                      coordinate, message):
+    code = run(["verify", "monotone", "--model", edge_model_path, "--f", "A",
+                "--R", "u", *coordinate])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert message in captured.err
+    assert captured.out == ""
 
 
 def test_verify_without_f_exits_two(capsys, edge_model_path):

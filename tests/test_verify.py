@@ -69,9 +69,53 @@ def test_real_nonneg_staircase_pair_value():
     assert report.lhs.real == pytest.approx(0.125, abs=1e-12)
 
 
-def test_verdict_matches_margin_invariant():
-    report = verify_real_nonneg(edge_model(), make_family("A", 2), ("u", "v"))
+INDICATORS = (SpinFunction((1.0, 0.0)), SpinFunction((0.0, 1.0)))
+CLAIM_IDS = ["real_nonneg", "monotone", "gks_pair", "disjoint_support"]
+
+
+@pytest.mark.parametrize(
+    "claim, args",
+    [
+        (verify_real_nonneg, (make_family("A", 2), ("u", "v"))),
+        (verify_monotone, (make_family("A", 2), ("u", "v"), ("u", "v"))),
+        (verify_gks_pair, (make_family("A", 2), ("u",), ("v",))),
+        (verify_disjoint_support, (*INDICATORS, ("u",), ("v",))),
+    ],
+    ids=CLAIM_IDS,
+)
+def test_verdict_matches_margin_invariant(claim, args):
+    report = claim(edge_model(), *args)
     assert report.verdict == (report.margin >= -report.tolerance)
+
+
+@pytest.mark.parametrize(
+    "claim, args, means",
+    [
+        (verify_real_nonneg, (make_family("A", 2), ("u",)), 0.5 + 1e-6j),
+        (verify_monotone, (make_family("A", 2), ("u",), ("u", "v")),
+         [0.5, 0.5 + 1e-6j, 0.5]),
+        (verify_gks_pair, (make_family("A", 2), ("u",), ("v",)), [0.5 + 1e-6j, 0.5, 0.5]),
+        (verify_disjoint_support, (*INDICATORS, ("u",), ("v",)), [0.1 + 1e-6j, 0.5, 0.5]),
+    ],
+    ids=CLAIM_IDS,
+)
+def test_imaginary_residual_fails_a_passing_real_slack(monkeypatch, claim, args, means):
+    # every real slack is 0.02 or more (0.5, 0.025, 0.25, 0.15), so only the
+    # 1e-6 imaginary part of a mean, above the 1e-8 tolerance, fails the claim
+    def patch(means):
+        if claim is verify_real_nonneg:
+            monkeypatch.setattr(verify_module, "potts_expectation", lambda *a: means)
+        else:
+            monkeypatch.setattr(verify_module, "spin_means", lambda *a: (0.0, means))
+
+    patch(means)
+    report = claim(edge_model(), *args)
+    assert report.details["imag_residual"] == 1e-6
+    assert report.verdict is False
+    assert report.margin == -1e-6
+    patch(means.real if claim is verify_real_nonneg else [m.real for m in means])
+    report = claim(edge_model(), *args)
+    assert report.verdict is True and report.margin > 0.02
 
 
 # ---------------------------------------------------------------------------
