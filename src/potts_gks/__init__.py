@@ -26,6 +26,7 @@ from .model import (
     ModelError,
     NegativeCoupling,
     NegativeField,
+    NonFiniteValue,
     PottsModel,
     SpinFunction,
     partition_function,

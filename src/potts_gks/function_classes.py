@@ -6,6 +6,11 @@ the stronger variant additionally requires |f| to peak at a given state
 with a real non-negative value there. Membership is certified up to a
 finite exponent bound M, which every report states explicitly.
 
+Both checks are memoized on their exact arguments (f, M, tol), defaults
+filled in: a fuzz trial certifies one f for up to four claims, and the
+families are the same table for a given q. Reports are frozen, so a cached
+one is shared; the uncached body stays reachable as `__wrapped__`.
+
 Three ready-made families: the centred staircase (q-1)/2 - x, the q-th
 roots of unity exp(2*pi*i*x/q), and arbitrary non-negative tables peaking
 at 0.
@@ -14,6 +19,7 @@ at 0.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from math import fsum
 
@@ -21,6 +27,7 @@ from .model import ModelError, SpinFunction, integer_q
 
 DEFAULT_M = 16
 DEFAULT_TOL = 1e-9
+_MEMO_SIZE = 256
 
 
 class BadFamilyC(ModelError):
@@ -83,6 +90,21 @@ def _first_bad_moment(S, tol: float) -> tuple[int, int, float] | None:
     return None
 
 
+def _memoized(check):
+    """LRU-cache a check(f, M, tol) on its arguments, with the defaults
+    filled in, so check(f, 16) and check(f, 16, 1e-9) share one entry.
+    Keys are typed: M=16.0 is not served the report of M=16."""
+    cached = functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)(check)
+
+    @functools.wraps(check)
+    def memoized(f, M, tol):
+        return cached(f, M, tol)
+
+    memoized.__defaults__ = check.__defaults__
+    return memoized
+
+
+@_memoized
 def moments_real_nonneg(
     f: SpinFunction, M: int, tol: float = DEFAULT_TOL
 ) -> tuple[bool, tuple[int, int, float] | None]:
@@ -91,6 +113,7 @@ def moments_real_nonneg(
     return violation is None, violation
 
 
+@_memoized
 def check_Fq(
     f: SpinFunction, M: int = DEFAULT_M, tol: float = DEFAULT_TOL
 ) -> MembershipReport:

@@ -88,15 +88,24 @@ def verification_suite(seed: int = 20250809, n_random: int = 20) -> list[PottsMo
 
 
 def torus_grid(rows: int, cols: int, q: int, J: float, h: float) -> PottsModel:
-    """Periodic grid; parallel edges from wrap-around are deduplicated."""
-    vertices = tuple(f"s{r}{c}" for r in range(rows) for c in range(cols))
+    """Periodic grid; parallel edges from wrap-around are deduplicated.
+
+    Site (r, c) is named s<r><c>, each index zero-padded to the digits of
+    rows-1 and cols-1, so names stay distinct past ten rows or columns and
+    grids up to 10x10 keep the unpadded names s00..s99."""
+    wr, wc = len(str(rows - 1)), len(str(cols - 1))
+
+    def name(r: int, c: int) -> str:
+        return f"s{r:0{wr}d}{c:0{wc}d}"
+
+    vertices = tuple(name(r, c) for r in range(rows) for c in range(cols))
     seen = set()
     edges = []
     for r in range(rows):
         for c in range(cols):
             for dr, dc in ((0, 1), (1, 0)):
-                u = f"s{r}{c}"
-                v = f"s{(r + dr) % rows}{(c + dc) % cols}"
+                u = name(r, c)
+                v = name((r + dr) % rows, (c + dc) % cols)
                 key = frozenset((u, v))
                 if u != v and key not in seen:
                     seen.add(key)

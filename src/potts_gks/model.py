@@ -25,6 +25,7 @@ least 1 for any finite J and h.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import json
 import math
@@ -66,6 +67,11 @@ class BadRegion(ModelError):
     """Region mentions an unknown vertex or repeats one (multisets rejected)."""
 
 
+class NonFiniteValue(ModelError):
+    """A spin function takes a NaN or infinite value, which no moment
+    comparison can certify or refute."""
+
+
 class EnumerationTooLarge(ModelError):
     """An exact sum needs a table larger than the cap; use the MC sampler.
 
@@ -104,6 +110,8 @@ class SpinFunction:
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
         if len(self.values) < 2:
             raise BadQ(f"spin function needs q >= 2 values, got {len(self.values)}")
+        if not all(map(cmath.isfinite, self.values)):
+            raise NonFiniteValue(f"spin function values must be finite, got {self.values}")
 
     @property
     def q(self) -> int:
@@ -186,14 +194,17 @@ class PottsModel:
             q = integer_q(data["q"])
             if not isinstance(data["vertices"], list):
                 raise ModelError(f'"vertices" must be a list, got {data["vertices"]!r}')
-            vertices = tuple(str(v) for v in data["vertices"])
-            edges = tuple((str(e["u"]), str(e["v"])) for e in data.get("edges", []))
+            vertices = tuple(_name(v, "vertex") for v in data["vertices"])
+            edges = tuple(
+                (_name(e["u"], "edge end"), _name(e["v"], "edge end"))
+                for e in data.get("edges", [])
+            )
             J = tuple(_number(e.get("J", 0.0), "J") for e in data.get("edges", []))
             fields = data.get("fields", {}) or {}
             if not isinstance(fields, dict):
                 raise ModelError(f'"fields" must be an object, got {fields!r}')
             for v in fields:
-                if str(v) not in vertices:
+                if v not in vertices:
                     raise BadRegion(f"field given for unknown vertex {v!r}")
             h = tuple(_number(fields.get(v, 0.0), f"field of {v!r}") for v in vertices)
         except (KeyError, TypeError) as exc:
@@ -211,6 +222,14 @@ def integer_q(raw: object) -> int:
     if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
         raise BadQ(f"q must be an integer, got {raw!r}")
     return int(raw)
+
+
+def _name(raw: object, what: str) -> str:
+    """A vertex name from outside input, which must be a string: null, true
+    or 1.5 is refused rather than turned into "None", "True" or "1.5"."""
+    if not isinstance(raw, str):
+        raise ModelError(f"{what} name must be a string, got {raw!r}")
+    return raw
 
 
 def _number(raw: object, what: str) -> float:
@@ -319,6 +338,10 @@ def _coordinate_position(model: PottsModel, coordinate) -> tuple[bool, int]:
     sigma_u == sigma_v."""
     if isinstance(coordinate, str):
         return True, model.vertex_index(coordinate)
+    if not isinstance(coordinate, (tuple, list)) or len(coordinate) != 2:
+        raise BadEdge(
+            f"a coordinate is a vertex name or a (u, v) edge, got {coordinate!r}"
+        )
     return False, model.edge_position(*coordinate)
 
 

@@ -198,6 +198,10 @@ EDGE_AB = {"q": 2, "vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "J": 1
          "J must be a number, got None"),
         (EDGE_AB | {"fields": {"a": True}}, "field of 'a' must be a number, got True"),
         (EDGE_AB | {"fields": {"b": "0.5"}}, "field of 'b' must be a number, got '0.5'"),
+        ({"q": 2, "vertices": [None, True, 1.5], "edges": [{"u": None, "v": True}]},
+         "vertex name must be a string, got None"),
+        (EDGE_AB | {"edges": [{"u": "a", "v": 1, "J": 1.0}]},
+         "edge end name must be a string, got 1"),
     ],
 )
 def test_model_json_is_rejected_not_coerced(capsys, tmp_path, model, message):
@@ -207,6 +211,22 @@ def test_model_json_is_rejected_not_coerced(capsys, tmp_path, model, message):
     bad.write_text(json.dumps(model))
     assert run(["exact", "--model", str(bad)]) == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("values", ["[NaN, 1]", "[1, Infinity]", "[[1, NaN], 0]",
+                                    "[-Infinity, 0]"])
+def test_non_finite_function_exits_two(capsys, edge_model_path, values):
+    # a NaN value used to certify as "pass": every comparison with it is false
+    spec = f'{{"kind": "table", "q": 2, "values": {values}}}'
+    assert run(["fclass", "--f", spec]) == 2
+    captured = capsys.readouterr()
+    assert "spin function values must be finite" in captured.err
+    assert captured.out == ""
+    assert run(["verify", "real", "--model", edge_model_path, "--f", spec,
+                "--R", "u"]) == 2
+    captured = capsys.readouterr()
+    assert "spin function values must be finite" in captured.err
+    assert captured.out == ""
 
 
 def test_fclass_fractional_q_exits_two(capsys):

@@ -7,6 +7,7 @@ import hypothesis.strategies as st
 from potts_gks import (
     BadFamilyC,
     ModelError,
+    NonFiniteValue,
     SpinFunction,
     check_Fq,
     check_Fq_i,
@@ -14,6 +15,7 @@ from potts_gks import (
     moments,
     spin_function_from_spec,
 )
+from potts_gks.function_classes import moments_real_nonneg
 from oracles import brute_moment
 
 
@@ -116,6 +118,73 @@ def test_membership_report_invariant():
     assert good.in_Fq and good.first_violation is None
     bad = check_Fq(SpinFunction((1.0, -2.0)), M=8, tol=1e-9)
     assert not bad.in_Fq and bad.first_violation is not None
+
+
+# a small pool of values, so that drawn tables repeat across examples
+_VALUE_POOL = (0.0, 0.5, 1.0, -1.0, 1j, -1j, 0.5 - 0.5j, -0.25)
+_memo_tables = st.lists(st.sampled_from(_VALUE_POOL), min_size=2, max_size=4)
+
+
+@given(
+    st.lists(
+        st.tuples(_memo_tables, st.sampled_from([1, 2, 8, 16, 24]),
+                  st.sampled_from([1e-9, 0.0, 1e-3])),
+        min_size=1,
+        max_size=6,
+    )
+)
+def test_memoized_checks_equal_their_bodies(calls):
+    # each call twice, so the second is served from the cache when the
+    # first was not already
+    for values, M, tol in calls + calls:
+        f = SpinFunction(tuple(values))
+        assert check_Fq(f, M, tol) == check_Fq.__wrapped__(f, M, tol)
+        assert moments_real_nonneg(f, M, tol) == moments_real_nonneg.__wrapped__(f, M, tol)
+        body = check_Fq.__wrapped__(f, M, tol)
+        report_i = check_Fq_i(f, 0, M, tol)
+        assert (report_i.in_Fq, report_i.first_violation) == (body.in_Fq,
+                                                               body.first_violation)
+
+
+def test_memo_key_fills_in_defaults():
+    f = make_family("A", 5)
+    report = check_Fq(f, 16, 1e-9)
+    assert check_Fq(f) is report
+    assert check_Fq(f, M=16) is report
+    assert check_Fq(SpinFunction(f.values), tol=1e-9) is report
+    assert moments_real_nonneg(f, 16) is moments_real_nonneg(f, M=16, tol=1e-9)
+
+
+def test_memo_key_is_typed():
+    # the body refuses a float M; a cached int entry must not answer for it
+    f = make_family("B", 3)
+    check_Fq(f, 16)
+    with pytest.raises(TypeError):
+        check_Fq(f, 16.0)
+
+
+def test_memo_does_not_cache_errors():
+    f = make_family("A", 3)
+    for _ in range(3):
+        with pytest.raises(ModelError, match="M must be >= 1"):
+            check_Fq(f, 0)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        (float("nan"), 1.0),
+        (1.0, float("inf")),
+        (complex(1.0, float("nan")), 0.0),
+        (complex(float("-inf"), 0.0), 0.0),
+    ],
+)
+def test_non_finite_values_are_rejected(values):
+    # every comparison with NaN is false, so the moment checks would pass it
+    with pytest.raises(NonFiniteValue, match="must be finite"):
+        SpinFunction(values)
+    with pytest.raises(NonFiniteValue):
+        spin_function_from_spec({"kind": "table", "q": 2, "values": list(values)})
 
 
 # ---------------------------------------------------------------------------

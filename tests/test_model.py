@@ -25,6 +25,7 @@ from potts_gks import (
     potts_weight,
     validate_model,
 )
+from potts_gks.instances import torus_grid
 from potts_gks.model import log_partition_function, spin_means
 from oracles import brute_expectation, brute_partition, brute_weight
 from strategies import certified_functions, model_function_region, regions, small_models
@@ -379,3 +380,32 @@ def test_json_missing_fields_default_to_zero():
     data = {"q": 2, "vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "J": 1.0}]}
     m = PottsModel.from_json_dict(data)
     assert m.h == (0.0, 0.0)
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        {"q": 2, "vertices": [None, True, 1.5], "edges": [{"u": None, "v": True}]},
+        {"q": 2, "vertices": ["a", 1]},
+        {"q": 2, "vertices": ["a", "b"], "edges": [{"u": "a", "v": ["b"]}]},
+    ],
+)
+def test_json_vertex_names_must_be_strings(data):
+    # null, true and 1.5 used to become the vertices 'None', 'True', '1.5'
+    with pytest.raises(ModelError, match="name must be a string"):
+        PottsModel.from_json_dict(data)
+
+
+# ---------------------------------------------------------------------------
+# instances
+# ---------------------------------------------------------------------------
+
+
+def test_torus_names_stay_distinct_past_ten_rows():
+    # unpadded, (1, 10) and (11, 0) were both s110
+    big = torus_grid(12, 11, q=2, J=0.5, h=0.0)
+    assert len(set(big.vertices)) == 132
+    assert big.vertices[0] == "s0000" and big.vertices[-1] == "s1110"
+    small = torus_grid(3, 3, q=2, J=0.5, h=0.0)
+    assert small.vertices == tuple(f"s{r}{c}" for r in range(3) for c in range(3))
+    assert ("s00", "s01") in small.edges

@@ -1,5 +1,6 @@
 """Inequality verifiers: margins, gating, and the fuzzing harness."""
 
+import hashlib
 import json
 import math
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 
 from potts_gks import (
+    BadEdge,
     FuzzConfig,
     NotCertified,
     NotDisjoint,
@@ -207,6 +209,13 @@ def test_monotone_finite_steps_match_reenumeration():
                     assert got == pytest.approx(want, abs=1e-12)
 
 
+@pytest.mark.parametrize("coordinate", [("u", "v", "u"), ("u",), 3, None])
+def test_monotone_malformed_coordinate_is_bad_edge(coordinate):
+    # a 3-tuple used to reach edge_position and raise a bare TypeError
+    with pytest.raises(BadEdge, match="a coordinate is a vertex name or a"):
+        verify_monotone(edge_model(), make_family("A", 2), ("u",), coordinate)
+
+
 def test_monotone_h_coordinate_requires_peak_class():
     # raising h leaves the field-free regime, so F_q alone cannot gate it
     m = PottsModel(("u", "v"), (("u", "v"),), (0.5,), (0.0, 0.0), 3)
@@ -253,6 +262,20 @@ def test_gks_pair_never_negative(mfr):
 def test_gks_rejects_uncertified_function():
     with pytest.raises(NotCertified):
         verify_gks_pair(edge_model(), SpinFunction((1.0, -2.0)), ("u",), ("v",))
+
+
+def test_failed_certification_is_raised_on_every_call():
+    # the membership report is memoized; the refusal must not be
+    f = SpinFunction((1.0, -2.0))
+    for _ in range(3):
+        with pytest.raises(NotCertified) as exc:
+            verify_gks_pair(edge_model(), f, ("u",), ("v",))
+        assert exc.value.report.first_violation[:2] == (1, 0)
+    peaked_off_zero = shifted_staircase(3)
+    m = edge_model(q=3, h=(0.5, 0.0))
+    for _ in range(3):
+        with pytest.raises(NotCertified):
+            verify_real_nonneg(m, peaked_off_zero, ("u",))
 
 
 # ---------------------------------------------------------------------------
@@ -409,3 +432,30 @@ def test_fuzz_respects_cap():
     config = FuzzConfig(trials=40, seed=3, cap=8)  # q^n > 8 almost always
     result = fuzz(config)
     assert result.skipped_too_large > 0
+
+
+# SHA-256 of the (inputs, margin, verdict) stream below, taken before the
+# membership checks were memoized: certifying an f once per trial must not
+# change a bit of any report
+FROZEN_STREAM_SHA256 = "d3822caafbcc83e3ce661a326b6b2069158aa778a0cb328e5e814e2333d07afe"
+
+
+def test_fuzz_report_stream_is_frozen(monkeypatch):
+    reports = []
+    build = verify_module._report
+
+    def record(*args, **kwargs):
+        report = build(*args, **kwargs)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(verify_module, "_report", record)
+    config = FuzzConfig(trials=400, seed=42,
+                        families=("A", "B", "C", "table", "adversarial"))
+    result = fuzz(config)
+    assert result.summary_dict() == {
+        "type": "summary", "trials": 400, "checks": 1604, "violations": 0,
+        "skipped_not_certified": 259, "skipped_too_large": 0, "seed": 42,
+    }
+    blob = "\n".join(json.dumps([r.inputs, r.margin, r.verdict]) for r in reports)
+    assert hashlib.sha256(blob.encode()).hexdigest() == FROZEN_STREAM_SHA256
