@@ -13,16 +13,20 @@ coupling, the conditional expectations it induces, and the connectivity
 event used by the disjoint-support inequality all live here.
 
 Every cluster label comes from _merge, which opens one bond in every row
-of a label table: a single omega is labelled on a one-row table, and every
-exact sum over the 2^|E+| bond configurations comes from one reducer,
-_bond_weight_blocks, which labels a whole block; callers that need only the
-partition reduce a block to its distinct partitions first. One routine,
-_ClusterFactors.product, gives E(prod f^R | omega) here and to mc's sampler.
+of a label table: a single omega is labelled on a one-row table. Sums of a
+function of the cluster partition (Z, the coupled spin law, the tower
+identity) come from _bond_partitions, which adds the bonds one at a time
+to a table of at most about 2 Bell(n+1) partition rows and never visits a
+bond configuration. Only the per-configuration arrays (rc_distribution,
+per_config) walk the 2^|E+| codes, in blocks of _bond_weight_blocks. One
+routine, _ClusterFactors.product, gives E(prod f^R | omega) here and to
+mc's sampler.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from math import expm1, factorial, fsum
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -40,6 +44,10 @@ from .model import (
 _P_MAX = float(np.nextafter(1.0, 0.0))  # keep p < 1 even for huge J, h
 
 _BOND_BLOCK = 1 << 16  # bond configurations per block of _bond_weight_blocks
+# label rows _bond_partitions lets its table reach before regrouping; on a
+# smaller table np.unique costs more than the rows it removes save
+_PARTITION_ROWS = 256
+_STATE_BLOCK = 1 << 14  # spin-state entries per chunk of coupled_spin_marginal
 
 # i! for the partition keys: a row of labels has labels[i] <= i, so the
 # key sum_i labels[i] * i! identifies it and is below (n+1)!, which int64
@@ -127,18 +135,17 @@ def clusters(aug: AugmentedGraph, omega: Sequence[int]) -> ClusterPartition:
 # ---------------------------------------------------------------------------
 
 
-def _merge(
-    labels: np.ndarray, k: np.ndarray, a: int, b: int
-) -> tuple[np.ndarray, np.ndarray]:
+def _merge(labels: np.ndarray, a: int, b: int) -> np.ndarray:
     """Open the bond <a,b> in every row of a label block.
 
     The larger of the two cluster labels is replaced by the smaller, so
-    every label stays the minimum node index of its cluster; the cluster
-    count k drops by one in the rows where the two clusters differed.
+    every label stays the minimum node index of its cluster, and a row's
+    clusters are its fixed points (labels[i] == i). The clusters joined are
+    distinct in the rows where labels[:, a] != labels[:, b].
     """
     la, lb = labels[:, a], labels[:, b]
     hi, lo = np.maximum(la, lb)[:, None], np.minimum(la, lb)[:, None]
-    return np.where(labels == hi, lo, labels), k - (la != lb)
+    return np.where(labels == hi, lo, labels)
 
 
 def _omega_labels(aug: AugmentedGraph, omega: Sequence[int]) -> list[int]:
@@ -148,10 +155,9 @@ def _omega_labels(aug: AugmentedGraph, omega: Sequence[int]) -> list[int]:
     """
     bits = _check_bond_config(aug, omega)
     labels = np.arange(aug.n_vertices + 1, dtype=np.int64)[None, :]
-    k = np.zeros(1, dtype=np.int64)
     for (a, b), bit in zip(aug.edge_index, bits):
         if bit:
-            labels, k = _merge(labels, k, a, b)
+            labels = _merge(labels, a, b)
     return labels[0].tolist()
 
 
@@ -178,16 +184,17 @@ def _bond_weight_blocks(
     k_table = np.array([n1], dtype=np.int8)
     factors = np.ones(1)
     for (a, b), p in zip(aug.edge_index[:low], aug.p[:low]):
-        merged, k_merged = _merge(table, k_table, a, b)
-        table = np.concatenate([table, merged])
-        k_table = np.concatenate([k_table, k_merged])
+        k_table = np.concatenate([k_table, k_table - (table[:, a] != table[:, b])])
+        table = np.concatenate([table, _merge(table, a, b)])
         factors = np.concatenate([factors * (1.0 - p), factors * p])
     q_pow = np.array([float(aug.base.q) ** k for k in range(n1 + 1)])
     for high in range(2 ** (m - low)):
         labels, k, factor = table, k_table, 1.0
         for j in range(low, m):
+            a, b = aug.edge_index[j]
             if (high >> (j - low)) & 1:
-                labels, k = _merge(labels, k, *aug.edge_index[j])
+                k = k - (labels[:, a] != labels[:, b])
+                labels = _merge(labels, a, b)
                 factor *= aug.p[j]
             else:
                 factor *= 1.0 - aug.p[j]
@@ -221,13 +228,26 @@ def _bond_partitions(
     Row j of `labels` is one partition as labels of the n+1 nodes; weights[j]
     sums the weights of every bond configuration with that partition, so a
     function of the partition alone is averaged over at most Bell(n+1) rows
-    instead of 2^m.
+    instead of 2^m. The bonds are added one at a time to a table of label
+    rows: each bond appends the table's _merge'd copy, the old rows weighted
+    by 1-p and the new by p, and rows of one partition are summed whenever
+    the table passes _PARTITION_ROWS rows. The table so stays below
+    2 * max(_PARTITION_ROWS, Bell(n+1)) rows, and no bond configuration is
+    visited; q^k, with k the rows' fixed points, multiplies in at the end.
     """
-    parts = [_group_partitions(*block) for block in _bond_weight_blocks(aug, cap)]
-    labels = np.concatenate([lab for lab, _ in parts])
-    weights = np.concatenate([w for _, w in parts])
-    if len(parts) > 1:
-        labels, weights = _group_partitions(labels, weights)
+    _check_cap(2**aug.n_bonds, f"the 2^{aug.n_bonds} bond configurations", cap)
+    n1 = aug.n_vertices + 1
+    labels = np.arange(n1, dtype=np.int8)[None, :]
+    weights = np.ones(1)
+    for (a, b), p in zip(aug.edge_index, aug.p):
+        if p == 0.0:  # the merged rows would all weigh 0, the rest x1
+            continue
+        labels = np.concatenate([labels, _merge(labels, a, b)])
+        weights = np.concatenate([weights * (1.0 - p), weights * p])
+        if len(weights) > _PARTITION_ROWS:
+            labels, weights = _group_partitions(labels, weights)
+    labels, weights = _group_partitions(labels, weights)
+    weights *= float(aug.base.q) ** np.count_nonzero(labels == np.arange(n1), axis=1)
     keep = weights > 0.0
     return labels[keep], weights[keep]
 
@@ -261,7 +281,8 @@ def rc_weight(aug: AugmentedGraph, omega: Sequence[int]) -> float:
 
 
 def rc_partition(aug: AugmentedGraph, cap: int | None = None) -> float:
-    return fsum(float(np.sum(w)) for _, w in _bond_weight_blocks(aug, cap))
+    """Z of the ghost random-cluster measure: the partitions' summed weights."""
+    return fsum(_bond_partitions(aug, cap)[1].tolist())
 
 
 def rc_probability(
@@ -303,25 +324,53 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
     """Spin law sum_w phi(w) P(sigma|w), over lexicographic spin states.
 
     Must agree with the Potts measure; the acceptance suite checks total
-    variation against potts_distribution.
+    variation against potts_distribution. A partition of _bond_partitions
+    gives each of its k clusters away from the ghost one uniform colour, so
+    its q^k states, each of weight w_j / q^k, are strides_j @ grid_k: the
+    i-th stride sums the place values of the i-th cluster's vertices, and
+    the columns of grid_k are the q^k colourings of k slots. Partitions
+    with the same k share one matrix product per chunk of
+    _STATE_BLOCK // q^k rows (one row if q^k is larger). grid covers only
+    the slots whose colourings fit in _STATE_BLOCK columns; a row with more
+    clusters adds its remaining slots' colourings one at a time as an
+    offset. So no array holds more than _STATE_BLOCK states, no state is
+    listed twice, and the work is sum_j q^(k_j).
     """
     n, q = aug.n_vertices, aug.base.q
     _check_cap(q**n, f"the spin law over {q}^{n} states", cap)
-    place = [q ** (n - 1 - v) for v in range(n)]
-    colours = np.arange(q, dtype=np.int64)
+    # float64, so that the product runs in BLAS; every index is an integer
+    # below q^n, which the cap keeps far below 2^53
+    place = float(q) ** np.arange(n - 1, -1, -1)
+    slots = 0
+    while slots < n and q ** (slots + 1) <= _STATE_BLOCK:
+        slots += 1
+    # row i holds digit i of the column index, so the last j rows of the
+    # first q^j columns are the colourings of j slots
+    grid = (np.arange(q**slots) // place[n - slots :, None] % q).astype(np.float64)
+    labels, weights = _bond_partitions(aug, cap)
+    real = labels[:, :n]
+    roots = (real == np.arange(n)) & (real != labels[:, n:])
+    counts = np.count_nonzero(roots, axis=1)
+    # partitions in order of k; strides lists their clusters' strides in turn
+    order = np.argsort(counts, kind="stable")
+    members = real[order][:, :, None] == np.arange(n)
+    strides = np.einsum("jvr,v->jr", members, place)[roots[order]]
+    sorted_weights = weights[order]
     marginal = np.zeros(q**n)
-    labels_rows, weights = _bond_partitions(aug, cap)
-    for labels, w in zip(labels_rows.tolist(), weights.tolist()):
-        ghost_label = labels[aug.ghost_index]
-        strides: dict[int, int] = {}
-        for v in range(n):
-            lab = labels[v]
-            if lab != ghost_label:
-                strides[lab] = strides.get(lab, 0) + place[v]
-        flat = np.zeros(1, dtype=np.int64)
-        for s in strides.values():
-            flat = (flat[:, None] + s * colours[None, :]).ravel()
-        np.add.at(marginal, flat, w / q ** len(strides))
+    row = pos = 0
+    for k, size in enumerate(np.bincount(counts).tolist()):
+        k_strides = strides[pos : pos + size * k].reshape(size, k)
+        k_weights = sorted_weights[row : row + size] / q**k
+        row, pos = row + size, pos + size * k
+        low = min(k, slots)
+        rows = max(1, _STATE_BLOCK // q**k)
+        for start in range(0, size, rows):
+            chunk = slice(start, start + rows)
+            low_flat = k_strides[chunk, k - low :] @ grid[slots - low :, : q**low]
+            chunk_weights = np.repeat(k_weights[chunk], q**low)
+            for high in product(range(q), repeat=k - low):
+                flat = low_flat + (k_strides[chunk, : k - low] @ high)[:, None]
+                np.add.at(marginal, flat.astype(np.intp).ravel(), chunk_weights)
     return marginal / fsum(weights.tolist())
 
 

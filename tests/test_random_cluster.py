@@ -27,6 +27,7 @@ from potts_gks import (
     sample_spins,
 )
 from potts_gks import random_cluster
+from potts_gks.instances import model_from_indices
 from potts_gks.random_cluster import (
     _P_MAX,
     _bond_partitions,
@@ -244,10 +245,12 @@ def test_rc_probability_single_config():
 
 @given(small_models(max_n=4))
 def test_bond_blocks_match_per_config_labels_and_weights(model):
-    # blocks of 2^3 codes, so most models cross several blocks
+    # blocks of 2^3 codes, so most models cross several blocks, and the
+    # partition table regroups past 4 rows
     aug = augment(model)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(random_cluster, "_BOND_BLOCK", 1 << 3)
+        mp.setattr(random_cluster, "_PARTITION_ROWS", 4)
         blocks = list(_bond_weight_blocks(aug))
         parts = _bond_partitions(aug)
     assert all(len(w) <= 8 for _, w in blocks)
@@ -292,19 +295,61 @@ def test_partition_grouping_on_wide_label_rows(n1):
         assert got[key] == pytest.approx(w, rel=1e-12)
 
 
-def test_reducer_past_one_block_matches_per_code_sums():
-    # 6 vertices and 11 edges: 17 bonds, two blocks at the default size
+def six_vertex_model():
+    # 6 vertices and 11 edges: 17 bonds, two blocks at the default size;
+    # three vertices have h = 0, so their ghost bonds never open
     names = "abcdef"
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4),
              (3, 5), (4, 5), (0, 5)]
-    model = PottsModel(
+    return PottsModel(
         tuple(names),
         tuple((names[i], names[j]) for i, j in pairs),
         tuple(0.2 + 0.1 * i for i in range(len(pairs))),
         (0.3, 0.0, 0.7, 0.0, 0.0, 1.1),
         2,
     )
+
+
+def k5_model(fields):
+    # K5 with fields: 10 + 5 = 15 bonds
+    pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+    return model_from_indices(
+        5, pairs, 3, J=tuple(0.2 + 0.13 * i for i in range(10)), h=fields
+    )
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        k5_model((0.4, 0.9, 0.1, 0.6, 1.0)),
+        k5_model((0.0, 0.5, 0.0, 0.0, 0.8)),
+        six_vertex_model(),
+        model_from_indices(4, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)], 2),
+    ],
+    ids=["K5", "K5-some-h0", "6v-17-bonds", "K4-field-free"],
+)
+def test_bond_partitions_match_per_code_grouping(model):
+    # the partitions and their weights must be those of grouping all 2^m
+    # per-code rows; the first three models pass _PARTITION_ROWS rows and
+    # regroup on the way, K4 field-free has 2^6 live-bond rows with repeated
+    # partitions that only the last regrouping merges
     aug = augment(model)
+    labels = np.concatenate([lab for lab, _ in _bond_weight_blocks(aug)])
+    weights = np.concatenate([w for _, w in _bond_weight_blocks(aug)])
+    rows, inverse = np.unique(labels, axis=0, return_inverse=True)
+    sums = np.bincount(inverse.ravel(), weights)
+    want = {tuple(r): w for r, w in zip(rows.tolist(), sums.tolist()) if w > 0}
+    got_labels, got_weights = _bond_partitions(aug)
+    got = dict(zip(map(tuple, got_labels.tolist()), got_weights.tolist()))
+    assert len(got) == len(got_weights)
+    assert got.keys() == want.keys()
+    for key, w in want.items():
+        assert got[key] == pytest.approx(w, rel=1e-12)
+    assert rc_partition(aug) == pytest.approx(math.fsum(weights.tolist()), rel=1e-12)
+
+
+def test_reducer_past_one_block_matches_per_code_sums():
+    aug = augment(six_vertex_model())
     assert 2**aug.n_bonds == 2 * random_cluster._BOND_BLOCK
     # P(sigma = 000111) as a product of indicator factors
     factors = [(SpinFunction((1, 0)), ("a", "b", "c")),
@@ -395,6 +440,13 @@ def test_coupled_marginal_free_is_uniform():
     assert np.allclose(marginal, 1.0 / 9.0, atol=1e-14)
 
 
+def test_coupled_marginal_no_vertices():
+    # one spin state, the empty one; only the ghost's cluster, so Z = q
+    aug = augment(PottsModel((), (), (), (), 3))
+    assert coupled_spin_marginal(aug).tolist() == [1.0]
+    assert rc_partition(aug) == 3.0
+
+
 def test_coupled_marginal_strong_field():
     m = PottsModel(("v",), (), (), (30.0,), 3)
     marginal = coupled_spin_marginal(augment(m))
@@ -417,6 +469,40 @@ def test_coupled_marginal_matches_bfs_oracle(model):
     for sigma, prob in oracle.items():
         flat = int(np.dot(sigma, place))
         assert marginal[flat] == pytest.approx(prob, abs=1e-12)
+
+
+@pytest.mark.parametrize("block", [1, 7])
+@pytest.mark.parametrize(
+    "model",
+    [
+        path3(q=3, J=0.8, h=(1.0, 0.0, 0.5)),
+        PottsModel(("a", "b", "c"), (("a", "b"), ("b", "c"), ("a", "c")),
+                   (0.3, 1.2, 0.7), (0.0, 0.0, 0.9), 4),
+        model_from_indices(4, [(0, 1), (0, 2), (0, 3), (1, 2), (2, 3)], 2,
+                           J=(0.5, 1.0, 0.2, 0.9, 0.4), h=(0.6, 0.3, 0.0, 1.2)),
+    ],
+    ids=["path3", "triangle-q4", "K4-minus-edge"],
+)
+def test_coupled_marginal_chunks_match_potts_and_oracle(model, block):
+    # chunks of `block` states, so the partitions with k clusters away from
+    # the ghost are split into chunks of max(1, block // q^k) rows, the last
+    # one often short; with fields the ghost's cluster often has a real
+    # vertex as its minimum label, whose colour is 0, not a free one
+    aug = augment(model)
+    n, q = model.n_vertices, model.q
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(random_cluster, "_STATE_BLOCK", block)
+        marginal = coupled_spin_marginal(aug)
+    labels, _ = _bond_partitions(aug)
+    assert np.any(labels[:, n] < n)
+    k = [len(set(row[:n]) - {row[n]}) for row in labels.tolist()]
+    chunks = sum(-(-k.count(c) // max(1, block // q**c)) for c in set(k))
+    assert chunks > len(set(k))
+    assert np.max(np.abs(marginal - potts_distribution(model))) <= 1e-12
+    want = np.zeros(q**n)
+    for sigma, prob in brute_coupled_marginal(aug).items():
+        want[int(np.dot(sigma, q ** np.arange(n - 1, -1, -1)))] = prob
+    assert np.max(np.abs(marginal - want)) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
