@@ -17,14 +17,18 @@ of a label table: a single omega is labelled on a one-row table. Sums of a
 function of the cluster partition (Z, the coupled spin law, the tower
 identity) come from _bond_partitions, which adds the bonds one at a time
 to a table of at most about 2 Bell(n+1) partition rows and never visits a
-bond configuration. Only the per-configuration arrays (rc_distribution,
-per_config) walk the 2^|E+| codes, in blocks of _bond_weight_blocks. One
-routine, _ClusterFactors.product, gives E(prod f^R | omega) here and to
-mc's sampler.
+bond configuration; the table is memoized per augmented graph, so the
+spin law and the tower mean of one graph reduce it once. Only the
+per-configuration arrays (rc_distribution, per_config) walk the 2^|E+|
+codes, in blocks of _bond_weight_blocks. _ClusterFactors gives
+E(prod f^R | omega): of_rows for every row of a label table in one numpy
+pass (the tower mean, and a single omega as one row), product for one
+omega of mc's sampler; both share one memo of cluster factors.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import product
 from math import expm1, factorial, fsum
@@ -228,14 +232,27 @@ def _bond_partitions(
     Row j of `labels` is one partition as labels of the n+1 nodes; weights[j]
     sums the weights of every bond configuration with that partition, so a
     function of the partition alone is averaged over at most Bell(n+1) rows
-    instead of 2^m. The bonds are added one at a time to a table of label
-    rows: each bond appends the table's _merge'd copy, the old rows weighted
-    by 1-p and the new by p, and rows of one partition are summed whenever
-    the table passes _PARTITION_ROWS rows. The table so stays below
+    instead of 2^m. The cap is checked on every call; the table comes from
+    _partition_table, which reduces each augmented graph once, so the spin
+    law and the tower mean of one graph share it. The arrays are read-only.
+    """
+    _check_cap(2**aug.n_bonds, f"the 2^{aug.n_bonds} bond configurations", cap)
+    return _partition_table(aug)
+
+
+# a caller asks for one graph's table a few times in a row (the spin law,
+# then the tower mean); a table holds at most min(2^|E+|, Bell(n+1)) rows
+@functools.lru_cache(maxsize=8)
+def _partition_table(aug: AugmentedGraph) -> tuple[np.ndarray, np.ndarray]:
+    """The reducer behind _bond_partitions; __wrapped__ is its uncached body.
+
+    The bonds are added one at a time to a table of label rows: each bond
+    appends the table's _merge'd copy, the old rows weighted by 1-p and the
+    new by p, and rows of one partition are summed whenever the table passes
+    _PARTITION_ROWS rows. The table so stays below
     2 * max(_PARTITION_ROWS, Bell(n+1)) rows, and no bond configuration is
     visited; q^k, with k the rows' fixed points, multiplies in at the end.
     """
-    _check_cap(2**aug.n_bonds, f"the 2^{aug.n_bonds} bond configurations", cap)
     n1 = aug.n_vertices + 1
     labels = np.arange(n1, dtype=np.int8)[None, :]
     weights = np.ones(1)
@@ -249,7 +266,9 @@ def _bond_partitions(
     labels, weights = _group_partitions(labels, weights)
     weights *= float(aug.base.q) ** np.count_nonzero(labels == np.arange(n1), axis=1)
     keep = weights > 0.0
-    return labels[keep], weights[keep]
+    labels, weights = labels[keep], weights[keep]
+    labels.flags.writeable = weights.flags.writeable = False
+    return labels, weights
 
 
 def per_config(
@@ -400,6 +419,8 @@ class _ClusterFactors:
             self.powtab[:, :, m] = self.powtab[:, :, m - 1] * values
         self.members = [(v, (max_m + 1) ** i) for i, (_, idx) in enumerate(prepared)
                         for v in sorted(idx)]
+        self._member_v = np.array([v for v, _ in self.members], dtype=np.intp)
+        self._member_w = np.array([w for _, w in self.members], dtype=np.float64)
         self._ghost: dict[int, complex] = {}
         self._cluster: dict[int, complex] = {}
 
@@ -453,11 +474,43 @@ class _ClusterFactors:
             val = val * (cluster[code] if code in cluster else self._mixed_moment(code))
         return val
 
-    def of_labels(self, labels: Sequence[int], include_ghost: bool = True) -> complex:
-        """product() on a label row of _merge, whose roots are its fixed points."""
-        g = labels[-1]
-        roots = [v for v, lab in enumerate(labels) if lab == v and v != g]
-        return self.product(labels, g, roots, include_ghost)
+    def of_rows(self, labels: np.ndarray, include_ghost: bool = True) -> np.ndarray:
+        """product() for every row of a _merge label table, in one numpy pass.
+
+        A row's roots are its fixed points; the ghost's root is labels[:, -1].
+        One bincount sums each member's weight at its root, giving every
+        cluster's code; the factor of each distinct code comes from the memo
+        product() shares. The ghost's factor sits in the ghost's column, the
+        others at their roots, and 1 everywhere else, so a row's product is
+        the product of its columns.
+        """
+        rows, n1 = labels.shape
+        if self.powtab.shape[2] ** len(self.prepared) > 2**53:
+            raise ModelError(
+                f"{len(self.prepared)} factors: cluster codes would not be exact "
+                "in float64"
+            )
+        # flat[r, v]: the position of row r's entry for v's root in codes
+        flat = labels + np.arange(0, rows * n1, n1)[:, None]
+        member_w = self._member_w[None, :].repeat(rows, axis=0)
+        codes = np.bincount(flat[:, self._member_v].ravel(), member_w.ravel(),
+                            minlength=rows * n1)
+        roots = (labels == np.arange(n1)) & (labels != labels[:, -1:])
+        values = np.ones((rows, n1), dtype=np.complex128)
+        values[roots] = self._lookup(self._cluster, self._mixed_moment,
+                                     codes.reshape(rows, n1)[roots])
+        if include_ghost:
+            values[:, -1] = self._lookup(self._ghost, self._ghost_factor,
+                                         codes[flat[:, -1]])
+        return values.prod(axis=1)
+
+    @staticmethod
+    def _lookup(memo: dict, factor, codes: np.ndarray) -> np.ndarray:
+        """memo[code] (factor(code) on a miss) for every entry of `codes`."""
+        keys = sorted(map(int, set(codes.tolist())))  # codes are exact in float64
+        table = np.array([memo[c] if c in memo else factor(c) for c in keys],
+                         dtype=np.complex128)
+        return table[np.searchsorted(keys, codes)]
 
 
 def conditional_expectation(
@@ -466,8 +519,8 @@ def conditional_expectation(
     factors: Sequence[tuple[SpinFunction, Iterable[str]]],
 ) -> complex:
     """E( prod_i f_i(sigma)^{R_i} | omega ) under the cluster colouring."""
-    labels = _omega_labels(aug, omega)
-    return complex(_ClusterFactors(aug.base, factors).of_labels(labels))
+    labels = np.array([_omega_labels(aug, omega)])
+    return complex(_ClusterFactors(aug.base, factors).of_rows(labels)[0])
 
 
 def cluster_moment_product(
@@ -483,9 +536,9 @@ def cluster_moment_product(
     is the second factor of the disjoint-support factorization, where the
     connectivity indicator makes the ghost term moot.
     """
-    labels = _omega_labels(aug, omega)
+    labels = np.array([_omega_labels(aug, omega)])
     table = _ClusterFactors(aug.base, [(f, region)])
-    return complex(table.of_labels(labels, include_ghost))
+    return complex(table.of_rows(labels, include_ghost)[0])
 
 
 def event_Z(
@@ -508,11 +561,8 @@ def rc_expectation(
 ) -> complex:
     """phi-average of the conditional expectation (the tower identity LHS)."""
     table = _ClusterFactors(aug.base, factors)
-    labels_rows, weights = _bond_partitions(aug, cap)
-    num_re, num_im = [], []
-    for labels, w in zip(labels_rows.tolist(), weights.tolist()):
-        g = table.of_labels(labels)
-        num_re.append(w * g.real)
-        num_im.append(w * g.imag)
+    labels, weights = _bond_partitions(aug, cap)
+    g = table.of_rows(labels)
     z = fsum(weights.tolist())
-    return complex(fsum(num_re) / z, fsum(num_im) / z)
+    return complex(fsum((weights * g.real).tolist()) / z,
+                   fsum((weights * g.imag).tolist()) / z)

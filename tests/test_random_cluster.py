@@ -28,8 +28,10 @@ from potts_gks import (
 )
 from potts_gks import random_cluster
 from potts_gks.instances import model_from_indices
+from potts_gks.model import CAP_ENV_VAR, EnumerationTooLarge, ModelError
 from potts_gks.random_cluster import (
     _P_MAX,
+    _ClusterFactors,
     _bond_partitions,
     _bond_weight_blocks,
     _group_partitions,
@@ -48,6 +50,8 @@ from strategies import certified_functions, model_function_region, small_models
 from strategies import regions as regions_of
 
 LN2 = math.log(2)
+
+_reduce_bonds = random_cluster._partition_table.__wrapped__  # the uncached reducer
 
 
 def edge_model(q=2, J=LN2, h=(0.0, 0.0)):
@@ -246,13 +250,14 @@ def test_rc_probability_single_config():
 @given(small_models(max_n=4))
 def test_bond_blocks_match_per_config_labels_and_weights(model):
     # blocks of 2^3 codes, so most models cross several blocks, and the
-    # partition table regroups past 4 rows
+    # partition table regroups past 4 rows; the uncached reducer, so that a
+    # table memoized at the default _PARTITION_ROWS cannot stand in for it
     aug = augment(model)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(random_cluster, "_BOND_BLOCK", 1 << 3)
         mp.setattr(random_cluster, "_PARTITION_ROWS", 4)
         blocks = list(_bond_weight_blocks(aug))
-        parts = _bond_partitions(aug)
+        parts = _reduce_bonds(aug)
     assert all(len(w) <= 8 for _, w in blocks)
     labels = np.concatenate([lab for lab, _ in blocks])
     weights = np.concatenate([w for _, w in blocks])
@@ -332,14 +337,15 @@ def test_bond_partitions_match_per_code_grouping(model):
     # the partitions and their weights must be those of grouping all 2^m
     # per-code rows; the first three models pass _PARTITION_ROWS rows and
     # regroup on the way, K4 field-free has 2^6 live-bond rows with repeated
-    # partitions that only the last regrouping merges
+    # partitions that only the last regrouping merges; the uncached reducer
+    # regroups every time
     aug = augment(model)
     labels = np.concatenate([lab for lab, _ in _bond_weight_blocks(aug)])
     weights = np.concatenate([w for _, w in _bond_weight_blocks(aug)])
     rows, inverse = np.unique(labels, axis=0, return_inverse=True)
     sums = np.bincount(inverse.ravel(), weights)
     want = {tuple(r): w for r, w in zip(rows.tolist(), sums.tolist()) if w > 0}
-    got_labels, got_weights = _bond_partitions(aug)
+    got_labels, got_weights = _reduce_bonds(aug)
     got = dict(zip(map(tuple, got_labels.tolist()), got_weights.tolist()))
     assert len(got) == len(got_weights)
     assert got.keys() == want.keys()
@@ -366,6 +372,44 @@ def test_reducer_past_one_block_matches_per_code_sums():
     assert rc_partition(aug) == pytest.approx(z, rel=1e-12)
     assert abs(rc_expectation(aug, factors) - want) <= 1e-12
     assert abs(coupled_spin_marginal(aug)[0b000111] - want) <= 1e-12
+
+
+def test_partition_memo_checks_the_cap_on_every_call(monkeypatch):
+    aug = augment(path3())  # 5 bonds: 32 configurations
+    labels, weights = _bond_partitions(aug)
+    assert _bond_partitions(aug)[0] is labels  # a hit
+    with pytest.raises(EnumerationTooLarge):
+        _bond_partitions(aug, cap=16)
+    with pytest.raises(EnumerationTooLarge):
+        rc_expectation(aug, [], cap=16)
+    monkeypatch.setenv(CAP_ENV_VAR, "16")
+    with pytest.raises(EnumerationTooLarge):
+        _bond_partitions(aug)
+    with pytest.raises(EnumerationTooLarge):
+        rc_partition(aug)
+    with pytest.raises(EnumerationTooLarge):
+        coupled_spin_marginal(aug)
+
+
+def test_partition_memo_is_read_only():
+    labels, weights = _bond_partitions(augment(path3(q=3, h=(0.5, 0.0, 1.0))))
+    with pytest.raises(ValueError):
+        labels[0, 0] = 1
+    with pytest.raises(ValueError):
+        weights[0] = 0.0
+    with pytest.raises(ValueError):
+        weights *= 2.0
+
+
+def test_partition_memo_keys_on_every_coupling():
+    # the two graphs differ only in the second J
+    a = augment(path3(q=3, J=0.5))
+    b = augment(path3(q=3, J=0.5).with_coupling(1, 0.9))
+    za, zb = rc_partition(a), rc_partition(b)
+    assert za != zb
+    assert za == math.fsum(_reduce_bonds(a)[1].tolist())
+    assert zb == math.fsum(_reduce_bonds(b)[1].tolist())
+    assert rc_partition(a) == za and rc_partition(b) == zb
 
 
 @pytest.mark.parametrize(
@@ -600,6 +644,97 @@ def test_tower_identity_pairs(mfr):
     lhs = rc_expectation(aug, [(f, R), (f, S)])
     rhs = potts_expectation(model, [(f, R), (f, S)])
     assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+def _tower_by_rows(aug, factors):
+    """The tower mean two more ways: product() on every partition row, and
+    conditional_expectation on every omega weighted by rc_distribution."""
+    table = _ClusterFactors(aug.base, factors)
+    labels, weights = _bond_partitions(aug)
+    by_row = []
+    for row in labels.tolist():
+        g = row[-1]
+        by_row.append(table.product(row, g, [v for v, lab in enumerate(row)
+                                             if lab == v and v != g]))
+    z = math.fsum(weights.tolist())
+    rows = complex(math.fsum(w * x.real for w, x in zip(weights, by_row)) / z,
+                   math.fsum(w * x.imag for w, x in zip(weights, by_row)) / z)
+    dist = rc_distribution(aug).tolist()
+    per_omega = per_config(aug, lambda omega: conditional_expectation(aug, omega, factors))
+    codes = complex(math.fsum(p * x.real for p, x in zip(dist, per_omega)),
+                    math.fsum(p * x.imag for p, x in zip(dist, per_omega)))
+    return rows, codes
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_batched_tower_matches_row_products_and_per_config(data):
+    model = data.draw(small_models(max_n=4))
+    aug = augment(model)
+    factors = [(data.draw(certified_functions(model.q)), data.draw(regions_of(model)))
+               for _ in range(data.draw(st.integers(0, 3)))]
+    got = rc_expectation(aug, factors)
+    rows, codes = _tower_by_rows(aug, factors)
+    assert abs(got - rows) <= 1e-12
+    assert abs(got - codes) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "model, factors",
+    [
+        (path3(q=3, h=(0.4, 0.0, 0.9)), []),
+        (PottsModel((), (), (), (), 3), []),
+        (PottsModel((), (), (), (), 2), [(make_family("A", 2), ())]),
+        (path3(q=3, J=0.8, h=(0.0, 0.6, 0.0)),
+         [(make_family("C", 3, [0.9, 0.2, 0.5]), ("u", "v")),
+          (make_family("A", 3), ("v", "w"))]),
+        (k5_model((0.4, 0.0, 0.1, 0.6, 0.0)),
+         [(make_family("B", 3), ("a", "c", "d")), (make_family("B", 3), ("c", "e"))]),
+    ],
+    ids=["no-factors", "no-vertices", "no-vertices-empty-region", "overlapping-regions",
+         "family-B-K5"],
+)
+def test_batched_tower_cases(model, factors):
+    aug = augment(model)
+    got = rc_expectation(aug, factors)
+    rows, codes = _tower_by_rows(aug, factors)
+    assert abs(got - rows) <= 1e-12
+    assert abs(got - codes) <= 1e-12
+    assert abs(got - potts_expectation(model, factors)) <= 1e-10
+    if not factors:
+        assert got == 1.0 and got.imag == 0.0
+
+
+def test_batched_tower_ghost_cluster_rooted_at_a_real_vertex():
+    # with fields, the ghost's cluster usually holds vertex 0, whose label is
+    # then the cluster's: that root is coloured 0, not a free colour
+    model = path3(q=3, J=0.8, h=(1.0, 0.0, 0.5))
+    aug = augment(model)
+    labels, _ = _bond_partitions(aug)
+    assert np.any(labels[:, -1] == 0)
+    f = make_family("C", 3, [0.9, 0.1, 0.4])
+    table = _ClusterFactors(model, [(f, ("u", "w"))])
+    for row, got in zip(labels.tolist(), table.of_rows(labels)):
+        g = row[-1]
+        want = table.product(row, g, [v for v, lab in enumerate(row) if lab == v and v != g])
+        assert abs(got - want) <= 1e-15
+    without = table.of_rows(labels, include_ghost=False)
+    ghost_free = [table.product(row, row[-1], [v for v, lab in enumerate(row)
+                                               if lab == v and v != row[-1]], False)
+                  for row in labels.tolist()]
+    assert np.max(np.abs(without - ghost_free)) <= 1e-15
+    rows, _ = _tower_by_rows(aug, [(f, ("u", "w"))])
+    assert abs(rc_expectation(aug, [(f, ("u", "w"))]) - rows) <= 1e-12
+
+
+def test_batched_factors_refuse_codes_past_float64():
+    # 54 one-vertex factors: codes up to 2^54 - 1, not exact in float64
+    aug = augment(edge_model())
+    factors = [(make_family("A", 2), ("u",))] * 54
+    with pytest.raises(ModelError):
+        conditional_expectation(aug, [0, 0, 0], factors)
+    with pytest.raises(ModelError):
+        rc_expectation(aug, factors)
 
 
 def _monotone_on_bond_lattice(model, f, R):
