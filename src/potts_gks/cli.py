@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from math import fsum
+from math import fsum, inf
 
 import numpy as np
 
@@ -248,6 +248,13 @@ def _cmd_mc(args) -> dict:
 def _cmd_fuzz(args) -> dict:
     if args.n_max < 1:
         raise ModelError(f"--n-max must be at least 1, got {args.n_max}")
+    for flag, value in (("--J-max", args.J_max), ("--h-max", args.h_max)):
+        if not 0.0 <= value < inf:  # NaN fails every comparison
+            raise ModelError(f"{flag} must be finite and at least 0, got {value}")
+    if not 0.0 <= args.density <= 1.0:
+        raise ModelError(f"--density must lie in [0, 1], got {args.density}")
+    if args.trials < 0:
+        raise ModelError(f"--trials must be at least 0, got {args.trials}")
     config = verify.FuzzConfig(
         trials=args.trials,
         seed=args.seed,

@@ -185,7 +185,7 @@ def _window(sweeps: int, burn_in: int | None) -> int:
     """burn_in, sweeps // 10 by default, checked to lie in [0, sweeps)."""
     burn_in = sweeps // 10 if burn_in is None else burn_in
     if not 0 <= burn_in < sweeps:
-        raise BadWindow(f"need 0 <= burn_in < sweeps, got {burn_in} >= {sweeps}")
+        raise BadWindow(f"burn_in={burn_in} not in [0, sweeps) for sweeps={sweeps}")
     return burn_in
 
 

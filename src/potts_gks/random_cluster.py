@@ -13,17 +13,16 @@ coupling, the conditional expectations it induces, and the connectivity
 event used by the disjoint-support inequality all live here.
 
 Every cluster label comes from _merge, which opens one bond in every row
-of a label table: a single omega is labelled on a one-row table. Sums of a
-function of the cluster partition (Z, the coupled spin law, the tower
-identity) come from _bond_partitions, which adds the bonds one at a time
-to a table of at most about 2 Bell(n+1) partition rows and never visits a
-bond configuration; the table is memoized per augmented graph, so the
-spin law and the tower mean of one graph reduce it once. Only the
-per-configuration arrays (rc_distribution, per_config) walk the 2^|E+|
-codes, in blocks of _bond_weight_blocks. _ClusterFactors gives
-E(prod f^R | omega): of_rows for every row of a label table in one numpy
-pass (the tower mean, and a single omega as one row), product for one
-omega of mc's sampler; both share one memo of cluster factors.
+of a label table: a single omega is labelled on a one-row table. Every
+bond-side sum reads one table of partitions, built by adding the bonds
+one at a time to at most about 2 Bell(n+1) label rows: _bond_partitions
+weights its rows, memoized per augmented graph, for Z, the coupled spin
+law and the tower mean; _code_partitions doubles a code -> row index
+along with it, through which rc_distribution and per_config read every
+code's partition. _ClusterFactors gives E(prod f^R | omega): of_rows for
+every row of a label table in one numpy pass (the tower mean, and a
+single omega as one row), product for one omega of mc's sampler; both
+share one memo of cluster factors.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ import functools
 from dataclasses import dataclass
 from itertools import product
 from math import expm1, factorial, fsum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -47,8 +46,7 @@ from .model import (
 
 _P_MAX = float(np.nextafter(1.0, 0.0))  # keep p < 1 even for huge J, h
 
-_BOND_BLOCK = 1 << 16  # bond configurations per block of _bond_weight_blocks
-# label rows _bond_partitions lets its table reach before regrouping; on a
+# label rows a bond reducer lets its table reach before regrouping; on a
 # smaller table np.unique costs more than the rows it removes save
 _PARTITION_ROWS = 256
 _STATE_BLOCK = 1 << 14  # spin-state entries per chunk of coupled_spin_marginal
@@ -165,46 +163,6 @@ def _omega_labels(aug: AugmentedGraph, omega: Sequence[int]) -> list[int]:
     return labels[0].tolist()
 
 
-def _bond_weight_blocks(
-    aug: AugmentedGraph, cap: int | None = None
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(labels, weights) for every bond configuration, in blocks in code order.
-
-    Row r of a block is code start + r: labels[r] gives every node the
-    minimum node index of its cluster, as _omega_labels does (int8; n+1 <=
-    m + 1 nodes, far below 127 under any cap that can be enumerated), and
-    weights[r] is its unnormalized weight q^k prod p^w (1-p)^(1-w). The
-    low min(m, log2 _BOND_BLOCK) bonds are enumerated once, by doubling:
-    the rows of the codes with bit j set are the rows of the codes < 2^j
-    with bond j merged, and the bond factors double as x(1-p_j) and xp_j.
-    Each block fixes the high bonds and merges them into that table, so a
-    block holds _BOND_BLOCK rows whatever m is. Callers must not write to
-    the yielded arrays.
-    """
-    _check_cap(2**aug.n_bonds, f"the 2^{aug.n_bonds} bond configurations", cap)
-    m, n1 = aug.n_bonds, aug.n_vertices + 1
-    low = min(m, _BOND_BLOCK.bit_length() - 1)
-    table = np.arange(n1, dtype=np.int8)[None, :]
-    k_table = np.array([n1], dtype=np.int8)
-    factors = np.ones(1)
-    for (a, b), p in zip(aug.edge_index[:low], aug.p[:low]):
-        k_table = np.concatenate([k_table, k_table - (table[:, a] != table[:, b])])
-        table = np.concatenate([table, _merge(table, a, b)])
-        factors = np.concatenate([factors * (1.0 - p), factors * p])
-    q_pow = np.array([float(aug.base.q) ** k for k in range(n1 + 1)])
-    for high in range(2 ** (m - low)):
-        labels, k, factor = table, k_table, 1.0
-        for j in range(low, m):
-            a, b = aug.edge_index[j]
-            if (high >> (j - low)) & 1:
-                k = k - (labels[:, a] != labels[:, b])
-                labels = _merge(labels, a, b)
-                factor *= aug.p[j]
-            else:
-                factor *= 1.0 - aug.p[j]
-        yield labels, q_pow[k] * (factors * factor)
-
-
 def _unique_partitions(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """np.unique over label rows by partition: (first row, inverse) per key."""
     n1 = labels.shape[1]
@@ -271,23 +229,46 @@ def _partition_table(aug: AugmentedGraph) -> tuple[np.ndarray, np.ndarray]:
     return labels, weights
 
 
+def _code_partitions(
+    aug: AugmentedGraph, cap: int | None = None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(labels, first, index): code c's partition is labels[index[c]].
+
+    first[r] is a code with partition labels[r]. _partition_table's loop
+    with every bond kept and no weights; the index doubles with the table,
+    as the codes with bond j open are the codes below 2^j shifted by the
+    table's old length. Rows merge past _PARTITION_ROWS rows and after the
+    last bond, so beside the 2^m int32 index the table stays below
+    2 max(_PARTITION_ROWS, Bell(n+1)) int8 rows (n+1 <= m+1, far below 127).
+    """
+    _check_cap(2**aug.n_bonds, f"the 2^{aug.n_bonds} bond configurations", cap)
+    labels = np.arange(aug.n_vertices + 1, dtype=np.int8)[None, :]
+    first = np.zeros(1, dtype=np.int64)
+    index = np.zeros(2**aug.n_bonds, dtype=np.int32)
+    for j, (a, b) in enumerate(aug.edge_index):
+        codes = 1 << j  # the codes with bond j open are codes..2*codes-1
+        index[codes : 2 * codes] = index[:codes] + len(labels)
+        labels = np.concatenate([labels, _merge(labels, a, b)])
+        first = np.concatenate([first, first + codes])
+        if len(labels) > _PARTITION_ROWS or j == aug.n_bonds - 1:
+            rows, inverse = _unique_partitions(labels)
+            labels, first = labels[rows], first[rows]
+            index[: 2 * codes] = inverse.astype(np.int32)[index[: 2 * codes]]
+    return labels, first, index
+
+
 def per_config(
     aug: AugmentedGraph, fn: Callable[[np.ndarray], object], cap: int | None = None
 ) -> list:
     """fn(omega) for every bond configuration, in code order.
 
     fn must depend on omega only through its cluster partition: it is
-    called once per distinct partition of each block of _bond_weight_blocks,
-    on the block's first code with that partition, and its value is
-    repeated for the block's other codes.
+    called once per row of _code_partitions, on the row's first code, and
+    its value is repeated for every other code of the row.
     """
-    values: list = []
-    for labels, _ in _bond_weight_blocks(aug, cap):
-        first, inverse = _unique_partitions(labels)
-        start = len(values)
-        reps = [fn(omega_from_code(aug, start + int(r))) for r in first]
-        values.extend(reps[i] for i in inverse.tolist())
-    return values
+    _, first, index = _code_partitions(aug, cap)
+    reps = [fn(omega_from_code(aug, code)) for code in first.tolist()]
+    return [reps[r] for r in memoryview(index)]  # no list of 2^m ints
 
 
 def rc_weight(aug: AugmentedGraph, omega: Sequence[int]) -> float:
@@ -313,8 +294,17 @@ def rc_probability(
 
 def rc_distribution(aug: AugmentedGraph, cap: int | None = None) -> np.ndarray:
     """phi over all bond configurations, indexed by code (bit i = edge i)."""
-    blocks = [w for _, w in _bond_weight_blocks(aug, cap)]
-    return np.concatenate(blocks) / fsum(float(np.sum(w)) for w in blocks)
+    labels, _, index = _code_partitions(aug, cap)
+    k = np.count_nonzero(labels == np.arange(labels.shape[1]), axis=1)
+    weights = (float(aug.base.q) ** k)[index]
+    del index  # 2^m int32: free it before the bond factors' 2^m floats
+    factors = np.ones(len(weights))  # prod p^w (1-p)^(1-w), doubled bond by bond
+    for j, p in enumerate(aug.p):
+        np.multiply(factors[: 1 << j], p, out=factors[1 << j : 2 << j])
+        factors[: 1 << j] *= 1.0 - p
+    weights *= factors
+    weights /= float(np.sum(weights))
+    return weights
 
 
 # ---------------------------------------------------------------------------

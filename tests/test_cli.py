@@ -1,5 +1,6 @@
 """Command-line interface: JSON-lines reports, exit codes, round trips."""
 
+import hashlib
 import json
 import math
 
@@ -8,6 +9,7 @@ import pytest
 from potts_gks import PottsModel, augment, make_family, rc_probability, verify
 from potts_gks.cli import run
 from potts_gks.mc import estimate_pooled
+from test_random_cluster import six_vertex_model
 
 LN3 = math.log(3)
 
@@ -282,6 +284,21 @@ def test_rc_omega_probability_matches_rc_probability(capsys, edge_model_path, om
     assert abs(got - rc_probability(aug, [int(c) for c in omega])) <= 1e-15
 
 
+# sha256 of the rc stdout on six_vertex_model (17 bonds): the spin law,
+# the tower mean and phi(omega) read bit for bit as first recorded
+FROZEN_RC_SHA256 = "60b99120247459ad1104100aa532ab797c6f10f5a86e583ce204fe6f212d6e93"
+
+
+def test_rc_output_is_frozen(capsys, tmp_path):
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(six_vertex_model().to_json_dict()))
+    code = run(["rc", "--model", str(path), "--f", "A", "--R", "a,b",
+                "--omega", "10100100010100001"])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == FROZEN_RC_SHA256
+
+
 @pytest.mark.parametrize(
     "omega, message",
     [
@@ -430,12 +447,30 @@ def test_fuzz_past_six_vertices(capsys):
     assert lines[-1]["skipped_too_large"] == 0
 
 
-@pytest.mark.parametrize("n_max", ["0", "-1"])
-def test_fuzz_n_max_below_one_exits_two(capsys, n_max):
-    code = run(["fuzz", "--trials", "5", "--seed", "1", "--n-max", n_max])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--n-max", "0"], "--n-max must be at least 1, got 0"),
+        (["--n-max", "-1"], "--n-max must be at least 1, got -1"),
+        (["--J-max", "inf"], "--J-max must be finite and at least 0, got inf"),
+        (["--J-max", "nan"], "--J-max must be finite and at least 0, got nan"),
+        (["--J-max", "-1"], "--J-max must be finite and at least 0, got -1.0"),
+        (["--h-max", "nan"], "--h-max must be finite and at least 0, got nan"),
+        (["--h-max", "-0.5"], "--h-max must be finite and at least 0, got -0.5"),
+        (["--density", "7"], "--density must lie in [0, 1], got 7.0"),
+        (["--density", "-0.5"], "--density must lie in [0, 1], got -0.5"),
+        (["--density", "nan"], "--density must lie in [0, 1], got nan"),
+        (["--trials", "-5"], "--trials must be at least 0, got -5"),
+    ],
+    ids=["0", "-1", "J-max-inf", "J-max-nan", "J-max-negative", "h-max-nan",
+         "h-max-negative", "density-7", "density-negative", "density-nan",
+         "trials-negative"],
+)
+def test_fuzz_bad_ranges_exit_two(capsys, flags, message):
+    code = run(["fuzz", "--trials", "5", "--seed", "1", *flags])
     captured = capsys.readouterr()
     assert code == 2
-    assert f"--n-max must be at least 1, got {n_max}" in captured.err
+    assert f"error: {message}" in captured.err
     assert captured.out == ""
 
 

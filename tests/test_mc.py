@@ -1,6 +1,7 @@
 """Cluster Monte Carlo: invariance, error bars, determinism."""
 
 import math
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -137,10 +138,10 @@ def test_estimate_constant_function_exact():
 
 
 def test_estimate_rejects_bad_window():
-    with pytest.raises(BadWindow):
-        estimate(edge_model(), [], sweeps=100, burn_in=100, seed=0)
-    with pytest.raises(BadWindow):
-        estimate(edge_model(), [], sweeps=100, burn_in=-1, seed=0)
+    for burn_in in (100, -1, -3):
+        message = f"burn_in={burn_in} not in [0, sweeps) for sweeps=100"
+        with pytest.raises(BadWindow, match=re.escape(message)):
+            estimate(edge_model(), [], sweeps=100, burn_in=burn_in, seed=0)
     for chains in (0, -2):
         with pytest.raises(BadWindow):
             estimate_pooled(edge_model(), [], sweeps=100, seed=0, chains=chains)

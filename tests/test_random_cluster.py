@@ -6,7 +6,7 @@ import warnings
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from scipy import stats
 
 from potts_gks import (
@@ -33,7 +33,7 @@ from potts_gks.random_cluster import (
     _P_MAX,
     _ClusterFactors,
     _bond_partitions,
-    _bond_weight_blocks,
+    _code_partitions,
     _group_partitions,
     omega_from_code,
     per_config,
@@ -52,6 +52,9 @@ from strategies import regions as regions_of
 LN2 = math.log(2)
 
 _reduce_bonds = random_cluster._partition_table.__wrapped__  # the uncached reducer
+# subnormal weights carry fewer than 53 bits, so below this floor a
+# normalized weight is compared to an absolute error only
+_TINY = 1e-300
 
 
 def edge_model(q=2, J=LN2, h=(0.0, 0.0)):
@@ -169,8 +172,11 @@ def test_single_config_labels_past_int8_range():
 
 
 @given(small_models(max_n=4))
+@example(PottsModel(("u", "v", "w"), (), (), (0.3, 0.0, 1.0), 3))  # no edges
+@example(PottsModel((), (), (), (), 2))  # no vertices
 def test_per_config_matches_per_code_calls(model):
-    # blocks of 2^3 codes, so most partitions recur in several blocks
+    # the table regroups past 4 rows, so most partitions are merged from
+    # rows made at several bonds
     aug = augment(model)
     f = make_family("A", model.q)
     R, S = model.vertices[:2], model.vertices[-1:]
@@ -180,10 +186,15 @@ def test_per_config_matches_per_code_calls(model):
         lambda omega: clusters(aug, omega),
     ]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(random_cluster, "_BOND_BLOCK", 1 << 3)
+        mp.setattr(random_cluster, "_PARTITION_ROWS", 4)
         for fn in fns:
             want = [fn(omega_from_code(aug, c)) for c in range(2**aug.n_bonds)]
             assert per_config(aug, fn) == want
+    # one call per distinct partition, also when the table never passes
+    # _PARTITION_ROWS rows before the last bond
+    calls = []
+    values = per_config(aug, lambda omega: calls.append(omega) or fns[2](omega))
+    assert len(calls) == len(set(values))
 
 
 def test_omega_code_round_trip():
@@ -243,41 +254,48 @@ def test_rc_probability_single_config():
 
 
 # ---------------------------------------------------------------------------
-# the block reducer
+# the bond reducers
 # ---------------------------------------------------------------------------
 
 
 @given(small_models(max_n=4))
-def test_bond_blocks_match_per_config_labels_and_weights(model):
-    # blocks of 2^3 codes, so most models cross several blocks, and the
-    # partition table regroups past 4 rows; the uncached reducer, so that a
-    # table memoized at the default _PARTITION_ROWS cannot stand in for it
+@example(PottsModel(("u", "v", "w"), (), (), (0.3, 0.0, 1.0), 3))  # no edges
+@example(PottsModel((), (), (), (), 2))  # no vertices
+@example(PottsModel(("u", "v", "w"), (("u", "v"), ("v", "w")), (0.7, 1.2),
+                    (2.2e-313, 0.4, 0.0), 2))  # a subnormal field
+def test_code_partitions_match_per_code_labels_and_weights(model):
+    # every code's row against BFS, rc_distribution against the brute
+    # weights normalized, and the partition table against both; both tables
+    # regroup past 4 rows, and the uncached reducer, so that a table
+    # memoized at the default _PARTITION_ROWS cannot stand in for it
     aug = augment(model)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(random_cluster, "_BOND_BLOCK", 1 << 3)
         mp.setattr(random_cluster, "_PARTITION_ROWS", 4)
-        blocks = list(_bond_weight_blocks(aug))
+        labels, first, index = _code_partitions(aug)
         parts = _reduce_bonds(aug)
-    assert all(len(w) <= 8 for _, w in blocks)
-    labels = np.concatenate([lab for lab, _ in blocks])
-    weights = np.concatenate([w for _, w in blocks])
-    assert labels.shape == (2**aug.n_bonds, aug.n_vertices + 1)
+        dist = rc_distribution(aug)
+    assert index.shape == dist.shape == (2**aug.n_bonds,)
+    assert len({tuple(row) for row in labels.tolist()}) == len(labels)
+    assert index[first].tolist() == list(range(len(labels)))
+    brute = [brute_rc_weight(aug, omega_from_code(aug, c)) for c in range(len(index))]
+    z = math.fsum(brute)
     by_partition = {}
-    for code in range(2**aug.n_bonds):
+    for code, weight in enumerate(brute):
         omega = omega_from_code(aug, code)
         want = [0] * (aug.n_vertices + 1)  # each node's minimum component index
         for comp in bfs_components(aug.n_vertices + 1, zip(aug.edge_index, omega)):
             for x in comp:
                 want[x] = min(comp)
-        assert labels[code].tolist() == want
-        assert weights[code] == pytest.approx(brute_rc_weight(aug, omega), rel=1e-12)
+        assert labels[index[code]].tolist() == want
+        assert dist[code] == pytest.approx(weight / z, rel=1e-12, abs=_TINY)
         key = tuple(want)
-        by_partition[key] = by_partition.get(key, 0.0) + weights[code]
+        by_partition[key] = by_partition.get(key, 0.0) + weight
+    # a partition whose weight underflows is dropped from the table
     got = {tuple(row): w for row, w in zip(parts[0].tolist(), parts[1].tolist())}
     assert len(got) == parts[0].shape[0]
-    assert got.keys() == {k for k, w in by_partition.items() if w > 0}
-    for key, w in got.items():
-        assert w == pytest.approx(by_partition[key], rel=1e-12)
+    assert got.keys() <= by_partition.keys()
+    for key, w in by_partition.items():
+        assert got.get(key, 0.0) / z == pytest.approx(w / z, rel=1e-12, abs=_TINY)
 
 
 @pytest.mark.parametrize("n1", [6, 20, 21, 25])
@@ -301,8 +319,8 @@ def test_partition_grouping_on_wide_label_rows(n1):
 
 
 def six_vertex_model():
-    # 6 vertices and 11 edges: 17 bonds, two blocks at the default size;
-    # three vertices have h = 0, so their ghost bonds never open
+    # 6 vertices and 11 edges: 17 bonds; three vertices have h = 0, so
+    # their ghost bonds never open
     names = "abcdef"
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 4), (2, 3), (2, 5), (3, 4),
              (3, 5), (4, 5), (0, 5)]
@@ -313,6 +331,16 @@ def six_vertex_model():
         (0.3, 0.0, 0.7, 0.0, 0.0, 1.1),
         2,
     )
+
+
+def per_code_weights(aug, labels):
+    """q^k prod p^w (1-p)^(1-w) of every code, given each code's label row."""
+    codes = np.arange(len(labels))[:, None]
+    bits = (codes >> np.arange(aug.n_bonds)) & 1
+    p = np.array(aug.p)
+    bond_factors = np.where(bits == 1, p, 1.0 - p).prod(axis=1)
+    k = np.count_nonzero(labels == np.arange(labels.shape[1]), axis=1)
+    return float(aug.base.q) ** k * bond_factors
 
 
 def k5_model(fields):
@@ -340,8 +368,8 @@ def test_bond_partitions_match_per_code_grouping(model):
     # partitions that only the last regrouping merges; the uncached reducer
     # regroups every time
     aug = augment(model)
-    labels = np.concatenate([lab for lab, _ in _bond_weight_blocks(aug)])
-    weights = np.concatenate([w for _, w in _bond_weight_blocks(aug)])
+    table, _, index = _code_partitions(aug)
+    labels, weights = table[index], per_code_weights(aug, table[index])
     rows, inverse = np.unique(labels, axis=0, return_inverse=True)
     sums = np.bincount(inverse.ravel(), weights)
     want = {tuple(r): w for r, w in zip(rows.tolist(), sums.tolist()) if w > 0}
@@ -351,25 +379,27 @@ def test_bond_partitions_match_per_code_grouping(model):
     assert got.keys() == want.keys()
     for key, w in want.items():
         assert got[key] == pytest.approx(w, rel=1e-12)
-    assert rc_partition(aug) == pytest.approx(math.fsum(weights.tolist()), rel=1e-12)
+    z = math.fsum(weights.tolist())
+    assert rc_partition(aug) == pytest.approx(z, rel=1e-12)
+    assert np.allclose(rc_distribution(aug), weights / z, rtol=1e-12, atol=0.0)
 
 
-def test_reducer_past_one_block_matches_per_code_sums():
+def test_reducers_at_17_bonds_match_per_code_sums():
     aug = augment(six_vertex_model())
-    assert 2**aug.n_bonds == 2 * random_cluster._BOND_BLOCK
+    assert aug.n_bonds == 17
     # P(sigma = 000111) as a product of indicator factors
     factors = [(SpinFunction((1, 0)), ("a", "b", "c")),
                (SpinFunction((0, 1)), ("d", "e", "f"))]
-    weights = np.concatenate([w for _, w in _bond_weight_blocks(aug)]).tolist()
+    dist = rc_distribution(aug).tolist()
+    z = rc_partition(aug)
     for code in range(0, 2**aug.n_bonds, 997):
         omega = omega_from_code(aug, code)
-        assert weights[code] == pytest.approx(rc_weight(aug, omega), rel=1e-12)
+        assert dist[code] == pytest.approx(rc_weight(aug, omega) / z, rel=1e-12)
     g = per_config(
         aug, lambda omega: conditional_expectation(aug, omega, factors).real
     )
-    z = math.fsum(weights)
-    want = math.fsum(w * x for w, x in zip(weights, g)) / z
-    assert rc_partition(aug) == pytest.approx(z, rel=1e-12)
+    want = math.fsum(w * x for w, x in zip(dist, g))
+    assert math.fsum(dist) == pytest.approx(1.0, rel=1e-12)
     assert abs(rc_expectation(aug, factors) - want) <= 1e-12
     assert abs(coupled_spin_marginal(aug)[0b000111] - want) <= 1e-12
 
