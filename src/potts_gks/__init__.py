@@ -39,7 +39,6 @@ from .random_cluster import (
     AugmentedGraph,
     ClusterPartition,
     augment,
-    cluster_moment_product,
     clusters,
     conditional_expectation,
     coupled_spin_marginal,

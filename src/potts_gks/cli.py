@@ -57,6 +57,11 @@ def _emit_check(obj: dict, value: float, tolerance: float) -> bool:
     return value > tolerance
 
 
+def _check_nonnegative(flag: str, value: float) -> None:
+    if not 0.0 <= value < inf:  # NaN fails every comparison
+        raise ModelError(f"{flag} must be finite and at least 0, got {value}")
+
+
 def _parse_region(raw: str | None) -> tuple[str, ...]:
     if not raw:
         return ()
@@ -71,10 +76,6 @@ def _parse_function(spec: str, q: int) -> SpinFunction:
         with open(s) as fh:
             return spin_function_from_spec(json.load(fh))
     return make_family(s, q)
-
-
-def _load_model(path: str) -> PottsModel:
-    return PottsModel.from_json_file(path)
 
 
 def _build_factors(args, model: PottsModel):
@@ -96,7 +97,7 @@ def _build_factors(args, model: PottsModel):
 
 
 def _cmd_exact(args) -> dict:
-    model = _load_model(args.model)
+    model = PottsModel.from_json_file(args.model)
     if args.dump_model:
         _emit({"type": "model", "model": model.to_json_dict()})
     factors = _build_factors(args, model)
@@ -113,10 +114,10 @@ def _cmd_exact(args) -> dict:
 
 
 def _cmd_rc(args) -> dict:
-    model = _load_model(args.model)
+    model = PottsModel.from_json_file(args.model)
     aug = augment(model)
     dist = rc_distribution(aug, args.cap)
-    residual = abs(fsum(dist.tolist()) - 1.0)
+    residual = abs(fsum(dist) - 1.0)  # no list of 2^m floats
     failed = _emit_check(
         {
             "type": "rc_normalization",
@@ -169,11 +170,16 @@ def _cmd_rc(args) -> dict:
 
 
 def _cmd_fclass(args) -> dict:
+    _check_nonnegative("--tol", args.tol)
     if args.f:
-        f = _parse_function(args.f, args.q or 2)
+        for flag, value in (("--kind", args.kind), ("--values", args.values)):
+            if value is not None:
+                raise ModelError(f"--f cannot be combined with {flag}")
+        f = _parse_function(args.f, args.q)
     else:
         values = json.loads(args.values) if args.values else None
-        spec = {"kind": args.kind, "q": args.q, "values": values}
+        kind = "table" if args.kind is None else args.kind
+        spec = {"kind": kind, "q": args.q, "values": values}
         f = spin_function_from_spec(spec)
     report = check_Fq_i(f, args.i, args.M, args.tol)
     _emit(
@@ -196,7 +202,8 @@ def _cmd_fclass(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    model = _load_model(args.model)
+    _check_nonnegative("--tol", args.tol)
+    model = PottsModel.from_json_file(args.model)
     f = _parse_function(args.f, model.q)
     R = _parse_region(args.R)
     kw = {"tol": args.tol, "M": args.M, "cap": args.cap}
@@ -230,7 +237,7 @@ def _cmd_verify(args) -> dict:
 
 
 def _cmd_mc(args) -> dict:
-    model = _load_model(args.model)
+    model = PottsModel.from_json_file(args.model)
     factors = _build_factors(args, model)
     est = mc.estimate_pooled(
         model,
@@ -248,9 +255,9 @@ def _cmd_mc(args) -> dict:
 def _cmd_fuzz(args) -> dict:
     if args.n_max < 1:
         raise ModelError(f"--n-max must be at least 1, got {args.n_max}")
-    for flag, value in (("--J-max", args.J_max), ("--h-max", args.h_max)):
-        if not 0.0 <= value < inf:  # NaN fails every comparison
-            raise ModelError(f"{flag} must be finite and at least 0, got {value}")
+    for flag, value in (("--J-max", args.J_max), ("--h-max", args.h_max),
+                        ("--tol", args.tol)):
+        _check_nonnegative(flag, value)
     if not 0.0 <= args.density <= 1.0:
         raise ModelError(f"--density must lie in [0, 1], got {args.density}")
     if args.trials < 0:
@@ -322,10 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rc)
 
     p = sub.add_parser("fclass", help="membership report for a function")
-    p.add_argument("--kind", default="table", help="A | B | C | table")
+    p.add_argument("--kind", help="A | B | C | table")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--values", help="JSON value list (for C and table)")
-    p.add_argument("--f", help="full function spec or path (overrides --kind)")
+    p.add_argument("--f", help="family name, JSON spec, or path (not with "
+                   "--kind or --values)")
     p.add_argument("--i", type=int, default=0)
     p.add_argument("--M", type=int, default=DEFAULT_M)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)

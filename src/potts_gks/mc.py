@@ -8,7 +8,8 @@ leaves the Potts measure invariant; the test suite checks that rather
 than assuming it.
 
 The sweep loop is one pure-Python kernel over random_cluster's augmented
-graph: its bonds and their probabilities come from ``augment``, and its
+graph: it advances a list of spins in place and returns the samples. Its
+bonds and their probabilities come from ``augment``, and its
 Rao-Blackwellized samples from _ClusterFactors.product, the routine behind
 the exact conditional expectation. All randomness comes from one numpy
 Generator, consumed in a fixed layout, so a seed pins the estimate bit for bit.
@@ -60,16 +61,17 @@ class Estimate:
         }
 
 
-def _run_chain(aug, table, rao, bond_u, colour_u, spins, samples):
-    """Advance the chain one sweep per row of bond_u, recording one sample
+def _run_chain(aug, table, rao, bond_u, colour_u, sp):
+    """Advance the chain one sweep per row of bond_u and return one sample
     per sweep (raw functional of the new spins, or its conditional
     expectation given the bonds when rao is set).
 
-    The chain state lives in Python lists. The spin-independent half of
-    every test is computed once per block with numpy: which bonds pass
-    their uniform, and which colour each uniform picks. A raw sample is
-    memoized by the member spins; a Rao-Blackwellized one is table.product,
-    the routine behind the exact conditional expectation, on the clusters.
+    sp is the chain's spin list with the ghost's 0 last, advanced in place.
+    The spin-independent half of every test is computed once per block
+    with numpy: which bonds pass their uniform, and which colour each
+    uniform picks. A raw sample is memoized by the member spins; a
+    Rao-Blackwellized one is table.product, the routine behind the exact
+    conditional expectation, on the clusters.
     """
     n = aug.n_vertices
     q = aug.base.q
@@ -95,7 +97,6 @@ def _run_chain(aug, table, rao, bond_u, colour_u, spins, samples):
     raw_tab = {}
     member_spins = itemgetter(*(v for _, v in flat)) if flat else lambda _: ()
 
-    sp = spins.tolist() + [0]
     verts = range(n)
     fresh = list(range(n + 1))
     out = []
@@ -137,8 +138,7 @@ def _run_chain(aug, table, rao, bond_u, colour_u, spins, samples):
             key = member_spins(sp)
             val = raw_tab[key] if key in raw_tab else raw_product(key)
         out.append(val)
-    spins[:] = sp[:n]
-    samples[:] = out
+    return out
 
 
 def sw_sweep(
@@ -146,12 +146,11 @@ def sw_sweep(
 ) -> ChainState:
     """One bond-then-colour sweep; returns the new chain state."""
     aug = augment(model)
-    spins = validate_spin_config(model, state.spins).copy()
+    sp = validate_spin_config(model, state.spins).tolist() + [0]
     bond_u = rng.random((1, aug.n_bonds))
     colour_u = rng.random((1, model.n_vertices))
-    samples = np.empty(1, dtype=np.complex128)
-    _run_chain(aug, _ClusterFactors(model, []), False, bond_u, colour_u, spins, samples)
-    return ChainState(spins, state.sweep + 1)
+    _run_chain(aug, _ClusterFactors(model, []), False, bond_u, colour_u, sp)
+    return ChainState(np.array(sp[:-1], dtype=np.int64), state.sweep + 1)
 
 
 def initial_state(model: PottsModel) -> ChainState:
@@ -170,14 +169,14 @@ def _single_chain(
     rng = np.random.default_rng(seed)
     aug = augment(model)
     n = model.n_vertices
-    spins = np.zeros(n, dtype=np.int64)
+    sp = [0] * (n + 1)  # all spins 0, and the ghost's 0 last
     samples = np.empty(sweeps, dtype=np.complex128)
     for start in range(0, sweeps, _SWEEP_BLOCK):
         stop = min(start + _SWEEP_BLOCK, sweeps)
         bond_u = rng.random((stop - start, aug.n_bonds))
         colour_u = rng.random((stop - start, n))
-        _run_chain(aug, table, bool(rao_blackwell), bond_u, colour_u, spins,
-                   samples[start:stop])
+        samples[start:stop] = _run_chain(aug, table, bool(rao_blackwell),
+                                         bond_u, colour_u, sp)
     return samples
 
 

@@ -117,9 +117,6 @@ class SpinFunction:
     def q(self) -> int:
         return len(self.values)
 
-    def __getitem__(self, x: int) -> complex:
-        return self.values[x]
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.complex128)
 

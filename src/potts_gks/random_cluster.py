@@ -66,7 +66,6 @@ class AugmentedGraph:
     """
 
     base: PottsModel
-    ghost: str
     edge_index: tuple[tuple[int, int], ...]
     p: tuple[float, ...]
 
@@ -85,16 +84,13 @@ class AugmentedGraph:
 
 def augment(model: PottsModel) -> AugmentedGraph:
     """Attach the ghost vertex; every vertex gets a ghost edge (p=0 if h=0)."""
-    ghost = "g"
-    while ghost in model.vertices:
-        ghost += "_"
     index = {v: i for i, v in enumerate(model.vertices)}
     n = model.n_vertices
     pairs = [(index[u], index[v]) for u, v in model.edges]
     pairs += [(n, i) for i in range(n)]
     p = [min(-expm1(-J), _P_MAX) for J in model.J]
     p += [min(-expm1(-h), _P_MAX) for h in model.h]
-    return AugmentedGraph(model, ghost, tuple(pairs), tuple(p))
+    return AugmentedGraph(model, tuple(pairs), tuple(p))
 
 
 @dataclass(frozen=True)
@@ -185,14 +181,18 @@ def _group_partitions(
 def _bond_partitions(
     aug: AugmentedGraph, cap: int | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct cluster partitions of positive weight and their total weights.
+    """Distinct cluster partitions and their total weights.
 
     Row j of `labels` is one partition as labels of the n+1 nodes; weights[j]
     sums the weights of every bond configuration with that partition, so a
     function of the partition alone is averaged over at most Bell(n+1) rows
-    instead of 2^m. The cap is checked on every call; the table comes from
-    _partition_table, which reduces each augmented graph once, so the spin
-    law and the tower mean of one graph share it. The arrays are read-only.
+    instead of 2^m. A row is kept when its float weight is positive: q^k
+    multiplies in after the bond factors, so a partition whose product of
+    bond factors underflows to 0 is dropped even if q^k times that product
+    would be representable. The cap is checked on every call; the table
+    comes from _partition_table, which reduces each augmented graph once, so
+    the spin law and the tower mean of one graph share it. The arrays are
+    read-only.
     """
     _check_cap(2**aug.n_bonds, f"the 2^{aug.n_bonds} bond configurations", cap)
     return _partition_table(aug)
@@ -507,27 +507,17 @@ def conditional_expectation(
     aug: AugmentedGraph,
     omega: Sequence[int],
     factors: Sequence[tuple[SpinFunction, Iterable[str]]],
-) -> complex:
-    """E( prod_i f_i(sigma)^{R_i} | omega ) under the cluster colouring."""
-    labels = np.array([_omega_labels(aug, omega)])
-    return complex(_ClusterFactors(aug.base, factors).of_rows(labels)[0])
-
-
-def cluster_moment_product(
-    aug: AugmentedGraph,
-    omega: Sequence[int],
-    f: SpinFunction,
-    region: Iterable[str],
     include_ghost: bool = True,
 ) -> complex:
-    """Single-factor conditional expectation.
+    """E( prod_i f_i(sigma)^{R_i} | omega ) under the cluster colouring.
 
-    With include_ghost=False the f(0)^{|R ∩ A_g|} factor is dropped; that
-    is the second factor of the disjoint-support factorization, where the
-    connectivity indicator makes the ghost term moot.
+    With include_ghost=False the ghost cluster's factor prod_i f_i(0)^{m_i}
+    is dropped: on one factor (f, S) that is the ghost-free factor of the
+    disjoint-support factorization, where the connectivity indicator keeps
+    S off the ghost's cluster.
     """
     labels = np.array([_omega_labels(aug, omega)])
-    table = _ClusterFactors(aug.base, [(f, region)])
+    table = _ClusterFactors(aug.base, factors)
     return complex(table.of_rows(labels, include_ghost)[0])
 
 

@@ -19,7 +19,6 @@ from potts_gks import (
     SpinFunction,
     augment,
     check_Fq_i,
-    cluster_moment_product,
     conditional_expectation,
     coupled_spin_marginal,
     estimate,
@@ -195,8 +194,9 @@ def test_criterion_5_disjoint_support(suite):
                 lhs = conditional_expectation(aug, omega, [(f0, R), (f1, S)])
                 rhs = (
                     event_Z(aug, omega, R, S)
-                    * cluster_moment_product(aug, omega, f0, R)
-                    * cluster_moment_product(aug, omega, f1, S, include_ghost=False)
+                    * conditional_expectation(aug, omega, [(f0, R)])
+                    * conditional_expectation(aug, omega, [(f1, S)],
+                                              include_ghost=False)
                 )
                 return abs(lhs - rhs)
 

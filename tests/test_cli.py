@@ -6,7 +6,14 @@ import math
 
 import pytest
 
-from potts_gks import PottsModel, augment, make_family, rc_probability, verify
+from potts_gks import (
+    PottsModel,
+    augment,
+    make_family,
+    potts_expectation,
+    rc_probability,
+    verify,
+)
 from potts_gks.cli import run
 from potts_gks.mc import estimate_pooled
 from test_random_cluster import six_vertex_model
@@ -62,6 +69,72 @@ def test_fclass_non_member_exits_one(capsys):
     assert code == 1
     assert lines[0]["verdict"] == "fail"
     assert lines[0]["first_violation"][:2] == [1, 0]
+
+
+def test_fclass_product_condition_failure_exits_one(capsys):
+    code, lines = run_lines(
+        capsys,
+        ["fclass", "--kind", "table", "--q", "3", "--values", "[3, -3, 2]"],
+    )
+    assert code == 1
+    assert lines[0]["in_Fq"] is False
+    assert lines[0]["first_violation"] == [1, 2, -20.0]
+    assert lines[-1]["violations"] == 1
+
+
+@pytest.mark.parametrize("flags", [["--kind", "B"], ["--values", "[1, 0, 0]"]],
+                         ids=["kind", "values"])
+def test_fclass_f_excludes_kind_and_values(capsys, flags):
+    code = run(["fclass", "--f", "A", "--q", "3", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: --f cannot be combined with {flags[0]}" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        "verify gks --model {model} --f familyA --R u --S v",
+        "fuzz --trials 2 --seed 1",
+        "fclass --kind A --q 3",
+    ],
+    ids=["verify", "fuzz", "fclass"],
+)
+def test_bad_tolerance_exits_two(capsys, edge_model_path, command, tol):
+    code = run([*command.format(model=edge_model_path).split(), "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2
+    message = f"--tol must be finite and at least 0, got {float(tol)}"
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+def test_verify_real(capsys, edge_model_path):
+    code, lines = run_lines(
+        capsys, ["verify", "real", "--model", edge_model_path, "--f", "familyA",
+                 "--R", "u,v"]
+    )
+    model = PottsModel.from_json_file(edge_model_path)
+    want = potts_expectation(model, [(make_family("A", 2), ("u", "v"))])
+    assert code == 0
+    assert lines[0]["claim"] == "real_nonneg"
+    assert lines[0]["lhs"] == pytest.approx([want.real, want.imag], abs=1e-12)
+    assert lines[0]["verdict"] == "pass"
+    assert lines[-1] == {"checks": 1, "status": "ok", "type": "summary",
+                         "violations": 0}
+
+
+def test_function_spec_from_a_file(capsys, tmp_path, edge_model_path):
+    spec = {"kind": "table", "q": 2, "values": [1.0, 0.25]}
+    path = tmp_path / "f.json"
+    path.write_text(json.dumps(spec))
+    argv = ["verify", "real", "--model", edge_model_path, "--R", "u,v", "--f"]
+    assert run([*argv, str(path)]) == 0
+    from_file = capsys.readouterr().out
+    assert run([*argv, json.dumps(spec)]) == 0
+    assert from_file == capsys.readouterr().out
 
 
 def test_verify_gks(capsys, edge_model_path):
@@ -139,6 +212,15 @@ def test_verify_disjoint(capsys, edge_model_path):
     )
     assert code == 0
     assert lines[0]["margin"] == pytest.approx(0.125, abs=1e-12)
+
+
+def test_verify_disjoint_without_f1_exits_two(capsys, edge_model_path):
+    code = run(["verify", "disjoint", "--model", edge_model_path, "--f", "familyA",
+                "--R", "u", "--S", "v"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error: verify disjoint needs --f1 for the second function" in captured.err
+    assert captured.out == ""
 
 
 def test_verify_uncertified_is_input_error(capsys, edge_model_path):
@@ -235,6 +317,12 @@ def test_fclass_fractional_q_exits_two(capsys):
     # used to certify the 4th roots of unity
     assert run(["fclass", "--f", json.dumps({"kind": "B", "q": 4.9})]) == 2
     assert "q must be an integer, got 4.9" in capsys.readouterr().err
+
+
+def test_fclass_family_shorthand_reads_q(capsys):
+    # --q 0 used to fall back to q = 2 and certify family A
+    assert run(["fclass", "--f", "A", "--q", "0"]) == 2
+    assert "error: q must be >= 2, got 0" in capsys.readouterr().err
 
 
 def test_function_q_mismatch_exits_two(capsys, edge_model_path):
@@ -436,6 +524,17 @@ def test_fuzz_command(capsys):
     assert lines[-1]["type"] == "summary"
     assert lines[-1]["violations"] == 0
     assert lines[-1]["trials"] == 50
+
+
+def test_fuzz_prints_each_failing_report(capsys, monkeypatch):
+    # no certified instance fails, so a stub stands in for a violated check
+    bad = verify.VerificationReport("gks_pair", "x", 0j, 1 + 0j, -1.0, 1e-8, False)
+    monkeypatch.setattr(verify, "verify_gks_pair", lambda *a, **kw: bad)
+    code, lines = run_lines(capsys, ["fuzz", "--trials", "2", "--seed", "1"])
+    assert code == 1
+    assert lines[:-1] == [verify.report_to_json_dict(bad)] * 2
+    assert lines[-1]["type"] == "summary"
+    assert lines[-1]["violations"] == 2
 
 
 def test_fuzz_past_six_vertices(capsys):

@@ -83,6 +83,13 @@ def test_negative_first_moment_fails():
     assert margin == pytest.approx(-1.0)
 
 
+def test_moment_product_condition_fails():
+    # S_m is real and non-negative (3, 2, 22, 8, ...), but q S_3 = 24 < S_1 S_2 = 44
+    report = check_Fq(SpinFunction((3.0, -3.0, 2.0)))
+    assert not report.in_Fq
+    assert report.first_violation == (1, 2, -20.0)
+
+
 def test_fourth_roots_pass_any_bound():
     f = SpinFunction((1, 1j, -1, -1j))
     report = check_Fq_i(f, 0, M=48, tol=1e-9)

@@ -433,16 +433,18 @@ def test_list_kernel_matches_array_kernel(data):
         members[i, list(idx)] = 1
         ftab[i] = g.as_array()
     rng = np.random.default_rng(seed)
-    spins = {kernel: np.zeros(n, dtype=np.int64) for kernel in ("arrays", "lists")}
+    spins = np.zeros(n, dtype=np.int64)
+    sp = [0] * (n + 1)
     for rows in (1, 40, 7):
         bond_u = rng.random((rows, aug.n_bonds))
         colour_u = rng.random((rows, n))
-        samples = {name: np.empty(rows, dtype=np.complex128) for name in spins}
+        want = np.empty(rows, dtype=np.complex128)
         _run_chain_arrays(edge_u, edge_v, p[:E], p[E:], members, ftab, powtab, rao,
-                          bond_u, colour_u, spins["arrays"], samples["arrays"])
-        _run_chain(aug, table, rao, bond_u, colour_u, spins["lists"], samples["lists"])
-        assert np.array_equal(spins["arrays"], spins["lists"])
-        assert samples["arrays"].tobytes() == samples["lists"].tobytes()
+                          bond_u, colour_u, spins, want)
+        got = np.array(_run_chain(aug, table, rao, bond_u, colour_u, sp),
+                       dtype=np.complex128)
+        assert sp == spins.tolist() + [0]
+        assert want.tobytes() == got.tobytes()
 
 
 @settings(max_examples=50)
@@ -459,17 +461,15 @@ def test_rao_blackwell_sample_is_conditional_expectation(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     aug = augment(model)
     bond_u = rng.random((1, aug.n_bonds))
-    spins = np.array(old, dtype=np.int64)
-    sample = np.empty(1, dtype=np.complex128)
-    _run_chain(aug, _ClusterFactors(model, factors), True,
-               bond_u, rng.random((1, n)), spins, sample)
+    new = old + [0]
+    [sample] = _run_chain(aug, _ClusterFactors(model, factors), True,
+                          bond_u, rng.random((1, n)), new)
     sp = old + [0]
     omega = [
         int(sp[a] == sp[b] and u < p)
         for (a, b), u, p in zip(aug.edge_index, bond_u[0], aug.p)
     ]
-    assert abs(sample[0] - conditional_expectation(aug, omega, factors)) <= 1e-13
-    new = spins.tolist() + [0]
+    assert abs(sample - conditional_expectation(aug, omega, factors)) <= 1e-13
     assert all(new[a] == new[b] for (a, b), w in zip(aug.edge_index, omega) if w)
 
 

@@ -13,7 +13,6 @@ from potts_gks import (
     PottsModel,
     SpinFunction,
     augment,
-    cluster_moment_product,
     clusters,
     conditional_expectation,
     coupled_spin_marginal,
@@ -74,7 +73,6 @@ def test_augment_shapes_and_probabilities():
     m = edge_model(J=LN2, h=(LN2, 0.0))
     aug = augment(m)
     assert aug.n_bonds == len(m.edges) + m.n_vertices
-    assert aug.ghost not in m.vertices
     assert aug.p[0] == pytest.approx(0.5, rel=1e-12)  # real edge, J = ln 2
     assert aug.p[1] == pytest.approx(0.5, rel=1e-12)  # ghost edge, h = ln 2
     assert aug.p[2] == 0.0  # h = 0 exactly
@@ -88,12 +86,6 @@ def test_augment_field_free_ghost_edges_are_dead():
 def test_augment_probability_stays_below_one():
     aug = augment(PottsModel(("v",), (), (), (50.0,), 2))
     assert 0.0 < aug.p[0] < 1.0
-
-
-def test_ghost_name_avoids_collision():
-    m = PottsModel(("g", "v"), (("g", "v"),), (1.0,), (0.0, 0.0), 2)
-    aug = augment(m)
-    assert aug.ghost not in m.vertices
 
 
 # ---------------------------------------------------------------------------
@@ -630,7 +622,7 @@ def test_condexp_matches_colouring_oracle(data):
             want = brute_condexp(aug, omega, factors)
             assert abs(conditional_expectation(aug, omega, factors) - want) <= 1e-12
         want = brute_condexp(aug, omega, [(f, R)], include_ghost=False)
-        got = cluster_moment_product(aug, omega, f, R, include_ghost=False)
+        got = conditional_expectation(aug, omega, [(f, R)], include_ghost=False)
         assert abs(got - want) <= 1e-12
 
 
@@ -838,8 +830,8 @@ def _factorization_holds_everywhere(model, f0, f1, R, S):
         lhs = conditional_expectation(aug, omega, [(f0, R), (f1, S)])
         rhs = (
             event_Z(aug, omega, R, S)
-            * cluster_moment_product(aug, omega, f0, R, include_ghost=True)
-            * cluster_moment_product(aug, omega, f1, S, include_ghost=False)
+            * conditional_expectation(aug, omega, [(f0, R)], include_ghost=True)
+            * conditional_expectation(aug, omega, [(f1, S)], include_ghost=False)
         )
         return lhs, rhs
 
@@ -874,5 +866,5 @@ def test_factorization_ghost_contact_zeroed():
     assert lhs == 0j
     # the printed second factor omits the ghost term, so on its own it
     # need not vanish; the indicator does the zeroing
-    f1_only = cluster_moment_product(aug, omega, f1, ("v",), include_ghost=False)
+    f1_only = conditional_expectation(aug, omega, [(f1, ("v",))], include_ghost=False)
     assert f1_only == pytest.approx(1.0, abs=1e-15)

@@ -428,6 +428,16 @@ def test_fuzz_extreme_couplings_and_fields_stay_finite(monkeypatch):
         json.dumps(report_to_json_dict(report), allow_nan=False)
 
 
+def test_fuzz_counts_failing_reports(monkeypatch):
+    # no certified instance fails, so a stub stands in for a violated check
+    bad = verify_module.VerificationReport("gks_pair", "x", 0j, 1 + 0j, -1.0, 1e-8,
+                                           False)
+    monkeypatch.setattr(verify_module, "verify_gks_pair", lambda *a, **kw: bad)
+    result = fuzz(FuzzConfig(trials=3, seed=1))
+    assert result.failures == [bad] * 3
+    assert result.summary_dict()["violations"] == 3
+
+
 def test_fuzz_respects_cap():
     config = FuzzConfig(trials=40, seed=3, cap=8)  # q^n > 8 almost always
     result = fuzz(config)
