@@ -43,7 +43,6 @@ from .random_cluster import (
     conditional_expectation,
     coupled_spin_marginal,
     event_Z,
-    rc_distribution,
     rc_expectation,
     rc_probability,
     sample_spins,

@@ -14,7 +14,7 @@ import functools
 import json
 import os
 import sys
-from math import fsum, inf
+from math import fsum, inf, log
 
 import numpy as np
 
@@ -30,15 +30,16 @@ from .model import (
     ModelError,
     PottsModel,
     SpinFunction,
+    log_partition_function,
     potts_distribution,
     potts_expectation,
 )
 from .random_cluster import (
-    _check_bond_config,
     augment,
     coupled_spin_marginal,
-    rc_distribution,
     rc_expectation,
+    rc_partition,
+    rc_probability,
 )
 
 
@@ -68,14 +69,22 @@ def _parse_region(raw: str | None) -> tuple[str, ...]:
     return tuple(part for part in (p.strip() for p in raw.split(",")) if part)
 
 
-def _parse_function(spec: str, q: int) -> SpinFunction:
-    s = spec.strip()
+def _function_spec(raw: str):
+    """The JSON spec given inline or as a path; None for a family name."""
+    s = raw.strip()
     if s.startswith("{"):
-        return spin_function_from_spec(json.loads(s))
+        return json.loads(s)
     if os.path.exists(s):
         with open(s) as fh:
-            return spin_function_from_spec(json.load(fh))
-    return make_family(s, q)
+            return json.load(fh)
+    return None
+
+
+def _parse_function(raw: str, q: int) -> SpinFunction:
+    spec = _function_spec(raw)
+    if spec is None:
+        return make_family(raw.strip(), q)
+    return spin_function_from_spec(spec)
 
 
 def _build_factors(args, model: PottsModel):
@@ -116,16 +125,18 @@ def _cmd_exact(args) -> dict:
 def _cmd_rc(args) -> dict:
     model = PottsModel.from_json_file(args.model)
     aug = augment(model)
-    dist = rc_distribution(aug, args.cap)
-    residual = abs(fsum(dist) - 1.0)  # no list of 2^m floats
+    # Z_rc = q Z e^(-sum J - sum h): the bond route against the spin route
+    shift = fsum(model.J) + fsum(model.h)
+    diff = abs(log(rc_partition(aug, args.cap)) - log(model.q)
+               - (log_partition_function(model, args.cap) - shift))
     failed = _emit_check(
         {
-            "type": "rc_normalization",
-            "configs": int(dist.shape[0]),
-            "residual": residual,
+            "type": "rc_partition",
+            "log_difference": diff,
+            "tolerance": 1e-10,
         },
-        residual,
-        1e-12,
+        diff,
+        1e-10,
     )
     marginal = coupled_spin_marginal(aug, args.cap)
     pi = potts_distribution(model, args.cap)
@@ -157,13 +168,12 @@ def _cmd_rc(args) -> dict:
             1e-10,
         )
     if args.omega:
-        bits = _check_bond_config(aug, [int(c) for c in args.omega])
-        code = sum(bit << i for i, bit in enumerate(bits))
+        omega = [int(c) for c in args.omega]
         _emit(
             {
                 "type": "rc_probability",
                 "omega": args.omega,
-                "probability": float(dist[code]),
+                "probability": rc_probability(aug, omega, args.cap),
             }
         )
     return _summary(int(failed))
@@ -171,16 +181,19 @@ def _cmd_rc(args) -> dict:
 
 def _cmd_fclass(args) -> dict:
     _check_nonnegative("--tol", args.tol)
+    q = 2 if args.q is None else args.q
     if args.f:
         for flag, value in (("--kind", args.kind), ("--values", args.values)):
             if value is not None:
                 raise ModelError(f"--f cannot be combined with {flag}")
-        f = _parse_function(args.f, args.q)
+        if args.q is not None and _function_spec(args.f) is not None:
+            raise ModelError("--q cannot be combined with a --f spec, "
+                             "which gives its own q")
+        f = _parse_function(args.f, q)
     else:
         values = json.loads(args.values) if args.values else None
         kind = "table" if args.kind is None else args.kind
-        spec = {"kind": kind, "q": args.q, "values": values}
-        f = spin_function_from_spec(spec)
+        f = spin_function_from_spec({"kind": kind, "q": q, "values": values})
     report = check_Fq_i(f, args.i, args.M, args.tol)
     _emit(
         {
@@ -330,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fclass", help="membership report for a function")
     p.add_argument("--kind", help="A | B | C | table")
-    p.add_argument("--q", type=int, default=2)
+    p.add_argument("--q", type=int, default=None)
     p.add_argument("--values", help="JSON value list (for C and table)")
     p.add_argument("--f", help="family name, JSON spec, or path (not with "
                    "--kind or --values)")
@@ -379,6 +392,9 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        cap = getattr(args, "cap", None)  # exact, rc, verify and fuzz take --cap
+        if cap is not None and cap < 1:
+            raise ModelError(f"--cap must be at least 1, got {cap}")
         summary = args.func(args)
         if args.csv:
             keys = sorted(summary)

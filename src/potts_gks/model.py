@@ -76,8 +76,8 @@ class EnumerationTooLarge(ModelError):
     """An exact sum needs a table larger than the cap; use the MC sampler.
 
     The table is q^(w+1) x columns for spin means (w the elimination
-    width), all q^|V| states for the full spin law, and all 2^|E+| bond
-    configurations for the random-cluster measure.
+    width), all q^|V| states for the full spin law, and the partition
+    table's rows x (|V|+1) labels for the random-cluster measure.
     """
 
 
@@ -87,9 +87,12 @@ def default_cap() -> int:
     if not raw:
         return DEFAULT_STATE_CAP
     try:
-        return int(raw)
+        cap = int(raw)
     except ValueError:
         raise ModelError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
+    if cap < 1:
+        raise ModelError(f"{CAP_ENV_VAR} must be at least 1, got {raw!r}")
+    return cap
 
 
 def _check_cap(entries: int, what: str, cap: int | None) -> None:

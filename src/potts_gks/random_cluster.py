@@ -16,13 +16,13 @@ Every cluster label comes from _merge, which opens one bond in every row
 of a label table: a single omega is labelled on a one-row table. Every
 bond-side sum reads one table of partitions, built by adding the bonds
 one at a time to at most about 2 Bell(n+1) label rows: _bond_partitions
-weights its rows, memoized per augmented graph, for Z, the coupled spin
-law and the tower mean; _code_partitions doubles a code -> row index
-along with it, through which rc_distribution and per_config read every
-code's partition. _ClusterFactors gives E(prod f^R | omega): of_rows for
-every row of a label table in one numpy pass (the tower mean, and a
-single omega as one row), product for one omega of mc's sampler; both
-share one memo of cluster factors.
+weights its rows, memoized per augmented graph and cap, for Z, the
+coupled spin law and the tower mean. The cap bounds that table, rows
+times n+1 labels, before each bond doubles it, and not the 2^|E+| bond
+configurations, which are never visited. _ClusterFactors gives
+E(prod f^R | omega): of_rows for every row of a label table in one numpy
+pass (the tower mean, and a single omega as one row), product for one
+omega of mc's sampler; both share one memo of cluster factors.
 """
 
 from __future__ import annotations
@@ -31,16 +31,18 @@ import functools
 from dataclasses import dataclass
 from itertools import product
 from math import expm1, factorial, fsum
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .model import (
+    EnumerationTooLarge,
     ModelError,
     PottsModel,
     SpinFunction,
     _check_cap,
     check_factors,
+    default_cap,
     region_indices,
 )
 
@@ -111,11 +113,6 @@ def _check_bond_config(aug: AugmentedGraph, omega: Sequence[int]) -> list[int]:
     return bits
 
 
-def omega_from_code(aug: AugmentedGraph, code: int) -> np.ndarray:
-    """Bond configuration from an integer; bit i of `code` is edge i of E+."""
-    return np.array([(code >> i) & 1 for i in range(aug.n_bonds)], dtype=np.uint8)
-
-
 def clusters(aug: AugmentedGraph, omega: Sequence[int]) -> ClusterPartition:
     """Open clusters of omega; isolated vertices are singletons."""
     labels = _omega_labels(aug, omega)
@@ -159,22 +156,16 @@ def _omega_labels(aug: AugmentedGraph, omega: Sequence[int]) -> list[int]:
     return labels[0].tolist()
 
 
-def _unique_partitions(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """np.unique over label rows by partition: (first row, inverse) per key."""
+def _group_partitions(
+    labels: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """One row per distinct partition, with the summed weight of its rows."""
     n1 = labels.shape[1]
     if n1 <= len(_FACTORIALS):
         keys = labels @ _FACTORIALS[:n1]
     else:  # the factorial key would overflow int64: compare the rows' bytes
         keys = np.ascontiguousarray(labels).view(np.dtype((np.void, n1))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return first, inverse
-
-
-def _group_partitions(
-    labels: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One row per distinct partition, with the summed weight of its rows."""
-    first, inverse = _unique_partitions(labels)
     return labels[first], np.bincount(inverse, weights)
 
 
@@ -189,19 +180,20 @@ def _bond_partitions(
     instead of 2^m. A row is kept when its float weight is positive: q^k
     multiplies in after the bond factors, so a partition whose product of
     bond factors underflows to 0 is dropped even if q^k times that product
-    would be representable. The cap is checked on every call; the table
-    comes from _partition_table, which reduces each augmented graph once, so
-    the spin law and the tower mean of one graph share it. The arrays are
+    would be representable. The cap (default_cap() when None) bounds the
+    label table _partition_table builds, rows times n+1 labels, not the
+    2^|E+| bond configurations, which it never visits. The table is memoized
+    per graph and cap, so the spin law and the tower mean of one graph share
+    it, and a smaller cap misses the memo and raises. The arrays are
     read-only.
     """
-    _check_cap(2**aug.n_bonds, f"the 2^{aug.n_bonds} bond configurations", cap)
-    return _partition_table(aug)
+    return _partition_table(aug, default_cap() if cap is None else cap)
 
 
 # a caller asks for one graph's table a few times in a row (the spin law,
 # then the tower mean); a table holds at most min(2^|E+|, Bell(n+1)) rows
 @functools.lru_cache(maxsize=8)
-def _partition_table(aug: AugmentedGraph) -> tuple[np.ndarray, np.ndarray]:
+def _partition_table(aug: AugmentedGraph, cap: int) -> tuple[np.ndarray, np.ndarray]:
     """The reducer behind _bond_partitions; __wrapped__ is its uncached body.
 
     The bonds are added one at a time to a table of label rows: each bond
@@ -210,13 +202,21 @@ def _partition_table(aug: AugmentedGraph) -> tuple[np.ndarray, np.ndarray]:
     _PARTITION_ROWS rows. The table so stays below
     2 * max(_PARTITION_ROWS, Bell(n+1)) rows, and no bond configuration is
     visited; q^k, with k the rows' fixed points, multiplies in at the end.
+    Each doubling is checked against the cap before it is allocated, and the
+    int8 labels limit the graph to 127 nodes.
     """
     n1 = aug.n_vertices + 1
+    if n1 > 127:
+        raise EnumerationTooLarge(
+            f"the partition table over {n1} nodes: int8 labels take at most 127"
+        )
     labels = np.arange(n1, dtype=np.int8)[None, :]
     weights = np.ones(1)
     for (a, b), p in zip(aug.edge_index, aug.p):
         if p == 0.0:  # the merged rows would all weigh 0, the rest x1
             continue
+        _check_cap(2 * labels.size,
+                   f"a partition table of {2 * len(labels)} rows x {n1} labels", cap)
         labels = np.concatenate([labels, _merge(labels, a, b)])
         weights = np.concatenate([weights * (1.0 - p), weights * p])
         if len(weights) > _PARTITION_ROWS:
@@ -227,48 +227,6 @@ def _partition_table(aug: AugmentedGraph) -> tuple[np.ndarray, np.ndarray]:
     labels, weights = labels[keep], weights[keep]
     labels.flags.writeable = weights.flags.writeable = False
     return labels, weights
-
-
-def _code_partitions(
-    aug: AugmentedGraph, cap: int | None = None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(labels, first, index): code c's partition is labels[index[c]].
-
-    first[r] is a code with partition labels[r]. _partition_table's loop
-    with every bond kept and no weights; the index doubles with the table,
-    as the codes with bond j open are the codes below 2^j shifted by the
-    table's old length. Rows merge past _PARTITION_ROWS rows and after the
-    last bond, so beside the 2^m int32 index the table stays below
-    2 max(_PARTITION_ROWS, Bell(n+1)) int8 rows (n+1 <= m+1, far below 127).
-    """
-    _check_cap(2**aug.n_bonds, f"the 2^{aug.n_bonds} bond configurations", cap)
-    labels = np.arange(aug.n_vertices + 1, dtype=np.int8)[None, :]
-    first = np.zeros(1, dtype=np.int64)
-    index = np.zeros(2**aug.n_bonds, dtype=np.int32)
-    for j, (a, b) in enumerate(aug.edge_index):
-        codes = 1 << j  # the codes with bond j open are codes..2*codes-1
-        index[codes : 2 * codes] = index[:codes] + len(labels)
-        labels = np.concatenate([labels, _merge(labels, a, b)])
-        first = np.concatenate([first, first + codes])
-        if len(labels) > _PARTITION_ROWS or j == aug.n_bonds - 1:
-            rows, inverse = _unique_partitions(labels)
-            labels, first = labels[rows], first[rows]
-            index[: 2 * codes] = inverse.astype(np.int32)[index[: 2 * codes]]
-    return labels, first, index
-
-
-def per_config(
-    aug: AugmentedGraph, fn: Callable[[np.ndarray], object], cap: int | None = None
-) -> list:
-    """fn(omega) for every bond configuration, in code order.
-
-    fn must depend on omega only through its cluster partition: it is
-    called once per row of _code_partitions, on the row's first code, and
-    its value is repeated for every other code of the row.
-    """
-    _, first, index = _code_partitions(aug, cap)
-    reps = [fn(omega_from_code(aug, code)) for code in first.tolist()]
-    return [reps[r] for r in memoryview(index)]  # no list of 2^m ints
 
 
 def rc_weight(aug: AugmentedGraph, omega: Sequence[int]) -> float:
@@ -290,21 +248,6 @@ def rc_probability(
 ) -> float:
     """phi(omega), normalized over all of Omega+."""
     return rc_weight(aug, omega) / rc_partition(aug, cap)
-
-
-def rc_distribution(aug: AugmentedGraph, cap: int | None = None) -> np.ndarray:
-    """phi over all bond configurations, indexed by code (bit i = edge i)."""
-    labels, _, index = _code_partitions(aug, cap)
-    k = np.count_nonzero(labels == np.arange(labels.shape[1]), axis=1)
-    weights = (float(aug.base.q) ** k)[index]
-    del index  # 2^m int32: free it before the bond factors' 2^m floats
-    factors = np.ones(len(weights))  # prod p^w (1-p)^(1-w), doubled bond by bond
-    for j, p in enumerate(aug.p):
-        np.multiply(factors[: 1 << j], p, out=factors[1 << j : 2 << j])
-        factors[: 1 << j] *= 1.0 - p
-    weights *= factors
-    weights /= float(np.sum(weights))
-    return weights
 
 
 # ---------------------------------------------------------------------------

@@ -70,6 +70,35 @@ def bfs_components(n_nodes: int, edges_with_bits) -> list[set[int]]:
     return comps
 
 
+def code_bits(m: int, code: int) -> list[int]:
+    """Bond configuration of an integer code: bit i of `code` is bond i."""
+    return [(code >> i) & 1 for i in range(m)]
+
+
+def code_partition_keys(aug) -> list[tuple[int, ...]]:
+    """Every code's cluster partition, in code order, by BFS: the key gives
+    each of the n+1 nodes the smallest node index of its component."""
+    n1 = aug.n_vertices + 1
+    keys = []
+    for code in range(2**aug.n_bonds):
+        key = [0] * n1
+        omega = code_bits(aug.n_bonds, code)
+        for comp in bfs_components(n1, zip(aug.edge_index, omega)):
+            low = min(comp)
+            for x in comp:
+                key[x] = low
+        keys.append(tuple(key))
+    return keys
+
+
+def first_omegas(aug, keys) -> dict[tuple[int, ...], list[int]]:
+    """The bond configuration of each partition's first code, by key."""
+    first: dict[tuple[int, ...], int] = {}
+    for code, key in enumerate(keys):
+        first.setdefault(key, code)
+    return {key: code_bits(aug.n_bonds, code) for key, code in first.items()}
+
+
 def brute_rc_weight(aug, omega) -> float:
     """prod p^w (1-p)^(1-w) q^k with BFS cluster counting."""
     n1 = aug.n_vertices + 1
@@ -88,7 +117,7 @@ def brute_coupled_marginal(aug) -> dict[tuple[int, ...], float]:
     total = 0.0
     marginal: dict[tuple[int, ...], float] = {}
     for code in range(2**m):
-        omega = [(code >> i) & 1 for i in range(m)]
+        omega = code_bits(m, code)
         w = brute_rc_weight(aug, omega)
         total += w
         comps = bfs_components(n + 1, zip(aug.edge_index, omega))

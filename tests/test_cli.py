@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from potts_gks.mc import estimate_pooled
 from test_random_cluster import six_vertex_model
 
 LN3 = math.log(3)
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture
@@ -313,6 +317,26 @@ def test_non_finite_function_exits_two(capsys, edge_model_path, values):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("where", ["inline", "path"])
+def test_fclass_q_next_to_a_spec_exits_two(capsys, tmp_path, where):
+    # --q 3 used to be dropped for the spec's own q = 4
+    spec = json.dumps({"kind": "B", "q": 4})
+    if where == "path":
+        path = tmp_path / "f.json"
+        path.write_text(spec)
+        spec = str(path)
+    assert run(["fclass", "--f", spec, "--q", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ("error: --q cannot be combined with a --f spec, "
+                            "which gives its own q\n")
+    assert captured.out == ""
+    code, lines = run_lines(capsys, ["fclass", "--f", spec])
+    assert code == 0 and lines[0]["q"] == 4
+    for argv in (["--f", "B"], ["--kind", "B"]):  # a family reads --q, default 2
+        assert run_lines(capsys, ["fclass", *argv])[1][0]["q"] == 2
+        assert run_lines(capsys, ["fclass", *argv, "--q", "4"])[1][0]["q"] == 4
+
+
 def test_fclass_fractional_q_exits_two(capsys):
     # used to certify the 4th roots of unity
     assert run(["fclass", "--f", json.dumps({"kind": "B", "q": 4.9})]) == 2
@@ -354,7 +378,8 @@ def test_rc_checks(capsys, edge_model_path):
     )
     assert code == 0
     by_type = {l["type"]: l for l in lines}
-    assert by_type["rc_normalization"]["verdict"] == "pass"
+    assert by_type["rc_partition"]["verdict"] == "pass"
+    assert by_type["rc_partition"]["log_difference"] <= 1e-14
     assert by_type["coupling_check"]["verdict"] == "pass"
     assert by_type["tower_check"]["verdict"] == "pass"
     assert by_type["rc_probability"]["probability"] > 0
@@ -372,9 +397,9 @@ def test_rc_omega_probability_matches_rc_probability(capsys, edge_model_path, om
     assert abs(got - rc_probability(aug, [int(c) for c in omega])) <= 1e-15
 
 
-# sha256 of the rc stdout on six_vertex_model (17 bonds): the spin law,
-# the tower mean and phi(omega) read bit for bit as first recorded
-FROZEN_RC_SHA256 = "60b99120247459ad1104100aa532ab797c6f10f5a86e583ce204fe6f212d6e93"
+# sha256 of the rc stdout on six_vertex_model (17 bonds): the Z identity,
+# the spin law, the tower mean and phi(omega) read bit for bit as recorded
+FROZEN_RC_SHA256 = "66b79b72ce1f9aba478a222dea4996708d7db415aa20d775643fa1e67f067eb7"
 
 
 def test_rc_output_is_frozen(capsys, tmp_path):
@@ -578,6 +603,57 @@ def test_cap_flag_limits_enumeration(capsys, edge_model_path):
     err = capsys.readouterr().err
     assert code == 2
     assert "exceed" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+@pytest.mark.parametrize(
+    "command",
+    [
+        "exact --model {model} --f familyA --R u",
+        "rc --model {model}",
+        "verify gks --model {model} --f familyA --R u --S v",
+        "fuzz --trials 3 --seed 1",
+    ],
+    ids=["exact", "rc", "verify", "fuzz"],
+)
+def test_cap_below_one_exits_two(capsys, edge_model_path, command, cap):
+    # fuzz --cap -5 used to skip every check as too large and exit 0
+    code = run([*command.format(model=edge_model_path).split(), "--cap", cap])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: --cap must be at least 1, got {cap}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_cap_env_var_below_one_exits_two(capsys, monkeypatch, cap):
+    monkeypatch.setenv("POTTS_GKS_CAP", cap)
+    code = run(["fuzz", "--trials", "3", "--seed", "1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: POTTS_GKS_CAP must be at least 1, got {cap!r}\n"
+    assert captured.out == ""
+
+
+def test_readme_cli_examples_run_as_written(capsys, tmp_path, monkeypatch):
+    text = README.read_text()
+    model = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
+    (tmp_path / "edge.json").write_text(json.dumps(model))
+    monkeypatch.chdir(tmp_path)
+    commands = [
+        shlex.split(line, comments=True)[1:]
+        for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+        for line in block.replace("\\\n", " ").splitlines()
+        if line.startswith("potts-gks ")
+    ]
+    assert len(commands) >= 7
+    for argv in commands:
+        if argv[0] == "fuzz":
+            # 200 trials: the README's 10^4 would repeat criterion 8
+            argv[argv.index("--trials") + 1] = "200"
+        code, lines = run_lines(capsys, argv)
+        assert code == 0, argv
+        assert lines and lines[-1]["type"] == "summary", argv
 
 
 def test_csv_summary(capsys, edge_model_path):
