@@ -422,6 +422,19 @@ def _eliminate(plan: _Plan, site: np.ndarray, pair: np.ndarray) -> np.ndarray:
     return total
 
 
+def _model_plan(model: PottsModel) -> _Plan:
+    """The elimination plan of the model's graph."""
+    index = {v: i for i, v in enumerate(model.vertices)}
+    pairs = tuple((index[u], index[v]) for u, v in model.edges)
+    return _elimination_plan(model.n_vertices, pairs)
+
+
+def _column_budget(model: PottsModel, cap: int) -> int:
+    """The most columns, Z's included, that one spin_means call on this
+    model may ask for under the cap: its table is q^(w+1) entries a column."""
+    return cap // model.q ** (_model_plan(model).width + 1)
+
+
 def spin_means(
     model: PottsModel,
     columns: Sequence[tuple[Sequence[tuple[SpinFunction, Iterable[str]]], object]],
@@ -443,9 +456,8 @@ def spin_means(
         (check_factors(model, fs), None if c is None else _coordinate_position(model, c))
         for fs, c in columns
     ]
-    n, q, n_cols = model.n_vertices, model.q, 1 + len(prepared)
-    index = {v: i for i, v in enumerate(model.vertices)}
-    plan = _elimination_plan(n, tuple((index[u], index[v]) for u, v in model.edges))
+    q, n_cols = model.q, 1 + len(prepared)
+    plan = _model_plan(model)
     _check_cap(
         q ** (plan.width + 1) * n_cols,
         f"a {q}^{plan.width + 1} x {n_cols} table at elimination width {plan.width}",

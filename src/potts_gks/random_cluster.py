@@ -171,8 +171,8 @@ def _group_partitions(
 
 def _bond_partitions(
     aug: AugmentedGraph, cap: int | None = None
-) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct cluster partitions and their total weights.
+) -> tuple[np.ndarray, np.ndarray, float]:
+    """Distinct cluster partitions, their total weights, and Z_rc.
 
     Row j of `labels` is one partition as labels of the n+1 nodes; weights[j]
     sums the weights of every bond configuration with that partition, so a
@@ -182,18 +182,22 @@ def _bond_partitions(
     bond factors underflows to 0 is dropped even if q^k times that product
     would be representable. The cap (default_cap() when None) bounds the
     label table _partition_table builds, rows times n+1 labels, not the
-    2^|E+| bond configurations, which it never visits. The table is memoized
-    per graph and cap, so the spin law and the tower mean of one graph share
-    it, and a smaller cap misses the memo and raises. The arrays are
+    2^|E+| bond configurations, which it never visits. Z_rc is the fsum of
+    the weights. The table and Z are memoized per graph and cap, so the
+    spin law, the tower mean and every rc_probability of one graph share
+    them, and a smaller cap misses the memo and raises. The arrays are
     read-only.
     """
     return _partition_table(aug, default_cap() if cap is None else cap)
 
 
 # a caller asks for one graph's table a few times in a row (the spin law,
-# then the tower mean); a table holds at most min(2^|E+|, Bell(n+1)) rows
+# the tower mean, rc_probability per omega); a table holds at most
+# min(2^|E+|, Bell(n+1)) rows
 @functools.lru_cache(maxsize=8)
-def _partition_table(aug: AugmentedGraph, cap: int) -> tuple[np.ndarray, np.ndarray]:
+def _partition_table(
+    aug: AugmentedGraph, cap: int
+) -> tuple[np.ndarray, np.ndarray, float]:
     """The reducer behind _bond_partitions; __wrapped__ is its uncached body.
 
     The bonds are added one at a time to a table of label rows: each bond
@@ -203,7 +207,8 @@ def _partition_table(aug: AugmentedGraph, cap: int) -> tuple[np.ndarray, np.ndar
     2 * max(_PARTITION_ROWS, Bell(n+1)) rows, and no bond configuration is
     visited; q^k, with k the rows' fixed points, multiplies in at the end.
     Each doubling is checked against the cap before it is allocated, and the
-    int8 labels limit the graph to 127 nodes.
+    int8 labels limit the graph to 127 nodes. Returns the labels, their
+    weights and Z_rc, the fsum of the weights.
     """
     n1 = aug.n_vertices + 1
     if n1 > 127:
@@ -226,7 +231,7 @@ def _partition_table(aug: AugmentedGraph, cap: int) -> tuple[np.ndarray, np.ndar
     keep = weights > 0.0
     labels, weights = labels[keep], weights[keep]
     labels.flags.writeable = weights.flags.writeable = False
-    return labels, weights
+    return labels, weights, fsum(weights.tolist())
 
 
 def rc_weight(aug: AugmentedGraph, omega: Sequence[int]) -> float:
@@ -240,7 +245,7 @@ def rc_weight(aug: AugmentedGraph, omega: Sequence[int]) -> float:
 
 def rc_partition(aug: AugmentedGraph, cap: int | None = None) -> float:
     """Z of the ghost random-cluster measure: the partitions' summed weights."""
-    return fsum(_bond_partitions(aug, cap)[1].tolist())
+    return _bond_partitions(aug, cap)[2]
 
 
 def rc_probability(
@@ -299,7 +304,7 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
     # row i holds digit i of the column index, so the last j rows of the
     # first q^j columns are the colourings of j slots
     grid = (np.arange(q**slots) // place[n - slots :, None] % q).astype(np.float64)
-    labels, weights = _bond_partitions(aug, cap)
+    labels, weights, z = _bond_partitions(aug, cap)
     real = labels[:, :n]
     roots = (real == np.arange(n)) & (real != labels[:, n:])
     counts = np.count_nonzero(roots, axis=1)
@@ -323,7 +328,7 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
             for high in product(range(q), repeat=k - low):
                 flat = low_flat + (k_strides[chunk, : k - low] @ high)[:, None]
                 np.add.at(marginal, flat.astype(np.intp).ravel(), chunk_weights)
-    return marginal / fsum(weights.tolist())
+    return marginal / z
 
 
 # ---------------------------------------------------------------------------
@@ -484,8 +489,7 @@ def rc_expectation(
 ) -> complex:
     """phi-average of the conditional expectation (the tower identity LHS)."""
     table = _ClusterFactors(aug.base, factors)
-    labels, weights = _bond_partitions(aug, cap)
+    labels, weights, z = _bond_partitions(aug, cap)
     g = table.of_rows(labels)
-    z = fsum(weights.tolist())
     return complex(fsum((weights * g.real).tolist()) / z,
                    fsum((weights * g.imag).tolist()) / z)

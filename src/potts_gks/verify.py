@@ -6,15 +6,22 @@ the raw margin. margin is the worst signed slack across the claim's
 constraints, so verdict == (margin >= -tolerance) holds for every report.
 The fuzzer drives the same checks over randomized instances and returns
 violations only; with the hypotheses enforced there should be none.
+
+Each claim is described once (_real_nonneg, _monotone, _gks_pair,
+_disjoint_support): its certification, its spin-mean columns, and the
+margin and details it derives from their means. A verify_* function runs
+one description through one elimination; the fuzzer runs all of a trial's
+descriptions through one, reading a column that several claims share once.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from math import expm1
-from typing import Iterable, Sequence
+from math import expm1, isfinite
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,12 +35,13 @@ from .function_classes import (
 )
 from .instances import random_model
 from .model import (
-    EnumerationTooLarge,
     ModelError,
     PottsModel,
     SpinFunction,
+    _column_budget,
     _coordinate_position,
-    potts_expectation,
+    default_cap,
+    potts_expectation,  # noqa: F401  (re-exported: callers read verify.potts_expectation)
     spin_means,
 )
 
@@ -120,25 +128,32 @@ def certify(
     return report
 
 
+class _Claim(NamedTuple):
+    """One claim on one input, certified and ready for its means.
+
+    columns are the spin_means columns the claim reads, in order; margin
+    maps their means to (lhs, rhs, primary slack, imaginary residual,
+    details); parts are the inputs digested besides the model.
+    """
+
+    name: str
+    parts: tuple
+    columns: tuple
+    margin: Callable[[list], tuple]
+
+
 def _report(
-    claim: str,
-    model: PottsModel,
-    parts: tuple,
-    lhs: complex,
-    rhs: complex,
-    primary: float,
-    imag: float,
-    tol: float,
-    details: dict,
+    claim: _Claim, model: PottsModel, means: list, tol: float
 ) -> VerificationReport:
-    """The report of one claim; parts are the inputs digested besides the
-    model. The margin is the primary slack folded with the imaginary
-    residual, so (margin >= -tol) == (primary >= -tol and imag <= tol)
-    without masking the informative slack in the usual all-real case."""
+    """The report of one claim from the means of its columns. The margin is
+    the primary slack folded with the imaginary residual, so
+    (margin >= -tol) == (primary >= -tol and imag <= tol) without masking
+    the informative slack in the usual all-real case."""
+    lhs, rhs, primary, imag, details = claim.margin(means)
     margin = primary if imag <= tol else min(primary, -imag)
     return VerificationReport(
-        claim=claim,
-        inputs=_digest(claim, model.to_json_dict(), *parts),
+        claim=claim.name,
+        inputs=_digest(claim.name, model.to_json_dict(), *claim.parts),
         lhs=lhs,
         rhs=rhs,
         margin=margin,
@@ -148,16 +163,109 @@ def _report(
     )
 
 
-def _pair_means(
-    model: PottsModel, factors_a: list, factors_b: list, cap: int | None
-) -> tuple[complex, float, float]:
-    """<a b>, the real product <a><b>, and the largest imaginary part of
-    the three means, from one three-column pass."""
-    _, (both, a, b) = spin_means(
-        model, [(factors_a + factors_b, None), (factors_a, None), (factors_b, None)], cap
-    )
+def _check_tol(tol: float) -> None:
+    if not (isfinite(tol) and tol >= 0.0):
+        raise ModelError(f"tol must be finite and at least 0, got {tol}")
+
+
+def _verify(
+    describe, model: PottsModel, args: tuple, tol: float, M, cap
+) -> VerificationReport:
+    """One claim on its own: describe (and certify) it, then one elimination."""
+    _check_tol(tol)
+    claim = describe(model, *args, M)
+    return _report(claim, model, spin_means(model, claim.columns, cap)[1], tol)
+
+
+def _pair_margin(anti: bool, key: str, means: list) -> tuple:
+    """<a b> against the real product <a><b>, from the columns (ab, a, b):
+    <ab> >= <a><b> is asked for, or <ab> <= <a><b> when anti. The slack is
+    also details[key]."""
+    both, a, b = means
+    product = a.real * b.real
+    primary = product - both.real if anti else both.real - product
     imag = max(abs(both.imag), abs(a.imag), abs(b.imag))
-    return both, a.real * b.real, imag
+    return both, complex(product), primary, imag, {key: primary, "imag_residual": imag}
+
+
+# ---------------------------------------------------------------------------
+# the claims: certification, columns and margin of each
+# ---------------------------------------------------------------------------
+
+
+def _real_nonneg(model: PottsModel, f: SpinFunction, R: Iterable[str], M) -> _Claim:
+    R = tuple(R)
+    certify(model, f, membership_bound(R) if M is None else M)
+
+    def margin(means):
+        (mean,) = means
+        imag = abs(mean.imag)
+        return mean, 0.0, mean.real, imag, {"imag_residual": imag, "real_part": mean.real}
+
+    return _Claim("real_nonneg", (f.values, R), ((((f, R),), None),), margin)
+
+
+def _monotone(
+    model: PottsModel, f: SpinFunction, R: Iterable[str], coordinate, M
+) -> _Claim:
+    R = tuple(R)
+    field, _ = _coordinate_position(model, coordinate)
+    coord_label = f"h[{coordinate}]" if field else "J[{},{}]".format(*coordinate)
+    certify(model, f, membership_bound(R) if M is None else M, need_peak=field)
+
+    def margin(means):
+        mean, mean_fd, mean_d = means
+        mean_d = mean_d.real
+        cov = mean_fd - mean * mean_d
+        fd_margins = {}
+        for step in _FD_STEPS:
+            c = expm1(step)
+            fd_margins[step] = (c * cov / (1.0 + c * mean_d)).real
+        details = {
+            "coordinate": coord_label,
+            "derivative": cov.real,
+            "finite_steps": {str(s): m for s, m in fd_margins.items()},
+            "imag_residual": abs(cov.imag),
+        }
+        primary = min(cov.real, *fd_margins.values())
+        return cov, 0.0, primary, abs(cov.imag), details
+
+    factors = ((f, R),)
+    columns = ((factors, None), (factors, coordinate), ((), coordinate))
+    return _Claim("monotone", (f.values, R, coord_label), columns, margin)
+
+
+def _gks_pair(
+    model: PottsModel, f: SpinFunction, R: Iterable[str], S: Iterable[str], M
+) -> _Claim:
+    R, S = tuple(R), tuple(S)
+    certify(model, f, membership_bound(R, S) if M is None else M)
+    columns = ((((f, R), (f, S)), None), (((f, R),), None), (((f, S),), None))
+    margin = functools.partial(_pair_margin, False, "gks_margin")
+    return _Claim("gks_pair", (f.values, R, S), columns, margin)
+
+
+def _disjoint_support(
+    model: PottsModel,
+    f0: SpinFunction,
+    f1: SpinFunction,
+    R: Iterable[str],
+    S: Iterable[str],
+    M,
+) -> _Claim:
+    R, S = tuple(R), tuple(S)
+    if f0.q != f1.q:
+        raise ModelError("f0 and f1 must share q")
+    if any(a * b != 0 for a, b in zip(f0.values, f1.values)):
+        raise NotDisjoint("f0 * f1 must vanish pointwise")
+    bound = membership_bound(R, S) if M is None else M
+    certify(model, f0, bound)
+    ok, violation = moments_real_nonneg(f1, bound)
+    if not ok:
+        raise NotCertified(f"f1 moments not real/non-negative: {violation}")
+    columns = ((((f0, R), (f1, S)), None), (((f0, R),), None), (((f1, S),), None))
+    margin = functools.partial(_pair_margin, True, "anticorrelation_margin")
+    return _Claim("disjoint_support", (f0.values, f1.values, R, S), columns, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -174,14 +282,7 @@ def verify_real_nonneg(
     cap: int | None = None,
 ) -> VerificationReport:
     """<f^R> must be real and non-negative for certified f."""
-    R = tuple(R)
-    certify(model, f, membership_bound(R) if M is None else M)
-    mean = potts_expectation(model, [(f, R)], cap)
-    imag = abs(mean.imag)
-    details = {"imag_residual": imag, "real_part": mean.real}
-    return _report(
-        "real_nonneg", model, (f.values, R), mean, 0.0, mean.real, imag, tol, details
-    )
+    return _verify(_real_nonneg, model, (f, R), tol, M, cap)
 
 
 def verify_monotone(
@@ -205,31 +306,7 @@ def verify_monotone(
     always has its sign, so the steps are not a second route; the
     independent one is re-enumerating the bumped model, which the tests do.
     """
-    R = tuple(R)
-    field, _ = _coordinate_position(model, coordinate)
-    coord_label = f"h[{coordinate}]" if field else "J[{},{}]".format(*coordinate)
-    certify(model, f, membership_bound(R) if M is None else M, need_peak=field)
-    factors = [(f, R)]
-    _, (mean, mean_fd, mean_d) = spin_means(
-        model, [(factors, None), (factors, coordinate), ((), coordinate)], cap
-    )
-    mean_d = mean_d.real
-    cov = mean_fd - mean * mean_d
-    fd_margins = {}
-    for step in _FD_STEPS:
-        c = expm1(step)
-        fd_margins[step] = (c * cov / (1.0 + c * mean_d)).real
-    details = {
-        "coordinate": coord_label,
-        "derivative": cov.real,
-        "finite_steps": {str(s): m for s, m in fd_margins.items()},
-        "imag_residual": abs(cov.imag),
-    }
-    primary = min(cov.real, *fd_margins.values())
-    return _report(
-        "monotone", model, (f.values, R, coord_label), cov, 0.0, primary,
-        abs(cov.imag), tol, details,
-    )
+    return _verify(_monotone, model, (f, R, coordinate), tol, M, cap)
 
 
 def verify_gks_pair(
@@ -242,15 +319,7 @@ def verify_gks_pair(
     cap: int | None = None,
 ) -> VerificationReport:
     """<f^R f^S> >= <f^R><f^S> for certified f."""
-    R, S = tuple(R), tuple(S)
-    certify(model, f, membership_bound(R, S) if M is None else M)
-    lhs, product, imag = _pair_means(model, [(f, R)], [(f, S)], cap)
-    primary = lhs.real - product
-    details = {"gks_margin": primary, "imag_residual": imag}
-    return _report(
-        "gks_pair", model, (f.values, R, S), lhs, complex(product), primary,
-        imag, tol, details,
-    )
+    return _verify(_gks_pair, model, (f, R, S), tol, M, cap)
 
 
 def verify_disjoint_support(
@@ -267,23 +336,7 @@ def verify_disjoint_support(
 
     f0 must be certified as usual; f1 only needs real non-negative moments.
     """
-    R, S = tuple(R), tuple(S)
-    if f0.q != f1.q:
-        raise ModelError("f0 and f1 must share q")
-    if any(a * b != 0 for a, b in zip(f0.values, f1.values)):
-        raise NotDisjoint("f0 * f1 must vanish pointwise")
-    bound = membership_bound(R, S) if M is None else M
-    certify(model, f0, bound)
-    ok, violation = moments_real_nonneg(f1, bound)
-    if not ok:
-        raise NotCertified(f"f1 moments not real/non-negative: {violation}")
-    lhs, product, imag = _pair_means(model, [(f0, R)], [(f1, S)], cap)
-    primary = product - lhs.real
-    details = {"anticorrelation_margin": primary, "imag_residual": imag}
-    return _report(
-        "disjoint_support", model, (f0.values, f1.values, R, S), lhs,
-        complex(product), primary, imag, tol, details,
-    )
+    return _verify(_disjoint_support, model, (f0, f1, R, S), tol, M, cap)
 
 
 # ---------------------------------------------------------------------------
@@ -385,25 +438,53 @@ def _draw_disjoint_pair(
     return SpinFunction(tuple(v0)), SpinFunction(tuple(v1))
 
 
+def _trial_means(
+    model: PottsModel, claims: list[_Claim], budget: int, cap: int
+) -> list[list[complex]]:
+    """Each claim's means, from one spin_means call when the cap allows.
+
+    A column that several claims read (<f^R> feeds four) is computed once
+    per call. Claims go first-fit, in order, into calls whose columns,
+    Z's included, stay within the budget; at the default cap a trial of
+    the default fuzzer is one call.
+    """
+    calls: list[dict] = []  # per call, each column's position in it
+    placed = []
+    for claim in claims:
+        new = set(claim.columns)
+        for k, call in enumerate(calls):
+            if 1 + len(new.union(call)) <= budget:
+                break
+        else:
+            k = len(calls)
+            calls.append({})
+        for column in claim.columns:
+            calls[k].setdefault(column, len(calls[k]))
+        placed.append(k)
+    means = [spin_means(model, list(call), cap)[1] for call in calls]
+    return [
+        [means[k][calls[k][column]] for column in claim.columns]
+        for k, claim in zip(placed, claims)
+    ]
+
+
 def fuzz(config: FuzzConfig) -> FuzzResult:
     """Randomized search for violations. Deterministic given the seed;
-    uncertified functions and oversize instances are skipped, not failed."""
+    uncertified functions and oversize instances are skipped, not failed.
+
+    A trial draws its model, f, R, S, coordinates and disjoint pair, then
+    describes its claims in a fixed order. Each certified claim whose own
+    table, q^(w+1) x (1 + its columns), fits the cap is evaluated; their
+    means come from one elimination when the trial's columns fit together.
+    """
+    _check_tol(config.tol)
+    if config.trials < 0:
+        raise ModelError(f"trials must be at least 0, got {config.trials}")
+    if config.cap is not None and config.cap < 1:
+        raise ModelError(f"cap must be at least 1, got {config.cap}")
+    cap = default_cap() if config.cap is None else config.cap
     rng = np.random.default_rng(config.seed)
     result = FuzzResult(config, [])
-
-    def run(check, *args, **kwargs):
-        try:
-            report = check(*args, tol=config.tol, cap=config.cap, **kwargs)
-        except NotCertified:
-            result.skipped_not_certified += 1
-            return
-        except EnumerationTooLarge:
-            result.skipped_too_large += 1
-            return
-        result.checks_run += 1
-        if not report.verdict:
-            result.failures.append(report)
-
     for _ in range(config.trials):
         model = _draw_model(rng, config)
         field_free = all(h == 0.0 for h in model.h)
@@ -415,16 +496,33 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
         R = _draw_region(rng, model)
         S = _draw_region(rng, model)
 
-        run(verify_real_nonneg, model, f, R)
+        requests = [(_real_nonneg, (f, R))]
         if model.edges:
             e = int(rng.integers(len(model.edges)))
-            run(verify_monotone, model, f, R, model.edges[e])
-        v = int(rng.integers(model.n_vertices)) if model.n_vertices else None
-        if v is not None:
-            run(verify_monotone, model, f, R, model.vertices[v])
-        run(verify_gks_pair, model, f, R, S)
-
+            requests.append((_monotone, (f, R, model.edges[e])))
+        if model.n_vertices:
+            v = int(rng.integers(model.n_vertices))
+            requests.append((_monotone, (f, R, model.vertices[v])))
+        requests.append((_gks_pair, (f, R, S)))
         f0, f1 = _draw_disjoint_pair(rng, model.q)
-        run(verify_disjoint_support, model, f0, f1, R, S)
+        requests.append((_disjoint_support, (f0, f1, R, S)))
+
+        budget = _column_budget(model, cap)
+        claims = []
+        for describe, args in requests:
+            try:
+                claim = describe(model, *args, None)
+            except NotCertified:
+                result.skipped_not_certified += 1
+                continue
+            if 1 + len(claim.columns) > budget:
+                result.skipped_too_large += 1
+                continue
+            claims.append(claim)
+        for claim, means in zip(claims, _trial_means(model, claims, budget, cap)):
+            report = _report(claim, model, means, config.tol)
+            result.checks_run += 1
+            if not report.verdict:
+                result.failures.append(report)
         result.trials_run += 1
     return result

@@ -554,7 +554,9 @@ def test_fuzz_command(capsys):
 def test_fuzz_prints_each_failing_report(capsys, monkeypatch):
     # no certified instance fails, so a stub stands in for a violated check
     bad = verify.VerificationReport("gks_pair", "x", 0j, 1 + 0j, -1.0, 1e-8, False)
-    monkeypatch.setattr(verify, "verify_gks_pair", lambda *a, **kw: bad)
+    build = verify._report
+    monkeypatch.setattr(verify, "_report", lambda claim, *a: (
+        bad if claim.name == "gks_pair" else build(claim, *a)))
     code, lines = run_lines(capsys, ["fuzz", "--trials", "2", "--seed", "1"])
     assert code == 1
     assert lines[:-1] == [verify.report_to_json_dict(bad)] * 2

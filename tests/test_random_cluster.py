@@ -239,7 +239,7 @@ def test_partition_table_matches_oracle_partitions(model):
     aug = augment(model)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(random_cluster, "_PARTITION_ROWS", 4)
-        labels, weights = _reduce_bonds(aug)
+        labels, weights, _ = _reduce_bonds(aug)
     keys = code_partition_keys(aug)
     brute = [brute_rc_weight(aug, code_bits(aug.n_bonds, c)) for c in range(len(keys))]
     z = math.fsum(brute)
@@ -335,7 +335,7 @@ def test_bond_partitions_match_per_code_grouping(model):
     rows, inverse = np.unique(labels, axis=0, return_inverse=True)
     sums = np.bincount(inverse.ravel(), weights)
     want = {tuple(r): w for r, w in zip(rows.tolist(), sums.tolist()) if w > 0}
-    got_labels, got_weights = _reduce_bonds(aug)
+    got_labels, got_weights, _ = _reduce_bonds(aug)
     got = dict(zip(map(tuple, got_labels.tolist()), got_weights.tolist()))
     assert len(got) == len(got_weights)
     assert got.keys() == want.keys()
@@ -368,7 +368,7 @@ def test_reducers_at_17_bonds_match_per_code_sums():
 def test_partition_memo_checks_the_cap_on_every_call(monkeypatch):
     # 2 live bonds of 5: the table doubles to 2 rows, then to 4 rows x 4 labels
     aug = augment(path3())
-    labels, weights = _bond_partitions(aug)
+    labels, weights, _ = _bond_partitions(aug)
     assert _bond_partitions(aug)[0] is labels  # a hit
     assert labels.size == 16 and _bond_partitions(aug, cap=16)[0] is not labels
     with pytest.raises(EnumerationTooLarge):
@@ -384,8 +384,32 @@ def test_partition_memo_checks_the_cap_on_every_call(monkeypatch):
         coupled_spin_marginal(aug)
 
 
+def test_partition_sum_is_memoized_and_the_cap_checked_on_every_call(monkeypatch):
+    # Z_rc is summed once per memoized table, not once per rc_probability
+    aug = augment(path3(q=3, J=0.8, h=(0.5, 0.0, 1.0)))
+    random_cluster._partition_table.cache_clear()
+    sums = []
+    fsum = random_cluster.fsum
+    monkeypatch.setattr(random_cluster, "fsum", lambda xs: sums.append(1) or fsum(xs))
+    z = rc_partition(aug)
+    probabilities = [rc_probability(aug, omega) for omega in ([0] * 5, [1] * 5, [1, 0] * 2 + [1])]
+    rc_expectation(aug, [])
+    coupled_spin_marginal(aug)
+    assert len(sums) == 1 + 2  # the table's Z, then the tower mean's two numerators
+    assert z == math.fsum(_reduce_bonds(aug)[1].tolist())
+    assert probabilities == [rc_weight(aug, omega) / z
+                             for omega in ([0] * 5, [1] * 5, [1, 0] * 2 + [1])]
+    with pytest.raises(EnumerationTooLarge):
+        rc_probability(aug, [0] * 5, cap=15)
+    monkeypatch.setenv(CAP_ENV_VAR, "15")
+    with pytest.raises(EnumerationTooLarge):
+        rc_probability(aug, [0] * 5)
+    with pytest.raises(EnumerationTooLarge):
+        rc_partition(aug)
+
+
 def test_partition_memo_is_read_only():
-    labels, weights = _bond_partitions(augment(path3(q=3, h=(0.5, 0.0, 1.0))))
+    labels, weights, _ = _bond_partitions(augment(path3(q=3, h=(0.5, 0.0, 1.0))))
     with pytest.raises(ValueError):
         labels[0, 0] = 1
     with pytest.raises(ValueError):
@@ -577,7 +601,7 @@ def test_coupled_marginal_chunks_match_potts_and_oracle(model, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(random_cluster, "_STATE_BLOCK", block)
         marginal = coupled_spin_marginal(aug)
-    labels, _ = _bond_partitions(aug)
+    labels, _, _ = _bond_partitions(aug)
     assert np.any(labels[:, n] < n)
     k = [len(set(row[:n]) - {row[n]}) for row in labels.tolist()]
     chunks = sum(-(-k.count(c) // max(1, block // q**c)) for c in set(k))
@@ -691,7 +715,7 @@ def _tower_by_rows(aug, factors):
     conditional_expectation on every code, once per oracle partition, weighted
     by the code's brute weight."""
     table = _ClusterFactors(aug.base, factors)
-    labels, weights = _bond_partitions(aug)
+    labels, weights, _ = _bond_partitions(aug)
     by_row = []
     for row in labels.tolist():
         g = row[-1]
@@ -754,7 +778,7 @@ def test_batched_tower_ghost_cluster_rooted_at_a_real_vertex():
     # then the cluster's: that root is coloured 0, not a free colour
     model = path3(q=3, J=0.8, h=(1.0, 0.0, 0.5))
     aug = augment(model)
-    labels, _ = _bond_partitions(aug)
+    labels, _, _ = _bond_partitions(aug)
     assert np.any(labels[:, -1] == 0)
     f = make_family("C", 3, [0.9, 0.1, 0.4])
     table = _ClusterFactors(model, [(f, ("u", "w"))])

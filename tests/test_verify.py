@@ -9,7 +9,9 @@ from hypothesis import given
 
 from potts_gks import (
     BadEdge,
+    EnumerationTooLarge,
     FuzzConfig,
+    ModelError,
     NotCertified,
     NotDisjoint,
     PottsModel,
@@ -73,16 +75,17 @@ def test_real_nonneg_staircase_pair_value():
 
 INDICATORS = (SpinFunction((1.0, 0.0)), SpinFunction((0.0, 1.0)))
 CLAIM_IDS = ["real_nonneg", "monotone", "gks_pair", "disjoint_support"]
+CLAIM_CASES = [
+    (verify_real_nonneg, (make_family("A", 2), ("u", "v"))),
+    (verify_monotone, (make_family("A", 2), ("u", "v"), ("u", "v"))),
+    (verify_gks_pair, (make_family("A", 2), ("u",), ("v",))),
+    (verify_disjoint_support, (*INDICATORS, ("u",), ("v",))),
+]
 
 
 @pytest.mark.parametrize(
     "claim, args",
-    [
-        (verify_real_nonneg, (make_family("A", 2), ("u", "v"))),
-        (verify_monotone, (make_family("A", 2), ("u", "v"), ("u", "v"))),
-        (verify_gks_pair, (make_family("A", 2), ("u",), ("v",))),
-        (verify_disjoint_support, (*INDICATORS, ("u",), ("v",))),
-    ],
+    CLAIM_CASES,
     ids=CLAIM_IDS,
 )
 def test_verdict_matches_margin_invariant(claim, args):
@@ -93,7 +96,7 @@ def test_verdict_matches_margin_invariant(claim, args):
 @pytest.mark.parametrize(
     "claim, args, means",
     [
-        (verify_real_nonneg, (make_family("A", 2), ("u",)), 0.5 + 1e-6j),
+        (verify_real_nonneg, (make_family("A", 2), ("u",)), [0.5 + 1e-6j]),
         (verify_monotone, (make_family("A", 2), ("u",), ("u", "v")),
          [0.5, 0.5 + 1e-6j, 0.5]),
         (verify_gks_pair, (make_family("A", 2), ("u",), ("v",)), [0.5 + 1e-6j, 0.5, 0.5]),
@@ -104,18 +107,12 @@ def test_verdict_matches_margin_invariant(claim, args):
 def test_imaginary_residual_fails_a_passing_real_slack(monkeypatch, claim, args, means):
     # every real slack is 0.02 or more (0.5, 0.025, 0.25, 0.15), so only the
     # 1e-6 imaginary part of a mean, above the 1e-8 tolerance, fails the claim
-    def patch(means):
-        if claim is verify_real_nonneg:
-            monkeypatch.setattr(verify_module, "potts_expectation", lambda *a: means)
-        else:
-            monkeypatch.setattr(verify_module, "spin_means", lambda *a: (0.0, means))
-
-    patch(means)
+    monkeypatch.setattr(verify_module, "spin_means", lambda *a: (0.0, means))
     report = claim(edge_model(), *args)
     assert report.details["imag_residual"] == 1e-6
     assert report.verdict is False
     assert report.margin == -1e-6
-    patch(means.real if claim is verify_real_nonneg else [m.real for m in means])
+    means = [m.real for m in means]  # the stub returns the rebound list
     report = claim(edge_model(), *args)
     assert report.verdict is True and report.margin > 0.02
 
@@ -407,19 +404,23 @@ def test_fuzz_deterministic_replay():
     assert a.checks_run == b.checks_run
 
 
+def record_reports(monkeypatch) -> list:
+    """Hook verify._report, which builds every report the fuzzer checks."""
+    reports = []
+    build = verify_module._report
+
+    def record(*args, **kwargs):
+        report = build(*args, **kwargs)
+        reports.append(report)
+        return report
+
+    monkeypatch.setattr(verify_module, "_report", record)
+    return reports
+
+
 def test_fuzz_extreme_couplings_and_fields_stay_finite(monkeypatch):
     # J and h up to 1e3: exp of the raw log-weights overflows a double
-    reports = []
-    for name in ("verify_real_nonneg", "verify_monotone", "verify_gks_pair",
-                 "verify_disjoint_support"):
-        check = getattr(verify_module, name)
-
-        def collect(*args, _check=check, **kwargs):
-            report = _check(*args, **kwargs)
-            reports.append(report)
-            return report
-
-        monkeypatch.setattr(verify_module, name, collect)
+    reports = record_reports(monkeypatch)
     config = FuzzConfig(trials=150, seed=5, J_range=(0.0, 1e3), h_range=(0.0, 1e3))
     result = fuzz(config)
     assert result.failures == []
@@ -432,34 +433,148 @@ def test_fuzz_counts_failing_reports(monkeypatch):
     # no certified instance fails, so a stub stands in for a violated check
     bad = verify_module.VerificationReport("gks_pair", "x", 0j, 1 + 0j, -1.0, 1e-8,
                                            False)
-    monkeypatch.setattr(verify_module, "verify_gks_pair", lambda *a, **kw: bad)
+    build = verify_module._report
+    monkeypatch.setattr(verify_module, "_report", lambda claim, *a: (
+        bad if claim.name == "gks_pair" else build(claim, *a)))
     result = fuzz(FuzzConfig(trials=3, seed=1))
     assert result.failures == [bad] * 3
     assert result.summary_dict()["violations"] == 3
 
 
-def test_fuzz_respects_cap():
-    config = FuzzConfig(trials=40, seed=3, cap=8)  # q^n > 8 almost always
+def test_fuzz_respects_cap(monkeypatch):
+    # q^(w+1) x 2 > 8 almost always; an oversize claim that reached its
+    # elimination would raise EnumerationTooLarge out of fuzz
+    reports = record_reports(monkeypatch)
+    config = FuzzConfig(trials=40, seed=3, cap=8)
     result = fuzz(config)
     assert result.skipped_too_large > 0
+    assert len(reports) == result.checks_run
 
 
-# SHA-256 of the (inputs, margin, verdict) stream below, taken before the
-# membership checks were memoized: certifying an f once per trial must not
-# change a bit of any report
-FROZEN_STREAM_SHA256 = "d3822caafbcc83e3ce661a326b6b2069158aa778a0cb328e5e814e2333d07afe"
+@pytest.mark.parametrize(
+    "changes",
+    [{"cap": -5}, {"cap": 0}, {"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf},
+     {"trials": -3}],
+    ids=["cap-5", "cap0", "tol-nan", "tol-negative", "tol-inf", "trials-negative"],
+)
+def test_fuzz_refuses_a_bad_config(changes):
+    # cap -5 used to skip all 14 checks as too large, tol nan or -1 to fail
+    # all 14, and trials -3 to run none, each without an error
+    with pytest.raises(ModelError, match=f"{next(iter(changes))} must be"):
+        fuzz(FuzzConfig(**{"trials": 3, "seed": 1, **changes}))
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+@pytest.mark.parametrize(
+    "claim, args",
+    CLAIM_CASES,
+    ids=CLAIM_IDS,
+)
+def test_verify_refuses_a_bad_tol(claim, args, tol):
+    with pytest.raises(ModelError, match="tol must be finite and at least 0"):
+        claim(edge_model(), *args, tol=tol)
+
+
+SINGLE_CLAIM = {
+    "_real_nonneg": verify_real_nonneg,
+    "_monotone": verify_monotone,
+    "_gks_pair": verify_gks_pair,
+    "_disjoint_support": verify_disjoint_support,
+}
+
+
+def record_descriptions(monkeypatch) -> list:
+    """Hook the claim descriptions the fuzzer calls: one (public check,
+    model, args) entry per claim it asks for, certified or not."""
+    asked = []
+    for name, check in SINGLE_CLAIM.items():
+        describe = getattr(verify_module, name)
+
+        def record(model, *args, _describe=describe, _check=check):
+            asked.append((_check, model, args[:-1]))
+            return _describe(model, *args)
+
+        monkeypatch.setattr(verify_module, name, record)
+    return asked
+
+
+def test_fuzz_reports_match_the_single_claim_route(monkeypatch):
+    asked = record_descriptions(monkeypatch)
+    reports = record_reports(monkeypatch)
+    families = ("A", "B", "C", "table", "adversarial", "shiftA")
+    result = fuzz(FuzzConfig(trials=300, seed=8, families=families))
+    monkeypatch.undo()
+    alone = []
+    for check, model, args in asked:
+        try:
+            alone.append(check(model, *args))
+        except NotCertified:
+            pass
+    assert len(alone) == len(reports) == result.checks_run > 900
+    assert result.skipped_not_certified == len(asked) - len(alone) > 0
+    drift = 0.0
+    for got, want in zip(reports, alone):
+        assert (got.claim, got.inputs, got.verdict) == (want.claim, want.inputs, want.verdict)
+        assert got.details.keys() == want.details.keys()
+        drift = max(drift, abs(got.margin - want.margin))
+    assert drift <= 1e-15
+
+
+@pytest.mark.parametrize("cap", [81, 150])
+def test_fuzz_cap_window_skips_as_the_single_claim_route(monkeypatch, cap):
+    # every model is a q=3 triangle, width 2, so a column costs 27 entries:
+    # cap 81 holds real_nonneg's 2 columns but no 4-column claim, cap 150
+    # every claim but not a trial's 10 columns, which go in several calls
+    calls = count_spin_means(monkeypatch)
+    asked = record_descriptions(monkeypatch)
+    config = FuzzConfig(trials=60, seed=2, q_values=(3,), n_range=(3, 3),
+                        edge_density=1.0, cap=cap)
+    result = fuzz(config)
+    monkeypatch.undo()
+    counts = {"checks": 0, "skipped_not_certified": 0, "skipped_too_large": 0}
+    for check, model, args in asked:
+        try:
+            check(model, *args, cap=cap)
+            counts["checks"] += 1
+        except NotCertified:
+            counts["skipped_not_certified"] += 1
+        except EnumerationTooLarge:
+            counts["skipped_too_large"] += 1
+    summary = result.summary_dict()
+    assert {key: summary[key] for key in counts} == counts
+    assert (counts["skipped_too_large"] > 0) == (cap == 81)
+    assert (len(calls) > result.trials_run) == (cap == 150)
+
+
+def count_spin_means(monkeypatch) -> list:
+    calls = []
+    means = verify_module.spin_means
+
+    def count(model, columns, cap=None):
+        calls.append(len(columns))
+        return means(model, columns, cap)
+
+    monkeypatch.setattr(verify_module, "spin_means", count)
+    return calls
+
+
+def test_fuzz_takes_one_elimination_per_trial(monkeypatch):
+    calls = count_spin_means(monkeypatch)
+    for seed in range(150):
+        calls.clear()
+        result = fuzz(FuzzConfig(trials=1, seed=seed))
+        assert len(calls) == (1 if result.checks_run else 0)
+        assert calls == [] or calls[0] <= 10
+
+
+# SHA-256 of the (inputs, margin, verdict) stream below, taken once a trial's
+# means came from one elimination: a margin may differ from the one-claim
+# route's by rounding (test_fuzz_reports_match_the_single_claim_route)
+FROZEN_STREAM_SHA256 = "47b8a98392d2952e6b8583670abee04c1bdac3e6fe8851fd197108761521f76a"
 
 
 def test_fuzz_report_stream_is_frozen(monkeypatch):
-    reports = []
-    build = verify_module._report
-
-    def record(*args, **kwargs):
-        report = build(*args, **kwargs)
-        reports.append(report)
-        return report
-
-    monkeypatch.setattr(verify_module, "_report", record)
+    reports = record_reports(monkeypatch)
     config = FuzzConfig(trials=400, seed=42,
                         families=("A", "B", "C", "table", "adversarial"))
     result = fuzz(config)
@@ -469,3 +584,19 @@ def test_fuzz_report_stream_is_frozen(monkeypatch):
     }
     blob = "\n".join(json.dumps([r.inputs, r.margin, r.verdict]) for r in reports)
     assert hashlib.sha256(blob.encode()).hexdigest() == FROZEN_STREAM_SHA256
+
+
+# SHA-256 of the (claim, inputs, verdict) stream of the same 400 trials, taken
+# while each check ran its own elimination: batching a trial's means may move
+# the last bits of a margin, but not which claims run, on what, or a verdict
+CLAIM_STREAM_SHA256 = "aa68e9bba454f31825e6baf06c06ca058bfd0e6988706a05b6f92c77d7a01bd2"
+
+
+def test_fuzz_claim_stream_is_frozen(monkeypatch):
+    reports = record_reports(monkeypatch)
+    config = FuzzConfig(trials=400, seed=42,
+                        families=("A", "B", "C", "table", "adversarial"))
+    fuzz(config)
+    assert len(reports) == 1604
+    blob = "\n".join(json.dumps([r.claim, r.inputs, r.verdict]) for r in reports)
+    assert hashlib.sha256(blob.encode()).hexdigest() == CLAIM_STREAM_SHA256
