@@ -275,10 +275,18 @@ def _cmd_fuzz(args) -> dict:
         raise ModelError(f"--density must lie in [0, 1], got {args.density}")
     if args.trials < 0:
         raise ModelError(f"--trials must be at least 0, got {args.trials}")
+    q_values = (2, 3, 4, 5)
+    if args.q is not None:
+        try:
+            q_values = tuple(int(q) for q in _parse_region(args.q))
+        except ValueError:
+            q_values = ()
+        if not q_values or min(q_values) < 2:
+            raise ModelError(f"--q must list integers of at least 2, got {args.q!r}")
     config = verify.FuzzConfig(
         trials=args.trials,
         seed=args.seed,
-        q_values=tuple(int(q) for q in _parse_region(args.q)) or (2, 3, 4, 5),
+        q_values=q_values,
         n_range=(1, args.n_max),
         edge_density=args.density,
         J_range=(0.0, args.J_max),

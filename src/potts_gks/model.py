@@ -9,10 +9,12 @@ prod_{v in R} f(sigma_v) are exact sums over the q^|V| spin states,
 computed by variable elimination: the weight factorises into one table
 per vertex (field and f) and one per edge (coupling), and summing the
 vertices out in a min-degree order costs O(|V| q^(w+1)), where w is the
-order's width. One reducer (spin_means) returns log Z and
-every requested mean from a single elimination; the other exact routines
-are thin callers of it. potts_distribution, which needs the whole law,
-multiplies the same tables out into one q^|V| array instead of summing.
+order's width. A vertex's bucket of tables is one einsum, or a chain of
+two-operand einsums where that costs less. One reducer (spin_means)
+returns log Z and every requested mean from a single elimination; the
+other exact routines are thin callers of it. potts_distribution, which
+needs the whole law, multiplies the same tables out into one q^|V| array
+instead of summing.
 
 Overflow policy: every table is shifted so that its largest entry, at
 spin 0 or on the diagonal, is 1: a site table is 1 at sigma == 0 and
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import heapq
 import json
 import math
 import os
@@ -38,9 +41,6 @@ import numpy as np
 
 DEFAULT_STATE_CAP = 1 << 24
 CAP_ENV_VAR = "POTTS_GKS_CAP"
-
-# numpy 1.x einsum iterates at most 32 arrays, its output included
-_MAX_OPERANDS = 31
 
 
 class ModelError(ValueError):
@@ -358,15 +358,102 @@ class _Plan(NamedTuple):
     roots: tuple[int, ...]  # the operands left with only the column axis
 
 
-@functools.lru_cache(maxsize=128)  # a run revisits few graphs; a plan is ~2 KB
-def _elimination_plan(n: int, pairs: tuple[tuple[int, int], ...]) -> _Plan:
+# What one np.einsum call costs besides its multiply-adds, in multiply-adds:
+# about 2.5 us of dispatch against about 5 ns a multiply-add in the loop of an
+# einsum over many operands, the one a split replaces (numpy 2.4, 2-vCPU Xeon)
+_CALL_COST = 500
+# numpy 1.x einsum iterates at most 32 arrays, its output included: a bucket
+# with more operands is paired down before its last einsum
+_EINSUM_OPERANDS = 31
+
+
+def _bucket_pairs(
+    scopes: list[tuple], vertices: tuple, n_kept: int, width: int, q: int
+) -> list[tuple]:
+    """The two-operand steps that open one bucket's contraction.
+
+    scopes are the scopes of the bucket's operands, vertices the bucket's,
+    and its output keeps the last n_kept of them. Pairs are taken
+    greedily, the one with the smallest result first (then the smallest
+    joint scope, then the lowest operands), and only while that result has
+    at most `width` vertices; pair j appends operand len(scopes) + j. A
+    result keeps the vertices that the output or another operand still
+    holds. An einsum costs _CALL_COST plus its operands times
+    q^(its vertices), and the steps returned are the prefix of that order
+    that, with one einsum over the operands it leaves, costs least (ties
+    to the shorter prefix): [] keeps the bucket one einsum. A bucket of at
+    most _CALL_COST entries stays whole without the search, since an
+    operand that a pair takes out of its einsum saves less than the pair's
+    call. Returns [(a, b, result scope)], the scope in the order of
+    `vertices`.
+
+    A step changes how many operands hold a vertex only if both of its
+    operands hold it, and then its result holds it unless it is summed out
+    (and so held by no other operand). So a pair that outlives a step
+    scores the same after it as before: each pair is scored once, when its
+    newer operand appears, and a heap yields the greedy order.
+    """
+    k, entries = len(scopes), q ** len(vertices)
+    if k <= _EINSUM_OPERANDS and (k < 3 or entries <= _CALL_COST):
+        return []
+    bit = {x: 1 << j for j, x in enumerate(vertices)}
+    masks = [sum(bit[x] for x in scope) for scope in scopes]
+    # how many live operands hold each vertex
+    held = {y: sum(bool(m & y) for m in masks) for y in bit.values()}
+    keep = sum(bit[x] for x in vertices[len(vertices) - n_kept :])
+
+    def scored(older, b):  # the heap entries of the pairs (a, b), a in older
+        needed = keep | sum(y for y, c in held.items() if c > 2)
+        twice = sum(y for y, c in held.items() if c == 2)
+        for a in older:
+            joint = masks[a] | masks[b]
+            result = joint & (needed | (twice & ~(masks[a] & masks[b])))
+            yield result.bit_count(), joint.bit_count(), a, b, result
+
+    heap = [entry for b in range(1, k) for entry in scored(range(b), b)]
+    heapq.heapify(heap)
+    live, pairs, cost = set(range(k)), [], 0
+    best = (_CALL_COST + k * entries if k <= _EINSUM_OPERANDS else math.inf, 0)
+    while heap:
+        size, joint, a, b, result = heapq.heappop(heap)
+        if a not in live or b not in live:
+            continue
+        if size > width:
+            break
+        live.difference_update((a, b))
+        for y in held:
+            held[y] += bool(result & y) - bool(masks[a] & y) - bool(masks[b] & y)
+        masks.append(result)
+        pairs.append((a, b, result))
+        cost += _CALL_COST + 2 * q**joint
+        for entry in scored(live, len(masks) - 1):
+            heapq.heappush(heap, entry)
+        live.add(len(masks) - 1)
+        if len(live) > _EINSUM_OPERANDS:
+            continue
+        rest = 0  # the last pair made the output
+        if len(live) > 1:
+            rest = _CALL_COST + len(live) * q ** sum(1 for c in held.values() if c)
+        if cost + rest < best[0]:
+            best = (cost + rest, len(pairs))
+    return [
+        (a, b, tuple(x for x in vertices if bit[x] & result))
+        for a, b, result in pairs[: best[1]]
+    ]
+
+
+# a plan is ~2 KB; 512 hold the 300 (graph, q) keys the fuzzer draws at n <= 4
+@functools.lru_cache(maxsize=512)
+def _elimination_plan(n: int, pairs: tuple[tuple[int, int], ...], q: int) -> _Plan:
     """Min-degree order (ties to the lower index) and its einsum steps.
 
-    Each step sums out one vertex, except the last, which sums out every
-    vertex left once at most w + 1 remain: the largest table stays
-    q^(w+1) entries per column, and small graphs take fewer steps.
-    Depends on the graph alone, so one plan serves every J, h, q and
-    column set on it.
+    Each bucket sums out one vertex, except the last, which sums out every
+    vertex left once at most w + 1 remain: no bucket spans more than w + 1
+    vertices, and small graphs take fewer steps. A bucket is one einsum
+    over its operands unless, at this q, opening it with two-operand steps
+    (_bucket_pairs) costs less; a table such a step makes lies within the
+    bucket and has at most w vertices. So the largest table stays q^(w+1)
+    entries per column.
     """
     adj = [set() for _ in range(n)]
     for u, v in pairs:
@@ -382,29 +469,41 @@ def _elimination_plan(n: int, pairs: tuple[tuple[int, int], ...]) -> _Plan:
         width = max(width, len(adj[v]))
         order.append(v)
     scopes = [(v,) for v in range(n)] + list(pairs)
-    live = set(range(len(scopes)))
-    steps = []
+    holders = [{v} for v in range(n)]  # the operands not yet summed, per vertex
+    for i, (u, v) in enumerate(pairs, n):
+        holders[u].add(i)
+        holders[v].add(i)
+    steps, roots = [], []
     for k, v in enumerate(order):
         group = order[k:] if n - k <= width + 1 else [v]
-        ids = sorted(i for i in live if any(x in group for x in scopes[i]))
-        live.difference_update(ids)
+        ids = sorted(set().union(*(holders[x] for x in group)))
         kept = sorted({x for i in ids for x in scopes[i]}.difference(group))
-        axis = {x: j for j, x in enumerate((*group, *kept), 1)}
-        joint = tuple(range(len(axis) + 1))
-        # fold the operands past _MAX_OPERANDS into joint tables over the bucket
-        while len(ids) > _MAX_OPERANDS:
-            chunk, ids = ids[:_MAX_OPERANDS], ids[_MAX_OPERANDS:]
-            subs = tuple((0, *(axis[x] for x in scopes[i])) for i in chunk)
-            steps.append((tuple(chunk), subs, joint))
-            ids.insert(0, len(scopes))
-            scopes.append((*group, *kept))
-        subs = tuple((0, *(axis[x] for x in scopes[i])) for i in ids)
-        steps.append((tuple(ids), subs, (0, *(axis[x] for x in kept))))
-        live.add(len(scopes))
-        scopes.append(tuple(kept))
+        for x in kept:
+            holders[x].difference_update(ids)
+        vertices = (*group, *kept)
+        axis = {x: j for j, x in enumerate(vertices, 1)}
+
+        def step(operands, scope) -> int:  # one einsum; the operand it appends
+            subs = tuple((0, *map(axis.get, scopes[i])) for i in operands)
+            steps.append((tuple(operands), subs, (0, *map(axis.get, scope))))
+            scopes.append(tuple(scope))
+            return len(scopes) - 1
+
+        split = _bucket_pairs([scopes[i] for i in ids], vertices, len(kept), width, q)
+        summed = set()
+        for a, b, scope in split:
+            summed.update((ids[a], ids[b]))
+            ids.append(step((ids[a], ids[b]), scope))
+        ids = [i for i in ids if i not in summed]
+        if len(ids) > 1 or not split:  # else the last pair made the output
+            ids = [step(ids, kept)]
+        for x in kept:
+            holders[x].add(ids[0])
+        if not kept:
+            roots.append(ids[0])
         if len(group) > 1:
             break
-    return _Plan(width, tuple(steps), tuple(sorted(live)))
+    return _Plan(width, tuple(steps), tuple(roots))
 
 
 def _eliminate(plan: _Plan, site: np.ndarray, pair: np.ndarray) -> np.ndarray:
@@ -426,7 +525,7 @@ def _model_plan(model: PottsModel) -> _Plan:
     """The elimination plan of the model's graph."""
     index = {v: i for i, v in enumerate(model.vertices)}
     pairs = tuple((index[u], index[v]) for u, v in model.edges)
-    return _elimination_plan(model.n_vertices, pairs)
+    return _elimination_plan(model.n_vertices, pairs, model.q)
 
 
 def _column_budget(model: PottsModel, cap: int) -> int:

@@ -41,6 +41,7 @@ from .model import (
     _column_budget,
     _coordinate_position,
     default_cap,
+    integer_q,
     potts_expectation,  # noqa: F401  (re-exported: callers read verify.potts_expectation)
     spin_means,
 )
@@ -446,26 +447,26 @@ def _trial_means(
     A column that several claims read (<f^R> feeds four) is computed once
     per call. Claims go first-fit, in order, into calls whose columns,
     Z's included, stay within the budget; at the default cap a trial of
-    the default fuzzer is one call.
+    the default fuzzer is one call. Each column is hashed once, into its
+    index among the trial's distinct columns; the grouping works on those.
     """
-    calls: list[dict] = []  # per call, each column's position in it
+    index: dict = {}
+    keys = [[index.setdefault(c, len(index)) for c in claim.columns] for claim in claims]
+    columns = list(index)
+    calls: list[dict] = []  # per call, the position of each column in it
     placed = []
-    for claim in claims:
-        new = set(claim.columns)
+    for key in keys:
         for k, call in enumerate(calls):
-            if 1 + len(new.union(call)) <= budget:
+            if 1 + len(call) + len(set(key).difference(call)) <= budget:
                 break
         else:
             k = len(calls)
             calls.append({})
-        for column in claim.columns:
-            calls[k].setdefault(column, len(calls[k]))
+        for j in key:
+            calls[k].setdefault(j, len(calls[k]))
         placed.append(k)
-    means = [spin_means(model, list(call), cap)[1] for call in calls]
-    return [
-        [means[k][calls[k][column]] for column in claim.columns]
-        for k, claim in zip(placed, claims)
-    ]
+    means = [spin_means(model, [columns[j] for j in call], cap)[1] for call in calls]
+    return [[means[k][calls[k][j]] for j in key] for k, key in zip(placed, keys)]
 
 
 def fuzz(config: FuzzConfig) -> FuzzResult:
@@ -482,6 +483,8 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
         raise ModelError(f"trials must be at least 0, got {config.trials}")
     if config.cap is not None and config.cap < 1:
         raise ModelError(f"cap must be at least 1, got {config.cap}")
+    if not config.q_values or any(integer_q(q) < 2 for q in config.q_values):
+        raise ModelError(f"q_values must list q >= 2, got {config.q_values}")
     cap = default_cap() if config.cap is None else config.cap
     rng = np.random.default_rng(config.seed)
     result = FuzzResult(config, [])

@@ -600,6 +600,18 @@ def test_fuzz_bad_ranges_exit_two(capsys, flags, message):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("q", ["2,0", "3,x", "1", ""], ids=["2-0", "3-x", "1", "empty"])
+def test_fuzz_bad_q_exits_two_before_any_trial(capsys, monkeypatch, q):
+    # --q 2,0 used to exit 0 at one trial and 2 mid-run at 50, and 3,x to
+    # print int()'s bare message
+    monkeypatch.setattr(verify, "fuzz", lambda config: pytest.fail("fuzz ran"))
+    code = run(["fuzz", "--trials", "50", "--seed", "1", "--q", q])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert f"error: --q must list integers of at least 2, got {q!r}" in captured.err
+    assert captured.out == ""
+
+
 def test_cap_flag_limits_enumeration(capsys, edge_model_path):
     code = run(["rc", "--model", edge_model_path, "--cap", "4"])
     err = capsys.readouterr().err

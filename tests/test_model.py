@@ -25,8 +25,14 @@ from potts_gks import (
     potts_weight,
     validate_model,
 )
+from potts_gks import model as model_module
 from potts_gks.instances import torus_grid
-from potts_gks.model import log_partition_function, spin_means
+from potts_gks.model import (
+    _elimination_plan,
+    _model_plan,
+    log_partition_function,
+    spin_means,
+)
 from oracles import brute_expectation, brute_partition, brute_weight
 from strategies import certified_functions, model_function_region, regions, small_models
 
@@ -328,6 +334,130 @@ def test_star_with_more_operands_than_one_einsum_takes():
     m = PottsModel(("c", *leaves), tuple(("c", v) for v in leaves), J, (0.0,) * 71, 3)
     want = math.log(3) + math.fsum(math.log(math.exp(j) + 2) for j in J)
     assert log_partition_function(m) == pytest.approx(want, abs=1e-12)
+
+
+def star(leaves=70, q=3):
+    names = tuple(f"v{i}" for i in range(1, leaves + 1))
+    J = tuple(0.01 * i for i in range(leaves))
+    return PottsModel(("c", *names), tuple(("c", v) for v in names), J,
+                      (0.0,) * (leaves + 1), q)
+
+
+def complete_graph(n, q, J=0.4, h=0.3):
+    names = tuple(f"v{i}" for i in range(n))
+    edges = tuple(combinations(names, 2))
+    return PottsModel(names, edges, tuple(J + 0.1 * k for k in range(len(edges))),
+                      tuple(h * (i % 2) for i in range(n)), q)
+
+
+# ---------------------------------------------------------------------------
+# compiled plans: wide buckets open with two-operand steps
+# ---------------------------------------------------------------------------
+
+
+def assert_steps_within_width(plan):
+    # a step's operands lie in its bucket, at most w + 1 vertices, and what
+    # it makes has at most w: label 0 is the column axis, not a vertex. No
+    # step takes more operands than numpy 1.x einsum iterates.
+    for ids, subs, out in plan.steps:
+        assert len(set().union(*subs) - {0}) <= plan.width + 1
+        assert len(out) - 1 <= plan.width
+        assert len(ids) <= model_module._EINSUM_OPERANDS
+
+
+PLAN_CASES = {
+    "3x3q4": lambda: torus_grid(3, 3, q=4, J=0.5, h=0.0),
+    "5x5q3": lambda: torus_grid(5, 5, q=3, J=0.5, h=0.0),
+    "6x6q3": lambda: torus_grid(6, 6, q=3, J=0.5, h=0.0),
+    "star72": star,
+    "K6q3": lambda: complete_graph(6, 3),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CASES))
+def test_plan_steps_stay_within_the_width(case):
+    assert_steps_within_width(_model_plan(PLAN_CASES[case]()))
+
+
+@given(small_models(max_n=6, max_q=5))
+def test_drawn_plan_steps_stay_within_the_width(model):
+    assert_steps_within_width(_model_plan(model))
+
+
+@pytest.mark.parametrize("case", sorted(PLAN_CASES))
+def test_plans_are_deterministic(case):
+    model = PLAN_CASES[case]()
+    first = _model_plan(model)
+    _elimination_plan.cache_clear()
+    again = _model_plan(model)
+    assert again is not first and again == first
+
+
+@pytest.fixture
+def unsplit(monkeypatch):
+    """Plans whose every bucket is one einsum: an extra call costs too much."""
+
+    def enter():
+        monkeypatch.setattr(model_module, "_CALL_COST", 10**12)
+        _elimination_plan.cache_clear()
+
+    yield enter
+    _elimination_plan.cache_clear()
+
+
+def has_pairs(model):
+    return any(len(ids) == 2 for ids, _, _ in _model_plan(model).steps)
+
+
+def test_wide_buckets_split_into_pairs(unsplit):
+    # at 3x3 q = 4 the pairwise steps cost less than the bucket einsums
+    model = torus_grid(3, 3, q=4, J=0.5, h=0.0)
+    assert has_pairs(model)
+    unsplit()
+    assert not has_pairs(model)
+
+
+def test_split_plan_matches_oracle_on_k5():
+    # K5 at q = 5 is one bucket of 15 operands, which the plan splits
+    model = complete_graph(5, 5)
+    assert has_pairs(model)
+    q, (a, b, c) = 5, model.vertices[:3]
+    real, complex_ = make_family("C", q, (0.9, 0.2, 0.5, 0.1, 0.3)), make_family("B", q)
+    one = [SpinFunction(tuple(float(x == s) for x in range(q))) for s in range(q)]
+    columns = [
+        ([(real, (a, b))], None),
+        ([(complex_, (a, c)), (real, (b,))], None),
+        ([(complex_, (b,))], (a, c)),
+        ([(real, (c,))], b),
+        ((), (b, c)),
+    ]
+    wants = [
+        brute_expectation(model, [(real, (a, b))]),
+        brute_expectation(model, [(complex_, (a, c)), (real, (b,))]),
+        sum(brute_expectation(model, [(complex_, (b,)), (e, (a,)), (e, (c,))]) for e in one),
+        brute_expectation(model, [(real, (c,)), (one[0], (b,))]),
+        sum(brute_expectation(model, [(e, (b,)), (e, (c,))]) for e in one),
+    ]
+    log_z, means = spin_means(model, columns)
+    assert log_z == pytest.approx(math.log(brute_partition(model)), abs=1e-12)
+    for got, want in zip(means, wants, strict=True):
+        assert abs(got - want) <= 1e-12
+
+
+@pytest.mark.parametrize("shape", [(3, 3, 4), (4, 4, 3), (3, 4, 3)])
+def test_split_plans_match_one_einsum_buckets(unsplit, shape):
+    # the same means whichever way the buckets are contracted
+    rows, cols, q = shape
+    model = torus_grid(rows, cols, q=q, J=0.6, h=0.2)
+    f = make_family("B", q)
+    columns = [([(f, model.vertices[:2])], None), ([(f, model.vertices[3:5])], model.edges[2])]
+    assert has_pairs(model)
+    split = spin_means(model, columns)
+    unsplit()
+    whole = spin_means(model, columns)
+    assert split[0] == pytest.approx(whole[0], abs=1e-12)
+    for got, want in zip(split[1], whole[1], strict=True):
+        assert abs(got - want) <= 1e-12
 
 
 _small_complex = st.complex_numbers(

@@ -464,6 +464,17 @@ def test_fuzz_refuses_a_bad_config(changes):
         fuzz(FuzzConfig(**{"trials": 3, "seed": 1, **changes}))
 
 
+@pytest.mark.parametrize("q_values", [(), (2, 0), (3, 1)], ids=["empty", "2-0", "3-1"])
+def test_fuzz_refuses_bad_q_values_before_any_draw(monkeypatch, q_values):
+    # (2, 0) used to run until a trial first drew q = 0, and () failed
+    # inside the first draw
+    draws = []
+    monkeypatch.setattr(verify_module, "_draw_model", lambda *a: draws.append(a))
+    with pytest.raises(ModelError, match="q_values must list q >= 2"):
+        fuzz(FuzzConfig(trials=50, seed=1, q_values=q_values))
+    assert draws == []
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
 @pytest.mark.parametrize(
     "claim, args",
@@ -568,9 +579,10 @@ def test_fuzz_takes_one_elimination_per_trial(monkeypatch):
 
 
 # SHA-256 of the (inputs, margin, verdict) stream below, taken once a trial's
-# means came from one elimination: a margin may differ from the one-claim
-# route's by rounding (test_fuzz_reports_match_the_single_claim_route)
-FROZEN_STREAM_SHA256 = "47b8a98392d2952e6b8583670abee04c1bdac3e6fe8851fd197108761521f76a"
+# means came from one elimination and wide buckets were contracted pairwise:
+# a margin may differ from the one-claim route's by rounding
+# (test_fuzz_reports_match_the_single_claim_route)
+FROZEN_STREAM_SHA256 = "ffba05e1483931717557f901c045cda6a1800b29a98dea8e200cb173294a6357"
 
 
 def test_fuzz_report_stream_is_frozen(monkeypatch):
