@@ -155,6 +155,13 @@ class PottsModel:
     def n_states(self) -> int:
         return self.q ** len(self.vertices)
 
+    @functools.cached_property
+    def index_pairs(self) -> tuple[tuple[int, int], ...]:
+        """The edges as pairs of vertex indices, in edge order; computed once
+        per model (a cached_property, outside the fields, eq and hash)."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        return tuple((index[u], index[v]) for u, v in self.edges)
+
     def vertex_index(self, v: str) -> int:
         try:
             return self.vertices.index(v)
@@ -300,9 +307,8 @@ def check_factors(
 def potts_weight(model: PottsModel, sigma: Sequence[int]) -> float:
     """Unnormalized Gibbs weight exp{sum J_e delta_e + sum h_v delta_v}."""
     arr = validate_spin_config(model, sigma)
-    index = {v: i for i, v in enumerate(model.vertices)}
     lw = fsum(
-        J for (u, v), J in zip(model.edges, model.J) if arr[index[u]] == arr[index[v]]
+        J for (a, b), J in zip(model.index_pairs, model.J) if arr[a] == arr[b]
     ) + fsum(h for i, h in enumerate(model.h) if arr[i] == 0)
     try:
         return math.exp(lw)
@@ -442,19 +448,13 @@ def _bucket_pairs(
     ]
 
 
-# a plan is ~2 KB; 512 hold the 300 (graph, q) keys the fuzzer draws at n <= 4
+# an order is a tuple of n ints, a plan ~2 KB; 512 hold the 300 (graph, q)
+# keys the fuzzer draws at n <= 4
 @functools.lru_cache(maxsize=512)
-def _elimination_plan(n: int, pairs: tuple[tuple[int, int], ...], q: int) -> _Plan:
-    """Min-degree order (ties to the lower index) and its einsum steps.
-
-    Each bucket sums out one vertex, except the last, which sums out every
-    vertex left once at most w + 1 remain: no bucket spans more than w + 1
-    vertices, and small graphs take fewer steps. A bucket is one einsum
-    over its operands unless, at this q, opening it with two-operand steps
-    (_bucket_pairs) costs less; a table such a step makes lies within the
-    bucket and has at most w vertices. So the largest table stays q^(w+1)
-    entries per column.
-    """
+def _elimination_order(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, int]:
+    """Min-degree order (ties to the lower index) and its width w, the most
+    neighbours a vertex has when it is summed out. Cheap next to the plan's
+    einsum steps, so a cap can be checked on w before they are compiled."""
     adj = [set() for _ in range(n)]
     for u, v in pairs:
         adj[u].add(v)
@@ -468,6 +468,22 @@ def _elimination_plan(n: int, pairs: tuple[tuple[int, int], ...], q: int) -> _Pl
             adj[a].update(b for b in adj[v] if b != a)
         width = max(width, len(adj[v]))
         order.append(v)
+    return tuple(order), width
+
+
+@functools.lru_cache(maxsize=512)
+def _elimination_plan(n: int, pairs: tuple[tuple[int, int], ...], q: int) -> _Plan:
+    """The einsum steps of _elimination_order.
+
+    Each bucket sums out one vertex, except the last, which sums out every
+    vertex left once at most w + 1 remain: no bucket spans more than w + 1
+    vertices, and small graphs take fewer steps. A bucket is one einsum
+    over its operands unless, at this q, opening it with two-operand steps
+    (_bucket_pairs) costs less; a table such a step makes lies within the
+    bucket and has at most w vertices. So the largest table stays q^(w+1)
+    entries per column.
+    """
+    order, width = _elimination_order(n, pairs)
     scopes = [(v,) for v in range(n)] + list(pairs)
     holders = [{v} for v in range(n)]  # the operands not yet summed, per vertex
     for i, (u, v) in enumerate(pairs, n):
@@ -523,15 +539,18 @@ def _eliminate(plan: _Plan, site: np.ndarray, pair: np.ndarray) -> np.ndarray:
 
 def _model_plan(model: PottsModel) -> _Plan:
     """The elimination plan of the model's graph."""
-    index = {v: i for i, v in enumerate(model.vertices)}
-    pairs = tuple((index[u], index[v]) for u, v in model.edges)
-    return _elimination_plan(model.n_vertices, pairs, model.q)
+    return _elimination_plan(model.n_vertices, model.index_pairs, model.q)
+
+
+def _model_width(model: PottsModel) -> int:
+    """The elimination width of the model's graph, its plan not compiled."""
+    return _elimination_order(model.n_vertices, model.index_pairs)[1]
 
 
 def _column_budget(model: PottsModel, cap: int) -> int:
     """The most columns, Z's included, that one spin_means call on this
     model may ask for under the cap: its table is q^(w+1) entries a column."""
-    return cap // model.q ** (_model_plan(model).width + 1)
+    return cap // model.q ** (_model_width(model) + 1)
 
 
 def spin_means(
@@ -549,17 +568,18 @@ def spin_means(
     Column 0 of the tables is Z itself. A column's factors multiply its
     slice of the site tables; a field coordinate zeroes sigma != 0 in its
     column of the vertex's site table, and a coupling coordinate keeps
-    only the diagonal of its column of the edge's pair table.
+    only the diagonal of its column of the edge's pair table. The cap is
+    checked on the width of the elimination order before its einsum steps
+    are compiled, so a graph far past the cap is refused at once.
     """
     prepared = [
         (check_factors(model, fs), None if c is None else _coordinate_position(model, c))
         for fs, c in columns
     ]
-    q, n_cols = model.q, 1 + len(prepared)
-    plan = _model_plan(model)
+    q, n_cols, width = model.q, 1 + len(prepared), _model_width(model)
     _check_cap(
-        q ** (plan.width + 1) * n_cols,
-        f"a {q}^{plan.width + 1} x {n_cols} table at elimination width {plan.width}",
+        q ** (width + 1) * n_cols,
+        f"a {q}^{width + 1} x {n_cols} table at elimination width {width}",
         cap,
     )
     complex_valued = any(
@@ -577,7 +597,7 @@ def spin_means(
                 site[k, c, 1:] = 0.0
             else:
                 pair[k, c] = np.eye(q)
-    sums = _eliminate(plan, site, pair)
+    sums = _eliminate(_model_plan(model), site, pair)
     z = float(sums[0].real)
     # the tables' shift: sum(J) + sum(h), the log-weight of sigma == 0
     log_z = fsum(model.J) + fsum(model.h) + math.log(z)
@@ -610,9 +630,8 @@ def potts_distribution(model: PottsModel, cap: int | None = None) -> np.ndarray:
     law = np.ones((q,) * n)
     for i in range(n):
         law *= site[i, 0].reshape((q,) + (1,) * (n - 1 - i))
-    index = {v: i for i, v in enumerate(model.vertices)}
-    for (u, v), table in zip(model.edges, pair[:, 0]):
-        a, b = sorted((index[u], index[v]))  # a pair table is symmetric
+    for pair_indices, table in zip(model.index_pairs, pair[:, 0]):
+        a, b = sorted(pair_indices)  # a pair table is symmetric
         law *= table.reshape((q,) + (1,) * (b - a - 1) + (q,) + (1,) * (n - 1 - b))
     law = law.ravel()
     return law / law.sum()

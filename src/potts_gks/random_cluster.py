@@ -15,10 +15,16 @@ event used by the disjoint-support inequality all live here.
 Every cluster label comes from _merge, which opens one bond in every row
 of a label table: a single omega is labelled on a one-row table. Every
 bond-side sum reads one table of partitions, built by adding the bonds
-one at a time to at most about 2 Bell(n+1) label rows: _bond_partitions
-weights its rows, memoized per augmented graph and cap, for Z, the
-coupled spin law and the tower mean. The cap bounds that table, rows
-times n+1 labels, before each bond doubles it, and not the 2^|E+| bond
+one at a time to at most about 2 Bell(n+1) label rows. That reduction is
+compiled once per graph: _bond_plan, memoized by node count, live bonds
+and cap, records the partitions, each regrouping's inverse and the
+cluster counts, and _partition_table replays a model's weights through
+it (concatenate, np.bincount per regroup, q^k), the float operations of
+carrying the weights along, so the table is the same bit for bit. The
+replayed table is memoized per augmented graph and cap for Z, the
+coupled spin law and the tower mean; the spin law's cluster layout is
+built once per plan and q. The cap bounds the plan's table, rows times
+n+1 labels, before each bond doubles it, and not the 2^|E+| bond
 configurations, which are never visited. _ClusterFactors gives
 E(prod f^R | omega): of_rows for every row of a label table in one numpy
 pass (the tower mean, and a single omega as one row), product for one
@@ -31,7 +37,7 @@ import functools
 from dataclasses import dataclass
 from itertools import product
 from math import expm1, factorial, fsum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -86,10 +92,8 @@ class AugmentedGraph:
 
 def augment(model: PottsModel) -> AugmentedGraph:
     """Attach the ghost vertex; every vertex gets a ghost edge (p=0 if h=0)."""
-    index = {v: i for i, v in enumerate(model.vertices)}
     n = model.n_vertices
-    pairs = [(index[u], index[v]) for u, v in model.edges]
-    pairs += [(n, i) for i in range(n)]
+    pairs = [*model.index_pairs, *((n, i) for i in range(n))]
     p = [min(-expm1(-J), _P_MAX) for J in model.J]
     p += [min(-expm1(-h), _P_MAX) for h in model.h]
     return AugmentedGraph(model, tuple(pairs), tuple(p))
@@ -156,17 +160,77 @@ def _omega_labels(aug: AugmentedGraph, omega: Sequence[int]) -> list[int]:
     return labels[0].tolist()
 
 
-def _group_partitions(
-    labels: np.ndarray, weights: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """One row per distinct partition, with the summed weight of its rows."""
+def _group_partitions(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One row per distinct partition, and the int32 index of each row's."""
     n1 = labels.shape[1]
     if n1 <= len(_FACTORIALS):
         keys = labels @ _FACTORIALS[:n1]
     else:  # the factorial key would overflow int64: compare the rows' bytes
         keys = np.ascontiguousarray(labels).view(np.dtype((np.void, n1))).ravel()
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    return labels[first], np.bincount(inverse, weights)
+    return labels[first], inverse.astype(np.int32)
+
+
+@dataclass(frozen=True, eq=False)
+class _BondPlan:
+    """What reducing one graph's bonds leaves that no weight changes.
+
+    `labels` are the final partitions (int8, read-only), `k` their fixed
+    points, and regroups[i] the inverse of the regrouping after live bond
+    i (None where the table stayed small), the final one last. `layouts`
+    holds coupled_spin_marginal's _SpinLayout per q, built on first use.
+    """
+
+    labels: np.ndarray
+    k: np.ndarray
+    regroups: tuple[np.ndarray | None, ...]
+    layouts: dict
+
+
+# The coupling benchmark's 56 suite models and its K5 graphs make 35 keys
+# (node count, live bonds, cap), each plan under 12 KB and its spin layout
+# under 16 KB; a graph near the cap makes far larger plans, about 21 MB for
+# the 2x6 ladder (4.16 M int8 labels, 3.56 M int32 regroup entries)
+@functools.lru_cache(maxsize=64)
+def _bond_plan(n1: int, bonds: tuple[tuple[int, int], ...], cap: int) -> _BondPlan:
+    """The partitions of n1 nodes that the live bonds reach; see _partition_table.
+
+    The bonds are added one at a time to a table of label rows: each bond
+    appends the table's _merge'd copy, and rows of one partition are merged
+    whenever the table passes _PARTITION_ROWS rows, and once at the end. The
+    table so stays below 2 * max(_PARTITION_ROWS, Bell(n1)) rows. Each
+    doubling is checked against the cap before it is allocated, and the int8
+    labels limit the graph to 127 nodes.
+    """
+    if n1 > 127:
+        raise EnumerationTooLarge(
+            f"the partition table over {n1} nodes: int8 labels take at most 127"
+        )
+    labels = np.arange(n1, dtype=np.int8)[None, :]
+    regroups = []
+    for a, b in bonds:
+        _check_cap(2 * labels.size,
+                   f"a partition table of {2 * len(labels)} rows x {n1} labels", cap)
+        labels = np.concatenate([labels, _merge(labels, a, b)])
+        inverse = None
+        if len(labels) > _PARTITION_ROWS:
+            labels, inverse = _group_partitions(labels)
+        regroups.append(inverse)
+    labels, inverse = _group_partitions(labels)
+    regroups.append(inverse)
+    labels.flags.writeable = False
+    k = np.count_nonzero(labels == np.arange(n1), axis=1)
+    return _BondPlan(labels, k, tuple(regroups), {})
+
+
+class _Table(NamedTuple):
+    """One model's replay of a plan; _bond_partitions returns the first three."""
+
+    labels: np.ndarray  # the partitions of positive weight
+    weights: np.ndarray  # their weights
+    z: float  # Z_rc, the fsum of the weights
+    plan: _BondPlan
+    plan_weights: np.ndarray  # the weight of every row of plan.labels
 
 
 def _bond_partitions(
@@ -181,57 +245,43 @@ def _bond_partitions(
     multiplies in after the bond factors, so a partition whose product of
     bond factors underflows to 0 is dropped even if q^k times that product
     would be representable. The cap (default_cap() when None) bounds the
-    label table _partition_table builds, rows times n+1 labels, not the
-    2^|E+| bond configurations, which it never visits. Z_rc is the fsum of
-    the weights. The table and Z are memoized per graph and cap, so the
-    spin law, the tower mean and every rc_probability of one graph share
-    them, and a smaller cap misses the memo and raises. The arrays are
-    read-only.
+    label table _bond_plan builds, rows times n+1 labels, not the 2^|E+|
+    bond configurations, which it never visits. Z_rc is the fsum of the
+    weights. The table and Z are memoized per graph and cap, so the spin
+    law, the tower mean and every rc_probability of one graph share them,
+    and a smaller cap misses the memo and raises. The arrays are read-only.
     """
-    return _partition_table(aug, default_cap() if cap is None else cap)
+    return _partition_table(aug, default_cap() if cap is None else cap)[:3]
 
 
 # a caller asks for one graph's table a few times in a row (the spin law,
 # the tower mean, rc_probability per omega); a table holds at most
 # min(2^|E+|, Bell(n+1)) rows
 @functools.lru_cache(maxsize=8)
-def _partition_table(
-    aug: AugmentedGraph, cap: int
-) -> tuple[np.ndarray, np.ndarray, float]:
+def _partition_table(aug: AugmentedGraph, cap: int) -> _Table:
     """The reducer behind _bond_partitions; __wrapped__ is its uncached body.
 
-    The bonds are added one at a time to a table of label rows: each bond
-    appends the table's _merge'd copy, the old rows weighted by 1-p and the
-    new by p, and rows of one partition are summed whenever the table passes
-    _PARTITION_ROWS rows. The table so stays below
-    2 * max(_PARTITION_ROWS, Bell(n+1)) rows, and no bond configuration is
-    visited; q^k, with k the rows' fixed points, multiplies in at the end.
-    Each doubling is checked against the cap before it is allocated, and the
-    int8 labels limit the graph to 127 nodes. Returns the labels, their
-    weights and Z_rc, the fsum of the weights.
+    The partitions come from the plan of the graph's live bonds (p > 0: a
+    merged row of a dead bond would weigh 0, the rest x1), and the weights
+    replay its steps: a bond appends the rows' weights times p to their
+    weights times 1-p, a regroup sums them by its inverse, and q^k
+    multiplies in at the end. These are the float operations, in the same
+    order, of reducing labels and weights together, so the table depends on
+    (J, h, q) only through this replay, and no bond configuration is
+    visited.
     """
-    n1 = aug.n_vertices + 1
-    if n1 > 127:
-        raise EnumerationTooLarge(
-            f"the partition table over {n1} nodes: int8 labels take at most 127"
-        )
-    labels = np.arange(n1, dtype=np.int8)[None, :]
+    live = [(bond, p) for bond, p in zip(aug.edge_index, aug.p) if p != 0.0]
+    plan = _bond_plan(aug.n_vertices + 1, tuple(bond for bond, _ in live), cap)
     weights = np.ones(1)
-    for (a, b), p in zip(aug.edge_index, aug.p):
-        if p == 0.0:  # the merged rows would all weigh 0, the rest x1
-            continue
-        _check_cap(2 * labels.size,
-                   f"a partition table of {2 * len(labels)} rows x {n1} labels", cap)
-        labels = np.concatenate([labels, _merge(labels, a, b)])
+    for (_, p), inverse in zip(live, plan.regroups):
         weights = np.concatenate([weights * (1.0 - p), weights * p])
-        if len(weights) > _PARTITION_ROWS:
-            labels, weights = _group_partitions(labels, weights)
-    labels, weights = _group_partitions(labels, weights)
-    weights *= float(aug.base.q) ** np.count_nonzero(labels == np.arange(n1), axis=1)
+        if inverse is not None:
+            weights = np.bincount(inverse, weights)
+    weights = np.bincount(plan.regroups[-1], weights) * float(aug.base.q) ** plan.k
     keep = weights > 0.0
-    labels, weights = labels[keep], weights[keep]
-    labels.flags.writeable = weights.flags.writeable = False
-    return labels, weights, fsum(weights.tolist())
+    labels, kept = plan.labels[keep], weights[keep]
+    labels.flags.writeable = kept.flags.writeable = weights.flags.writeable = False
+    return _Table(labels, kept, fsum(kept.tolist()), plan, weights)
 
 
 def rc_weight(aug: AugmentedGraph, omega: Sequence[int]) -> float:
@@ -277,24 +327,22 @@ def sample_spins(
     return spins
 
 
-def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.ndarray:
-    """Spin law sum_w phi(w) P(sigma|w), over lexicographic spin states.
+class _SpinLayout(NamedTuple):
+    """A plan's partitions as coupled_spin_marginal colours them at one q."""
 
-    Must agree with the Potts measure; the acceptance suite checks total
-    variation against potts_distribution. A partition of _bond_partitions
-    gives each of its k clusters away from the ghost one uniform colour, so
-    its q^k states, each of weight w_j / q^k, are strides_j @ grid_k: the
-    i-th stride sums the place values of the i-th cluster's vertices, and
-    the columns of grid_k are the q^k colourings of k slots. Partitions
-    with the same k share one matrix product per chunk of
-    _STATE_BLOCK // q^k rows (one row if q^k is larger). grid covers only
-    the slots whose colourings fit in _STATE_BLOCK columns; a row with more
-    clusters adds its remaining slots' colourings one at a time as an
-    offset. So no array holds more than _STATE_BLOCK states, no state is
-    listed twice, and the work is sum_j q^(k_j).
-    """
-    n, q = aug.n_vertices, aug.base.q
-    _check_cap(q**n, f"the spin law over {q}^{n} states", cap)
+    order: np.ndarray  # the plan's rows in order of k, stable
+    groups: tuple[tuple[int, int, np.ndarray], ...]  # (k, first row, strides)
+    grid: np.ndarray  # digits of the colourings of `slots` slots
+    slots: int
+
+
+def _spin_layout(plan: _BondPlan, q: int) -> _SpinLayout:
+    """The plan's _SpinLayout at q, built on first use; see coupled_spin_marginal."""
+    layout = plan.layouts.get(q)
+    if layout is not None:
+        return layout
+    labels = plan.labels
+    n = labels.shape[1] - 1
     # float64, so that the product runs in BLAS; every index is an integer
     # below q^n, which the cap keeps far below 2^53
     place = float(q) ** np.arange(n - 1, -1, -1)
@@ -304,7 +352,6 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
     # row i holds digit i of the column index, so the last j rows of the
     # first q^j columns are the colourings of j slots
     grid = (np.arange(q**slots) // place[n - slots :, None] % q).astype(np.float64)
-    labels, weights, z = _bond_partitions(aug, cap)
     real = labels[:, :n]
     roots = (real == np.arange(n)) & (real != labels[:, n:])
     counts = np.count_nonzero(roots, axis=1)
@@ -312,13 +359,41 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
     order = np.argsort(counts, kind="stable")
     members = real[order][:, :, None] == np.arange(n)
     strides = np.einsum("jvr,v->jr", members, place)[roots[order]]
-    sorted_weights = weights[order]
-    marginal = np.zeros(q**n)
-    row = pos = 0
+    groups, row, pos = [], 0, 0
     for k, size in enumerate(np.bincount(counts).tolist()):
-        k_strides = strides[pos : pos + size * k].reshape(size, k)
-        k_weights = sorted_weights[row : row + size] / q**k
+        groups.append((k, row, strides[pos : pos + size * k].reshape(size, k)))
         row, pos = row + size, pos + size * k
+    layout = plan.layouts[q] = _SpinLayout(order, tuple(groups), grid, slots)
+    return layout
+
+
+def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.ndarray:
+    """Spin law sum_w phi(w) P(sigma|w), over lexicographic spin states.
+
+    Must agree with the Potts measure; the acceptance suite checks total
+    variation against potts_distribution. A partition of the bond plan
+    gives each of its k clusters away from the ghost one uniform colour, so
+    its q^k states, each of weight w_j / q^k, are strides_j @ grid_k: the
+    i-th stride sums the place values of the i-th cluster's vertices, and
+    the columns of grid_k are the q^k colourings of k slots. Partitions
+    with the same k share one matrix product per chunk of
+    _STATE_BLOCK // q^k rows (one row if q^k is larger). grid covers only
+    the slots whose colourings fit in _STATE_BLOCK columns; a row with more
+    clusters adds its remaining slots' colourings one at a time as an
+    offset. So no array but the law holds more than _STATE_BLOCK states,
+    no state is listed twice, and the work is sum_j q^(k_j). The strides,
+    the order by k and the grid depend on the plan and q only (_spin_layout);
+    a row of the plan whose weight underflowed adds zeros.
+    """
+    n, q = aug.n_vertices, aug.base.q
+    _check_cap(q**n, f"the spin law over {q}^{n} states", cap)
+    table = _partition_table(aug, default_cap() if cap is None else cap)
+    order, groups, grid, slots = _spin_layout(table.plan, q)
+    sorted_weights = table.plan_weights[order]
+    marginal = np.zeros(q**n)
+    for k, row, k_strides in groups:
+        size = len(k_strides)
+        k_weights = sorted_weights[row : row + size] / q**k
         low = min(k, slots)
         rows = max(1, _STATE_BLOCK // q**k)
         for start in range(0, size, rows):
@@ -326,9 +401,11 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
             low_flat = k_strides[chunk, k - low :] @ grid[slots - low :, : q**low]
             chunk_weights = np.repeat(k_weights[chunk], q**low)
             for high in product(range(q), repeat=k - low):
-                flat = low_flat + (k_strides[chunk, : k - low] @ high)[:, None]
+                flat = low_flat
+                if high:  # the colourings of the slots past the grid
+                    flat = low_flat + (k_strides[chunk, : k - low] @ high)[:, None]
                 np.add.at(marginal, flat.astype(np.intp).ravel(), chunk_weights)
-    return marginal / z
+    return marginal / table.z
 
 
 # ---------------------------------------------------------------------------

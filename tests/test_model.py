@@ -285,6 +285,32 @@ def test_enumeration_cap_enforced():
         partition_function(m)
 
 
+def test_cap_refuses_before_any_bucket_is_compiled(monkeypatch):
+    # the cap is checked on the order's width: K26's 351-operand bucket is
+    # never searched for pairs
+    def compiled(*args):
+        raise AssertionError("a bucket was compiled before the cap check")
+
+    monkeypatch.setattr(model_module, "_bucket_pairs", compiled)
+    _elimination_plan.cache_clear()
+    names = tuple(f"v{i}" for i in range(26))
+    edges = tuple(combinations(names, 2))
+    m = PottsModel(names, edges, (0.1,) * len(edges), (0.0,) * 26, 2)
+    with pytest.raises(EnumerationTooLarge, match="width 25"):
+        partition_function(m)
+    with pytest.raises(EnumerationTooLarge, match="width 25"):
+        potts_expectation(m, [])
+
+
+def test_index_pairs_are_built_once_and_stay_out_of_eq_and_hash():
+    m = PottsModel(("a", "b", "c"), (("c", "a"), ("b", "c")), (0.5, 0.7), (0.0,) * 3, 3)
+    twin = PottsModel(m.vertices, m.edges, m.J, m.h, m.q)
+    assert m.index_pairs == ((2, 0), (1, 2))
+    assert m.index_pairs is m.index_pairs
+    assert m == twin and hash(m) == hash(twin)
+    assert m.with_coupling(0, 0.9).index_pairs == m.index_pairs
+
+
 def zero_coupling_edge():
     # width 1 with one column (Z): the largest table holds 2^2 x 1 = 4 entries
     return PottsModel(("u", "v"), (("u", "v"),), (0.0,), (0.0, 0.0), 2)

@@ -26,7 +26,7 @@ from potts_gks import (
     sample_spins,
 )
 from potts_gks import random_cluster
-from potts_gks.instances import model_from_indices, torus_grid
+from potts_gks.instances import model_from_indices, torus_grid, verification_suite
 from potts_gks.model import (
     CAP_ENV_VAR,
     DEFAULT_STATE_CAP,
@@ -62,8 +62,11 @@ _TINY = 1e-300
 
 
 def _reduce_bonds(aug, cap=DEFAULT_STATE_CAP):
-    """The uncached reducer."""
-    return random_cluster._partition_table.__wrapped__(aug, cap)
+    """The uncached reducer: neither the table nor the bond plan is memoized,
+    so a patched _PARTITION_ROWS or cap takes effect."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(random_cluster, "_bond_plan", random_cluster._bond_plan.__wrapped__)
+        return random_cluster._partition_table.__wrapped__(aug, cap)[:3]
 
 
 def edge_model(q=2, J=LN2, h=(0.0, 0.0)):
@@ -240,6 +243,12 @@ def test_partition_table_matches_oracle_partitions(model):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(random_cluster, "_PARTITION_ROWS", 4)
         labels, weights, _ = _reduce_bonds(aug)
+    assert_table_matches_oracle(aug, labels, weights)
+
+
+def assert_table_matches_oracle(aug, labels, weights):
+    """The table against the brute weight of every code, summed by the
+    oracle's partition keys, to 1e-12."""
     keys = code_partition_keys(aug)
     brute = [brute_rc_weight(aug, code_bits(aug.n_bonds, c)) for c in range(len(keys))]
     z = math.fsum(brute)
@@ -263,15 +272,11 @@ def test_partition_grouping_on_wide_label_rows(n1):
     rows = np.minimum(rng.integers(0, n1, size=(200, n1)), nodes)
     rows[:, -1] = rng.choice([0, n1 - 1], size=200)  # the largest key digit
     rows = rows[rng.integers(0, 200, size=600)].astype(np.int8)
-    weights = rng.random(600)
-    labels, sums = _group_partitions(rows, weights)
-    want = {}
-    for row, w in zip(rows.tolist(), weights.tolist()):
-        want[tuple(row)] = want.get(tuple(row), 0.0) + w
-    got = {tuple(row): w for row, w in zip(labels.tolist(), sums.tolist())}
-    assert len(got) == labels.shape[0] == len(want)
-    for key, w in want.items():
-        assert got[key] == pytest.approx(w, rel=1e-12)
+    labels, inverse = _group_partitions(rows)
+    assert inverse.dtype == np.int32
+    assert len({tuple(row) for row in labels.tolist()}) == labels.shape[0]
+    assert {tuple(row) for row in rows.tolist()} == {tuple(row) for row in labels.tolist()}
+    assert np.array_equal(labels[inverse], rows)
 
 
 def six_vertex_model():
@@ -418,6 +423,90 @@ def test_partition_memo_is_read_only():
         weights *= 2.0
 
 
+def ladder(cols, q=3, J=0.4, h=0.3):
+    # 2 x cols: vertex i above vertex cols + i; 3 cols - 2 edges, 2 cols fields
+    pairs = [(i, i + 1) for i in range(cols - 1)]
+    pairs += [(cols + i, cols + i + 1) for i in range(cols - 1)]
+    pairs += [(i, cols + i) for i in range(cols)]
+    return model_from_indices(2 * cols, pairs, q, J=J, h=h)
+
+
+def carried_reduction(aug):
+    """Labels and weights reduced together, a bond at a time, with no plan:
+    the reference a replayed table must equal bit for bit."""
+    n1 = aug.n_vertices + 1
+    labels = np.arange(n1, dtype=np.int8)[None, :]
+    weights = np.ones(1)
+    for (a, b), p in zip(aug.edge_index, aug.p):
+        if p == 0.0:
+            continue
+        labels = np.concatenate([labels, random_cluster._merge(labels, a, b)])
+        weights = np.concatenate([weights * (1.0 - p), weights * p])
+        if len(weights) > random_cluster._PARTITION_ROWS:
+            labels, inverse = _group_partitions(labels)
+            weights = np.bincount(inverse, weights)
+    labels, inverse = _group_partitions(labels)
+    weights = np.bincount(inverse, weights)
+    weights *= float(aug.base.q) ** np.count_nonzero(labels == np.arange(n1), axis=1)
+    keep = weights > 0.0
+    return labels[keep], weights[keep], math.fsum(weights[keep].tolist())
+
+
+@pytest.fixture
+def fresh_plans():
+    random_cluster._partition_table.cache_clear()
+    random_cluster._bond_plan.cache_clear()
+    yield random_cluster._bond_plan.cache_info
+    random_cluster._partition_table.cache_clear()
+
+
+def test_one_plan_serves_every_weighting_of_a_graph(fresh_plans):
+    # two K4 models with a field everywhere: the same live bonds, new (J, h)
+    pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+    models = [model_from_indices(4, pairs, 3, J=J, h=h)
+              for J, h in ((0.3, 0.5), ((0.9, 0.2, 1.4, 0.6, 0.1, 2.0), (1.1, 0.4, 0.7, 0.2)))]
+    tables = [_bond_partitions(augment(m)) for m in models]
+    assert fresh_plans().misses == 1 and fresh_plans().hits == 1
+    assert tables[0][0] is not tables[1][0] and tables[0][2] != tables[1][2]
+    for m, (labels, weights, _) in zip(models, tables):
+        assert_table_matches_oracle(augment(m), labels, weights)
+
+
+def test_dead_ghost_bonds_key_a_plan_apart(fresh_plans):
+    # h = 0 gives a ghost bond p = 0: the plan of the other live bonds
+    pairs = [(0, 1), (1, 2), (0, 2)]
+    with_field = model_from_indices(3, pairs, 2, J=0.6, h=(0.5, 0.3, 0.8))
+    without = model_from_indices(3, pairs, 2, J=0.6, h=(0.0, 0.3, 0.8))
+    for m in (with_field, without):
+        labels, weights, _ = _bond_partitions(augment(m))
+        assert_table_matches_oracle(augment(m), labels, weights)
+    assert fresh_plans().misses == 2 and fresh_plans().hits == 0
+    # a plan of one weighting stays that graph's for another
+    _bond_partitions(augment(without.with_field(1, 2.0)))
+    assert fresh_plans().misses == 2 and fresh_plans().hits == 1
+
+
+REPLAYED = {f"suite{i}": m for i, m in enumerate(verification_suite())}
+REPLAYED["ladder-2x5"] = ladder(5)
+REPLAYED["torus-3x3-q3"] = torus_grid(3, 3, q=3, J=0.5, h=0.2)
+
+
+@pytest.mark.parametrize("model", REPLAYED.values(), ids=REPLAYED.keys())
+def test_replayed_tables_equal_the_carried_reduction(fresh_plans, model):
+    # the table replayed on a plan first built for other weights, the uncached
+    # plan and replay, and labels and weights reduced together agree bit for bit
+    scaled = PottsModel(model.vertices, model.edges, tuple(2.5 * J for J in model.J),
+                        tuple(0.5 * h for h in model.h), model.q)
+    _bond_partitions(augment(scaled))
+    aug = augment(model)
+    table = _bond_partitions(aug)
+    assert fresh_plans().misses == 1
+    for got in (_reduce_bonds(aug), carried_reduction(aug)):
+        assert np.array_equal(table[0], got[0])
+        assert table[1].tolist() == got[1].tolist()
+        assert table[2] == got[2]
+
+
 def test_partition_memo_keys_on_every_coupling():
     # the two graphs differ only in the second J
     a = augment(path3(q=3, J=0.5))
@@ -459,14 +548,6 @@ def test_bond_reducer_extreme_regime(model):
     assert abs(log_z_rc - math.log(model.q) - (log_z - shift)) <= 1e-10
     assert 0.5 * float(np.sum(np.abs(marginal - pi))) <= 1e-10
     assert abs(lhs - rhs) <= 1e-10
-
-
-def ladder(cols, q=3, J=0.4, h=0.3):
-    # 2 x cols: vertex i above vertex cols + i; 3 cols - 2 edges, 2 cols fields
-    pairs = [(i, i + 1) for i in range(cols - 1)]
-    pairs += [(cols + i, cols + i + 1) for i in range(cols - 1)]
-    pairs += [(i, cols + i) for i in range(cols)]
-    return model_from_indices(2 * cols, pairs, q, J=J, h=h)
 
 
 def test_rc_partition_past_the_old_cap_is_q_times_shifted_z():
@@ -611,6 +692,22 @@ def test_coupled_marginal_chunks_match_potts_and_oracle(model, block):
     for sigma, prob in brute_coupled_marginal(aug).items():
         want[int(np.dot(sigma, q ** np.arange(n - 1, -1, -1)))] = prob
     assert np.max(np.abs(marginal - want)) <= 1e-12
+
+
+def test_spin_law_on_a_shared_plan_with_underflowed_rows(fresh_plans):
+    # K7 at J = 1e3: the all-singleton partition's weight (1 - p)^21
+    # underflows to 0, so the table drops a row that the plan, first laid
+    # out for a mild weighting, keeps; that row adds zeros to the law
+    pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+    mild = model_from_indices(7, pairs, 2, J=0.3, h=0.0)
+    hard = model_from_indices(7, pairs, 2, J=1e3, h=0.0)
+    for model in (mild, hard):
+        marginal = coupled_spin_marginal(augment(model))
+        assert 0.5 * float(np.sum(np.abs(marginal - potts_distribution(model)))) <= 1e-12
+    assert fresh_plans().misses == 1
+    table = random_cluster._partition_table(augment(hard), DEFAULT_STATE_CAP)
+    assert len(table.labels) == len(table.plan.labels) - 1
+    assert list(table.plan.layouts) == [2]
 
 
 # ---------------------------------------------------------------------------
