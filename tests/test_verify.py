@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 
@@ -26,7 +27,7 @@ from potts_gks import (
 )
 from potts_gks import model as model_module
 from potts_gks import verify as verify_module
-from potts_gks.instances import verification_suite
+from potts_gks.instances import random_model, verification_suite
 from potts_gks.verify import report_to_json_dict
 from strategies import model_function_region
 
@@ -612,3 +613,77 @@ def test_fuzz_claim_stream_is_frozen(monkeypatch):
     assert len(reports) == 1604
     blob = "\n".join(json.dumps([r.claim, r.inputs, r.verdict]) for r in reports)
     assert hashlib.sha256(blob.encode()).hexdigest() == CLAIM_STREAM_SHA256
+
+
+# ---------------------------------------------------------------------------
+# frozen inputs: digests, the suite and the model draws
+# ---------------------------------------------------------------------------
+
+
+def json_digest(*parts) -> str:
+    """The inputs digest written out as one json.dumps of the claim name, the
+    model's dict and the claim's parts, a complex value as [re, im]."""
+
+    def default(obj):
+        if isinstance(obj, complex):
+            return [obj.real, obj.imag]
+        raise TypeError(f"not serializable: {obj!r}")
+
+    blob = json.dumps(parts, sort_keys=True, default=default)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
+
+
+TRIANGLE = (("a", "b", "ü"), (("a", "b"), ("b", "ü"), ("a", "ü")),
+            (0.7, 1e-3, 2.5))
+
+
+@pytest.mark.parametrize("h", [(0.0, 0.0, 0.0), (0.4, 0.0, 1.25)], ids=["free", "field"])
+@pytest.mark.parametrize(
+    "f",
+    [make_family("A", 3), make_family("B", 3), SpinFunction((0.9, 0.25, 0.0))],
+    ids=["staircase", "roots", "table"],
+)
+@pytest.mark.parametrize("R", [(), ("a", "ü")], ids=["empty", "pair"])
+def test_report_inputs_are_the_json_digest_of_the_claim(h, f, R):
+    model = PottsModel(*TRIANGLE, h, 3)
+    S = ("b",)
+    indicators = (SpinFunction((1.0, 0.0, 0.0)), SpinFunction((0.0, 0.5, 1.0)))
+    cases = [
+        (verify_real_nonneg(model, f, R), (f.values, R)),
+        (verify_monotone(model, f, R, ("b", "ü")), (f.values, R, "J[b,ü]")),
+        (verify_monotone(model, f, R, "a"), (f.values, R, "h[a]")),
+        (verify_gks_pair(model, f, R, S), (f.values, R, S)),
+        (verify_disjoint_support(model, *indicators, R, S),
+         (indicators[0].values, indicators[1].values, R, S)),
+    ]
+    for report, parts in cases:
+        assert report.inputs == json_digest(report.claim, model.to_json_dict(), *parts)
+
+
+# SHA-256 of the suite's models and of 500 random_model draws at non-default
+# arguments, each as sorted-key JSON; taken when both were first pinned
+SUITE_SHA256 = "9f4b4eaa4662154fa77e83b47fbc44a1a893b10895580b1801571ff057eccb72"
+DRAWS_SHA256 = "e24e347d50227622b539d69e9645b5db8e0b3aec96e033f4623c9f16570cfab1"
+DRAW_ARGS = [
+    {},
+    {"q_values": (4,)},
+    {"n_range": (1, 1)},
+    {"q_values": (2, 5), "n_range": (3, 5), "edge_density": 0.0},
+    {"n_range": (2, 5), "edge_density": 1.0, "J_range": (0.5, 2.5), "h_range": (0.0, 0.0)},
+]
+
+
+def test_verification_suite_is_frozen():
+    blob = json.dumps([m.to_json_dict() for m in verification_suite()], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == SUITE_SHA256
+
+
+def test_random_model_draws_are_frozen():
+    rng = np.random.default_rng(2020)
+    models = [random_model(rng, **DRAW_ARGS[k % len(DRAW_ARGS)]) for k in range(500)]
+    assert {m.n_vertices for m in models[2::5]} == {1}
+    assert not any(m.edges for m in models[3::5])
+    assert all(len(m.edges) == m.n_vertices * (m.n_vertices - 1) // 2
+               for m in models[4::5])
+    blob = json.dumps([m.to_json_dict() for m in models], sort_keys=True)
+    assert hashlib.sha256(blob.encode()).hexdigest() == DRAWS_SHA256
