@@ -6,10 +6,11 @@ the stronger variant additionally requires |f| to peak at a given state
 with a real non-negative value there. Membership is certified up to a
 finite exponent bound M, which every report states explicitly.
 
-Both checks are memoized on their exact arguments (f, M, tol), defaults
-filled in: a fuzz trial certifies one f for up to four claims, and the
-families are the same table for a given q. Reports are frozen, so a cached
-one is shared; the uncached body stays reachable as `__wrapped__`.
+The checks (check_Fq, check_Fq_i and moments_real_nonneg) are memoized on
+their exact arguments, defaults filled in: a fuzz trial certifies one f for
+up to four claims, and the families are the same table for a given q.
+Reports are frozen, so a cached one is shared; the uncached body stays
+reachable as `__wrapped__`.
 
 Three ready-made families: the centred staircase (q-1)/2 - x, the q-th
 roots of unity exp(2*pi*i*x/q), and arbitrary non-negative tables peaking
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import cmath
 import functools
+import inspect
 from dataclasses import dataclass
 from math import fsum
 
@@ -71,12 +73,19 @@ def moments(f: SpinFunction, M: int) -> MomentTable:
     """Exact power sums via compensated summation; 0**0 counts as 1."""
     if M < 0:
         raise ModelError(f"M must be >= 0, got {M}")
-    powers = [1 + 0j] * f.q
+    # a real table's complex products have these float products as real
+    # parts, and imaginary parts that sum to 0
+    real = not any(v.imag for v in f.values)
+    values = [v.real for v in f.values] if real else f.values
+    powers = [1.0] * f.q
     S = []
     for m in range(M + 1):
         if m > 0:
-            powers = [p * v for p, v in zip(powers, f.values)]
-        S.append(complex(fsum(p.real for p in powers), fsum(p.imag for p in powers)))
+            powers = [p * v for p, v in zip(powers, values)]
+        if real:
+            S.append(complex(fsum(powers)))
+        else:
+            S.append(complex(fsum(p.real for p in powers), fsum(p.imag for p in powers)))
     return MomentTable(f.q, M, tuple(S))
 
 
@@ -91,16 +100,23 @@ def _first_bad_moment(S, tol: float) -> tuple[int, int, float] | None:
 
 
 def _memoized(check):
-    """LRU-cache a check(f, M, tol) on its arguments, with the defaults
+    """LRU-cache a check(f, [i,] M, tol) on its arguments, with the defaults
     filled in, so check(f, 16) and check(f, 16, 1e-9) share one entry.
-    Keys are typed: M=16.0 is not served the report of M=16."""
+    Keys are typed: M=16.0 is not served the report of M=16. Errors are
+    raised, not cached."""
     cached = functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)(check)
+    signature = inspect.signature(check)
+    defaults = check.__defaults__
+    required = check.__code__.co_argcount - len(defaults)
 
     @functools.wraps(check)
-    def memoized(f, M, tol):
-        return cached(f, M, tol)
+    def memoized(*args, **kwargs):
+        if kwargs or len(args) < required:
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            return cached(*bound.args)
+        return cached(*args, *defaults[len(args) - required :])
 
-    memoized.__defaults__ = check.__defaults__
     return memoized
 
 
@@ -135,6 +151,7 @@ def check_Fq(
     return MembershipReport(True, None, M, tol, None)
 
 
+@_memoized
 def check_Fq_i(
     f: SpinFunction, i: int, M: int = DEFAULT_M, tol: float = DEFAULT_TOL
 ) -> MembershipReport:

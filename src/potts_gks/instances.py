@@ -66,11 +66,13 @@ def random_model(
     h_range=(0.0, 1.5),
 ) -> PottsModel:
     """Erdos-Renyi graph with uniform random couplings and fields."""
-    q = int(rng.choice(q_values))
+    q = int(q_values[int(rng.integers(0, len(q_values)))])
     n = int(rng.integers(n_range[0], n_range[1] + 1))
-    pairs = [e for e in combinations(range(n), 2) if rng.random() < edge_density]
-    J = tuple(rng.uniform(*J_range) for _ in pairs)
-    h = tuple(rng.uniform(*h_range) for _ in range(n))
+    candidates = list(combinations(range(n), 2))
+    keep = rng.random(len(candidates)) < edge_density
+    pairs = [e for e, k in zip(candidates, keep) if k]
+    J = rng.uniform(*J_range, size=len(pairs)).tolist()
+    h = rng.uniform(*h_range, size=n).tolist()
     return model_from_indices(n, pairs, q, J=J, h=h)
 
 

@@ -82,8 +82,14 @@ class EnumerationTooLarge(ModelError):
 
 
 def default_cap() -> int:
-    """Table-size cap: POTTS_GKS_CAP env var if set, else 2**24 entries."""
-    raw = os.environ.get(CAP_ENV_VAR)
+    """Table-size cap: POTTS_GKS_CAP env var if set, else 2**24 entries.
+    The variable is read on every call, so a change to it applies; each
+    value it takes is parsed once."""
+    return _parse_cap(os.environ.get(CAP_ENV_VAR))
+
+
+@functools.lru_cache(maxsize=8)
+def _parse_cap(raw: str | None) -> int:
     if not raw:
         return DEFAULT_STATE_CAP
     try:
@@ -119,6 +125,12 @@ class SpinFunction:
     @property
     def q(self) -> int:
         return len(self.values)
+
+    @functools.cached_property
+    def json_text(self) -> str:
+        """The values as JSON [[re, im], ...]; computed once per function (a
+        cached_property, outside the fields, eq and hash)."""
+        return json.dumps([[v.real, v.imag] for v in self.values])
 
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.complex128)
@@ -159,13 +171,24 @@ class PottsModel:
     def index_pairs(self) -> tuple[tuple[int, int], ...]:
         """The edges as pairs of vertex indices, in edge order; computed once
         per model (a cached_property, outside the fields, eq and hash)."""
-        index = {v: i for i, v in enumerate(self.vertices)}
+        index = self._vertex_positions
         return tuple((index[u], index[v]) for u, v in self.edges)
+
+    @functools.cached_property
+    def _vertex_positions(self) -> dict[str, int]:
+        """Each vertex name's index, built once per model."""
+        return {v: i for i, v in enumerate(self.vertices)}
+
+    @functools.cached_property
+    def json_text(self) -> str:
+        """json.dumps(self.to_json_dict(), sort_keys=True), encoded once per
+        model (a cached_property, outside the fields, eq and hash)."""
+        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def vertex_index(self, v: str) -> int:
         try:
-            return self.vertices.index(v)
-        except ValueError:
+            return self._vertex_positions[v]
+        except (KeyError, TypeError):
             raise BadRegion(f"unknown vertex {v!r}") from None
 
     def edge_position(self, u: str, v: str) -> int:
@@ -448,8 +471,12 @@ def _bucket_pairs(
     ]
 
 
-# an order is a tuple of n ints, a plan ~2 KB; 512 hold the 300 (graph, q)
-# keys the fuzzer draws at n <= 4
+# an order is a tuple of n ints, a plan ~2 KB. The default fuzzer draws
+# n <= 5: 1,099 labelled graphs, about 4.4k (graph, q) plan keys. Over 5000
+# one-trial fuzzes both memos fill their 512 entries, and the plan memo
+# misses about 1,390 times (80-100 us a compile), the order memo about 760.
+# Holding every key would cost ~9 MB, against a 10 % bound on the
+# benchmark's ~43 MB peak RSS, so 512 stays.
 @functools.lru_cache(maxsize=512)
 def _elimination_order(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, int]:
     """Min-degree order (ties to the lower index) and its width w, the most

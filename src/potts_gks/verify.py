@@ -20,7 +20,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from math import expm1, isfinite
+from math import expm1, inf, isfinite
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -74,13 +74,23 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
 
-def _digest(*parts) -> str:
-    def default(obj):
-        if isinstance(obj, complex):
-            return [obj.real, obj.imag]
-        raise TypeError(f"not serializable: {obj!r}")
+@functools.lru_cache(maxsize=1024)
+def _json_text(value: str | tuple[str, ...]) -> str:
+    """A claim name, coordinate label or region as JSON."""
+    return json.dumps(value)
 
-    blob = json.dumps(parts, sort_keys=True, default=default)
+
+def _digest(name: str, model: PottsModel, parts: tuple) -> str:
+    """The first 16 hex digits of the SHA-256 of the claim's inputs as JSON.
+
+    The texts, joined by ", " inside [...], are the bytes that
+    json.dumps((name, model.to_json_dict(), *parts), sort_keys=True) writes
+    with each SpinFunction as its [[re, im], ...] values: each part is
+    encoded once and reused, not once per report.
+    """
+    texts = [_json_text(name), model.json_text]
+    texts += [p.json_text if isinstance(p, SpinFunction) else _json_text(p) for p in parts]
+    blob = "[" + ", ".join(texts) + "]"
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -134,7 +144,8 @@ class _Claim(NamedTuple):
 
     columns are the spin_means columns the claim reads, in order; margin
     maps their means to (lhs, rhs, primary slack, imaginary residual,
-    details); parts are the inputs digested besides the model.
+    details); parts are the inputs digested besides the model: spin
+    functions, regions and a coordinate label.
     """
 
     name: str
@@ -154,7 +165,7 @@ def _report(
     margin = primary if imag <= tol else min(primary, -imag)
     return VerificationReport(
         claim=claim.name,
-        inputs=_digest(claim.name, model.to_json_dict(), *claim.parts),
+        inputs=_digest(claim.name, model, claim.parts),
         lhs=lhs,
         rhs=rhs,
         margin=margin,
@@ -203,7 +214,7 @@ def _real_nonneg(model: PottsModel, f: SpinFunction, R: Iterable[str], M) -> _Cl
         imag = abs(mean.imag)
         return mean, 0.0, mean.real, imag, {"imag_residual": imag, "real_part": mean.real}
 
-    return _Claim("real_nonneg", (f.values, R), ((((f, R),), None),), margin)
+    return _Claim("real_nonneg", (f, R), ((((f, R),), None),), margin)
 
 
 def _monotone(
@@ -233,7 +244,7 @@ def _monotone(
 
     factors = ((f, R),)
     columns = ((factors, None), (factors, coordinate), ((), coordinate))
-    return _Claim("monotone", (f.values, R, coord_label), columns, margin)
+    return _Claim("monotone", (f, R, coord_label), columns, margin)
 
 
 def _gks_pair(
@@ -243,7 +254,7 @@ def _gks_pair(
     certify(model, f, membership_bound(R, S) if M is None else M)
     columns = ((((f, R), (f, S)), None), (((f, R),), None), (((f, S),), None))
     margin = functools.partial(_pair_margin, False, "gks_margin")
-    return _Claim("gks_pair", (f.values, R, S), columns, margin)
+    return _Claim("gks_pair", (f, R, S), columns, margin)
 
 
 def _disjoint_support(
@@ -266,7 +277,7 @@ def _disjoint_support(
         raise NotCertified(f"f1 moments not real/non-negative: {violation}")
     columns = ((((f0, R), (f1, S)), None), (((f0, R),), None), (((f1, S),), None))
     margin = functools.partial(_pair_margin, True, "anticorrelation_margin")
-    return _Claim("disjoint_support", (f0.values, f1.values, R, S), columns, margin)
+    return _Claim("disjoint_support", (f0, f1, R, S), columns, margin)
 
 
 # ---------------------------------------------------------------------------
@@ -346,6 +357,7 @@ def verify_disjoint_support(
 
 
 _BOUNDARY_PROB = 0.1  # chance of a fuzzed model with J = 0, and separately h = 0
+_FUNCTION_KINDS = ("A", "B", "C", "table", "shiftA", "adversarial")
 
 
 @dataclass(frozen=True)
@@ -387,9 +399,10 @@ def _draw_model(rng: np.random.Generator, cfg: FuzzConfig) -> PottsModel:
     model = random_model(
         rng, cfg.q_values, cfg.n_range, cfg.edge_density, cfg.J_range, cfg.h_range
     )
-    if rng.random() < _BOUNDARY_PROB:
+    no_J, no_h = rng.random(2) < _BOUNDARY_PROB
+    if no_J:
         model = replace(model, J=(0.0,) * len(model.J))
-    if rng.random() < _BOUNDARY_PROB:
+    if no_h:
         model = replace(model, h=(0.0,) * len(model.h))
     return model
 
@@ -422,7 +435,8 @@ def _draw_function(rng: np.random.Generator, q: int, kind: str) -> SpinFunction:
 
 
 def _draw_region(rng: np.random.Generator, model: PottsModel) -> tuple[str, ...]:
-    return tuple(v for v in model.vertices if rng.random() < 0.5)
+    keep = rng.random(model.n_vertices) < 0.5
+    return tuple(v for v, k in zip(model.vertices, keep) if k)
 
 
 def _draw_disjoint_pair(
@@ -432,11 +446,38 @@ def _draw_disjoint_pair(
         f0 = tuple(1.0 if x == 0 else 0.0 for x in range(q))
         f1 = tuple(1.0 if x == 1 else 0.0 for x in range(q))
         return SpinFunction(f0), SpinFunction(f1)
-    in_supp0 = [True] + [bool(rng.random() < 0.5) for _ in range(q - 1)]
-    v0 = [float(rng.uniform(0.1, 1.0)) if m else 0.0 for m in in_supp0]
-    v1 = [0.0 if m else float(rng.uniform(0.1, 1.0)) for m in in_supp0]
+    in_supp0 = [True, *(rng.random(q - 1) < 0.5)]
+    # drawn in the order v0's support, then v1's
+    draws = iter(rng.uniform(0.1, 1.0, size=q).tolist())
+    v0 = [next(draws) if m else 0.0 for m in in_supp0]
+    v1 = [0.0 if m else next(draws) for m in in_supp0]
     v0[0] = max(v0)
     return SpinFunction(tuple(v0)), SpinFunction(tuple(v1))
+
+
+def _check_config(config: FuzzConfig) -> None:
+    """Refuse a config that some trial could not run, before the first draw."""
+    _check_tol(config.tol)
+    if config.trials < 0:
+        raise ModelError(f"trials must be at least 0, got {config.trials}")
+    if config.cap is not None and config.cap < 1:
+        raise ModelError(f"cap must be at least 1, got {config.cap}")
+    if not config.q_values or any(integer_q(q) < 2 for q in config.q_values):
+        raise ModelError(f"q_values must list q >= 2, got {config.q_values}")
+    if not config.families or any(k not in _FUNCTION_KINDS for k in config.families):
+        raise ModelError(
+            f"families must list kinds among {_FUNCTION_KINDS}, got {config.families}"
+        )
+    lo, hi = config.n_range
+    if not 0 <= lo <= hi:
+        raise ModelError(f"n_range must be (lo, hi) with 0 <= lo <= hi, got {config.n_range}")
+    for name, (lo, hi) in (("J_range", config.J_range), ("h_range", config.h_range)):
+        if not 0.0 <= lo <= hi < inf:  # NaN fails every comparison
+            raise ModelError(
+                f"{name} must be (lo, hi) with 0 <= lo <= hi < inf, got {(lo, hi)}"
+            )
+    if not 0.0 <= config.edge_density <= 1.0:
+        raise ModelError(f"edge_density must lie in [0, 1], got {config.edge_density}")
 
 
 def _trial_means(
@@ -478,13 +519,7 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
     table, q^(w+1) x (1 + its columns), fits the cap is evaluated; their
     means come from one elimination when the trial's columns fit together.
     """
-    _check_tol(config.tol)
-    if config.trials < 0:
-        raise ModelError(f"trials must be at least 0, got {config.trials}")
-    if config.cap is not None and config.cap < 1:
-        raise ModelError(f"cap must be at least 1, got {config.cap}")
-    if not config.q_values or any(integer_q(q) < 2 for q in config.q_values):
-        raise ModelError(f"q_values must list q >= 2, got {config.q_values}")
+    _check_config(config)
     cap = default_cap() if config.cap is None else config.cap
     rng = np.random.default_rng(config.seed)
     result = FuzzResult(config, [])
@@ -494,7 +529,7 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
         families = config.families
         if field_free and "shiftA" not in families:
             families = families + ("shiftA",)
-        kind = str(rng.choice(families))
+        kind = families[int(rng.integers(0, len(families)))]
         f = _draw_function(rng, model.q, kind)
         R = _draw_region(rng, model)
         S = _draw_region(rng, model)

@@ -1,5 +1,7 @@
 """Moment tables, membership checks, and the three ready-made families."""
 
+import math
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -175,6 +177,63 @@ def test_memo_does_not_cache_errors():
     for _ in range(3):
         with pytest.raises(ModelError, match="M must be >= 1"):
             check_Fq(f, 0)
+
+
+def test_peak_check_is_certified_once():
+    f = SpinFunction((0.8, 0.3, 0.55))
+    report = check_Fq_i(f, 0, 16, 1e-9)
+    assert check_Fq_i(f, 0) is report
+    assert check_Fq_i(SpinFunction(f.values), 0, M=16) is report
+    assert check_Fq_i(f, 0, tol=1e-9) is report
+    assert report == check_Fq_i.__wrapped__(f, 0, 16, 1e-9)
+    assert check_Fq_i(f, 1, 16) == check_Fq_i.__wrapped__(f, 1, 16)
+    assert check_Fq_i(f, 1, 16) is not check_Fq_i(f, 0, 16)
+
+
+def test_peak_check_memo_key_is_typed():
+    # the body refuses a float M; a cached int entry must not answer for it
+    f = make_family("A", 4)
+    assert check_Fq_i(f, 0, 16).passed
+    with pytest.raises(TypeError):
+        check_Fq_i(f, 0, 16.0)
+    with pytest.raises(TypeError):
+        check_Fq_i(f, 0, M=16.0)
+
+
+def test_peak_check_memo_does_not_cache_errors():
+    f = make_family("B", 3)
+    for _ in range(3):
+        with pytest.raises(ModelError, match=r"index i must be in \[0, 2\], got 3"):
+            check_Fq_i(f, 3)
+        with pytest.raises(ModelError, match="M must be >= 1"):
+            check_Fq_i(f, 0, 0)
+
+
+def naive_moments(values, M):
+    """S_m = sum_x f(x)^m as complex products summed by fsum: the loop that
+    moments runs on a table with a non-zero imaginary part."""
+    powers = [1 + 0j] * len(values)
+    S = []
+    for m in range(M + 1):
+        if m > 0:
+            powers = [p * complex(v) for p, v in zip(powers, values)]
+        S.append(complex(math.fsum(p.real for p in powers),
+                         math.fsum(p.imag for p in powers)))
+    return S
+
+
+@given(
+    st.lists(
+        st.one_of(st.just(0.0), st.just(-1.0), st.floats(-3.0, 3.0, allow_nan=False)),
+        min_size=2,
+        max_size=6,
+    ),
+    st.integers(0, 24),
+)
+def test_real_table_moments_equal_the_complex_loop(values, M):
+    S = moments(SpinFunction(tuple(values)), M).S
+    assert list(S) == naive_moments(values, M)
+    assert all(s.imag == 0.0 for s in S)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 """Core model: validation, weights, partition function, expectations."""
 
+import json
 import math
 from itertools import combinations, product
 
@@ -30,7 +31,9 @@ from potts_gks.instances import torus_grid
 from potts_gks.model import (
     _elimination_plan,
     _model_plan,
+    default_cap,
     log_partition_function,
+    region_indices,
     spin_means,
 )
 from oracles import brute_expectation, brute_partition, brute_weight
@@ -96,6 +99,19 @@ def test_region_unknown_vertex_rejected():
     f = make_family("A", 2)
     with pytest.raises(BadRegion):
         potts_expectation(m, [(f, ("w",))])
+
+
+def test_region_indices_read_one_vertex_index():
+    m = PottsModel(("c", "a", "b"), (("a", "b"),), (0.5,), (0.0,) * 3, 2)
+    assert region_indices(m, ("b", "c")) == (2, 0)
+    assert region_indices(m, iter(("a",))) == (1,)
+    with pytest.raises(BadRegion, match="unknown vertex 'w'"):
+        region_indices(m, ("a", "w", "x"))
+    with pytest.raises(BadRegion, match=r"region \['a', 'a'\] repeats a vertex"):
+        region_indices(m, ("a", "a"))
+    for bad in ("w", ["a"], 0):
+        with pytest.raises(BadRegion, match="unknown vertex"):
+            m.vertex_index(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +327,19 @@ def test_index_pairs_are_built_once_and_stay_out_of_eq_and_hash():
     assert m.with_coupling(0, 0.9).index_pairs == m.index_pairs
 
 
+def test_json_texts_are_encoded_once_and_stay_out_of_eq_and_hash():
+    m = PottsModel(("b", "a"), (("b", "a"),), (0.5,), (0.0, 1.5), 3)
+    text = m.json_text
+    assert text == json.dumps(m.to_json_dict(), sort_keys=True)
+    assert m.json_text is text
+    assert m == PottsModel(m.vertices, m.edges, m.J, m.h, m.q)
+    assert hash(m) == hash(PottsModel(m.vertices, m.edges, m.J, m.h, m.q))
+    f = SpinFunction((1.0, -0.5, 2j))
+    assert f.json_text == "[[1.0, 0.0], [-0.5, 0.0], [0.0, 2.0]]"
+    assert f.json_text is f.json_text
+    assert f == SpinFunction(f.values) and hash(f) == hash(SpinFunction(f.values))
+
+
 def zero_coupling_edge():
     # width 1 with one column (Z): the largest table holds 2^2 x 1 = 4 entries
     return PottsModel(("u", "v"), (("u", "v"),), (0.0,), (0.0, 0.0), 2)
@@ -333,6 +362,24 @@ def test_enumeration_cap_env(monkeypatch):
     monkeypatch.setenv("POTTS_GKS_CAP", "abc")
     with pytest.raises(ModelError, match="POTTS_GKS_CAP must be an integer, got 'abc'"):
         partition_function(m)
+
+
+def test_cap_env_is_read_every_call_and_parsed_once_a_value(monkeypatch):
+    parse = model_module._parse_cap
+    parse.cache_clear()
+    monkeypatch.setenv("POTTS_GKS_CAP", "12")
+    assert [default_cap() for _ in range(3)] == [12, 12, 12]
+    assert parse.cache_info().misses == 1
+    monkeypatch.setenv("POTTS_GKS_CAP", "7")
+    assert default_cap() == 7
+    monkeypatch.delenv("POTTS_GKS_CAP")
+    assert default_cap() == model_module.DEFAULT_STATE_CAP
+    for raw, message in (("abc", "must be an integer, got 'abc'"),
+                         ("0", "must be at least 1, got '0'")):
+        monkeypatch.setenv("POTTS_GKS_CAP", raw)
+        for _ in range(2):  # an error is raised again, not cached
+            with pytest.raises(ModelError, match=f"POTTS_GKS_CAP {message}"):
+                default_cap()
 
 
 # ---------------------------------------------------------------------------
