@@ -1,6 +1,7 @@
 """Random-cluster representation: weights, coupling, conditional means."""
 
 import functools
+import hashlib
 import math
 import warnings
 
@@ -708,6 +709,36 @@ def test_spin_law_on_a_shared_plan_with_underflowed_rows(fresh_plans):
     table = random_cluster._partition_table(augment(hard), DEFAULT_STATE_CAP)
     assert len(table.labels) == len(table.plan.labels) - 1
     assert list(table.plan.layouts) == [2]
+
+
+def pinned_bond_models():
+    """The 56 suite models, then two seeded K5 q=3 graphs of 9 and 10 edges."""
+    rng = np.random.default_rng(21)
+    models = list(verification_suite())
+    for n_edges in (9, 10):
+        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)][:n_edges]
+        models.append(model_from_indices(
+            5, pairs, 3, J=tuple(rng.uniform(0.2, 1.5, size=n_edges)),
+            h=tuple(rng.uniform(0.1, 1.0, size=5))))
+    return models
+
+
+# SHA-256 of the spin laws' bytes and of the tower means (family A on every
+# vertex, family B on the first two) of pinned_bond_models, taken when pinned
+SPIN_LAW_SHA256 = "a8e564b97763932def011823515b175268125397c0f9530bc4d422f97c5b0e3c"
+RC_MEANS_SHA256 = "44975650090f65bcc83371f6731272c0f8384fe679d2afc38d17ddd9969f3af0"
+
+
+def test_spin_laws_and_tower_means_are_frozen():
+    laws, means = hashlib.sha256(), []
+    for model in pinned_bond_models():
+        aug = augment(model)
+        laws.update(coupled_spin_marginal(aug).tobytes())
+        means.append(rc_expectation(aug, [(make_family("A", model.q), model.vertices)]))
+        means.append(rc_expectation(aug, [(make_family("B", model.q), model.vertices[:2])]))
+    assert len(means) == 2 * 58
+    assert laws.hexdigest() == SPIN_LAW_SHA256
+    assert hashlib.sha256(np.array(means).tobytes()).hexdigest() == RC_MEANS_SHA256
 
 
 # ---------------------------------------------------------------------------
