@@ -19,16 +19,18 @@ one at a time to at most about 2 Bell(n+1) label rows. That reduction is
 compiled once per graph: _bond_plan, memoized by node count, live bonds
 and cap, records the partitions, each regrouping's inverse and the
 cluster counts, and _partition_table replays a model's weights through
-it (concatenate, np.bincount per regroup, q^k), the float operations of
-carrying the weights along, so the table is the same bit for bit. The
-replayed table is memoized per augmented graph and cap for Z, the
-coupled spin law and the tower mean; the spin law's cluster layout is
-built once per plan and q. The cap bounds the plan's table, rows times
-n+1 labels, before each bond doubles it, and not the 2^|E+| bond
-configurations, which are never visited. _ClusterFactors gives
-E(prod f^R | omega): of_rows for every row of a label table in one numpy
-pass (the tower mean, and a single omega as one row), product for one
-omega of mc's sampler; both share one memo of cluster factors.
+it (an outer product per bond, np.bincount per regroup, q^k), the float
+operations of carrying the weights along, so the table is the same bit
+for bit. The replayed table is memoized per augmented graph and cap for
+Z, the coupled spin law and the tower mean. The spin law's cluster
+layout is compiled once per plan and q too, with the index of every
+state it adds while that index is small. The cap bounds the plan's
+table, rows times n+1 labels, before each bond doubles it, and not the
+2^|E+| bond configurations, which are never visited. _ClusterFactors
+gives E(prod f^R | omega): of_rows for every row of a label table in one
+numpy pass (the tower mean, and a single omega as one row), product for
+one omega of mc's sampler; both share one memo of cluster factors per
+value table.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import functools
 from dataclasses import dataclass
 from itertools import product
 from math import expm1, factorial, fsum
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -189,8 +191,9 @@ class _BondPlan:
 
 # The coupling benchmark's 56 suite models and its K5 graphs make 35 keys
 # (node count, live bonds, cap), each plan under 12 KB and its spin layout
-# under 16 KB; a graph near the cap makes far larger plans, about 21 MB for
-# the 2x6 ladder (4.16 M int8 labels, 3.56 M int32 regroup entries)
+# under 50 KB with its state index (170 KB of index over all 35); a graph
+# near the cap makes far larger plans, about 21 MB for the 2x6 ladder
+# (4.16 M int8 labels, 3.56 M int32 regroup entries), whose index streams
 @functools.lru_cache(maxsize=64)
 def _bond_plan(n1: int, bonds: tuple[tuple[int, int], ...], cap: int) -> _BondPlan:
     """The partitions of n1 nodes that the live bonds reach; see _partition_table.
@@ -264,17 +267,17 @@ def _partition_table(aug: AugmentedGraph, cap: int) -> _Table:
     The partitions come from the plan of the graph's live bonds (p > 0: a
     merged row of a dead bond would weigh 0, the rest x1), and the weights
     replay its steps: a bond appends the rows' weights times p to their
-    weights times 1-p, a regroup sums them by its inverse, and q^k
-    multiplies in at the end. These are the float operations, in the same
-    order, of reducing labels and weights together, so the table depends on
-    (J, h, q) only through this replay, and no bond configuration is
-    visited.
+    weights times 1-p (one outer product), a regroup sums them by its
+    inverse, and q^k multiplies in at the end. These are the float
+    operations, in the same order, of reducing labels and weights together,
+    so the table depends on (J, h, q) only through this replay, and no bond
+    configuration is visited.
     """
     live = [(bond, p) for bond, p in zip(aug.edge_index, aug.p) if p != 0.0]
     plan = _bond_plan(aug.n_vertices + 1, tuple(bond for bond, _ in live), cap)
     weights = np.ones(1)
     for (_, p), inverse in zip(live, plan.regroups):
-        weights = np.concatenate([weights * (1.0 - p), weights * p])
+        weights = np.multiply.outer((1.0 - p, p), weights).ravel()
         if inverse is not None:
             weights = np.bincount(inverse, weights)
     weights = np.bincount(plan.regroups[-1], weights) * float(aug.base.q) ** plan.k
@@ -334,10 +337,49 @@ class _SpinLayout(NamedTuple):
     groups: tuple[tuple[int, int, np.ndarray], ...]  # (k, first row, strides)
     grid: np.ndarray  # digits of the colourings of `slots` slots
     slots: int
+    divisor: np.ndarray  # q^k of every plan row, as float64
+    # every chunk's state indices and plan rows, joined into one int32 pair,
+    # or None past the budget
+    entries: tuple[tuple[np.ndarray, np.ndarray]] | None
+
+
+def _spin_chunks(layout: _SpinLayout, q: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(state indices, plan row of each) per chunk, in coupled_spin_marginal's order.
+
+    A partition's q^k states are strides_j @ grid_k: the i-th stride sums
+    the place values of the i-th cluster's vertices, and the columns of
+    grid_k are the q^k colourings of k slots. Partitions with the same k
+    share one matrix product per chunk of _STATE_BLOCK // q^k rows (one row
+    if q^k is larger). grid covers only the slots whose colourings fit in
+    _STATE_BLOCK columns; a row with more clusters adds its remaining slots'
+    colourings one at a time as an offset.
+    """
+    order, groups, grid, slots = layout[:4]
+    for k, row, k_strides in groups:
+        size = len(k_strides)
+        k_rows = order[row : row + size]
+        low = min(k, slots)
+        rows = max(1, _STATE_BLOCK // q**k)
+        for start in range(0, size, rows):
+            chunk = slice(start, start + rows)
+            low_flat = k_strides[chunk, k - low :] @ grid[slots - low :, : q**low]
+            chunk_rows = np.repeat(k_rows[chunk], q**low)
+            for high in product(range(q), repeat=k - low):
+                flat = low_flat
+                if high:  # the colourings of the slots past the grid
+                    flat = low_flat + (k_strides[chunk, : k - low] @ high)[:, None]
+                yield flat.astype(np.intp).ravel(), chunk_rows
 
 
 def _spin_layout(plan: _BondPlan, q: int) -> _SpinLayout:
-    """The plan's _SpinLayout at q, built on first use; see coupled_spin_marginal."""
+    """The plan's _SpinLayout at q, built on first use; see coupled_spin_marginal.
+
+    The strides, the order by k, the grid and the divisors q^k depend on the
+    plan and q only. So do the state indices _spin_chunks yields: while they
+    and their plan rows fit in _STATE_BLOCK int32 values (64 KB), every state
+    of sum_j q^(k_j) is listed once here, its chunks joined in the order they
+    come; a larger plan keeps entries None and streams its chunks per call.
+    """
     layout = plan.layouts.get(q)
     if layout is not None:
         return layout
@@ -360,10 +402,19 @@ def _spin_layout(plan: _BondPlan, q: int) -> _SpinLayout:
     members = real[order][:, :, None] == np.arange(n)
     strides = np.einsum("jvr,v->jr", members, place)[roots[order]]
     groups, row, pos = [], 0, 0
-    for k, size in enumerate(np.bincount(counts).tolist()):
+    sizes = np.bincount(counts).tolist()
+    for k, size in enumerate(sizes):
         groups.append((k, row, strides[pos : pos + size * k].reshape(size, k)))
         row, pos = row + size, pos + size * k
-    layout = plan.layouts[q] = _SpinLayout(order, tuple(groups), grid, slots)
+    # the Python ints q^k as float64, as a division by q**k converts them
+    divisor = np.array([q**k for k in range(len(sizes))], dtype=np.float64)[counts]
+    layout = _SpinLayout(order, tuple(groups), grid, slots, divisor, None)
+    if 2 * sum(size * q**k for k, size in enumerate(sizes)) <= _STATE_BLOCK:
+        index, rows = zip(*_spin_chunks(layout, q))
+        layout = layout._replace(entries=(
+            (np.concatenate(index).astype(np.int32), np.concatenate(rows).astype(np.int32)),
+        ))
+    plan.layouts[q] = layout
     return layout
 
 
@@ -373,44 +424,45 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
     Must agree with the Potts measure; the acceptance suite checks total
     variation against potts_distribution. A partition of the bond plan
     gives each of its k clusters away from the ghost one uniform colour, so
-    its q^k states, each of weight w_j / q^k, are strides_j @ grid_k: the
-    i-th stride sums the place values of the i-th cluster's vertices, and
-    the columns of grid_k are the q^k colourings of k slots. Partitions
-    with the same k share one matrix product per chunk of
-    _STATE_BLOCK // q^k rows (one row if q^k is larger). grid covers only
-    the slots whose colourings fit in _STATE_BLOCK columns; a row with more
-    clusters adds its remaining slots' colourings one at a time as an
-    offset. So no array but the law holds more than _STATE_BLOCK states,
-    no state is listed twice, and the work is sum_j q^(k_j). The strides,
-    the order by k and the grid depend on the plan and q only (_spin_layout);
-    a row of the plan whose weight underflowed adds zeros.
+    each of its q^k states has weight w_j / q^k. The states come from the
+    plan's _SpinLayout: a memoized index of every (state, plan row) entry
+    when it fits the budget, otherwise _spin_chunks streams the same entries
+    in the same order, no chunk past about _STATE_BLOCK states. Either way
+    a call divides the plan's weights by q^k once, gathers them per entry,
+    and np.add.at adds each state's terms in the order of the chunks, so
+    the law is the same bit for bit on both routes. No state is listed
+    twice, the work is sum_j q^(k_j), and a row of the plan whose weight
+    underflowed adds zeros.
     """
     n, q = aug.n_vertices, aug.base.q
+    cap = default_cap() if cap is None else cap
     _check_cap(q**n, f"the spin law over {q}^{n} states", cap)
-    table = _partition_table(aug, default_cap() if cap is None else cap)
-    order, groups, grid, slots = _spin_layout(table.plan, q)
-    sorted_weights = table.plan_weights[order]
+    table = _partition_table(aug, cap)
+    layout = _spin_layout(table.plan, q)
+    scaled = table.plan_weights / layout.divisor
     marginal = np.zeros(q**n)
-    for k, row, k_strides in groups:
-        size = len(k_strides)
-        k_weights = sorted_weights[row : row + size] / q**k
-        low = min(k, slots)
-        rows = max(1, _STATE_BLOCK // q**k)
-        for start in range(0, size, rows):
-            chunk = slice(start, start + rows)
-            low_flat = k_strides[chunk, k - low :] @ grid[slots - low :, : q**low]
-            chunk_weights = np.repeat(k_weights[chunk], q**low)
-            for high in product(range(q), repeat=k - low):
-                flat = low_flat
-                if high:  # the colourings of the slots past the grid
-                    flat = low_flat + (k_strides[chunk, : k - low] @ high)[:, None]
-                np.add.at(marginal, flat.astype(np.intp).ravel(), chunk_weights)
+    for index, rows in layout.entries or _spin_chunks(layout, q):
+        np.add.at(marginal, index, scaled[rows])
     return marginal / table.z
 
 
 # ---------------------------------------------------------------------------
 # conditional expectations given the bond configuration
 # ---------------------------------------------------------------------------
+
+
+@functools.lru_cache(maxsize=128)
+def _factor_powers(values: bytes, q: int, max_m: int) -> tuple[np.ndarray, dict, dict]:
+    """powtab of the factors' value table (its complex128 bytes), and the
+    memos of ghost and cluster factors by code, shared by every _ClusterFactors
+    of these values and this max_m: a factor depends on nothing else."""
+    values = np.frombuffer(values, dtype=np.complex128).reshape(-1, q)
+    powtab = np.empty((len(values), q, max_m + 1), dtype=np.complex128)
+    powtab[:, :, 0] = 1.0
+    for m in range(1, max_m + 1):
+        powtab[:, :, m] = powtab[:, :, m - 1] * values
+    powtab.flags.writeable = False
+    return powtab, {}, {}
 
 
 class _ClusterFactors:
@@ -422,22 +474,20 @@ class _ClusterFactors:
     multiplication, the arithmetic the Monte Carlo digest was frozen with. A
     member (v, base**i) per vertex of each region makes a cluster's m_i the
     base-(max_m + 1) digits of one code, by which both factors are memoized.
+    powtab and the two memos come from _factor_powers, so factor lists with
+    the same values and max_m share them, whatever their regions.
     """
 
     def __init__(self, base: PottsModel, factors) -> None:
         self.prepared = prepared = check_factors(base, factors)
         max_m = max((len(idx) for _, idx in prepared), default=0)
         values = np.array([f.values for f, _ in prepared], dtype=np.complex128)
-        self.powtab = np.empty((len(prepared), base.q, max_m + 1), dtype=np.complex128)
-        self.powtab[:, :, 0] = 1.0
-        for m in range(1, max_m + 1):
-            self.powtab[:, :, m] = self.powtab[:, :, m - 1] * values
+        self.powtab, self._ghost, self._cluster = _factor_powers(
+            values.tobytes(), base.q, max_m)
         self.members = [(v, (max_m + 1) ** i) for i, (_, idx) in enumerate(prepared)
                         for v in sorted(idx)]
         self._member_v = np.array([v for v, _ in self.members], dtype=np.intp)
         self._member_w = np.array([w for _, w in self.members], dtype=np.float64)
-        self._ghost: dict[int, complex] = {}
-        self._cluster: dict[int, complex] = {}
 
     def _counts(self, code: int) -> list[int]:
         base = self.powtab.shape[2]
@@ -525,7 +575,7 @@ class _ClusterFactors:
         keys = sorted(map(int, set(codes.tolist())))  # codes are exact in float64
         table = np.array([memo[c] if c in memo else factor(c) for c in keys],
                          dtype=np.complex128)
-        return table[np.searchsorted(keys, codes)]
+        return table[np.array(keys).searchsorted(codes)]
 
 
 def conditional_expectation(
