@@ -407,9 +407,24 @@ def _draw_model(rng: np.random.Generator, cfg: FuzzConfig) -> PottsModel:
     return model
 
 
+# (kind, q) pairs a fuzz run can ask for; the functions are a few hundred bytes
+@functools.lru_cache(maxsize=64)
+def _fixed_function(kind: str, q: int) -> SpinFunction | tuple[SpinFunction, SpinFunction]:
+    """A fuzz function whose values depend on q alone, built once per (kind, q),
+    so its json_text and certifications are computed once: family A or B,
+    A shifted by one spin, or the indicator pair of spins 0 and 1."""
+    if kind == "shiftA":
+        base = make_family("A", q).values
+        return SpinFunction(tuple(base[(x - 1) % q] for x in range(q)))
+    if kind == "indicators":
+        return tuple(SpinFunction(tuple(1.0 if x == y else 0.0 for x in range(q)))
+                     for y in (0, 1))
+    return make_family(kind, q)
+
+
 def _draw_function(rng: np.random.Generator, q: int, kind: str) -> SpinFunction:
-    if kind in ("A", "B"):
-        return make_family(kind, q)
+    if kind in ("A", "B", "shiftA"):
+        return _fixed_function(kind, q)
     if kind == "C":
         vals = rng.uniform(0.0, 1.0, size=q)
         vals[0] = vals.max()
@@ -424,9 +439,6 @@ def _draw_function(rng: np.random.Generator, q: int, kind: str) -> SpinFunction:
             f = SpinFunction(tuple(vals))
             if check_Fq_i(f, 0).passed:
                 return f
-    if kind == "shiftA":
-        base = make_family("A", q).values
-        return SpinFunction(tuple(base[(x - 1) % q] for x in range(q)))
     if kind == "adversarial":
         re = rng.uniform(-1.0, 1.0, size=q)
         im = rng.uniform(-1.0, 1.0, size=q)
@@ -443,9 +455,7 @@ def _draw_disjoint_pair(
     rng: np.random.Generator, q: int
 ) -> tuple[SpinFunction, SpinFunction]:
     if rng.random() < 0.5:  # the classic indicator pair
-        f0 = tuple(1.0 if x == 0 else 0.0 for x in range(q))
-        f1 = tuple(1.0 if x == 1 else 0.0 for x in range(q))
-        return SpinFunction(f0), SpinFunction(f1)
+        return _fixed_function("indicators", q)
     in_supp0 = [True, *(rng.random(q - 1) < 0.5)]
     # drawn in the order v0's support, then v1's
     draws = iter(rng.uniform(0.1, 1.0, size=q).tolist())
