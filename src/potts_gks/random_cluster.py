@@ -338,21 +338,22 @@ class _SpinLayout(NamedTuple):
     grid: np.ndarray  # digits of the colourings of `slots` slots
     slots: int
     divisor: np.ndarray  # q^k of every plan row, as float64
-    # every chunk's state indices and plan rows, joined into one int32 pair,
-    # or None past the budget
-    entries: tuple[tuple[np.ndarray, np.ndarray]] | None
+    # the chunks joined into one, while they are small: (state indices,
+    # order, q^k per row of order); None past the budget
+    entries: tuple[tuple[np.ndarray, np.ndarray, np.ndarray]] | None
 
 
-def _spin_chunks(layout: _SpinLayout, q: int) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(state indices, plan row of each) per chunk, in coupled_spin_marginal's order.
+def _spin_chunks(layout: _SpinLayout, q: int) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """(state indices, plan rows, states per row) per chunk, in coupled_spin_marginal's order.
 
     A partition's q^k states are strides_j @ grid_k: the i-th stride sums
     the place values of the i-th cluster's vertices, and the columns of
     grid_k are the q^k colourings of k slots. Partitions with the same k
     share one matrix product per chunk of _STATE_BLOCK // q^k rows (one row
-    if q^k is larger). grid covers only the slots whose colourings fit in
-    _STATE_BLOCK columns; a row with more clusters adds its remaining slots'
-    colourings one at a time as an offset.
+    if q^k is larger), whose indices list each row's states in turn. grid
+    covers only the slots whose colourings fit in _STATE_BLOCK columns; a
+    row with more clusters adds its remaining slots' colourings one at a
+    time as an offset, one chunk each.
     """
     order, groups, grid, slots = layout[:4]
     for k, row, k_strides in groups:
@@ -363,22 +364,24 @@ def _spin_chunks(layout: _SpinLayout, q: int) -> Iterator[tuple[np.ndarray, np.n
         for start in range(0, size, rows):
             chunk = slice(start, start + rows)
             low_flat = k_strides[chunk, k - low :] @ grid[slots - low :, : q**low]
-            chunk_rows = np.repeat(k_rows[chunk], q**low)
             for high in product(range(q), repeat=k - low):
                 flat = low_flat
                 if high:  # the colourings of the slots past the grid
                     flat = low_flat + (k_strides[chunk, : k - low] @ high)[:, None]
-                yield flat.astype(np.intp).ravel(), chunk_rows
+                yield flat.astype(np.intp).ravel(), k_rows[chunk], q**low
 
 
 def _spin_layout(plan: _BondPlan, q: int) -> _SpinLayout:
     """The plan's _SpinLayout at q, built on first use; see coupled_spin_marginal.
 
     The strides, the order by k, the grid and the divisors q^k depend on the
-    plan and q only. So do the state indices _spin_chunks yields: while they
-    and their plan rows fit in _STATE_BLOCK int32 values (64 KB), every state
-    of sum_j q^(k_j) is listed once here, its chunks joined in the order they
-    come; a larger plan keeps entries None and streams its chunks per call.
+    plan and q only. So do the state indices _spin_chunks yields. While
+    there are at most _STATE_BLOCK // 2 of them (64 KB of intp), every row's
+    q^k <= _STATE_BLOCK, so no row needs an offset, and the chunks list the
+    rows of `order` in turn, each with its q^k states: their indices are
+    joined here in the order they come, and `entries` pairs them with
+    `order` and those q^k. A larger plan keeps entries None and streams its
+    chunks on every call.
     """
     layout = plan.layouts.get(q)
     if layout is not None:
@@ -406,14 +409,14 @@ def _spin_layout(plan: _BondPlan, q: int) -> _SpinLayout:
     for k, size in enumerate(sizes):
         groups.append((k, row, strides[pos : pos + size * k].reshape(size, k)))
         row, pos = row + size, pos + size * k
+    powers = [q**k for k in range(len(sizes))]
     # the Python ints q^k as float64, as a division by q**k converts them
-    divisor = np.array([q**k for k in range(len(sizes))], dtype=np.float64)[counts]
+    divisor = np.array(powers, dtype=np.float64)[counts]
     layout = _SpinLayout(order, tuple(groups), grid, slots, divisor, None)
-    if 2 * sum(size * q**k for k, size in enumerate(sizes)) <= _STATE_BLOCK:
-        index, rows = zip(*_spin_chunks(layout, q))
-        layout = layout._replace(entries=(
-            (np.concatenate(index).astype(np.int32), np.concatenate(rows).astype(np.int32)),
-        ))
+    if sum(map(int.__mul__, sizes, powers)) <= _STATE_BLOCK // 2:
+        index = np.concatenate([flat for flat, _, _ in _spin_chunks(layout, q)])
+        states = np.array(powers, dtype=np.intp)[counts[order]]
+        layout = layout._replace(entries=((index, order, states),))
     plan.layouts[q] = layout
     return layout
 
@@ -425,14 +428,14 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
     variation against potts_distribution. A partition of the bond plan
     gives each of its k clusters away from the ghost one uniform colour, so
     each of its q^k states has weight w_j / q^k. The states come from the
-    plan's _SpinLayout: a memoized index of every (state, plan row) entry
-    when it fits the budget, otherwise _spin_chunks streams the same entries
-    in the same order, no chunk past about _STATE_BLOCK states. Either way
-    a call divides the plan's weights by q^k once, gathers them per entry,
-    and np.add.at adds each state's terms in the order of the chunks, so
-    the law is the same bit for bit on both routes. No state is listed
-    twice, the work is sum_j q^(k_j), and a row of the plan whose weight
-    underflowed adds zeros.
+    plan's _SpinLayout: its memoized index of every state, row by row, when
+    that fits the budget, otherwise the same indices in the same order from
+    _spin_chunks, no chunk past about _STATE_BLOCK states. Either way a
+    call divides the plan's weights by q^k once, repeats each row's
+    weight over its states, and np.add.at adds each state's terms in the
+    order of the chunks, so the law is the same bit for bit on both routes.
+    No state is listed twice, the work is sum_j q^(k_j), and a row of the
+    plan whose weight underflowed adds zeros.
     """
     n, q = aug.n_vertices, aug.base.q
     cap = default_cap() if cap is None else cap
@@ -441,8 +444,8 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
     layout = _spin_layout(table.plan, q)
     scaled = table.plan_weights / layout.divisor
     marginal = np.zeros(q**n)
-    for index, rows in layout.entries or _spin_chunks(layout, q):
-        np.add.at(marginal, index, scaled[rows])
+    for index, rows, states in layout.entries or _spin_chunks(layout, q):
+        np.add.at(marginal, index, np.repeat(scaled[rows], states))
     return marginal / table.z
 
 

@@ -709,7 +709,7 @@ def test_spin_law_on_a_shared_plan_with_underflowed_rows(fresh_plans):
     table = random_cluster._partition_table(augment(hard), DEFAULT_STATE_CAP)
     assert len(table.labels) == len(table.plan.labels) - 1
     assert list(table.plan.layouts) == [2]
-    # 14214 states and their rows are past the budget: the chunks stream
+    # 14214 states are past the budget: the chunks stream
     assert table.plan.layouts[2].entries is None
     assert np.max(np.abs(coupled_spin_marginal(augment(hard))
                          - potts_distribution(hard))) <= 1e-12
@@ -717,16 +717,17 @@ def test_spin_law_on_a_shared_plan_with_underflowed_rows(fresh_plans):
 
 @pytest.mark.parametrize("model", verification_suite()[::5], ids=lambda m: f"n{m.n_vertices}q{m.q}")
 def test_spin_index_memo_and_streamed_chunks_agree_bit_for_bit(fresh_plans, model):
-    # a suite plan memoizes one index pair, int32, within the budget; the
-    # chunks streamed without it add the same terms in the same order
+    # a suite plan memoizes one index, within the budget, of every row's
+    # states in the layout's order; the chunks streamed without it add the
+    # same terms in the same order
     aug = augment(model)
     law = coupled_spin_marginal(aug)
     plan = random_cluster._partition_table(aug, DEFAULT_STATE_CAP).plan
     layout = plan.layouts[model.q]
-    (index, rows), = layout.entries
-    assert index.dtype == rows.dtype == np.int32 and len(index) == len(rows)
-    assert 2 * len(index) <= random_cluster._STATE_BLOCK
-    assert len(index) == layout.divisor.sum()  # each plan row's q^k states
+    (index, rows, states), = layout.entries
+    assert rows is layout.order
+    assert states.tolist() == layout.divisor[layout.order].tolist()  # q^k
+    assert len(index) == states.sum() <= random_cluster._STATE_BLOCK // 2
     plan.layouts[model.q] = layout._replace(entries=None)
     assert coupled_spin_marginal(aug).tobytes() == law.tobytes()
     assert plan.layouts[model.q].entries is None
