@@ -191,7 +191,7 @@ class _BondPlan:
 
 # The coupling benchmark's 56 suite models and its K5 graphs make 35 keys
 # (node count, live bonds, cap), each plan under 12 KB and its spin layout
-# under 50 KB with its state index (170 KB of index over all 35); a graph
+# under 51 KB with its state index (181 KB of index over all 35); a graph
 # near the cap makes far larger plans, about 21 MB for the 2x6 ladder
 # (4.16 M int8 labels, 3.56 M int32 regroup entries), whose index streams
 @functools.lru_cache(maxsize=64)
@@ -343,8 +343,11 @@ class _SpinLayout(NamedTuple):
     entries: tuple[tuple[np.ndarray, np.ndarray, np.ndarray]] | None
 
 
-def _spin_chunks(layout: _SpinLayout, q: int) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
-    """(state indices, plan rows, states per row) per chunk, in coupled_spin_marginal's order.
+def _spin_chunks(
+    layout: _SpinLayout, q: int
+) -> Iterator[tuple[np.ndarray, np.ndarray, int]]:
+    """(state indices, plan rows, q^k states per row) per chunk, in the order
+    coupled_spin_marginal adds them.
 
     A partition's q^k states are strides_j @ grid_k: the i-th stride sums
     the place values of the i-th cluster's vertices, and the columns of

@@ -405,6 +405,25 @@ def test_fuzz_deterministic_replay():
     assert a.checks_run == b.checks_run
 
 
+def test_fuzz_builds_each_fixed_function_once_per_kind_and_q():
+    # A, B, shiftA and the indicator pair depend on q alone and draw nothing
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    for kind in ("A", "B", "shiftA"):
+        f = verify_module._draw_function(rng, 4, kind)
+        assert verify_module._draw_function(rng, 4, kind) is f
+        assert verify_module._draw_function(rng, 3, kind) is not f
+    assert rng.bit_generator.state == state
+    assert verify_module._draw_function(rng, 4, "shiftA").values == (-1.5, 1.5, 0.5, -0.5)
+    pairs = []
+    while len(pairs) < 2:  # the indicator branch draws one uniform only
+        pair = verify_module._draw_disjoint_pair(rng, 3)
+        if pair[0].values == (1.0, 0.0, 0.0):
+            pairs.append(pair)
+    assert pairs[0] is pairs[1]
+    assert pairs[0][1].values == (0.0, 1.0, 0.0)
+
+
 def record_reports(monkeypatch) -> list:
     """Hook verify._report, which builds every report the fuzzer checks."""
     reports = []
