@@ -407,7 +407,7 @@ def _draw_model(rng: np.random.Generator, cfg: FuzzConfig) -> PottsModel:
     return model
 
 
-# (kind, q) pairs a fuzz run can ask for; the functions are a few hundred bytes
+# four kinds per q in the run's q_values; each entry is a few hundred bytes
 @functools.lru_cache(maxsize=64)
 def _fixed_function(kind: str, q: int) -> SpinFunction | tuple[SpinFunction, SpinFunction]:
     """A fuzz function whose values depend on q alone, built once per (kind, q),
