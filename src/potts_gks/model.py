@@ -191,12 +191,17 @@ class PottsModel:
         except (KeyError, TypeError):
             raise BadRegion(f"unknown vertex {v!r}") from None
 
+    @functools.cached_property
+    def _edge_positions(self) -> dict[tuple[str, str], int]:
+        """Each edge's index under both orientations, built once per model."""
+        return {e: k for k, (u, v) in enumerate(self.edges) for e in ((u, v), (v, u))}
+
     def edge_position(self, u: str, v: str) -> int:
         """Index of the undirected edge <u,v> in the edge list."""
-        for k, (a, b) in enumerate(self.edges):
-            if {a, b} == {u, v}:
-                return k
-        raise BadEdge(f"no edge <{u},{v}> in model")
+        try:
+            return self._edge_positions[u, v]
+        except KeyError:
+            raise BadEdge(f"no edge <{u},{v}> in model") from None
 
     def with_coupling(self, position: int, J: float) -> "PottsModel":
         new_J = list(self.J)

@@ -114,6 +114,16 @@ def test_region_indices_read_one_vertex_index():
             m.vertex_index(bad)
 
 
+def test_edge_position_reads_either_orientation():
+    m = PottsModel(("c", "a", "b"), (("a", "b"), ("c", "b")), (0.5, 0.2), (0.0,) * 3, 2)
+    assert [m.edge_position("a", "b"), m.edge_position("b", "a")] == [0, 0]
+    assert [m.edge_position("c", "b"), m.edge_position("b", "c")] == [1, 1]
+    assert m._edge_positions is m._edge_positions
+    for u, v in (("a", "c"), ("a", "a"), ("a", "w")):
+        with pytest.raises(BadEdge, match=f"^no edge <{u},{v}> in model$"):
+            m.edge_position(u, v)
+
+
 # ---------------------------------------------------------------------------
 # weights and partition function
 # ---------------------------------------------------------------------------
