@@ -604,23 +604,33 @@ def spin_means(
     checked on the width of the elimination order before its einsum steps
     are compiled, so a graph far past the cap is refused at once.
     """
-    prepared = [
-        (check_factors(model, fs), None if c is None else _coordinate_position(model, c))
-        for fs, c in columns
-    ]
+    # (id(f), region): (f, its vertex indices), each pair checked once per call;
+    # keyed on identity, as SpinFunction equality merges a -0.0 table with a 0.0 one
+    indexed: dict = {}
+    prepared = []
+    for fs, c in columns:
+        keys = []
+        for f, region in fs:
+            key = (id(f), tuple(region))
+            if key not in indexed:
+                indexed[key] = check_factors(model, [(f, key[1])])[0]
+            keys.append(key)
+        prepared.append((keys, None if c is None else _coordinate_position(model, c)))
     q, n_cols, width = model.q, 1 + len(prepared), _model_width(model)
     _check_cap(
         q ** (width + 1) * n_cols,
         f"a {q}^{width + 1} x {n_cols} table at elimination width {width}",
         cap,
     )
-    complex_valued = any(
-        x.imag for factors, _ in prepared for f, _ in factors for x in f.values
-    )
+    complex_valued = any(x.imag for f, _ in indexed.values() for x in f.values)
+    factors = {
+        key: (f.as_array() if complex_valued else f.as_array().real, idx)
+        for key, (f, idx) in indexed.items()
+    }
     site, pair = _tables(model, n_cols, complex if complex_valued else float)
-    for c, (factors, position) in enumerate(prepared, 1):
-        for f, idx in factors:
-            values = f.as_array() if complex_valued else f.as_array().real
+    for c, (keys, position) in enumerate(prepared, 1):
+        for key in keys:
+            values, idx = factors[key]
             for i in idx:
                 site[i, c] *= values
         if position is not None:

@@ -578,6 +578,50 @@ def test_every_column_kind_matches_oracle(model, data):
         assert abs(got - want) <= 1e-12
 
 
+def count_region_indices(monkeypatch) -> list:
+    calls = []
+    index = model_module.region_indices
+
+    def count(model, region):
+        calls.append(tuple(region))
+        return index(model, region)
+
+    monkeypatch.setattr(model_module, "region_indices", count)
+    return calls
+
+
+def test_spin_means_indexes_each_function_and_region_once_per_call(monkeypatch):
+    # the columns of a fuzz trial's gks_pair and disjoint_support claims, with
+    # R once as a list and an equal copy of f, which is indexed on its own
+    m = PottsModel(("a", "b", "c"), (("a", "b"), ("b", "c")), (0.5, 1.2), (0.3, 0.0, 0.7), 3)
+    f, (f0, f1) = make_family("A", 3), (SpinFunction((1, 0, 0)), SpinFunction((0, 1, 0)))
+    R, S = ("a", "c"), ("b",)
+    twin = SpinFunction(f.values)
+    columns = [([(f, R), (f, S)], None), ([(f, list(R))], None), ([(f, S)], None),
+               ([(f0, R), (f1, S)], None), ([(f0, R)], "a"), ([(twin, R)], ("b", "a"))]
+    calls = count_region_indices(monkeypatch)
+    means = spin_means(m, columns)[1]
+    assert sorted(calls) == sorted([R, S, R, S, R])
+    calls.clear()
+    alone = [spin_means(m, [column])[1][0] for column in columns]
+    assert len(calls) == 8  # one per factor: each call indexes its own
+    assert np.array(means).tobytes() == np.array(alone).tobytes()
+
+
+def test_functions_apart_by_a_signed_zero_are_indexed_apart(monkeypatch):
+    # SpinFunction equality merges -0.0 with 0.0; spin_means keys on identity
+    m = PottsModel(("a", "b"), (("a", "b"),), (0.8,), (0.0, 0.4), 3)
+    plus, minus = SpinFunction((1.0, 0.0, 0.5)), SpinFunction((1.0, -0.0, 0.5))
+    assert plus == minus and hash(plus) == hash(minus)
+    columns = [([(plus, ("a", "b"))], None), ([(minus, ("a", "b"))], "b"),
+               ([(minus, ("a",))], None), ([(plus, ("a",))], ("a", "b"))]
+    calls = count_region_indices(monkeypatch)
+    means = spin_means(m, columns)[1]
+    assert len(calls) == 4
+    alone = [spin_means(m, [column])[1][0] for column in columns]
+    assert np.array(means).tobytes() == np.array(alone).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # JSON round trip
 # ---------------------------------------------------------------------------
