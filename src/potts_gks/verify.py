@@ -154,15 +154,19 @@ class _Claim(NamedTuple):
     margin: Callable[[list], tuple]
 
 
+def _fold(primary: float, imag: float, tol: float) -> float:
+    """A claim's margin: the primary slack folded with the imaginary
+    residual, so (margin >= -tol) == (primary >= -tol and imag <= tol)
+    without masking the informative slack in the usual all-real case."""
+    return primary if imag <= tol else min(primary, -imag)
+
+
 def _report(
     claim: _Claim, model: PottsModel, means: list, tol: float
 ) -> VerificationReport:
-    """The report of one claim from the means of its columns. The margin is
-    the primary slack folded with the imaginary residual, so
-    (margin >= -tol) == (primary >= -tol and imag <= tol) without masking
-    the informative slack in the usual all-real case."""
+    """The report of one claim from the means of its columns (margin: _fold)."""
     lhs, rhs, primary, imag, details = claim.margin(means)
-    margin = primary if imag <= tol else min(primary, -imag)
+    margin = _fold(primary, imag, tol)
     return VerificationReport(
         claim=claim.name,
         inputs=_digest(claim.name, model, claim.parts),
@@ -528,6 +532,8 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
     describes its claims in a fixed order. Each certified claim whose own
     table, q^(w+1) x (1 + its columns), fits the cap is evaluated; their
     means come from one elimination when the trial's columns fit together.
+    A check's verdict is read from its margin; only a failing check gets a
+    report, and with it the digest of its inputs.
     """
     _check_config(config)
     cap = default_cap() if config.cap is None else config.cap
@@ -568,9 +574,9 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
                 continue
             claims.append(claim)
         for claim, means in zip(claims, _trial_means(model, claims, budget, cap)):
-            report = _report(claim, model, means, config.tol)
             result.checks_run += 1
-            if not report.verdict:
-                result.failures.append(report)
+            _, _, primary, imag, _ = claim.margin(means)
+            if not _fold(primary, imag, config.tol) >= -config.tol:  # a NaN fails
+                result.failures.append(_report(claim, model, means, config.tol))
         result.trials_run += 1
     return result

@@ -20,6 +20,7 @@ from potts_gks import (
 from potts_gks.cli import run
 from potts_gks.mc import estimate_pooled
 from test_random_cluster import six_vertex_model
+from test_verify import fail_gks_pair_checks
 
 LN3 = math.log(3)
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -554,9 +555,7 @@ def test_fuzz_command(capsys):
 def test_fuzz_prints_each_failing_report(capsys, monkeypatch):
     # no certified instance fails, so a stub stands in for a violated check
     bad = verify.VerificationReport("gks_pair", "x", 0j, 1 + 0j, -1.0, 1e-8, False)
-    build = verify._report
-    monkeypatch.setattr(verify, "_report", lambda claim, *a: (
-        bad if claim.name == "gks_pair" else build(claim, *a)))
+    fail_gks_pair_checks(monkeypatch, bad)
     code, lines = run_lines(capsys, ["fuzz", "--trials", "2", "--seed", "1"])
     assert code == 1
     assert lines[:-1] == [verify.report_to_json_dict(bad)] * 2

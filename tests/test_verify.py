@@ -424,18 +424,46 @@ def test_fuzz_builds_each_fixed_function_once_per_kind_and_q():
     assert pairs[0][1].values == (0.0, 1.0, 0.0)
 
 
-def record_reports(monkeypatch) -> list:
-    """Hook verify._report, which builds every report the fuzzer checks."""
+def record_reports(monkeypatch, tol: float = verify_module.DEFAULT_VERIFY_TOL) -> list:
+    """Hook verify._trial_means, which sees every claim the fuzzer checks and
+    its means, and build each check's report there with verify._report: the
+    fuzzer itself builds reports only for failing checks."""
     reports = []
-    build = verify_module._report
+    means_of = verify_module._trial_means
 
-    def record(*args, **kwargs):
-        report = build(*args, **kwargs)
-        reports.append(report)
-        return report
+    def record(model, claims, *args):
+        means = means_of(model, claims, *args)
+        build = verify_module._report
+        reports.extend(build(c, model, m, tol) for c, m in zip(claims, means))
+        return means
 
-    monkeypatch.setattr(verify_module, "_report", record)
+    monkeypatch.setattr(verify_module, "_trial_means", record)
     return reports
+
+
+def violate_gks_pair_checks(monkeypatch) -> list:
+    """Hook verify._trial_means to give every gks_pair check means that
+    violate it (<ab> = 0 against <a><b> = 1); returns its (model, claim)s."""
+    violated = []
+    means_of = verify_module._trial_means
+
+    def violate(model, claims, *args):
+        means = means_of(model, claims, *args)
+        violated.extend((model, c) for c in claims if c.name == "gks_pair")
+        return [[0j, 1 + 0j, 1 + 0j] if c.name == "gks_pair" else m
+                for c, m in zip(claims, means)]
+
+    monkeypatch.setattr(verify_module, "_trial_means", violate)
+    return violated
+
+
+def fail_gks_pair_checks(monkeypatch, bad) -> None:
+    """Stand bad in for every gks_pair check's report: the check fails, so
+    the fuzzer asks verify._report for its report, which returns bad."""
+    violate_gks_pair_checks(monkeypatch)
+    build = verify_module._report
+    monkeypatch.setattr(verify_module, "_report", lambda claim, *a: (
+        bad if claim.name == "gks_pair" else build(claim, *a)))
 
 
 def test_fuzz_extreme_couplings_and_fields_stay_finite(monkeypatch):
@@ -453,9 +481,7 @@ def test_fuzz_counts_failing_reports(monkeypatch):
     # no certified instance fails, so a stub stands in for a violated check
     bad = verify_module.VerificationReport("gks_pair", "x", 0j, 1 + 0j, -1.0, 1e-8,
                                            False)
-    build = verify_module._report
-    monkeypatch.setattr(verify_module, "_report", lambda claim, *a: (
-        bad if claim.name == "gks_pair" else build(claim, *a)))
+    fail_gks_pair_checks(monkeypatch, bad)
     result = fuzz(FuzzConfig(trials=3, seed=1))
     assert result.failures == [bad] * 3
     assert result.summary_dict()["violations"] == 3
@@ -469,6 +495,27 @@ def test_fuzz_respects_cap(monkeypatch):
     result = fuzz(config)
     assert result.skipped_too_large > 0
     assert len(reports) == result.checks_run
+
+
+def test_a_clean_fuzz_digests_no_inputs(monkeypatch):
+    # a passing check's verdict comes from its margin, with no report built
+    digests = []
+    digest = verify_module._digest
+    monkeypatch.setattr(verify_module, "_digest", lambda *a: digests.append(a) or digest(*a))
+    result = fuzz(FuzzConfig(trials=200, seed=4))
+    assert result.failures == [] and result.checks_run > 600
+    assert digests == []
+
+
+def test_a_failing_fuzz_check_carries_its_claims_inputs(monkeypatch):
+    seen = violate_gks_pair_checks(monkeypatch)
+    result = fuzz(FuzzConfig(trials=20, seed=6))
+    assert len(result.failures) == len(seen) > 10
+    for got, (model, claim) in zip(result.failures, seen):
+        want = verify_gks_pair(model, *claim.parts)
+        assert (got.claim, got.inputs) == (want.claim, want.inputs)
+        assert (got.margin, got.verdict, got.details) == (
+            -1.0, False, {"gks_margin": -1.0, "imag_residual": 0.0})
 
 
 @pytest.mark.parametrize(
