@@ -424,16 +424,17 @@ def test_fuzz_builds_each_fixed_function_once_per_kind_and_q():
     assert pairs[0][1].values == (0.0, 1.0, 0.0)
 
 
-def record_reports(monkeypatch, tol: float = verify_module.DEFAULT_VERIFY_TOL) -> list:
+def record_reports(monkeypatch) -> list:
     """Hook verify._trial_means, which sees every claim the fuzzer checks and
-    its means, and build each check's report there with verify._report: the
-    fuzzer itself builds reports only for failing checks."""
+    its means, and build each check's report there with verify._report at
+    the default tol: the fuzzer itself builds reports only for failing checks."""
     reports = []
     means_of = verify_module._trial_means
 
     def record(model, claims, *args):
         means = means_of(model, claims, *args)
         build = verify_module._report
+        tol = verify_module.DEFAULT_VERIFY_TOL
         reports.extend(build(c, model, m, tol) for c, m in zip(claims, means))
         return means
 
