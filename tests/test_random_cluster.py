@@ -764,6 +764,37 @@ def test_spin_laws_and_tower_means_are_frozen():
     assert hashlib.sha256(np.array(means).tobytes()).hexdigest() == RC_MEANS_SHA256
 
 
+def signed_tables(q):
+    """Two value tables of q entries with negative, complex and ±0.0 entries."""
+    first = [0.9 - 0.4j, -1.3, complex(-0.0, 0.0), complex(0.0, -0.0), 0.5 + 1.1j]
+    second = [complex(-0.0, -0.0), -0.6 + 0.8j, 1.7, -0.2j, -2.1 - 0.5j]
+    return [SpinFunction([values[i % 5] for i in range(q)]) for values in (first, second)]
+
+
+# SHA-256 of the bytes of the tower means and the conditional expectations
+# (ghost in and out, on the all-closed, all-open and one seeded omega) of
+# pinned_bond_models under signed_tables, taken when pinned
+SIGNED_MEANS_SHA256 = "92206152a2133297d4752eba7eec73805fc2c5596f3b7109b066a1f23c1a588a"
+
+
+def test_tower_and_conditional_means_of_signed_tables_are_frozen():
+    rng = np.random.default_rng(22)
+    means = []
+    for model in pinned_bond_models():
+        aug = augment(model)
+        f, g = signed_tables(model.q)
+        vertices = model.vertices
+        for factors in ([(f, vertices)], [(f, vertices), (g, vertices[:2])],
+                        [(g, vertices[1:]), (f, vertices[::2])]):
+            means.append(rc_expectation(aug, factors))
+            for omega in ([0] * aug.n_bonds, [1] * aug.n_bonds,
+                          rng.integers(0, 2, size=aug.n_bonds).tolist()):
+                means.append(conditional_expectation(aug, omega, factors))
+                means.append(conditional_expectation(aug, omega, factors, False))
+    assert len(means) == 3 * 7 * 58
+    assert hashlib.sha256(np.array(means).tobytes()).hexdigest() == SIGNED_MEANS_SHA256
+
+
 # ---------------------------------------------------------------------------
 # conditional expectations
 # ---------------------------------------------------------------------------
