@@ -21,22 +21,25 @@ and cap, records the partitions, each regrouping's inverse and the
 cluster counts, and _partition_table replays a model's weights through
 it (an outer product per bond, np.bincount per regroup, q^k), the float
 operations of carrying the weights along, so the table is the same bit
-for bit. The replayed table is memoized per augmented graph and cap for
-Z, the coupled spin law and the tower mean. The spin law's cluster
-layout is compiled once per plan and q too, with the index of every
-state it adds while that index is small. The cap bounds the plan's
-table, rows times n+1 labels, before each bond doubles it, and not the
-2^|E+| bond configurations, which are never visited. _ClusterFactors
-gives E(prod f^R | omega): of_rows for every row of a label table in one
-numpy pass (the tower mean, and a single omega as one row), product for
-one omega of mc's sampler; both share one memo of cluster factors per
-value table.
+for bit. The replayed tables are memoized per augmented graph and cap
+for Z, the coupled spin law and the tower mean, least recently used
+first out, in at most _TABLE_BYTES beside the newest, which is always
+kept. The spin law's cluster layout is compiled once per plan and q too,
+with the index of every state it adds while that index is small, and so
+is the tower mean's _LabelIndex of the plan's rows. The cap bounds the
+plan's table, rows times n+1 labels, before each bond doubles it, and
+not the 2^|E+| bond configurations, which are never visited.
+_ClusterFactors gives E(prod f^R | omega): of_rows for every row of a
+label table in one numpy pass (the tower mean on its plan's index, and a
+single omega as one row, indexed per call), product for one omega of
+mc's sampler; both share one memo of cluster factors per value table.
 """
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from collections import OrderedDict
+from dataclasses import dataclass, field
 from itertools import product
 from math import expm1, factorial, fsum
 from typing import Iterable, Iterator, NamedTuple, Sequence
@@ -60,6 +63,10 @@ _P_MAX = float(np.nextafter(1.0, 0.0))  # keep p < 1 even for huge J, h
 # smaller table np.unique costs more than the rows it removes save
 _PARTITION_ROWS = 256
 _STATE_BLOCK = 1 << 14  # spin-state entries per chunk of coupled_spin_marginal
+# bytes of partition tables the table memo keeps beside the newest: the
+# coupling benchmark's cycle of 64 graphs takes at most 48 KB (12 KB for
+# the 56 suite tables, about 4.5 KB for each K5 table)
+_TABLE_BYTES = 64 << 10
 
 # i! for the partition keys: a row of labels has labels[i] <= i, so the
 # key sum_i labels[i] * i! identifies it and is below (n+1)!, which int64
@@ -78,6 +85,9 @@ class AugmentedGraph:
     base: PottsModel
     edge_index: tuple[tuple[int, int], ...]
     p: tuple[float, ...]
+    # the fields' hash, taken once: the table memo hashes a graph on every
+    # call, and the hash walks the whole model
+    _hash: int = field(init=False, repr=False, compare=False)
 
     @property
     def n_vertices(self) -> int:
@@ -90,6 +100,12 @@ class AugmentedGraph:
     @property
     def n_bonds(self) -> int:
         return len(self.edge_index)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.base, self.edge_index, self.p)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def augment(model: PottsModel) -> AugmentedGraph:
@@ -173,6 +189,26 @@ def _group_partitions(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return labels[first], inverse.astype(np.int32)
 
 
+class _LabelIndex(NamedTuple):
+    """What _ClusterFactors.of_rows reads of a label table: no factor changes it."""
+
+    flat: np.ndarray  # flat[r, v]: the position of row r's entry for v's root
+    roots: np.ndarray  # each row's roots away from the ghost's, as a mask
+    ghost: np.ndarray  # flat[:, -1], a view: the position of the ghost's root
+
+
+def _label_index(labels: np.ndarray) -> _LabelIndex:
+    """The read-only _LabelIndex of a _merge label table, as positions into
+    its rows * (n+1) entries: once per plan for the tower mean, and per call
+    for conditional_expectation's one row."""
+    rows, n1 = labels.shape
+    flat = labels + np.arange(0, rows * n1, n1)[:, None]
+    # compared in the labels' own dtype: casting costs more than the comparison
+    roots = (labels == np.arange(n1, dtype=labels.dtype)) & (labels != labels[:, -1:])
+    flat.flags.writeable = roots.flags.writeable = False
+    return _LabelIndex(flat, roots, flat[:, -1])
+
+
 @dataclass(frozen=True, eq=False)
 class _BondPlan:
     """What reducing one graph's bonds leaves that no weight changes.
@@ -180,7 +216,8 @@ class _BondPlan:
     `labels` are the final partitions (int8, read-only), `k` their fixed
     points, and regroups[i] the inverse of the regrouping after live bond
     i (None where the table stayed small), the final one last. `layouts`
-    holds coupled_spin_marginal's _SpinLayout per q, built on first use.
+    holds coupled_spin_marginal's _SpinLayout per q, and `index` the tower
+    mean's _LabelIndex of the labels, each built on first use.
     """
 
     labels: np.ndarray
@@ -188,12 +225,18 @@ class _BondPlan:
     regroups: tuple[np.ndarray | None, ...]
     layouts: dict
 
+    @functools.cached_property
+    def index(self) -> _LabelIndex:
+        return _label_index(self.labels)
+
 
 # The coupling benchmark's 56 suite models and its K5 graphs make 35 keys
-# (node count, live bonds, cap), each plan under 12 KB and its spin layout
-# under 51 KB with its state index (181 KB of index over all 35); a graph
-# near the cap makes far larger plans, about 21 MB for the 2x6 ladder
-# (4.16 M int8 labels, 3.56 M int32 regroup entries), whose index streams
+# (node count, live bonds, cap), each plan under 12 KB, its spin layout
+# under 51 KB with its state index (181 KB of index over all 35) and its
+# label index under 11 KB (40 KB over all 35); a graph near the cap makes
+# far larger plans, about 21 MB for the 2x6 ladder (4.16 M int8 labels,
+# 3.56 M int32 regroup entries), whose state index streams, and 37 MB more
+# once the tower mean builds its label index
 @functools.lru_cache(maxsize=64)
 def _bond_plan(n1: int, bonds: tuple[tuple[int, int], ...], cap: int) -> _BondPlan:
     """The partitions of n1 nodes that the live bonds reach; see _partition_table.
@@ -235,6 +278,59 @@ class _Table(NamedTuple):
     plan: _BondPlan
     plan_weights: np.ndarray  # the weight of every row of plan.labels
 
+    @property
+    def nbytes(self) -> int:
+        """The bytes of the table's own arrays; the plan is _bond_plan's."""
+        return self.labels.nbytes + self.weights.nbytes + self.plan_weights.nbytes
+
+
+class _MemoInfo(NamedTuple):
+    hits: int
+    misses: int
+    entries: int
+    bytes: int
+
+
+class _TableMemo:
+    """A least-recently-used memo of _partition_table's tables by (graph, cap),
+    bounded by the bytes the tables hold (_TABLE_BYTES), not by their count.
+
+    A miss keeps the new table and drops the least recently used ones until
+    the rest fit the budget, so the newest table is kept even when it alone
+    does not fit. cache_info(), cache_clear() and __wrapped__ (the uncached
+    body) follow functools.lru_cache.
+    """
+
+    def __init__(self, build) -> None:
+        functools.update_wrapper(self, build)
+        # (graph, cap) -> (table, its nbytes), least recently used first
+        self._tables: OrderedDict[tuple[AugmentedGraph, int], tuple[_Table, int]] = (
+            OrderedDict())
+        self._bytes = self._hits = self._misses = 0
+
+    def __call__(self, aug: AugmentedGraph, cap: int) -> _Table:
+        key = (aug, cap)
+        entry = self._tables.get(key)
+        if entry is not None:
+            self._hits += 1
+            self._tables.move_to_end(key)
+            return entry[0]
+        self._misses += 1
+        table = self.__wrapped__(aug, cap)
+        size = table.nbytes
+        self._tables[key] = table, size
+        self._bytes += size
+        while self._bytes > _TABLE_BYTES and len(self._tables) > 1:
+            self._bytes -= self._tables.popitem(last=False)[1][1]
+        return table
+
+    def cache_info(self) -> _MemoInfo:
+        return _MemoInfo(self._hits, self._misses, len(self._tables), self._bytes)
+
+    def cache_clear(self) -> None:
+        self._tables.clear()
+        self._bytes = self._hits = self._misses = 0
+
 
 def _bond_partitions(
     aug: AugmentedGraph, cap: int | None = None
@@ -258,9 +354,10 @@ def _bond_partitions(
 
 
 # a caller asks for one graph's table a few times in a row (the spin law,
-# the tower mean, rc_probability per omega); a table holds at most
-# min(2^|E+|, Bell(n+1)) rows
-@functools.lru_cache(maxsize=8)
+# the tower mean, rc_probability per omega), and the coupling benchmark
+# once per cycle of 64 graphs; a table holds at most min(2^|E+|, Bell(n+1))
+# rows, so the memo is bounded by _TABLE_BYTES, not by a count
+@_TableMemo
 def _partition_table(aug: AugmentedGraph, cap: int) -> _Table:
     """The reducer behind _bond_partitions; __wrapped__ is its uncached body.
 
@@ -545,34 +642,34 @@ class _ClusterFactors:
             val = val * (cluster[code] if code in cluster else self._mixed_moment(code))
         return val
 
-    def of_rows(self, labels: np.ndarray, include_ghost: bool = True) -> np.ndarray:
+    def of_rows(self, labels, include_ghost: bool = True) -> np.ndarray:
         """product() for every row of a _merge label table, in one numpy pass.
 
-        A row's roots are its fixed points; the ghost's root is labels[:, -1].
-        One bincount sums each member's weight at its root, giving every
-        cluster's code; the factor of each distinct code comes from the memo
-        product() shares. The ghost's factor sits in the ghost's column, the
-        others at their roots, and 1 everywhere else, so a row's product is
-        the product of its columns.
+        `labels` is the table or its _label_index: the tower mean passes its
+        plan's index, built once per plan, and a bare table, such as one
+        omega's row, is indexed here. A row's roots are its fixed points;
+        the ghost's root is labels[:, -1]. One bincount sums each member's
+        weight at its root, giving every cluster's code; the factor of each
+        distinct code comes from the memo product() shares. The ghost's
+        factor sits in the ghost's column, the others at their roots, and 1
+        everywhere else, so a row's product is the product of its columns.
         """
-        rows, n1 = labels.shape
         if self.powtab.shape[2] ** len(self.prepared) > 2**53:
             raise ModelError(
                 f"{len(self.prepared)} factors: cluster codes would not be exact "
                 "in float64"
             )
-        # flat[r, v]: the position of row r's entry for v's root in codes
-        flat = labels + np.arange(0, rows * n1, n1)[:, None]
+        flat, roots, ghost = (labels if isinstance(labels, _LabelIndex)
+                              else _label_index(labels))
+        rows, n1 = roots.shape
         member_w = self._member_w[None, :].repeat(rows, axis=0)
         codes = np.bincount(flat[:, self._member_v].ravel(), member_w.ravel(),
                             minlength=rows * n1)
-        roots = (labels == np.arange(n1)) & (labels != labels[:, -1:])
         values = np.ones((rows, n1), dtype=np.complex128)
         values[roots] = self._lookup(self._cluster, self._mixed_moment,
                                      codes.reshape(rows, n1)[roots])
         if include_ghost:
-            values[:, -1] = self._lookup(self._ghost, self._ghost_factor,
-                                         codes[flat[:, -1]])
+            values[:, -1] = self._lookup(self._ghost, self._ghost_factor, codes[ghost])
         return values.prod(axis=1)
 
     @staticmethod
@@ -620,9 +717,16 @@ def rc_expectation(
     factors: Sequence[tuple[SpinFunction, Iterable[str]]],
     cap: int | None = None,
 ) -> complex:
-    """phi-average of the conditional expectation (the tower identity LHS)."""
-    table = _ClusterFactors(aug.base, factors)
-    labels, weights, z = _bond_partitions(aug, cap)
-    g = table.of_rows(labels)
-    return complex(fsum((weights * g.real).tolist()) / z,
-                   fsum((weights * g.imag).tolist()) / z)
+    """phi-average of the conditional expectation (the tower identity LHS).
+
+    The conditional expectation is taken on every row of the plan, through
+    its label index, and kept on the rows of positive weight: each row's
+    value depends on that row alone, so these are the table's values.
+    """
+    factor_table = _ClusterFactors(aug.base, factors)
+    table = _partition_table(aug, default_cap() if cap is None else cap)
+    g = factor_table.of_rows(table.plan.index)
+    if len(g) > len(table.weights):  # some rows' weights underflowed to 0
+        g = g[table.plan_weights > 0.0]
+    return complex(fsum((table.weights * g.real).tolist()) / table.z,
+                   fsum((table.weights * g.imag).tolist()) / table.z)

@@ -2,6 +2,7 @@
 
 import functools
 import hashlib
+import json
 import math
 import warnings
 
@@ -27,6 +28,7 @@ from potts_gks import (
     sample_spins,
 )
 from potts_gks import random_cluster
+from potts_gks.cli import run
 from potts_gks.instances import model_from_indices, torus_grid, verification_suite
 from potts_gks.model import (
     CAP_ENV_VAR,
@@ -422,6 +424,14 @@ def test_partition_memo_is_read_only():
         weights[0] = 0.0
     with pytest.raises(ValueError):
         weights *= 2.0
+    # the tower mean's label index, built once per plan, is read-only too
+    aug = augment(path3(q=3, h=(0.5, 0.0, 1.0)))
+    rc_expectation(aug, [(make_family("A", 3), ("u", "v"))])
+    index = random_cluster._partition_table(aug, DEFAULT_STATE_CAP).plan.index
+    assert len(index) == 3
+    for array in index:
+        with pytest.raises(ValueError):
+            array[0] = 0
 
 
 def ladder(cols, q=3, J=0.4, h=0.3):
@@ -517,6 +527,78 @@ def test_partition_memo_keys_on_every_coupling():
     assert za == math.fsum(_reduce_bonds(a)[1].tolist())
     assert zb == math.fsum(_reduce_bonds(b)[1].tolist())
     assert rc_partition(a) == za and rc_partition(b) == zb
+
+
+def coupling_cycle(seed):
+    """One cycle's 64 graphs as the coupling benchmark draws them: the 56 suite
+    models, then six K5 q=3 graphs of 9 edges and two of 10, with seeded J, h."""
+    rng = np.random.default_rng(seed)
+    models = list(verification_suite())
+    for n_edges in (9,) * 6 + (10,) * 2:
+        pairs = [(i, j) for i in range(5) for j in range(i + 1, 5)][:n_edges]
+        models.append(model_from_indices(
+            5, pairs, 3, J=tuple(rng.uniform(0.2, 1.5, size=n_edges)),
+            h=tuple(rng.uniform(0.1, 1.0, size=5))))
+    return models
+
+
+def test_a_suite_table_outlives_a_coupling_cycle(fresh_plans):
+    # the first suite graph's table, then every other graph of two cycles:
+    # 63 misses, then 55 hits and the second cycle's 8 new K5 graphs
+    memo = random_cluster._partition_table
+    first = coupling_cycle(0)[0]
+    table = memo(augment(first), DEFAULT_STATE_CAP)
+    for seed in (0, 1):
+        for model in coupling_cycle(seed)[1:]:
+            aug = augment(model)
+            coupled_spin_marginal(aug)
+            rc_expectation(aug, [(make_family("A", model.q), model.vertices[:2])])
+        assert memo(augment(first), DEFAULT_STATE_CAP) is table
+    info = memo.cache_info()
+    assert info.misses == 1 + 63 + 8
+    assert info.hits == 63 + 1 + 2 * 55 + 8 + 1
+    assert info.bytes <= random_cluster._TABLE_BYTES
+
+
+@pytest.mark.parametrize("budget", [random_cluster._TABLE_BYTES, 16 << 10])
+def test_table_memo_holds_its_budget_beside_the_newest_table(fresh_plans, monkeypatch,
+                                                             budget):
+    # eight cycles hold more than the default budget, and the suite alone
+    # most of a 16 KiB one; the memo drops the least recently used first
+    monkeypatch.setattr(random_cluster, "_TABLE_BYTES", budget)
+    memo = random_cluster._partition_table
+    graphs = [augment(m) for seed in range(8) for m in coupling_cycle(seed)]
+    for aug in graphs:
+        table = memo(aug, DEFAULT_STATE_CAP)
+        held = [entry[0] for entry in memo._tables.values()]
+        assert held[-1] is table
+        info = memo.cache_info()
+        assert info.entries == len(held)
+        assert info.bytes == sum(t.nbytes for t in held)
+        assert info.bytes - table.nbytes <= budget
+    assert memo.cache_info().entries < len(set(graphs))
+    kept = [aug for aug, _ in memo._tables]
+    assert kept[::-1] == list(dict.fromkeys(reversed(graphs)))[:len(kept)]
+
+
+def test_a_table_past_the_budget_is_kept_and_built_once_per_rc_run(
+        fresh_plans, monkeypatch, tmp_path, capsys):
+    # the 2x6 ladder's table alone is far past the budget: the Z identity,
+    # the spin law and the tower mean of `potts-gks rc` share it
+    memo = random_cluster._partition_table
+    builds = []
+    build = memo.__wrapped__
+    monkeypatch.setattr(memo, "__wrapped__",
+                        lambda aug, cap: builds.append(aug) or build(aug, cap))
+    path = tmp_path / "ladder.json"
+    path.write_text(json.dumps(ladder(6).to_json_dict()))
+    assert run(["rc", "--model", str(path), "--f", "A", "--R", "a,b"]) == 0
+    assert '"violations": 0' in capsys.readouterr().out
+    assert len(builds) == 1
+    info = memo.cache_info()
+    assert (info.hits, info.misses, info.entries) == (2, 1, 1)
+    assert info.bytes == memo(builds[0], DEFAULT_STATE_CAP).nbytes
+    assert info.bytes > random_cluster._TABLE_BYTES
 
 
 @pytest.mark.parametrize(
@@ -713,6 +795,26 @@ def test_spin_law_on_a_shared_plan_with_underflowed_rows(fresh_plans):
     assert table.plan.layouts[2].entries is None
     assert np.max(np.abs(coupled_spin_marginal(augment(hard))
                          - potts_distribution(hard))) <= 1e-12
+
+
+def test_tower_mean_on_a_plan_with_underflowed_rows(fresh_plans):
+    # the K7 table at J = 1e3 drops a row of its plan: the tower mean, taken
+    # on the plan's label index, keeps the table's rows and equals of_rows on
+    # the table's own labels bit for bit
+    pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
+    hard = model_from_indices(7, pairs, 2, J=1e3, h=0.0)
+    aug = augment(hard)
+    factors = [(SpinFunction((0.9, complex(-0.4, 0.2))), hard.vertices[:3]),
+               (SpinFunction((complex(-0.0, 0.0), 1.3)), hard.vertices[2:])]
+    got = rc_expectation(aug, factors)
+    labels, weights, z = _bond_partitions(aug)
+    assert len(labels) == len(random_cluster._partition_table(
+        aug, DEFAULT_STATE_CAP).plan.labels) - 1
+    g = _ClusterFactors(hard, factors).of_rows(labels)
+    want = complex(math.fsum((weights * g.real).tolist()) / z,
+                   math.fsum((weights * g.imag).tolist()) / z)
+    assert np.array([got]).tobytes() == np.array([want]).tobytes()
+    assert abs(got - potts_expectation(hard, factors)) <= 1e-10
 
 
 @pytest.mark.parametrize("model", list(REPLAYED.values())[:56:5],
