@@ -1,7 +1,9 @@
 """Moment tables, membership checks, and the three ready-made families."""
 
+import hashlib
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -352,3 +354,65 @@ def test_spec_families_and_tables():
     for values in (5, [[1]], [None, 1]):
         with pytest.raises(ModelError, match="malformed function values"):
             spin_function_from_spec({"kind": "table", "q": 2, "values": values})
+
+
+# ---------------------------------------------------------------------------
+# frozen membership reports
+# ---------------------------------------------------------------------------
+
+
+def _pin_value(rng, lo, hi):
+    """A draw from [lo, hi], or a signed zero one time in six."""
+    if rng.random() < 1 / 6:
+        return 0.0 if rng.random() < 0.5 else -0.0
+    return float(rng.uniform(lo, hi))
+
+
+def pinned_tables():
+    """A seeded set of tables with entries in [-1.2, 1.2], some of them
+    signed zeros: non-negative, signed and complex draws, and scaled
+    staircases and roots of unity nudged by 10^-k, near the class's edge."""
+    rng = np.random.default_rng(20261019)
+    tables = []
+    for k in range(120):
+        q = 2 + k % 4
+        group = k // 30
+        if group == 0:
+            values = [_pin_value(rng, 0.0, 1.2) for _ in range(q)]
+        elif group == 1:
+            values = [_pin_value(rng, -1.2, 1.2) for _ in range(q)]
+        elif group == 2:
+            values = [complex(_pin_value(rng, -1.2, 1.2), _pin_value(rng, -1.2, 1.2))
+                      for _ in range(q)]
+        else:
+            kind = "A" if k % 2 else "B"
+            base = make_family(kind, q).values
+            scale = float(rng.uniform(0.3, 1.15)) / max(abs(v) for v in base)
+            nudge = 10.0 ** -int(rng.integers(2, 9))
+            values = [scale * v + nudge * complex(rng.uniform(-1, 1),
+                                                  rng.uniform(-1, 1) if kind == "B" else 0.0)
+                      for v in base]
+        tables.append(SpinFunction(tuple(values)))
+    return tables
+
+
+def pinned_reports():
+    """repr of check_Fq, check_Fq_i(f, 0) and moments_real_nonneg on every
+    pinned table, M in {1, 2, 8, 16, 20} and tol in {1e-9, 1e-3}."""
+    out = []
+    for f in pinned_tables():
+        for M in (1, 2, 8, 16, 20):
+            for tol in (1e-9, 1e-3):
+                out.append(repr((f.values, M, tol, check_Fq(f, M, tol),
+                                 check_Fq_i(f, 0, M, tol), moments_real_nonneg(f, M, tol))))
+    return out
+
+
+# SHA-256 of the reports above, taken when each check scanned every table's
+# moments against an absolute tolerance
+MEMBERSHIP_SHA256 = "3012048a14c880be887d28baa923a6f54c122750e2d72da12d0df0ab759b7c01"
+
+
+def test_membership_reports_are_frozen():
+    blob = "\n".join(pinned_reports())
+    assert hashlib.sha256(blob.encode()).hexdigest() == MEMBERSHIP_SHA256
