@@ -6,6 +6,13 @@ the stronger variant additionally requires |f| to peak at a given state
 with a real non-negative value there. Membership is certified up to a
 finite exponent bound M, which every report states explicitly.
 
+A real non-negative table is a member for every M, by Chebyshev's sum
+inequality: every S_m is real and >= 0, and
+q*S_{m+n} - S_m*S_n = 1/2 sum_{x,y} (f(x)^m - f(y)^m)(f(x)^n - f(y)^n) >= 0,
+each term a product of two differences of one sign. So the checks return
+their passing report for such a table at once (for tol >= 0), and scan the
+moments of signed and complex tables only.
+
 The checks (check_Fq, check_Fq_i and moments_real_nonneg) are memoized on
 their exact arguments, defaults filled in: a fuzz trial certifies one f for
 up to four claims, and the families are the same table for a given q.
@@ -22,6 +29,7 @@ from __future__ import annotations
 import cmath
 import functools
 import inspect
+import operator
 from dataclasses import dataclass
 from math import fsum
 
@@ -99,6 +107,18 @@ def _first_bad_moment(S, tol: float) -> tuple[int, int, float] | None:
     return None
 
 
+def _certified_by_sign(f: SpinFunction, M, least: int, tol: float) -> bool:
+    """Refuse M as the scan would (ModelError below `least`, TypeError for a
+    non-integer), then say whether f is real and non-negative, which makes
+    it a member for every M (Chebyshev's sum inequality; see the module
+    docstring). A negative tol asks for strict slack, which no table has
+    at m = n = 0, so it goes to the scan."""
+    if M < least:
+        raise ModelError(f"M must be >= {least}, got {M}")
+    operator.index(M)
+    return tol >= 0.0 and all(v.imag == 0.0 and v.real >= 0.0 for v in f.values)
+
+
 def _memoized(check):
     """LRU-cache a check(f, [i,] M, tol) on its arguments, with the defaults
     filled in, so check(f, 16) and check(f, 16, 1e-9) share one entry.
@@ -125,17 +145,15 @@ def moments_real_nonneg(
     f: SpinFunction, M: int, tol: float = DEFAULT_TOL
 ) -> tuple[bool, tuple[int, int, float] | None]:
     """Check only that every S_m (m <= M) is real and non-negative."""
+    if _certified_by_sign(f, M, 0, tol):
+        return True, None
     violation = _first_bad_moment(moments(f, M).S, tol)
     return violation is None, violation
 
 
-@_memoized
-def check_Fq(
-    f: SpinFunction, M: int = DEFAULT_M, tol: float = DEFAULT_TOL
-) -> MembershipReport:
-    """Certify the moment conditions for all m, n >= 0 with m + n <= M."""
-    if M < 1:
-        raise ModelError(f"M must be >= 1, got {M}")
+def _scan_Fq(f: SpinFunction, M: int, tol: float) -> MembershipReport:
+    """The moment scan: every S_m real and non-negative, then
+    q*S_{m+n} >= S_m*S_n for all m, n >= 0 with m + n <= M."""
     S = moments(f, M).S
     violation = _first_bad_moment(S, tol)
     if violation is not None:
@@ -149,6 +167,16 @@ def check_Fq(
             if margin < -tol:
                 return MembershipReport(False, None, M, tol, (m, n, margin))
     return MembershipReport(True, None, M, tol, None)
+
+
+@_memoized
+def check_Fq(
+    f: SpinFunction, M: int = DEFAULT_M, tol: float = DEFAULT_TOL
+) -> MembershipReport:
+    """Certify the moment conditions for all m, n >= 0 with m + n <= M."""
+    if _certified_by_sign(f, M, 1, tol):
+        return MembershipReport(True, None, M, tol, None)
+    return _scan_Fq(f, M, tol)
 
 
 @_memoized

@@ -33,7 +33,7 @@ import heapq
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from math import fsum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -114,6 +114,9 @@ class SpinFunction:
     """A function f: {0,...,q-1} -> C, stored as its value table."""
 
     values: tuple[complex, ...]
+    # the values' hash, taken once: the membership memos hash a function on
+    # every call
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
@@ -121,6 +124,10 @@ class SpinFunction:
             raise BadQ(f"spin function needs q >= 2 values, got {len(self.values)}")
         if not all(map(cmath.isfinite, self.values)):
             raise NonFiniteValue(f"spin function values must be finite, got {self.values}")
+        object.__setattr__(self, "_hash", hash((self.values,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def q(self) -> int:
@@ -173,6 +180,12 @@ class PottsModel:
         per model (a cached_property, outside the fields, eq and hash)."""
         index = self._vertex_positions
         return tuple((index[u], index[v]) for u, v in self.edges)
+
+    @functools.cached_property
+    def field_free(self) -> bool:
+        """Every h is 0; read once per model (a cached_property, outside the
+        fields, eq and hash)."""
+        return not any(self.h)
 
     @functools.cached_property
     def _vertex_positions(self) -> dict[str, int]:

@@ -9,6 +9,7 @@ frozen expected value has a second route.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from itertools import product
 
 from potts_gks import PottsModel, SpinFunction
@@ -161,3 +162,14 @@ def brute_condexp(aug, omega, factors, include_ghost=True) -> complex:
 
 def brute_moment(f: SpinFunction, m: int) -> complex:
     return sum(v**m if m else 1 + 0j for v in f.values)
+
+
+def exact_moment_inequalities(values, M: int) -> bool:
+    """Every S_m >= 0 and q S_{m+n} >= S_m S_n for m + n <= M, with the power
+    sums of a real table taken exactly in Fractions of its float values."""
+    xs = [Fraction(float(v)) for v in values]
+    q = len(xs)
+    S = [sum(x**m for x in xs) for m in range(M + 1)]
+    return all(s >= 0 for s in S) and all(
+        q * S[m + n] >= S[m] * S[n] for m in range(M + 1) for n in range(M + 1 - m)
+    )

@@ -87,6 +87,22 @@ def test_fclass_product_condition_failure_exits_one(capsys):
     assert lines[-1]["violations"] == 1
 
 
+def test_large_nonnegative_table_is_certified(capsys, tmp_path):
+    # the moment scan refused it at the default tol: q*S_12 - S_3*S_9 rounds
+    # to -1.86e-09; a non-negative table is certified by its sign
+    spec = json.dumps({"kind": "C", "q": 2, "values": [3.3, 3.3]})
+    model = tmp_path / "field.json"
+    model.write_text(json.dumps({"q": 2, "vertices": ["u", "v"],
+                                 "edges": [{"u": "u", "v": "v", "J": LN3}],
+                                 "fields": {"u": 0.25}}))
+    code, lines = run_lines(capsys, ["verify", "real", "--model", str(model),
+                                     "--f", spec, "--R", "u,v"])
+    assert code == 0 and lines[0]["verdict"] == "pass"
+    code, lines = run_lines(capsys, ["fclass", "--f", spec])
+    assert code == 0
+    assert lines[0]["verdict"] == "pass" and lines[0]["first_violation"] is None
+
+
 @pytest.mark.parametrize("flags", [["--kind", "B"], ["--values", "[1, 0, 0]"]],
                          ids=["kind", "values"])
 def test_fclass_f_excludes_kind_and_values(capsys, flags):

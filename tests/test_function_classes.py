@@ -19,8 +19,8 @@ from potts_gks import (
     moments,
     spin_function_from_spec,
 )
-from potts_gks.function_classes import moments_real_nonneg
-from oracles import brute_moment
+from potts_gks.function_classes import MembershipReport, _scan_Fq, moments_real_nonneg
+from oracles import brute_moment, exact_moment_inequalities
 
 
 # ---------------------------------------------------------------------------
@@ -331,6 +331,75 @@ def test_nonnegative_tables_always_members(vals):
     # E(T^{m+n}) >= E(T^m) E(T^n) for any non-negative T
     report = check_Fq(SpinFunction(tuple(vals)), M=12, tol=1e-9)
     assert report.in_Fq, report.first_violation
+
+
+# real non-negative tables, signed zeros and entries far above 1 included
+_nonneg_tables = st.lists(
+    st.one_of(st.just(0.0), st.just(-0.0), st.floats(0.0, 1.5), st.floats(0.0, 30.0)),
+    min_size=2,
+    max_size=5,
+)
+_pinned_M = st.sampled_from([1, 2, 8, 16, 20])
+
+
+@given(_nonneg_tables, _pinned_M, st.sampled_from([0.0, 1e-9]))
+def test_nonnegative_tables_pass_the_exact_oracle(values, M, tol):
+    # the oracle sums the powers exactly: Chebyshev's sum inequality, checked
+    assert exact_moment_inequalities(values, M)
+    f = SpinFunction(tuple(values))
+    assert check_Fq(f, M, tol).in_Fq
+    assert check_Fq_i(f, values.index(max(values)), M, tol).passed
+    assert moments_real_nonneg(f, M, tol) == (True, None)
+
+
+@given(_nonneg_tables, _pinned_M, st.sampled_from([0.0, 1e-9, 1e-3]))
+def test_sign_route_equals_the_scan_wherever_the_scan_passes(values, M, tol):
+    f = SpinFunction(tuple(values))
+    scan = _scan_Fq(f, M, tol)
+    if scan.in_Fq:
+        assert check_Fq.__wrapped__(f, M, tol) == scan
+        assert moments_real_nonneg.__wrapped__(f, M, tol) == (True, None)
+
+
+def test_nonnegative_tables_certify_where_the_scan_rounds_below_zero():
+    f = SpinFunction((3.3, 3.3))
+    assert _scan_Fq(f, 16, 0.0).first_violation is not None  # rounding alone
+    assert check_Fq(f, 16, 0.0) == MembershipReport(True, None, 16, 0.0, None)
+    assert check_Fq_i(f, 0, 16, 0.0).passed
+    assert moments_real_nonneg(f, 16, 0.0) == (True, None)
+    # tables of 0 and two values up to 30, near equality in many constraints:
+    # the scan refused 146 of these 2000 at M = 16 and the default tol
+    rng = np.random.default_rng(826)
+    for _ in range(2000):
+        q = int(rng.integers(2, 6))
+        values = rng.choice([0.0, *rng.uniform(0.0, 30.0, size=2)], size=q)
+        f = SpinFunction(tuple(values))
+        assert check_Fq(f).in_Fq and check_Fq(f, 16, 0.0).in_Fq
+
+
+def test_sign_route_keeps_the_argument_errors():
+    # the memo tests above draw their M errors on families A and B, which
+    # take the scan; a non-negative table must be refused the same way
+    f = SpinFunction((0.8, 0.3, 0.0))
+    assert check_Fq(f, 16).in_Fq and check_Fq_i(f, 0, 16).passed
+    assert moments_real_nonneg(f, 16) == (True, None)
+    for _ in range(3):
+        with pytest.raises(TypeError):
+            check_Fq(f, 16.0)
+        with pytest.raises(ModelError, match="M must be >= 1, got 0"):
+            check_Fq(f, 0)
+        with pytest.raises(TypeError):
+            check_Fq_i(f, 0, 16.0)
+        with pytest.raises(ModelError, match="M must be >= 1, got 0"):
+            check_Fq_i(f, 0, 0)
+        with pytest.raises(TypeError):
+            moments_real_nonneg(f, 16.0)
+        with pytest.raises(ModelError, match="M must be >= 0, got -1"):
+            moments_real_nonneg(f, -1)
+    assert moments_real_nonneg(f, 0) == (True, None)
+    # a negative tol asks for strict slack, which fails at m = n = 0
+    assert check_Fq(f, 4, -1e-3) == _scan_Fq(f, 4, -1e-3)
+    assert check_Fq(f, 4, -1e-3).first_violation[:2] == (0, 0)
 
 
 # ---------------------------------------------------------------------------

@@ -350,6 +350,17 @@ def test_json_texts_are_encoded_once_and_stay_out_of_eq_and_hash():
     assert f == SpinFunction(f.values) and hash(f) == hash(SpinFunction(f.values))
 
 
+def test_field_free_flag_and_cached_hash_stay_out_of_eq_and_repr():
+    m = PottsModel(("a", "b"), (("a", "b"),), (0.5,), (0.0, -0.0), 2)
+    assert m.field_free and m.field_free is m.field_free
+    assert not m.with_field(1, 0.25).field_free
+    assert m == PottsModel(m.vertices, m.edges, m.J, m.h, m.q)
+    f = SpinFunction((0.5, -0.0))
+    assert hash(f) == hash((f.values,)) == hash(SpinFunction((0.5, 0.0)))
+    assert f == SpinFunction((0.5, 0.0))
+    assert repr(f) == "SpinFunction(values=((0.5+0j), (-0+0j)))"
+
+
 def zero_coupling_edge():
     # width 1 with one column (Z): the largest table holds 2^2 x 1 = 4 entries
     return PottsModel(("u", "v"), (("u", "v"),), (0.0,), (0.0, 0.0), 2)
