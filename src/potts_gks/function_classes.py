@@ -13,6 +13,15 @@ each term a product of two differences of one sign. So the checks return
 their passing report for such a table at once (for tol >= 0), and scan the
 moments of signed and complex tables only.
 
+The scan's tolerance is relative, so membership is invariant under positive
+scaling, as the class is: a constraint fails when its slack is below -tol
+times the sum of the magnitudes of its terms, with A_m = sum_x |f(x)|^m:
+q*A_{m+n} + A_m*A_n for q*S_{m+n} >= S_m*S_n, A_m for S_m real and >= 0,
+and max_x |f(x)| for the peak condition. That sum times a factor of order
+M*1e-16 bounds the slack's rounding error (Higham, Accuracy and Stability
+of Numerical Algorithms, ch. 3), so the default 1e-9 refuses no member to
+rounding.
+
 The checks (check_Fq, check_Fq_i and moments_real_nonneg) are memoized on
 their exact arguments, defaults filled in: a fuzz trial certifies one f for
 up to four claims, and the families are the same table for a given q.
@@ -59,7 +68,8 @@ class MembershipReport:
 
     first_violation is (m, n, margin) for the first failed moment
     constraint, with n = 0 when the m-th moment itself is non-real or
-    negative; margin is the raw signed slack (pass means margin >= -tol).
+    negative; margin is the raw signed slack (pass means margin >= -tol
+    times the magnitudes of its terms; see the module docstring).
     condition1_margin reports the peak-at-i condition when it was checked.
     """
 
@@ -97,14 +107,23 @@ def moments(f: SpinFunction, M: int) -> MomentTable:
     return MomentTable(f.q, M, tuple(S))
 
 
-def _first_bad_moment(S, tol: float) -> tuple[int, int, float] | None:
-    """(m, 0, margin) for the first S_m that is non-real or negative."""
-    for m, s in enumerate(S):
-        if abs(s.imag) > tol:
+def _first_bad_moment(S, A, tol: float) -> tuple[int, int, float] | None:
+    """(m, 0, margin) for the first S_m that is non-real or negative, each
+    against tol * A_m, where A_m = sum_x |f(x)|^m."""
+    for m, (s, a) in enumerate(zip(S, A)):
+        bound = tol * a
+        if abs(s.imag) > bound:
             return (m, 0, -abs(s.imag))
-        if s.real < -tol:
+        if s.real < -bound:
             return (m, 0, s.real)
     return None
+
+
+def _scan_moments(f: SpinFunction, M: int, tol: float):
+    """S_0..S_M, A_0..A_M (A_m = sum_x |f(x)|^m), and the first bad moment."""
+    S = moments(f, M).S
+    A = [a.real for a in moments(SpinFunction(tuple(abs(v) for v in f.values)), M).S]
+    return S, A, _first_bad_moment(S, A, tol)
 
 
 def _certified_by_sign(f: SpinFunction, M, least: int, tol: float) -> bool:
@@ -147,15 +166,14 @@ def moments_real_nonneg(
     """Check only that every S_m (m <= M) is real and non-negative."""
     if _certified_by_sign(f, M, 0, tol):
         return True, None
-    violation = _first_bad_moment(moments(f, M).S, tol)
+    violation = _scan_moments(f, M, tol)[2]
     return violation is None, violation
 
 
 def _scan_Fq(f: SpinFunction, M: int, tol: float) -> MembershipReport:
     """The moment scan: every S_m real and non-negative, then
     q*S_{m+n} >= S_m*S_n for all m, n >= 0 with m + n <= M."""
-    S = moments(f, M).S
-    violation = _first_bad_moment(S, tol)
+    S, A, violation = _scan_moments(f, M, tol)
     if violation is not None:
         return MembershipReport(False, None, M, tol, violation)
     S = [s.real for s in S]
@@ -164,7 +182,7 @@ def _scan_Fq(f: SpinFunction, M: int, tol: float) -> MembershipReport:
         for m in range(total // 2 + 1):
             n = total - m
             margin = q * S[total] - S[m] * S[n]
-            if margin < -tol:
+            if margin < -tol * (q * A[total] + A[m] * A[n]):
                 return MembershipReport(False, None, M, tol, (m, n, margin))
     return MembershipReport(True, None, M, tol, None)
 
@@ -190,7 +208,7 @@ def check_Fq_i(
     fi = f.values[i]
     peak = max(abs(v) for v in f.values)
     margin1 = min(-abs(fi.imag), fi.real - peak)
-    ok1 = margin1 >= -tol
+    ok1 = margin1 >= -tol * peak
     return MembershipReport(
         report.in_Fq,
         i if (report.in_Fq and ok1) else None,
