@@ -47,10 +47,9 @@ from .model import (
 )
 
 DEFAULT_VERIFY_TOL = 1e-8
-_FD_STEPS = (0.1, 1.0)
-# each step's details key and e^s - 1, taken once: str of a float costs more
-# than the rest of a step's margin
-_FD_FACTORS = tuple((str(s), expm1(s)) for s in _FD_STEPS)
+# verify_monotone's finite steps s, each as its details key and e^s - 1,
+# taken once: str of a float costs more than the rest of a step's margin
+_FD_STEPS = tuple((str(s), expm1(s)) for s in (0.1, 1.0))
 
 
 class NotCertified(ModelError):
@@ -235,7 +234,7 @@ def _monotone(
         mean, mean_fd, mean_d = means
         mean_d = mean_d.real
         cov = mean_fd - mean * mean_d
-        fd_margins = {key: (c * cov / (1.0 + c * mean_d)).real for key, c in _FD_FACTORS}
+        fd_margins = {key: (c * cov / (1.0 + c * mean_d)).real for key, c in _FD_STEPS}
         details = {
             "coordinate": coord_label,
             "derivative": cov.real,
