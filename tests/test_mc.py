@@ -447,6 +447,57 @@ def test_list_kernel_matches_array_kernel(data):
         assert want.tobytes() == got.tobytes()
 
 
+def _assert_kernel_matches_array_kernel(model, factors, rao, seed, blocks):
+    """_run_chain against _run_chain_arrays on the same uniforms, one block of
+    rows at a time through one spin list: equal spins after every block, and
+    samples equal byte for byte."""
+    aug = augment(model)
+    table = _ClusterFactors(model, factors)
+    n, E = model.n_vertices, len(model.edges)
+    edge_u = np.array([a for a, _ in aug.edge_index[:E]], dtype=np.int64)
+    edge_v = np.array([b for _, b in aug.edge_index[:E]], dtype=np.int64)
+    p = np.array(aug.p)
+    members = np.zeros((len(table.prepared), n), dtype=np.uint8)
+    ftab = np.zeros((len(table.prepared), model.q), dtype=np.complex128)
+    for i, (g, idx) in enumerate(table.prepared):
+        members[i, list(idx)] = 1
+        ftab[i] = g.as_array()
+    rng = np.random.default_rng(seed)
+    spins = np.zeros(n, dtype=np.int64)
+    sp = [0] * (n + 1)
+    for rows in blocks:
+        bond_u = rng.random((rows, aug.n_bonds))
+        colour_u = rng.random((rows, n))
+        want = np.empty(rows, dtype=np.complex128)
+        _run_chain_arrays(edge_u, edge_v, p[:E], p[E:], members, ftab, table.powtab,
+                          rao, bond_u, colour_u, spins, want)
+        got = np.array(_run_chain(aug, table, rao, bond_u, colour_u, sp),
+                       dtype=np.complex128)
+        assert sp == spins.tolist() + [0], (rows, seed)
+        assert want.tobytes() == got.tobytes(), (rows, seed)
+
+
+# the 3x3 tori are past the Hypothesis strategy's five vertices; B on three
+# diagonal vertices with A beside them makes RB samples with negative zeros
+TORUS_CASES = {
+    "q3-A-pair": (torus_grid(3, 3, q=3, J=0.5, h=0.2),
+                  (("A", ("s00", "s01")),)),
+    "q3-B-diagonal-A-s01": (torus_grid(3, 3, q=3, J=0.5, h=0.2),
+                            (("B", ("s00", "s11", "s22")), ("A", ("s01",)))),
+    "q5-B-diagonal": (torus_grid(3, 3, q=5, J=0.5, h=0.2),
+                      (("B", ("s00", "s11", "s22")),)),
+}
+
+
+@pytest.mark.parametrize("rao", [False, True], ids=["raw", "rb"])
+@pytest.mark.parametrize("case", list(TORUS_CASES))
+def test_kernel_matches_array_kernel_on_tori(case, rao):
+    model, spec = TORUS_CASES[case]
+    factors = [(make_family(kind, model.q), region) for kind, region in spec]
+    for seed in range(4):
+        _assert_kernel_matches_array_kernel(model, factors, rao, seed, (1, 40, 3000))
+
+
 @settings(max_examples=50)
 @given(data=st.data())
 def test_rao_blackwell_sample_is_conditional_expectation(data):
