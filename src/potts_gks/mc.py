@@ -10,8 +10,14 @@ than assuming it.
 The sweep loop is one pure-Python kernel over random_cluster's augmented
 graph: it advances a list of spins in place and returns the samples. Its
 bonds and their probabilities come from ``augment``, and its
-Rao-Blackwellized samples from _ClusterFactors.product, the routine behind
-the exact conditional expectation. All randomness comes from one numpy
+Rao-Blackwellized samples from _ClusterFactors, the factors behind the
+exact conditional expectation. A cluster that no region touches has factor
+exactly 1, so a Rao-Blackwellized sample depends only on the roots of the
+region vertices and of the ghost: the kernel memoizes it by those roots,
+as it memoizes a raw sample by the region vertices' spins. A key whose
+partial products hold a -0.0 (which a factor of 1+0j can flip) falls back
+to the full product over every root on every sweep, so the samples are
+those of the full product bit for bit. All randomness comes from one numpy
 Generator, consumed in a fixed layout, so a seed pins the estimate bit for bit.
 """
 
@@ -69,9 +75,13 @@ def _run_chain(aug, table, rao, bond_u, colour_u, sp):
     sp is the chain's spin list with the ghost's 0 last, advanced in place.
     The spin-independent half of every test is computed once per block
     with numpy: which bonds pass their uniform, and which colour each
-    uniform picks. A raw sample is memoized by the member spins; a
-    Rao-Blackwellized one is table.product, the routine behind the exact
-    conditional expectation, on the clusters.
+    uniform picks. One memo per call holds the samples: a raw one by the
+    member spins, a Rao-Blackwellized one by the member vertices' roots and
+    the ghost's root, read from par after the recolour loop. A new RB key
+    gets table.touched_product, the factors of the ghost's cluster and of
+    the touched clusters; where that could differ from table.product by the
+    sign of a zero it is None, and such a key gets table.product over every
+    root on every sweep.
     """
     n = aug.n_vertices
     q = aug.base.q
@@ -86,16 +96,16 @@ def _run_chain(aug, table, rao, bond_u, colour_u, sp):
     ftab = [f.as_array() for f, _ in table.prepared]
     flat = [(i, v) for i, (_, idx) in enumerate(table.prepared) for v in sorted(idx)]
 
-    def raw_product(key):
+    def raw_product():
         val = complex(1.0, 0.0)
-        # itemgetter of a single index returns the bare spin, not a 1-tuple
-        for (i, _), x in zip(flat, key if len(flat) != 1 else (key,)):
-            val = val * ftab[i][x]
-        raw_tab[key] = val
+        for i, v in flat:
+            val = val * ftab[i][sp[v]]
         return val
 
-    raw_tab = {}
-    member_spins = itemgetter(*(v for _, v in flat)) if flat else lambda _: ()
+    # the members' entries of sp (raw) or par (RB), then the ghost's: its
+    # spin 0, or its root; without members itemgetter returns the bare entry
+    key_of = itemgetter(*(v for _, v in flat), n)
+    memo = {}
 
     verts = range(n)
     fresh = list(range(n + 1))
@@ -117,10 +127,10 @@ def _run_chain(aug, table, rao, bond_u, colour_u, sp):
         groot = n
         while par[groot] != groot:
             par[groot] = groot = par[par[groot]]
+        par[n] = groot  # the RB key reads the ghost's root here
         # every root is its cluster's smallest vertex and links point downward,
         # so in increasing order each vertex's parent already points at a root,
         # and a non-root's root already holds its new colour
-        roots = []
         cidx = row * n
         for v in verts:
             r = par[v] = par[par[v]]
@@ -131,12 +141,13 @@ def _run_chain(aug, table, rao, bond_u, colour_u, sp):
             else:
                 sp[v] = picks[cidx]
                 cidx += 1
-                roots.append(v)
-        if rao:
-            val = table.product(par, groot, roots)
+        key = key_of(par if rao else sp)
+        if key in memo:
+            val = memo[key]
         else:
-            key = member_spins(sp)
-            val = raw_tab[key] if key in raw_tab else raw_product(key)
+            val = memo[key] = table.touched_product(par, groot) if rao else raw_product()
+        if val is None:
+            val = table.product(par, groot, [v for v in verts if par[v] == v and v != groot])
         out.append(val)
     return out
 

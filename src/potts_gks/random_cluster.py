@@ -31,8 +31,10 @@ plan's table, rows times n+1 labels, before each bond doubles it, and
 not the 2^|E+| bond configurations, which are never visited.
 _ClusterFactors gives E(prod f^R | omega): of_rows for every row of a
 label table in one numpy pass (the tower mean on its plan's index, and a
-single omega as one row, indexed per call), product for one omega of
-mc's sampler; both share one memo of cluster factors per value table.
+single omega as one row, indexed per call), and product for one omega
+of mc's sampler, with touched_product, its bit-identical shortcut over the
+clusters the regions touch; all share one memo of cluster factors per
+value table.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ import functools
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import product
-from math import expm1, factorial, fsum
+from math import copysign, expm1, factorial, fsum, isfinite
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -568,6 +570,12 @@ def _factor_powers(values: bytes, q: int, max_m: int) -> tuple[np.ndarray, dict,
     return powtab, {}, {}
 
 
+def _fixed_by_one(z: complex) -> bool:
+    """Whether z * (1+0j) is z bit for bit: both parts finite and neither -0.0."""
+    return all(isfinite(x) and (x != 0.0 or copysign(1.0, x) > 0.0)
+               for x in (z.real, z.imag))
+
+
 class _ClusterFactors:
     """E( prod_i f_i(sigma)^{R_i} | omega ) as a product over omega's clusters.
 
@@ -628,10 +636,7 @@ class _ClusterFactors:
         the factor of each other root in the order given; a cluster that no
         region touches has factor exactly 1.
         """
-        code_of: dict[int, int] = {}
-        for v, w in self.members:
-            r = root[v]
-            code_of[r] = code_of.get(r, 0) + w
+        code_of = self._codes(root)
         ghost, cluster = self._ghost, self._cluster
         val = complex(1.0, 0.0)
         if include_ghost:
@@ -641,6 +646,38 @@ class _ClusterFactors:
             code = code_of.get(x, 0)
             val = val * (cluster[code] if code in cluster else self._mixed_moment(code))
         return val
+
+    def touched_product(self, root, groot) -> complex | None:
+        """product() with every root, bit for bit, from the touched roots
+        alone, or None where the two could differ.
+
+        The ghost's factor comes first, then the factor of each root that a
+        region touches, in increasing root order. product() also multiplies
+        by each untouched cluster's factor, exactly 1+0j, which leaves a
+        partial product (a, b) as it is unless a or b is -0.0, whose sign it
+        can flip, or not finite. So if any partial product here holds such a
+        component, the answer is None, and only product() gives the bits.
+        """
+        code_of = self._codes(root)
+        code = code_of.pop(groot, 0)
+        ghost, cluster = self._ghost, self._cluster
+        val = ghost[code] if code in ghost else self._ghost_factor(code)
+        if not _fixed_by_one(val):
+            return None
+        for x in sorted(code_of):
+            code = code_of[x]
+            val = val * (cluster[code] if code in cluster else self._mixed_moment(code))
+            if not _fixed_by_one(val):
+                return None
+        return val
+
+    def _codes(self, root) -> dict[int, int]:
+        """The code of each root that holds a member; an untouched one has 0."""
+        code_of: dict[int, int] = {}
+        for v, w in self.members:
+            r = root[v]
+            code_of[r] = code_of.get(r, 0) + w
+        return code_of
 
     def of_rows(self, labels, include_ghost: bool = True) -> np.ndarray:
         """product() for every row of a _merge label table, in one numpy pass.

@@ -137,6 +137,14 @@ def test_estimate_constant_function_exact():
     assert est.effective_samples == float(2000 - 200)
 
 
+@pytest.mark.parametrize("rao", [False, True], ids=["raw", "rb"])
+def test_estimate_without_factors_is_exactly_one(rao):
+    est = estimate(torus_grid(3, 3, q=3, J=0.5, h=0.2), [], sweeps=500, seed=1,
+                   rao_blackwell=rao)
+    assert est.mean == 1.0 + 0j
+    assert est.std_error == 0.0
+
+
 def test_estimate_rejects_bad_window():
     for burn_in in (100, -1, -3):
         message = f"burn_in={burn_in} not in [0, sweeps) for sweeps=100"
@@ -496,6 +504,18 @@ def test_kernel_matches_array_kernel_on_tori(case, rao):
     factors = [(make_family(kind, model.q), region) for kind, region in spec]
     for seed in range(4):
         _assert_kernel_matches_array_kernel(model, factors, rao, seed, (1, 40, 3000))
+
+
+# the memo's key is the members' spins or roots, then the ghost's: without
+# members itemgetter returns a bare value, with one member a pair
+@pytest.mark.parametrize("rao", [False, True], ids=["raw", "rb"])
+@pytest.mark.parametrize("spec", [(), (("A", ()),), (("B", ("s11",)),)],
+                         ids=["no-factors", "empty-region", "one-member"])
+def test_kernel_matches_array_kernel_on_key_edge_cases(spec, rao):
+    model = torus_grid(3, 3, q=3, J=0.5, h=0.2)
+    factors = [(make_family(kind, model.q), region) for kind, region in spec]
+    for seed in range(2):
+        _assert_kernel_matches_array_kernel(model, factors, rao, seed, (1, 40, 300))
 
 
 @settings(max_examples=50)

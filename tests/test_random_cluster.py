@@ -41,6 +41,7 @@ from potts_gks.random_cluster import (
     _P_MAX,
     _ClusterFactors,
     _bond_partitions,
+    _fixed_by_one,
     _group_partitions,
     rc_partition,
     rc_weight,
@@ -1077,6 +1078,49 @@ def test_batched_tower_ghost_cluster_rooted_at_a_real_vertex():
     assert np.max(np.abs(without - ghost_free)) <= 1e-15
     rows, _ = _tower_by_rows(aug, [(f, ("u", "w"))])
     assert abs(rc_expectation(aug, [(f, ("u", "w"))]) - rows) <= 1e-12
+
+
+@settings(max_examples=60)
+@given(data=st.data())
+def test_touched_product_is_product_bit_for_bit(data):
+    # on every partition row: the product over the touched roots alone has
+    # product()'s bits, unless it is None
+    model = data.draw(small_models(max_n=4))
+    factors = [(data.draw(certified_functions(model.q)), data.draw(regions_of(model)))
+               for _ in range(data.draw(st.integers(0, 3)))]
+    table = _ClusterFactors(model, factors)
+    labels, _, _ = _bond_partitions(augment(model))
+    for row in labels.tolist():
+        g = row[-1]
+        short = table.touched_product(row, g)
+        if short is not None:
+            full = table.product(row, g, [v for v, lab in enumerate(row)
+                                          if lab == v and v != g])
+            assert np.complex128(short).tobytes() == np.complex128(full).tobytes(), row
+
+
+@pytest.mark.parametrize(
+    "z, fixed",
+    [(complex(1.0, 2.0), True), (complex(-1.0, -2.0), True), (complex(0.0, 0.0), True),
+     (complex(-1.0, 0.0), True), (complex(-0.0, 0.0), False), (complex(0.0, -0.0), False),
+     (complex(1.0, -0.0), False), (complex(-0.0, -1.0), False),
+     (complex(math.inf, 0.0), False), (complex(1.0, math.nan), False)],
+)
+def test_fixed_by_one_only_where_one_keeps_the_bits(z, fixed):
+    # an untouched cluster's factor is exactly 1+0j: the guard passes only
+    # values it leaves alone, in Python's and numpy's complex product
+    assert _fixed_by_one(z) == fixed
+    assert _fixed_by_one(np.complex128(z)) == fixed
+    if fixed:
+        for got in (z * (1 + 0j), np.complex128(z) * np.complex128(1 + 0j)):
+            assert np.complex128(got).tobytes() == np.complex128(z).tobytes()
+
+
+def test_one_flips_a_negative_zero():
+    # why the guard is there: 1.0 - 0.0j times 1+0j is 1.0 + 0.0j
+    got = np.complex128(complex(1.0, -0.0) * (1 + 0j))
+    assert got == complex(1.0, -0.0)
+    assert got.tobytes() != np.complex128(complex(1.0, -0.0)).tobytes()
 
 
 def test_batched_factors_refuse_codes_past_float64():
