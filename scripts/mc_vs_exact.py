@@ -4,7 +4,8 @@
 Runs the 3x3 periodic grid (q=3, J=0.5, h=0.2) at a ladder of sweep
 counts and reports estimate, error bar, and the true error, raw vs
 Rao-Blackwellized, with the wall time of each estimate and that time per
-sweep (the sampler kernel's cost, setup included).
+sweep (the sampler kernel's cost, the estimate's own setup included; a
+short untimed run first takes the one-off costs of the first call).
 
     python scripts/mc_vs_exact.py --seed 7
 """
@@ -32,6 +33,8 @@ def main() -> int:
     f = make_family("A", args.q)
     factors = [(f, ("s00", "s01"))]
     exact = potts_expectation(model, factors).real
+    for rao in (False, True):
+        estimate(model, factors, sweeps=100, seed=args.seed, rao_blackwell=rao)
     print(f"# exact <f^R> = {exact:.12f}  (variable elimination)")
     print(f"{'sweeps':>8} {'mode':>4} {'estimate':>14} {'stderr':>10} "
           f"{'true err':>10} {'ess':>10} {'secs':>6} {'us/sweep':>8}")

@@ -1116,13 +1116,6 @@ def test_fixed_by_one_only_where_one_keeps_the_bits(z, fixed):
             assert np.complex128(got).tobytes() == np.complex128(z).tobytes()
 
 
-def test_one_flips_a_negative_zero():
-    # why the guard is there: 1.0 - 0.0j times 1+0j is 1.0 + 0.0j
-    got = np.complex128(complex(1.0, -0.0) * (1 + 0j))
-    assert got == complex(1.0, -0.0)
-    assert got.tobytes() != np.complex128(complex(1.0, -0.0)).tobytes()
-
-
 def test_batched_factors_refuse_codes_past_float64():
     # 54 one-vertex factors: codes up to 2^54 - 1, not exact in float64
     aug = augment(edge_model())
