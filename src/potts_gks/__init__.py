@@ -17,7 +17,7 @@ from .function_classes import (
     moments,
     spin_function_from_spec,
 )
-from .mc import BadWindow, ChainState, Estimate, estimate, estimate_pooled, sw_sweep
+from .mc import BadWindow, Estimate, estimate, estimate_pooled
 from .model import (
     BadEdge,
     BadQ,
@@ -32,20 +32,16 @@ from .model import (
     partition_function,
     potts_distribution,
     potts_expectation,
-    potts_weight,
     validate_model,
 )
 from .random_cluster import (
     AugmentedGraph,
-    ClusterPartition,
     augment,
-    clusters,
     conditional_expectation,
     coupled_spin_marginal,
     event_Z,
     rc_expectation,
     rc_probability,
-    sample_spins,
 )
 from .verify import (
     FuzzConfig,

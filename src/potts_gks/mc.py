@@ -7,8 +7,9 @@ cluster to 0, every other cluster uniformly). The joint construction
 leaves the Potts measure invariant; the test suite checks that rather
 than assuming it.
 
-The sweep loop is one pure-Python kernel over random_cluster's augmented
-graph: it advances a list of spins in place and returns the samples. Its
+The sweep loop is one pure-Python kernel, _run_chain, over random_cluster's
+augmented graph: it advances a list of spins in place, one sweep per row of
+uniforms, and returns the samples; a chain starts with every spin at 0. Its
 bonds and their probabilities come from ``augment``, and its
 Rao-Blackwellized samples from _ClusterFactors, the factors behind the
 exact conditional expectation. A cluster that no region touches has factor
@@ -31,7 +32,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import ModelError, PottsModel, SpinFunction, validate_spin_config
+from .model import ModelError, PottsModel, SpinFunction
 from .random_cluster import _ClusterFactors, augment
 
 _SWEEP_BLOCK = 1 << 14
@@ -40,12 +41,6 @@ _N_BATCHES = 16
 
 class BadWindow(ModelError):
     """burn_in must lie in [0, sweeps), and at least one chain must run."""
-
-
-@dataclass
-class ChainState:
-    spins: np.ndarray
-    sweep: int = 0
 
 
 @dataclass(frozen=True)
@@ -150,23 +145,6 @@ def _run_chain(aug, table, rao, bond_u, colour_u, sp):
             val = table.product(par, groot, [v for v in verts if par[v] == v and v != groot])
         out.append(val)
     return out
-
-
-def sw_sweep(
-    model: PottsModel, state: ChainState, rng: np.random.Generator
-) -> ChainState:
-    """One bond-then-colour sweep; returns the new chain state."""
-    aug = augment(model)
-    sp = validate_spin_config(model, state.spins).tolist() + [0]
-    bond_u = rng.random((1, aug.n_bonds))
-    colour_u = rng.random((1, model.n_vertices))
-    _run_chain(aug, _ClusterFactors(model, []), False, bond_u, colour_u, sp)
-    return ChainState(np.array(sp[:-1], dtype=np.int64), state.sweep + 1)
-
-
-def initial_state(model: PottsModel) -> ChainState:
-    """All spins 0, the ghost-preferred configuration."""
-    return ChainState(np.zeros(model.n_vertices, dtype=np.int64), 0)
 
 
 def _single_chain(

@@ -317,15 +317,6 @@ def validate_model(model: PottsModel) -> None:
             raise NegativeField(f"fields must be finite and >= 0, got {h}")
 
 
-def validate_spin_config(model: PottsModel, sigma: Sequence[int]) -> np.ndarray:
-    arr = np.asarray(sigma, dtype=np.int64)
-    if arr.shape != (model.n_vertices,):
-        raise ModelError("spin configuration must have one entry per vertex")
-    if arr.size and (arr.min() < 0 or arr.max() >= model.q):
-        raise ModelError(f"spins must lie in [0, {model.q - 1}]")
-    return arr
-
-
 def region_indices(model: PottsModel, region: Iterable[str]) -> tuple[int, ...]:
     """Map vertex names to indices, rejecting repeats (regions are sets)."""
     names = list(region)
@@ -343,18 +334,6 @@ def check_factors(
             raise BadQ(f"spin function has q={f.q}, model has q={model.q}")
         out.append((f, region_indices(model, region)))
     return out
-
-
-def potts_weight(model: PottsModel, sigma: Sequence[int]) -> float:
-    """Unnormalized Gibbs weight exp{sum J_e delta_e + sum h_v delta_v}."""
-    arr = validate_spin_config(model, sigma)
-    lw = fsum(
-        J for (a, b), J in zip(model.index_pairs, model.J) if arr[a] == arr[b]
-    ) + fsum(h for i, h in enumerate(model.h) if arr[i] == 0)
-    try:
-        return math.exp(lw)
-    except OverflowError:
-        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +644,8 @@ def log_partition_function(model: PottsModel, cap: int | None = None) -> float:
 
 
 def partition_function(model: PottsModel, cap: int | None = None) -> float:
-    """Z = sum over all spin states of potts_weight (may overflow to inf)."""
+    """Z = sum over all spin states of exp{sum J_e delta_e + sum h_v delta_v}
+    (may overflow to inf)."""
     try:
         return math.exp(log_partition_function(model, cap))
     except OverflowError:

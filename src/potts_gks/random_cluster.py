@@ -8,9 +8,10 @@ edges open with probability 1 - exp(-J_e), ghost edges with
 
 where k counts all open clusters of the augmented graph, including the
 ghost's. Colouring the ghost's cluster 0 and every other cluster with an
-independent uniform spin recovers the Potts measure exactly; that
-coupling, the conditional expectations it induces, and the connectivity
-event used by the disjoint-support inequality all live here.
+independent uniform spin recovers the Potts measure exactly. The exact
+side of that coupling lives here: the coupled spin law, the conditional
+expectations it induces, and the connectivity event used by the
+disjoint-support inequality. mc samples it.
 
 Every cluster label comes from _merge, which opens one bond in every row
 of a label table: a single omega is labelled on a one-row table. Every
@@ -119,15 +120,6 @@ def augment(model: PottsModel) -> AugmentedGraph:
     return AugmentedGraph(model, tuple(pairs), tuple(p))
 
 
-@dataclass(frozen=True)
-class ClusterPartition:
-    """Open clusters of a bond configuration, ghost cluster singled out."""
-
-    ghost_cluster: tuple[str, ...]  # vertices joined to the ghost (ghost omitted)
-    other_clusters: tuple[tuple[str, ...], ...]
-    k: int  # number of non-ghost clusters
-
-
 def _check_bond_config(aug: AugmentedGraph, omega: Sequence[int]) -> list[int]:
     bits = [int(b) for b in omega]
     if len(bits) != aug.n_bonds or any(b not in (0, 1) for b in bits):
@@ -135,18 +127,6 @@ def _check_bond_config(aug: AugmentedGraph, omega: Sequence[int]) -> list[int]:
             f"bond configuration must be {aug.n_bonds} bits over E+, got {omega!r}"
         )
     return bits
-
-
-def clusters(aug: AugmentedGraph, omega: Sequence[int]) -> ClusterPartition:
-    """Open clusters of omega; isolated vertices are singletons."""
-    labels = _omega_labels(aug, omega)
-    ghost_label = labels[aug.ghost_index]
-    groups: dict[int, list[str]] = {}
-    for i, v in enumerate(aug.base.vertices):
-        groups.setdefault(labels[i], []).append(v)
-    ghost_cluster = tuple(groups.pop(ghost_label, ()))
-    others = tuple(tuple(groups[key]) for key in sorted(groups))
-    return ClusterPartition(ghost_cluster, others, len(others))
 
 
 # ---------------------------------------------------------------------------
@@ -410,23 +390,6 @@ def rc_probability(
 # ---------------------------------------------------------------------------
 # cluster-spin coupling
 # ---------------------------------------------------------------------------
-
-
-def sample_spins(
-    aug: AugmentedGraph, omega: Sequence[int], rng: np.random.Generator
-) -> np.ndarray:
-    """Colour clusters: ghost's cluster gets 0, the rest iid uniform spins."""
-    labels = _omega_labels(aug, omega)
-    ghost_label = labels[aug.ghost_index]
-    q, n = aug.base.q, aug.n_vertices
-    colour: dict[int, int] = {ghost_label: 0}
-    spins = np.empty(n, dtype=np.int64)
-    for v in range(n):
-        lab = labels[v]
-        if lab not in colour:
-            colour[lab] = int(rng.integers(q))
-        spins[v] = colour[lab]
-    return spins
 
 
 class _SpinLayout(NamedTuple):

@@ -11,8 +11,6 @@ from scipy import stats
 
 from potts_gks import (
     BadWindow,
-    ChainState,
-    ModelError,
     PottsModel,
     SpinFunction,
     estimate,
@@ -20,10 +18,9 @@ from potts_gks import (
     make_family,
     potts_distribution,
     potts_expectation,
-    sw_sweep,
 )
 from potts_gks.instances import torus_grid
-from potts_gks.mc import _run_chain, _single_chain, initial_state
+from potts_gks.mc import _run_chain, _single_chain
 from potts_gks.random_cluster import _ClusterFactors, augment, conditional_expectation
 from strategies import certified_functions, model_function_region, small_models
 from strategies import regions as regions_of
@@ -37,76 +34,71 @@ def edge_model(q=2, J=LN3, h=(0.0, 0.0)):
 
 
 # ---------------------------------------------------------------------------
-# single sweeps
+# single sweeps: _run_chain on one-row blocks
 # ---------------------------------------------------------------------------
 
 
+def _sweep(aug, table, sp, rng):
+    """One raw sweep of _run_chain, advancing sp (the ghost's 0 last) in place."""
+    _run_chain(aug, table, False, rng.random((1, aug.n_bonds)),
+               rng.random((1, aug.n_vertices)), sp)
+
+
 def test_sweep_free_case_is_iid_uniform():
+    # no bond can open, so every vertex is its own cluster and gets an
+    # independent uniform colour
     m = PottsModel(("u", "v"), (), (), (0.0, 0.0), 2)
+    aug, table = augment(m), _ClusterFactors(m, [])
     rng = np.random.default_rng(0)
-    state = initial_state(m)
+    sp = [0, 0, 0]
     counts = np.zeros(4, dtype=int)
     for _ in range(4000):
-        state = sw_sweep(m, state, rng)
-        counts[2 * state.spins[0] + state.spins[1]] += 1
+        _sweep(aug, table, sp, rng)
+        counts[2 * sp[0] + sp[1]] += 1
     assert stats.chisquare(counts).pvalue > 0.01
 
 
 def test_sweep_strong_field_pins_to_zero():
+    # every ghost bond opens, and the ghost's cluster is coloured 0
     m = PottsModel(("u", "v", "w"), (("u", "v"),), (0.5,), (30.0,) * 3, 4)
+    aug, table = augment(m), _ClusterFactors(m, [])
     rng = np.random.default_rng(1)
-    state = sw_sweep(m, initial_state(m), rng)
-    assert np.all(state.spins == 0)
-    assert state.sweep == 1
+    for _ in range(20):
+        sp = [0, 0, 0, 0]
+        _sweep(aug, table, sp, rng)
+        assert sp == [0, 0, 0, 0]
 
 
 def test_sweep_frozen_coupling_goes_monochromatic():
     m = PottsModel(
         ("a", "b", "c"), (("a", "b"), ("b", "c")), (30.0, 30.0), (0.0,) * 3, 5
     )
+    aug, table = augment(m), _ClusterFactors(m, [])
     rng = np.random.default_rng(2)
+    colours = set()
     for _ in range(20):
-        state = sw_sweep(m, initial_state(m), rng)
-        assert len(set(state.spins.tolist())) == 1
+        sp = [0, 0, 0, 0]
+        _sweep(aug, table, sp, rng)
+        assert len(set(sp[:3])) == 1 and sp[3] == 0
+        colours.add(sp[0])
+    assert len(colours) > 1  # the one cluster takes a uniform colour
 
 
 def test_sweep_leaves_potts_measure_invariant():
     # start from pi exactly, apply one sweep, chi-square the output law
     m = PottsModel(("u", "v"), (("u", "v"),), (0.7,), (0.3, 0.0), 2)
+    aug, table = augment(m), _ClusterFactors(m, [])
     pi = potts_distribution(m)
     rng = np.random.default_rng(123)
     n_draws = 20_000
     starts = rng.choice(len(pi), size=n_draws, p=pi)
     counts = np.zeros(len(pi), dtype=int)
     for flat in starts:
-        spins = np.array([flat // 2, flat % 2])
-        new = sw_sweep(m, ChainState(spins), rng)
-        counts[2 * new.spins[0] + new.spins[1]] += 1
+        sp = [int(flat) // 2, int(flat) % 2, 0]
+        _sweep(aug, table, sp, rng)
+        counts[2 * sp[0] + sp[1]] += 1
     p = stats.chisquare(counts, pi * n_draws).pvalue
     assert p > 0.01, (counts, pi * n_draws)
-
-
-@pytest.mark.parametrize(
-    "spins, message",
-    [
-        ([0], "one entry per vertex"),
-        ([0, 0, 0], "one entry per vertex"),
-        ([0, 2], r"spins must lie in \[0, 1\]"),
-        ([-1, 0], r"spins must lie in \[0, 1\]"),
-    ],
-)
-def test_sweep_rejects_a_bad_state(spins, message):
-    with pytest.raises(ModelError, match=message):
-        sw_sweep(edge_model(), ChainState(np.array(spins)), np.random.default_rng(0))
-
-
-def test_sweep_leaves_the_given_state_alone():
-    m = PottsModel(("u", "v"), (), (), (0.0, 0.0), 5)
-    spins = np.zeros(2, dtype=np.int64)
-    rng = np.random.default_rng(4)
-    states = [sw_sweep(m, ChainState(spins), rng).spins for _ in range(20)]
-    assert spins.tolist() == [0, 0]
-    assert any(s.any() for s in states)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from potts_gks import (
     partition_function,
     potts_distribution,
     potts_expectation,
-    potts_weight,
     validate_model,
 )
 from potts_gks import model as model_module
@@ -129,23 +128,31 @@ def test_edge_position_reads_either_orientation():
 # ---------------------------------------------------------------------------
 
 
+def _weights(m):
+    """Every state's weight pi(sigma) Z, lexicographic as potts_distribution."""
+    return potts_distribution(m) * partition_function(m)
+
+
 def test_weight_trivial_when_couplings_vanish():
     m = PottsModel(("u", "v"), (("u", "v"),), (0.0,), (0.0, 0.0), 3)
     for sigma in [(0, 0), (1, 2), (2, 2)]:
-        assert potts_weight(m, sigma) == 1.0
+        assert brute_weight(m, sigma) == 1.0
+    assert _weights(m) == pytest.approx([1.0] * 9, rel=1e-12)
 
 
 def test_weight_single_edge():
     m = edge_model()
-    assert potts_weight(m, (0, 0)) == pytest.approx(3.0, rel=1e-12)
-    assert potts_weight(m, (1, 1)) == pytest.approx(3.0, rel=1e-12)
-    assert potts_weight(m, (0, 1)) == pytest.approx(1.0, rel=1e-12)
+    assert brute_weight(m, (0, 0)) == pytest.approx(3.0, rel=1e-12)
+    assert brute_weight(m, (1, 1)) == pytest.approx(3.0, rel=1e-12)
+    assert brute_weight(m, (0, 1)) == pytest.approx(1.0, rel=1e-12)
+    assert _weights(m) == pytest.approx([3.0, 1.0, 1.0, 3.0], rel=1e-12)
 
 
 def test_weight_single_vertex_field():
     m = PottsModel(("v",), (), (), (LN2,), 3)
-    assert potts_weight(m, (0,)) == pytest.approx(2.0, rel=1e-12)
-    assert potts_weight(m, (1,)) == pytest.approx(1.0, rel=1e-12)
+    assert brute_weight(m, (0,)) == pytest.approx(2.0, rel=1e-12)
+    assert brute_weight(m, (1,)) == pytest.approx(1.0, rel=1e-12)
+    assert _weights(m) == pytest.approx([2.0, 1.0, 1.0], rel=1e-12)
 
 
 def test_partition_single_edge():

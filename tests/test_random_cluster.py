@@ -10,13 +10,11 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
-from scipy import stats
 
 from potts_gks import (
     PottsModel,
     SpinFunction,
     augment,
-    clusters,
     conditional_expectation,
     coupled_spin_marginal,
     event_Z,
@@ -25,7 +23,6 @@ from potts_gks import (
     potts_expectation,
     rc_expectation,
     rc_probability,
-    sample_spins,
 )
 from potts_gks import random_cluster
 from potts_gks.cli import run
@@ -43,6 +40,7 @@ from potts_gks.random_cluster import (
     _bond_partitions,
     _fixed_by_one,
     _group_partitions,
+    _omega_labels,
     rc_partition,
     rc_weight,
 )
@@ -106,58 +104,40 @@ def test_augment_probability_stays_below_one():
 
 
 # ---------------------------------------------------------------------------
-# clusters
+# clusters: _omega_labels labels each by its smallest node; the ghost is node n
 # ---------------------------------------------------------------------------
 
 
 def test_clusters_all_closed():
     aug = augment(edge_model())
-    part = clusters(aug, [0, 0, 0])
-    assert part.ghost_cluster == ()
-    assert part.other_clusters == (("u",), ("v",))
-    assert part.k == 2
+    assert _omega_labels(aug, [0, 0, 0]) == [0, 1, 2]
 
 
 def test_clusters_single_ghost_bond():
     aug = augment(edge_model())
-    part = clusters(aug, [0, 1, 0])  # ghost edge to u only
-    assert part.ghost_cluster == ("u",)
-    assert part.other_clusters == (("v",),)
-    assert part.k == 1
+    assert _omega_labels(aug, [0, 1, 0]) == [0, 1, 0]  # ghost edge to u only
 
 
 def test_clusters_transitive_connectivity():
     aug = augment(edge_model())
-    part = clusters(aug, [1, 0, 1])  # u-v open and ghost-v open
-    assert part.ghost_cluster == ("u", "v")
-    assert part.k == 0
+    assert _omega_labels(aug, [1, 0, 1]) == [0, 0, 0]  # u-v and ghost-v open
 
 
 @given(small_models(max_n=4))
 def test_clusters_partition_vertices(model):
-    # every bond configuration: parts are disjoint, non-empty, cover V,
-    # and match BFS components of the open subgraph
+    # every node's label is the smallest node of its BFS component in the
+    # open subgraph
     aug = augment(model)
     for code in range(0, 2**aug.n_bonds, 7):  # stride keeps examples fast
         omega = code_bits(aug.n_bonds, code)
-        part = clusters(aug, omega)
-        pieces = [part.ghost_cluster] if part.ghost_cluster else []
-        pieces += list(part.other_clusters)
-        assert all(pieces[i] for i in range(len(pieces)))
-        flat = [v for piece in pieces for v in piece]
-        assert sorted(flat) == sorted(model.vertices)
-        assert part.k == len(part.other_clusters)
+        labels = _omega_labels(aug, omega)
         comps = bfs_components(aug.n_vertices + 1, zip(aug.edge_index, omega))
-        ghost_comp = next(c for c in comps if aug.ghost_index in c)
-        want_ghost = tuple(
-            model.vertices[i] for i in sorted(ghost_comp) if i < aug.n_vertices
-        )
-        assert part.ghost_cluster == want_ghost
+        want = {x: min(comp) for comp in comps for x in comp}
+        assert labels == [want[x] for x in range(aug.n_vertices + 1)]
 
 
 def test_single_config_labels_past_int8_range():
-    # 150 vertices and the ghost: int8 labels would wrap past 127 nodes,
-    # and the wrapped labels would sort the cluster of v101..v149 first
+    # 150 vertices and the ghost: int8 labels would wrap past 127 nodes
     n = 150
     names = tuple(f"v{i}" for i in range(n))
     model = PottsModel(names, tuple(zip(names, names[1:])), (1.0,) * (n - 1),
@@ -166,11 +146,9 @@ def test_single_config_labels_past_int8_range():
     real_open = [1] * (n - 1) + [0] * n
     ghost_open = [1] * (n - 1) + [0] * (n - 1) + [1]  # ghost bond to the last
     cut = real_open[:100] + [0] + real_open[101:]  # v100-v101 closed
-    part = clusters(aug, real_open)
-    assert part.ghost_cluster == () and part.other_clusters == (names,)
-    part = clusters(aug, ghost_open)
-    assert part.ghost_cluster == names and part.k == 0
-    assert clusters(aug, cut).other_clusters == (names[:101], names[101:])
+    assert _omega_labels(aug, real_open) == [0] * n + [n]
+    assert _omega_labels(aug, ghost_open) == [0] * (n + 1)
+    assert _omega_labels(aug, cut) == [0] * 101 + [101] * 49 + [n]
     assert event_Z(aug, cut, (names[0],), (names[-1],)) == 1
     for omega in (real_open, ghost_open, cut):
         assert rc_weight(aug, omega) == pytest.approx(
@@ -671,32 +649,30 @@ def test_cap_bounds_the_partition_table(model):
         rc_partition(augment(model))
 
 
+def test_int8_labels_hold_exactly_127_nodes():
+    # 126 vertices and the ghost fit int8 labels, 127 and the ghost do not;
+    # with no live bond the plan is one row, so Z_rc is q^(n+1)
+    def edgeless(n):
+        return PottsModel(tuple(f"v{i}" for i in range(n)), (), (), (0.0,) * n, 2)
+
+    assert rc_partition(augment(edgeless(126))) == 2.0**127
+    with pytest.raises(EnumerationTooLarge, match="over 128 nodes"):
+        rc_partition(augment(edgeless(127)))
+
+
+def test_table_nbytes_sums_its_own_arrays(fresh_plans):
+    table = random_cluster._partition_table(augment(path3(h=(0.5, 0.0, 0.2))),
+                                            DEFAULT_STATE_CAP)
+    own = table.labels.nbytes
+    own += table.weights.nbytes
+    own += table.plan_weights.nbytes
+    assert table.nbytes == own
+    assert random_cluster._partition_table.cache_info().bytes == own
+
+
 # ---------------------------------------------------------------------------
 # cluster-spin coupling
 # ---------------------------------------------------------------------------
-
-
-def test_sample_spins_ghost_cluster_is_zero():
-    aug = augment(edge_model(h=(1.0, 1.0)))
-    rng = np.random.default_rng(7)
-    spins = sample_spins(aug, [0, 1, 1], rng)
-    assert np.all(spins == 0)
-
-
-def test_sample_spins_monochromatic_cluster():
-    aug = augment(edge_model(q=5))
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        spins = sample_spins(aug, [1, 0, 0], rng)
-        assert spins[0] == spins[1]
-
-
-def test_sample_spins_uniform_chi2():
-    aug = augment(PottsModel(("v",), (), (), (0.0,), 2))
-    rng = np.random.default_rng(3)
-    draws = np.array([sample_spins(aug, [0], rng)[0] for _ in range(10_000)])
-    counts = np.bincount(draws, minlength=2)
-    assert stats.chisquare(counts).pvalue > 0.01
 
 
 def test_coupled_marginal_single_edge():

@@ -570,6 +570,21 @@ def test_fuzz_refuses_a_bad_draw_config_before_any_draw(monkeypatch, changes, me
     assert draws == []
 
 
+def test_fuzz_runs_a_config_at_the_edges_of_its_ranges(monkeypatch):
+    # one-point J and h ranges and an edge density of 0 are valid: every
+    # draw has no edge and no field, and the run is clean
+    models = []
+    draw = verify_module._draw_model
+    monkeypatch.setattr(verify_module, "_draw_model",
+                        lambda *a: models.append(draw(*a)) or models[-1])
+    config = FuzzConfig(trials=20, seed=1, J_range=(0.5, 0.5), h_range=(0.0, 0.0),
+                        edge_density=0.0)
+    result = fuzz(config)
+    assert result.trials_run == len(models) == 20
+    assert result.failures == []
+    assert all(m.edges == () and set(m.h) <= {0.0} for m in models)
+
+
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
 @pytest.mark.parametrize(
     "claim, args",
