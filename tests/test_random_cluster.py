@@ -10,6 +10,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
+from scipy import stats
 
 from potts_gks import (
     PottsModel,
@@ -27,6 +28,7 @@ from potts_gks import (
 from potts_gks import random_cluster
 from potts_gks.cli import run
 from potts_gks.instances import model_from_indices, torus_grid, verification_suite
+from potts_gks.mc import _run_chain
 from potts_gks.model import (
     CAP_ENV_VAR,
     DEFAULT_STATE_CAP,
@@ -673,6 +675,44 @@ def test_table_nbytes_sums_its_own_arrays(fresh_plans):
 # ---------------------------------------------------------------------------
 # cluster-spin coupling
 # ---------------------------------------------------------------------------
+
+
+def _colour(aug, omega, rng):
+    """The spins (ghost's 0 last) that _run_chain's recolour loop gives the
+    clusters of omega: from all spins 0, every bond passes its spin test, so
+    a uniform of 0 opens an omega-open bond and 1 closes the rest."""
+    assert all(aug.p[e] > 0 for e, w in enumerate(omega) if w)
+    sp = [0] * (aug.n_vertices + 1)
+    bond_u = np.array([[0.0 if w else 1.0 for w in omega]])
+    _run_chain(aug, _ClusterFactors(aug.base, []), False, bond_u,
+               rng.random((1, aug.n_vertices)), sp)
+    return sp
+
+
+def test_sample_spins_ghost_cluster_is_zero():
+    aug = augment(edge_model(h=(1.0, 1.0)))
+    rng = np.random.default_rng(7)
+    spins = _colour(aug, [0, 1, 1], rng)
+    assert spins == [0, 0, 0]
+
+
+def test_sample_spins_monochromatic_cluster():
+    aug = augment(edge_model(q=5))
+    rng = np.random.default_rng(11)
+    colours = set()
+    for _ in range(50):
+        spins = _colour(aug, [1, 0, 0], rng)
+        assert spins[0] == spins[1]
+        colours.add(spins[0])
+    assert len(colours) > 1  # the one cluster takes a uniform colour
+
+
+def test_sample_spins_uniform_chi2():
+    aug = augment(PottsModel(("v",), (), (), (0.0,), 2))
+    rng = np.random.default_rng(3)
+    draws = np.array([_colour(aug, [0], rng)[0] for _ in range(10_000)])
+    counts = np.bincount(draws, minlength=2)
+    assert stats.chisquare(counts).pvalue > 0.01
 
 
 def test_coupled_marginal_single_edge():
