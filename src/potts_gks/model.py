@@ -216,16 +216,6 @@ class PottsModel:
         except KeyError:
             raise BadEdge(f"no edge <{u},{v}> in model") from None
 
-    def with_coupling(self, position: int, J: float) -> "PottsModel":
-        new_J = list(self.J)
-        new_J[position] = J
-        return PottsModel(self.vertices, self.edges, tuple(new_J), self.h, self.q)
-
-    def with_field(self, index: int, h: float) -> "PottsModel":
-        new_h = list(self.h)
-        new_h[index] = h
-        return PottsModel(self.vertices, self.edges, self.J, tuple(new_h), self.q)
-
     def to_json_dict(self) -> dict:
         return {
             "q": self.q,

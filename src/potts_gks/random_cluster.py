@@ -22,14 +22,15 @@ and cap, records the partitions, each regrouping's inverse and the
 cluster counts, and _partition_table replays a model's weights through
 it (an outer product per bond, np.bincount per regroup, q^k), the float
 operations of carrying the weights along, so the table is the same bit
-for bit. The replayed tables are memoized per augmented graph and cap
-for Z, the coupled spin law and the tower mean, least recently used
-first out, in at most _TABLE_BYTES beside the newest, which is always
-kept. The spin law's cluster layout is compiled once per plan and q too,
-with the index of every state it adds while that index is small, and so
-is the tower mean's _LabelIndex of the plan's rows. The cap bounds the
-plan's table, rows times n+1 labels, before each bond doubles it, and
-not the 2^|E+| bond configurations, which are never visited.
+for bit. A table is one weight per plan row (0.0 where the product of
+bond factors underflowed) and Z, memoized per augmented graph and cap
+for Z, the coupled spin law and the tower mean. Plans and tables are
+both functools.lru_cache(maxsize=64) memos. The spin law's cluster
+layout is compiled once per plan and q too, with the index of every
+state it adds while that index is small, and so is the tower mean's
+_LabelIndex of the plan's rows. The cap bounds the plan's table, rows
+times n+1 labels, before each bond doubles it, and not the 2^|E+| bond
+configurations, which are never visited.
 _ClusterFactors gives E(prod f^R | omega): of_rows for every row of a
 label table in one numpy pass (the tower mean on its plan's index, and a
 single omega as one row, indexed per call), and product for one omega
@@ -41,7 +42,6 @@ value table.
 from __future__ import annotations
 
 import functools
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import product
 from math import copysign, expm1, factorial, fsum, isfinite
@@ -66,10 +66,6 @@ _P_MAX = float(np.nextafter(1.0, 0.0))  # keep p < 1 even for huge J, h
 # smaller table np.unique costs more than the rows it removes save
 _PARTITION_ROWS = 256
 _STATE_BLOCK = 1 << 14  # spin-state entries per chunk of coupled_spin_marginal
-# bytes of partition tables the table memo keeps beside the newest: the
-# coupling benchmark's cycle of 64 graphs takes at most 48 KB (12 KB for
-# the 56 suite tables, about 4.5 KB for each K5 table)
-_TABLE_BYTES = 64 << 10
 
 # i! for the partition keys: a row of labels has labels[i] <= i, so the
 # key sum_i labels[i] * i! identifies it and is below (n+1)!, which int64
@@ -88,8 +84,8 @@ class AugmentedGraph:
     base: PottsModel
     edge_index: tuple[tuple[int, int], ...]
     p: tuple[float, ...]
-    # the fields' hash, taken once: the table memo hashes a graph on every
-    # call, and the hash walks the whole model
+    # the fields' hash, taken once: _partition_table's memo hashes a graph
+    # on every call, and the hash walks the whole model
     _hash: int = field(init=False, repr=False, compare=False)
 
     @property
@@ -218,7 +214,9 @@ class _BondPlan:
 # label index under 11 KB (40 KB over all 35); a graph near the cap makes
 # far larger plans, about 21 MB for the 2x6 ladder (4.16 M int8 labels,
 # 3.56 M int32 regroup entries), whose state index streams, and 37 MB more
-# once the tower mean builds its label index
+# once the tower mean builds its label index. Both memos keep 64 entries:
+# at most 64 plans, and 64 tables of 8 bytes per plan row beside them
+# (2.6 MB per weighting of the ladder's 320,107 rows)
 @functools.lru_cache(maxsize=64)
 def _bond_plan(n1: int, bonds: tuple[tuple[int, int], ...], cap: int) -> _BondPlan:
     """The partitions of n1 nodes that the live bonds reach; see _partition_table.
@@ -252,105 +250,33 @@ def _bond_plan(n1: int, bonds: tuple[tuple[int, int], ...], cap: int) -> _BondPl
 
 
 class _Table(NamedTuple):
-    """One model's replay of a plan; _bond_partitions returns the first three."""
+    """One model's replay of a plan."""
 
-    labels: np.ndarray  # the partitions of positive weight
-    weights: np.ndarray  # their weights
-    z: float  # Z_rc, the fsum of the weights
     plan: _BondPlan
-    plan_weights: np.ndarray  # the weight of every row of plan.labels
-
-    @property
-    def nbytes(self) -> int:
-        """The bytes of the table's own arrays; the plan is _bond_plan's."""
-        return self.labels.nbytes + self.weights.nbytes + self.plan_weights.nbytes
-
-
-class _MemoInfo(NamedTuple):
-    hits: int
-    misses: int
-    entries: int
-    bytes: int
-
-
-class _TableMemo:
-    """A least-recently-used memo of _partition_table's tables by (graph, cap),
-    bounded by the bytes the tables hold (_TABLE_BYTES), not by their count.
-
-    A miss keeps the new table and drops the least recently used ones until
-    the rest fit the budget, so the newest table is kept even when it alone
-    does not fit. cache_info(), cache_clear() and __wrapped__ (the uncached
-    body) follow functools.lru_cache.
-    """
-
-    def __init__(self, build) -> None:
-        functools.update_wrapper(self, build)
-        # (graph, cap) -> (table, its nbytes), least recently used first
-        self._tables: OrderedDict[tuple[AugmentedGraph, int], tuple[_Table, int]] = (
-            OrderedDict())
-        self._bytes = self._hits = self._misses = 0
-
-    def __call__(self, aug: AugmentedGraph, cap: int) -> _Table:
-        key = (aug, cap)
-        entry = self._tables.get(key)
-        if entry is not None:
-            self._hits += 1
-            self._tables.move_to_end(key)
-            return entry[0]
-        self._misses += 1
-        table = self.__wrapped__(aug, cap)
-        size = table.nbytes
-        self._tables[key] = table, size
-        self._bytes += size
-        while self._bytes > _TABLE_BYTES and len(self._tables) > 1:
-            self._bytes -= self._tables.popitem(last=False)[1][1]
-        return table
-
-    def cache_info(self) -> _MemoInfo:
-        return _MemoInfo(self._hits, self._misses, len(self._tables), self._bytes)
-
-    def cache_clear(self) -> None:
-        self._tables.clear()
-        self._bytes = self._hits = self._misses = 0
-
-
-def _bond_partitions(
-    aug: AugmentedGraph, cap: int | None = None
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Distinct cluster partitions, their total weights, and Z_rc.
-
-    Row j of `labels` is one partition as labels of the n+1 nodes; weights[j]
-    sums the weights of every bond configuration with that partition, so a
-    function of the partition alone is averaged over at most Bell(n+1) rows
-    instead of 2^m. A row is kept when its float weight is positive: q^k
-    multiplies in after the bond factors, so a partition whose product of
-    bond factors underflows to 0 is dropped even if q^k times that product
-    would be representable. The cap (default_cap() when None) bounds the
-    label table _bond_plan builds, rows times n+1 labels, not the 2^|E+|
-    bond configurations, which it never visits. Z_rc is the fsum of the
-    weights. The table and Z are memoized per graph and cap, so the spin
-    law, the tower mean and every rc_probability of one graph share them,
-    and a smaller cap misses the memo and raises. The arrays are read-only.
-    """
-    return _partition_table(aug, default_cap() if cap is None else cap)[:3]
+    weights: np.ndarray  # the weight of every row of plan.labels, 0.0 if underflowed
+    z: float  # Z_rc, the fsum of the weights
 
 
 # a caller asks for one graph's table a few times in a row (the spin law,
-# the tower mean, rc_probability per omega), and the coupling benchmark
-# once per cycle of 64 graphs; a table holds at most min(2^|E+|, Bell(n+1))
-# rows, so the memo is bounded by _TABLE_BYTES, not by a count
-@_TableMemo
+# the tower mean, rc_probability per omega); see _bond_plan for the bytes
+@functools.lru_cache(maxsize=64)
 def _partition_table(aug: AugmentedGraph, cap: int) -> _Table:
-    """The reducer behind _bond_partitions; __wrapped__ is its uncached body.
+    """The weight of each of the plan's partitions, and Z_rc.
 
-    The partitions come from the plan of the graph's live bonds (p > 0: a
-    merged row of a dead bond would weigh 0, the rest x1), and the weights
-    replay its steps: a bond appends the rows' weights times p to their
-    weights times 1-p (one outer product), a regroup sums them by its
-    inverse, and q^k multiplies in at the end. These are the float
-    operations, in the same order, of reducing labels and weights together,
-    so the table depends on (J, h, q) only through this replay, and no bond
-    configuration is visited.
+    weights[j] sums the weights of every bond configuration whose
+    partition is row j of plan.labels, so a function of the partition
+    alone is averaged over at most Bell(n+1) rows instead of 2^m. The plan
+    is that of the graph's live bonds (p > 0: a merged row of a dead bond
+    would weigh 0, the rest x1), and the weights replay its steps: a bond
+    appends the rows' weights times p to their weights times 1-p (one outer
+    product), a regroup sums them by its inverse, and q^k multiplies in at
+    the end. These are the float operations, in the same order, of
+    reducing labels and weights together, and no bond configuration is
+    visited. A partition whose product of bond factors underflows weighs
+    0.0, even if q^k times it would be representable. Z_rc is the fsum of
+    the weights, which zeros leave as the fsum of the positive ones. The
+    cap bounds the label table _bond_plan builds, rows times n+1 labels;
+    a smaller cap misses the memo and raises. The weights are read-only.
     """
     live = [(bond, p) for bond, p in zip(aug.edge_index, aug.p) if p != 0.0]
     plan = _bond_plan(aug.n_vertices + 1, tuple(bond for bond, _ in live), cap)
@@ -360,10 +286,8 @@ def _partition_table(aug: AugmentedGraph, cap: int) -> _Table:
         if inverse is not None:
             weights = np.bincount(inverse, weights)
     weights = np.bincount(plan.regroups[-1], weights) * float(aug.base.q) ** plan.k
-    keep = weights > 0.0
-    labels, kept = plan.labels[keep], weights[keep]
-    labels.flags.writeable = kept.flags.writeable = weights.flags.writeable = False
-    return _Table(labels, kept, fsum(kept.tolist()), plan, weights)
+    weights.flags.writeable = False
+    return _Table(plan, weights, fsum(weights.tolist()))
 
 
 def rc_weight(aug: AugmentedGraph, omega: Sequence[int]) -> float:
@@ -377,7 +301,7 @@ def rc_weight(aug: AugmentedGraph, omega: Sequence[int]) -> float:
 
 def rc_partition(aug: AugmentedGraph, cap: int | None = None) -> float:
     """Z of the ghost random-cluster measure: the partitions' summed weights."""
-    return _bond_partitions(aug, cap)[2]
+    return _partition_table(aug, default_cap() if cap is None else cap).z
 
 
 def rc_probability(
@@ -507,7 +431,7 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
     _check_cap(q**n, f"the spin law over {q}^{n} states", cap)
     table = _partition_table(aug, cap)
     layout = _spin_layout(table.plan, q)
-    scaled = table.plan_weights / layout.divisor
+    scaled = table.weights / layout.divisor
     marginal = np.zeros(q**n)
     for index, rows, states in layout.entries or _spin_chunks(layout, q):
         np.add.at(marginal, index, np.repeat(scaled[rows], states))
@@ -720,13 +644,13 @@ def rc_expectation(
     """phi-average of the conditional expectation (the tower identity LHS).
 
     The conditional expectation is taken on every row of the plan, through
-    its label index, and kept on the rows of positive weight: each row's
-    value depends on that row alone, so these are the table's values.
+    its label index, and summed over the rows of positive weight: a row
+    whose weight underflowed to 0.0 is left out, as 0.0 times an infinite
+    value would be NaN.
     """
     factor_table = _ClusterFactors(aug.base, factors)
     table = _partition_table(aug, default_cap() if cap is None else cap)
-    g = factor_table.of_rows(table.plan.index)
-    if len(g) > len(table.weights):  # some rows' weights underflowed to 0
-        g = g[table.plan_weights > 0.0]
-    return complex(fsum((table.weights * g.real).tolist()) / table.z,
-                   fsum((table.weights * g.imag).tolist()) / table.z)
+    keep = table.weights > 0.0
+    g, weights = factor_table.of_rows(table.plan.index)[keep], table.weights[keep]
+    return complex(fsum((weights * g.real).tolist()) / table.z,
+                   fsum((weights * g.imag).tolist()) / table.z)

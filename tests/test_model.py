@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 from itertools import combinations, product
 
 import numpy as np
@@ -341,7 +342,7 @@ def test_index_pairs_are_built_once_and_stay_out_of_eq_and_hash():
     assert m.index_pairs == ((2, 0), (1, 2))
     assert m.index_pairs is m.index_pairs
     assert m == twin and hash(m) == hash(twin)
-    assert m.with_coupling(0, 0.9).index_pairs == m.index_pairs
+    assert replace(m, J=(0.9, 0.7)).index_pairs == m.index_pairs
 
 
 def test_json_texts_are_encoded_once_and_stay_out_of_eq_and_hash():
@@ -360,7 +361,7 @@ def test_json_texts_are_encoded_once_and_stay_out_of_eq_and_hash():
 def test_field_free_flag_and_cached_hash_stay_out_of_eq_and_repr():
     m = PottsModel(("a", "b"), (("a", "b"),), (0.5,), (0.0, -0.0), 2)
     assert m.field_free and m.field_free is m.field_free
-    assert not m.with_field(1, 0.25).field_free
+    assert not replace(m, h=(0.0, 0.25)).field_free
     assert m == PottsModel(m.vertices, m.edges, m.J, m.h, m.q)
     f = SpinFunction((0.5, -0.0))
     assert hash(f) == hash((f.values,)) == hash(SpinFunction((0.5, 0.0)))

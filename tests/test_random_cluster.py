@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import hypothesis.strategies as st
 import numpy as np
@@ -39,7 +40,6 @@ from potts_gks.model import (
 from potts_gks.random_cluster import (
     _P_MAX,
     _ClusterFactors,
-    _bond_partitions,
     _fixed_by_one,
     _group_partitions,
     _omega_labels,
@@ -65,12 +65,24 @@ LN2 = math.log(2)
 _TINY = 1e-300
 
 
+def kept_rows(table):
+    """A partition table's rows of positive weight: their labels, their
+    weights, and Z_rc."""
+    keep = table.weights > 0.0
+    return table.plan.labels[keep], table.weights[keep], table.z
+
+
+def bond_partitions(aug):
+    """kept_rows of the memoized table."""
+    return kept_rows(random_cluster._partition_table(aug, DEFAULT_STATE_CAP))
+
+
 def _reduce_bonds(aug, cap=DEFAULT_STATE_CAP):
     """The uncached reducer: neither the table nor the bond plan is memoized,
     so a patched _PARTITION_ROWS or cap takes effect."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(random_cluster, "_bond_plan", random_cluster._bond_plan.__wrapped__)
-        return random_cluster._partition_table.__wrapped__(aug, cap)[:3]
+        return kept_rows(random_cluster._partition_table.__wrapped__(aug, cap))
 
 
 def edge_model(q=2, J=LN2, h=(0.0, 0.0)):
@@ -357,16 +369,15 @@ def test_reducers_at_17_bonds_match_per_code_sums():
 def test_partition_memo_checks_the_cap_on_every_call(monkeypatch):
     # 2 live bonds of 5: the table doubles to 2 rows, then to 4 rows x 4 labels
     aug = augment(path3())
-    labels, weights, _ = _bond_partitions(aug)
-    assert _bond_partitions(aug)[0] is labels  # a hit
-    assert labels.size == 16 and _bond_partitions(aug, cap=16)[0] is not labels
+    memo = random_cluster._partition_table
+    table = memo(aug, DEFAULT_STATE_CAP)
+    assert memo(aug, DEFAULT_STATE_CAP) is table  # a hit
+    assert table.plan.labels.size == 16 and memo(aug, 16) is not table
     with pytest.raises(EnumerationTooLarge):
-        _bond_partitions(aug, cap=15)
+        memo(aug, 15)
     with pytest.raises(EnumerationTooLarge):
         rc_expectation(aug, [], cap=15)
     monkeypatch.setenv(CAP_ENV_VAR, "15")
-    with pytest.raises(EnumerationTooLarge):
-        _bond_partitions(aug)
     with pytest.raises(EnumerationTooLarge):
         rc_partition(aug)
     with pytest.raises(EnumerationTooLarge):
@@ -398,7 +409,9 @@ def test_partition_sum_is_memoized_and_the_cap_checked_on_every_call(monkeypatch
 
 
 def test_partition_memo_is_read_only():
-    labels, weights, _ = _bond_partitions(augment(path3(q=3, h=(0.5, 0.0, 1.0))))
+    aug = augment(path3(q=3, h=(0.5, 0.0, 1.0)))
+    table = random_cluster._partition_table(aug, DEFAULT_STATE_CAP)
+    labels, weights = table.plan.labels, table.weights
     with pytest.raises(ValueError):
         labels[0, 0] = 1
     with pytest.raises(ValueError):
@@ -406,9 +419,8 @@ def test_partition_memo_is_read_only():
     with pytest.raises(ValueError):
         weights *= 2.0
     # the tower mean's label index, built once per plan, is read-only too
-    aug = augment(path3(q=3, h=(0.5, 0.0, 1.0)))
     rc_expectation(aug, [(make_family("A", 3), ("u", "v"))])
-    index = random_cluster._partition_table(aug, DEFAULT_STATE_CAP).plan.index
+    index = table.plan.index
     assert len(index) == 3
     for array in index:
         with pytest.raises(ValueError):
@@ -457,11 +469,12 @@ def test_one_plan_serves_every_weighting_of_a_graph(fresh_plans):
     pairs = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     models = [model_from_indices(4, pairs, 3, J=J, h=h)
               for J, h in ((0.3, 0.5), ((0.9, 0.2, 1.4, 0.6, 0.1, 2.0), (1.1, 0.4, 0.7, 0.2)))]
-    tables = [_bond_partitions(augment(m)) for m in models]
+    tables = [random_cluster._partition_table(augment(m), DEFAULT_STATE_CAP)
+              for m in models]
     assert fresh_plans().misses == 1 and fresh_plans().hits == 1
-    assert tables[0][0] is not tables[1][0] and tables[0][2] != tables[1][2]
-    for m, (labels, weights, _) in zip(models, tables):
-        assert_table_matches_oracle(augment(m), labels, weights)
+    assert tables[0].plan is tables[1].plan and tables[0].z != tables[1].z
+    for m, table in zip(models, tables):
+        assert_table_matches_oracle(augment(m), *kept_rows(table)[:2])
 
 
 def test_dead_ghost_bonds_key_a_plan_apart(fresh_plans):
@@ -470,11 +483,11 @@ def test_dead_ghost_bonds_key_a_plan_apart(fresh_plans):
     with_field = model_from_indices(3, pairs, 2, J=0.6, h=(0.5, 0.3, 0.8))
     without = model_from_indices(3, pairs, 2, J=0.6, h=(0.0, 0.3, 0.8))
     for m in (with_field, without):
-        labels, weights, _ = _bond_partitions(augment(m))
+        labels, weights, _ = bond_partitions(augment(m))
         assert_table_matches_oracle(augment(m), labels, weights)
     assert fresh_plans().misses == 2 and fresh_plans().hits == 0
     # a plan of one weighting stays that graph's for another
-    _bond_partitions(augment(without.with_field(1, 2.0)))
+    bond_partitions(augment(replace(without, h=(0.0, 2.0, 0.8))))
     assert fresh_plans().misses == 2 and fresh_plans().hits == 1
 
 
@@ -489,9 +502,9 @@ def test_replayed_tables_equal_the_carried_reduction(fresh_plans, model):
     # plan and replay, and labels and weights reduced together agree bit for bit
     scaled = PottsModel(model.vertices, model.edges, tuple(2.5 * J for J in model.J),
                         tuple(0.5 * h for h in model.h), model.q)
-    _bond_partitions(augment(scaled))
+    bond_partitions(augment(scaled))
     aug = augment(model)
-    table = _bond_partitions(aug)
+    table = bond_partitions(aug)
     assert fresh_plans().misses == 1
     for got in (_reduce_bonds(aug), carried_reduction(aug)):
         assert np.array_equal(table[0], got[0])
@@ -502,7 +515,7 @@ def test_replayed_tables_equal_the_carried_reduction(fresh_plans, model):
 def test_partition_memo_keys_on_every_coupling():
     # the two graphs differ only in the second J
     a = augment(path3(q=3, J=0.5))
-    b = augment(path3(q=3, J=0.5).with_coupling(1, 0.9))
+    b = augment(replace(path3(q=3, J=0.5), J=(0.5, 0.9)))
     za, zb = rc_partition(a), rc_partition(b)
     assert za != zb
     assert za == math.fsum(_reduce_bonds(a)[1].tolist())
@@ -538,48 +551,22 @@ def test_a_suite_table_outlives_a_coupling_cycle(fresh_plans):
     info = memo.cache_info()
     assert info.misses == 1 + 63 + 8
     assert info.hits == 63 + 1 + 2 * 55 + 8 + 1
-    assert info.bytes <= random_cluster._TABLE_BYTES
-
-
-@pytest.mark.parametrize("budget", [random_cluster._TABLE_BYTES, 16 << 10])
-def test_table_memo_holds_its_budget_beside_the_newest_table(fresh_plans, monkeypatch,
-                                                             budget):
-    # eight cycles hold more than the default budget, and the suite alone
-    # most of a 16 KiB one; the memo drops the least recently used first
-    monkeypatch.setattr(random_cluster, "_TABLE_BYTES", budget)
-    memo = random_cluster._partition_table
-    graphs = [augment(m) for seed in range(8) for m in coupling_cycle(seed)]
-    for aug in graphs:
-        table = memo(aug, DEFAULT_STATE_CAP)
-        held = [entry[0] for entry in memo._tables.values()]
-        assert held[-1] is table
-        info = memo.cache_info()
-        assert info.entries == len(held)
-        assert info.bytes == sum(t.nbytes for t in held)
-        assert info.bytes - table.nbytes <= budget
-    assert memo.cache_info().entries < len(set(graphs))
-    kept = [aug for aug, _ in memo._tables]
-    assert kept[::-1] == list(dict.fromkeys(reversed(graphs)))[:len(kept)]
+    assert info.currsize <= 64
 
 
 def test_a_table_past_the_budget_is_kept_and_built_once_per_rc_run(
-        fresh_plans, monkeypatch, tmp_path, capsys):
-    # the 2x6 ladder's table alone is far past the budget: the Z identity,
-    # the spin law and the tower mean of `potts-gks rc` share it
+        fresh_plans, tmp_path, capsys):
+    # the 2x6 ladder's table, 8 bytes for each of its 320,107 partitions, is
+    # built once: the Z identity, the spin law and the tower mean of
+    # `potts-gks rc` share it
     memo = random_cluster._partition_table
-    builds = []
-    build = memo.__wrapped__
-    monkeypatch.setattr(memo, "__wrapped__",
-                        lambda aug, cap: builds.append(aug) or build(aug, cap))
     path = tmp_path / "ladder.json"
     path.write_text(json.dumps(ladder(6).to_json_dict()))
     assert run(["rc", "--model", str(path), "--f", "A", "--R", "a,b"]) == 0
     assert '"violations": 0' in capsys.readouterr().out
-    assert len(builds) == 1
     info = memo.cache_info()
-    assert (info.hits, info.misses, info.entries) == (2, 1, 1)
-    assert info.bytes == memo(builds[0], DEFAULT_STATE_CAP).nbytes
-    assert info.bytes > random_cluster._TABLE_BYTES
+    assert (info.hits, info.misses, info.currsize) == (2, 1, 1)
+    assert len(memo(augment(ladder(6)), DEFAULT_STATE_CAP).weights) == 320_107
 
 
 @pytest.mark.parametrize(
@@ -660,16 +647,6 @@ def test_int8_labels_hold_exactly_127_nodes():
     assert rc_partition(augment(edgeless(126))) == 2.0**127
     with pytest.raises(EnumerationTooLarge, match="over 128 nodes"):
         rc_partition(augment(edgeless(127)))
-
-
-def test_table_nbytes_sums_its_own_arrays(fresh_plans):
-    table = random_cluster._partition_table(augment(path3(h=(0.5, 0.0, 0.2))),
-                                            DEFAULT_STATE_CAP)
-    own = table.labels.nbytes
-    own += table.weights.nbytes
-    own += table.plan_weights.nbytes
-    assert table.nbytes == own
-    assert random_cluster._partition_table.cache_info().bytes == own
 
 
 # ---------------------------------------------------------------------------
@@ -782,7 +759,7 @@ def test_coupled_marginal_chunks_match_potts_and_oracle(model, block):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(random_cluster, "_STATE_BLOCK", block)
         marginal = coupled_spin_marginal(aug)
-    labels, _, _ = _bond_partitions(aug)
+    labels, _, _ = bond_partitions(aug)
     assert np.any(labels[:, n] < n)
     k = [len(set(row[:n]) - {row[n]}) for row in labels.tolist()]
     chunks = sum(-(-k.count(c) // max(1, block // q**c)) for c in set(k))
@@ -796,8 +773,8 @@ def test_coupled_marginal_chunks_match_potts_and_oracle(model, block):
 
 def test_spin_law_on_a_shared_plan_with_underflowed_rows(fresh_plans):
     # K7 at J = 1e3: the all-singleton partition's weight (1 - p)^21
-    # underflows to 0, so the table drops a row that the plan, first laid
-    # out for a mild weighting, keeps; that row adds zeros to the law
+    # underflows to 0 in the table of a plan first laid out for a mild
+    # weighting; that row adds zeros to the law
     pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
     mild = model_from_indices(7, pairs, 2, J=0.3, h=0.0)
     hard = model_from_indices(7, pairs, 2, J=1e3, h=0.0)
@@ -806,7 +783,7 @@ def test_spin_law_on_a_shared_plan_with_underflowed_rows(fresh_plans):
         assert 0.5 * float(np.sum(np.abs(marginal - potts_distribution(model)))) <= 1e-12
     assert fresh_plans().misses == 1
     table = random_cluster._partition_table(augment(hard), DEFAULT_STATE_CAP)
-    assert len(table.labels) == len(table.plan.labels) - 1
+    assert np.count_nonzero(table.weights == 0.0) == 1
     assert list(table.plan.layouts) == [2]
     # 14214 states are past the budget: the chunks stream
     assert table.plan.layouts[2].entries is None
@@ -815,18 +792,22 @@ def test_spin_law_on_a_shared_plan_with_underflowed_rows(fresh_plans):
 
 
 def test_tower_mean_on_a_plan_with_underflowed_rows(fresh_plans):
-    # the K7 table at J = 1e3 drops a row of its plan: the tower mean, taken
-    # on the plan's label index, keeps the table's rows and equals of_rows on
-    # the table's own labels bit for bit
+    # the K7 table at J = 1e3 weighs one row of its plan 0.0: the tower mean,
+    # taken on the plan's label index, keeps the rows of positive weight and
+    # equals of_rows on their labels bit for bit
     pairs = [(i, j) for i in range(7) for j in range(i + 1, 7)]
     hard = model_from_indices(7, pairs, 2, J=1e3, h=0.0)
     aug = augment(hard)
     factors = [(SpinFunction((0.9, complex(-0.4, 0.2))), hard.vertices[:3]),
                (SpinFunction((complex(-0.0, 0.0), 1.3)), hard.vertices[2:])]
     got = rc_expectation(aug, factors)
-    labels, weights, z = _bond_partitions(aug)
-    assert len(labels) == len(random_cluster._partition_table(
-        aug, DEFAULT_STATE_CAP).plan.labels) - 1
+    table = random_cluster._partition_table(aug, DEFAULT_STATE_CAP)
+    assert len(table.weights) == len(table.plan.labels)
+    assert np.count_nonzero(table.weights == 0.0) == 1
+    assert not table.weights.flags.writeable
+    labels, weights, z = kept_rows(table)
+    assert len(labels) == len(table.plan.labels) - 1
+    assert np.array([z]).tobytes() == np.array([math.fsum(weights.tolist())]).tobytes()
     g = _ClusterFactors(hard, factors).of_rows(labels)
     want = complex(math.fsum((weights * g.real).tolist()) / z,
                    math.fsum((weights * g.imag).tolist()) / z)
@@ -1016,7 +997,7 @@ def _tower_by_rows(aug, factors):
     conditional_expectation on every code, once per oracle partition, weighted
     by the code's brute weight."""
     table = _ClusterFactors(aug.base, factors)
-    labels, weights, _ = _bond_partitions(aug)
+    labels, weights, _ = bond_partitions(aug)
     by_row = []
     for row in labels.tolist():
         g = row[-1]
@@ -1079,7 +1060,7 @@ def test_batched_tower_ghost_cluster_rooted_at_a_real_vertex():
     # then the cluster's: that root is coloured 0, not a free colour
     model = path3(q=3, J=0.8, h=(1.0, 0.0, 0.5))
     aug = augment(model)
-    labels, _, _ = _bond_partitions(aug)
+    labels, _, _ = bond_partitions(aug)
     assert np.any(labels[:, -1] == 0)
     f = make_family("C", 3, [0.9, 0.1, 0.4])
     table = _ClusterFactors(model, [(f, ("u", "w"))])
@@ -1105,7 +1086,7 @@ def test_touched_product_is_product_bit_for_bit(data):
     factors = [(data.draw(certified_functions(model.q)), data.draw(regions_of(model)))
                for _ in range(data.draw(st.integers(0, 3)))]
     table = _ClusterFactors(model, factors)
-    labels, _, _ = _bond_partitions(augment(model))
+    labels, _, _ = bond_partitions(augment(model))
     for row in labels.tolist():
         g = row[-1]
         short = table.touched_product(row, g)

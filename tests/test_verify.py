@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,12 +124,17 @@ def test_imaginary_residual_fails_a_passing_real_slack(monkeypatch, claim, args,
 # ---------------------------------------------------------------------------
 
 
+def _bumped(values, i, step):
+    """values with values[i] raised by step."""
+    return (*values[:i], values[i] + step, *values[i + 1:])
+
+
 def test_monotone_field_raises_indicator_mean():
     # q = 3, single vertex: <delta_0> rises from 1/3 to 1/2 at h = ln 2
     m = PottsModel(("v",), (), (), (0.0,), 3)
     f = make_family("C", 3, (1.0, 0.0, 0.0))
     before = potts_expectation(m, [(f, ("v",))])
-    after = potts_expectation(m.with_field(0, LN2), [(f, ("v",))])
+    after = potts_expectation(replace(m, h=(LN2,)), [(f, ("v",))])
     assert before.real == pytest.approx(1.0 / 3.0, abs=1e-12)
     assert after.real == pytest.approx(0.5, abs=1e-12)
     report = verify_monotone(m, f, ("v",), "v")
@@ -177,12 +183,12 @@ def test_monotone_derivative_matches_small_finite_difference():
     step = 1e-6
     report = verify_monotone(m, f, R, ("a", "b"))
     secant = (
-        potts_expectation(m.with_coupling(0, m.J[0] + step), [(f, R)]).real - base
+        potts_expectation(replace(m, J=_bumped(m.J, 0, step)), [(f, R)]).real - base
     ) / step
     assert report.details["derivative"] == pytest.approx(secant, rel=1e-4)
     report = verify_monotone(m, f, R, "c")
     secant = (
-        potts_expectation(m.with_field(2, m.h[2] + step), [(f, R)]).real - base
+        potts_expectation(replace(m, h=_bumped(m.h, 2, step)), [(f, R)]).real - base
     ) / step
     assert report.details["derivative"] == pytest.approx(secant, rel=1e-4)
 
@@ -199,10 +205,10 @@ def test_monotone_finite_steps_match_reenumeration():
                 for step, got in report.details["finite_steps"].items():
                     if isinstance(coord, str):
                         i = model.vertex_index(coord)
-                        bumped = model.with_field(i, model.h[i] + float(step))
+                        bumped = replace(model, h=_bumped(model.h, i, float(step)))
                     else:
                         k = model.edge_position(*coord)
-                        bumped = model.with_coupling(k, model.J[k] + float(step))
+                        bumped = replace(model, J=_bumped(model.J, k, float(step)))
                     want = (potts_expectation(bumped, [(f, R)]) - base).real
                     assert got == pytest.approx(want, abs=1e-12)
 
