@@ -106,12 +106,14 @@ def _build_factors(args, model: PottsModel):
 
 
 def _cmd_exact(args) -> dict:
+    # every value is computed before the first line is written, so a bad
+    # argument exits 2 with nothing on stdout
     model = PottsModel.from_json_file(args.model)
+    factors = _build_factors(args, model)
+    value = potts_expectation(model, factors, args.cap) if factors else None
     if args.dump_model:
         _emit({"type": "model", "model": model.to_json_dict()})
-    factors = _build_factors(args, model)
     if factors:
-        value = potts_expectation(model, factors, args.cap)
         _emit(
             {
                 "type": "expectation",
@@ -123,60 +125,36 @@ def _cmd_exact(args) -> dict:
 
 
 def _cmd_rc(args) -> dict:
+    # every argument is parsed, and every check computed, before the first
+    # line is written, so a bad argument exits 2 with nothing on stdout
     model = PottsModel.from_json_file(args.model)
+    factors = []
+    if args.f:
+        factors = [(_parse_function(args.f, model.q), _parse_region(args.R))]
+    omega = [int(c) for c in args.omega] if args.omega else None
     aug = augment(model)
+    checks = []  # (line, value), each value checked against 1e-10
     # Z_rc = q Z e^(-sum J - sum h): the bond route against the spin route
     shift = fsum(model.J) + fsum(model.h)
     diff = abs(log(rc_partition(aug, args.cap)) - log(model.q)
                - (log_partition_function(model, args.cap) - shift))
-    failed = _emit_check(
-        {
-            "type": "rc_partition",
-            "log_difference": diff,
-            "tolerance": 1e-10,
-        },
-        diff,
-        1e-10,
-    )
+    checks.append(({"type": "rc_partition", "log_difference": diff}, diff))
     marginal = coupled_spin_marginal(aug, args.cap)
     pi = potts_distribution(model, args.cap)
     tv = 0.5 * float(np.sum(np.abs(marginal - pi)))
-    failed += _emit_check(
-        {
-            "type": "coupling_check",
-            "total_variation": tv,
-            "tolerance": 1e-10,
-        },
-        tv,
-        1e-10,
-    )
-    if args.f:
-        f = _parse_function(args.f, model.q)
-        R = _parse_region(args.R)
-        lhs = rc_expectation(aug, [(f, R)], args.cap)
-        rhs = potts_expectation(model, [(f, R)], args.cap)
+    checks.append(({"type": "coupling_check", "total_variation": tv}, tv))
+    if factors:
+        lhs = rc_expectation(aug, factors, args.cap)
+        rhs = potts_expectation(model, factors, args.cap)
         diff = abs(lhs - rhs)
-        failed += _emit_check(
-            {
-                "type": "tower_check",
-                "rc_mean": [lhs.real, lhs.imag],
-                "potts_mean": [rhs.real, rhs.imag],
-                "difference": diff,
-                "tolerance": 1e-10,
-            },
-            diff,
-            1e-10,
-        )
-    if args.omega:
-        omega = [int(c) for c in args.omega]
-        _emit(
-            {
-                "type": "rc_probability",
-                "omega": args.omega,
-                "probability": rc_probability(aug, omega, args.cap),
-            }
-        )
-    return _summary(int(failed))
+        checks.append(({"type": "tower_check", "rc_mean": [lhs.real, lhs.imag],
+                        "potts_mean": [rhs.real, rhs.imag], "difference": diff}, diff))
+    probability = None if omega is None else rc_probability(aug, omega, args.cap)
+    failed = sum(_emit_check({**line, "tolerance": 1e-10}, value, 1e-10)
+                 for line, value in checks)
+    if omega is not None:
+        _emit({"type": "rc_probability", "omega": args.omega, "probability": probability})
+    return _summary(failed)
 
 
 def _cmd_fclass(args) -> dict:

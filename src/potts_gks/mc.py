@@ -10,9 +10,10 @@ than assuming it.
 The sweep loop is one pure-Python kernel, _run_chain, over random_cluster's
 augmented graph: it advances a list of spins in place, one sweep per row of
 uniforms, and returns the samples; a chain starts with every spin at 0. Its
-bonds and their probabilities come from ``augment``, and its
-Rao-Blackwellized samples from _ClusterFactors, the factors behind the
-exact conditional expectation. A cluster that no region touches has factor
+bonds and their probabilities come from ``augment``, called once per
+estimate and shared by its chains, and its Rao-Blackwellized samples
+from _ClusterFactors, the factors behind the exact conditional
+expectation. A cluster that no region touches has factor
 exactly 1, so a Rao-Blackwellized sample depends only on the roots of the
 region vertices and of the ghost: the kernel memoizes it by those roots,
 as it memoizes a raw sample by the region vertices' spins. A key whose
@@ -33,7 +34,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import ModelError, PottsModel, SpinFunction
-from .random_cluster import _ClusterFactors, augment
+from .random_cluster import AugmentedGraph, _ClusterFactors, augment
 
 _SWEEP_BLOCK = 1 << 14
 _N_BATCHES = 16
@@ -148,16 +149,16 @@ def _run_chain(aug, table, rao, bond_u, colour_u, sp):
 
 
 def _single_chain(
-    model: PottsModel,
+    aug: AugmentedGraph,
     table: _ClusterFactors,
     sweeps: int,
     seed,
     rao_blackwell: bool,
 ) -> np.ndarray:
-    """The samples of one chain; seed is anything np.random.default_rng takes."""
+    """The samples of one chain on the augmented graph aug; seed is
+    anything np.random.default_rng takes."""
     rng = np.random.default_rng(seed)
-    aug = augment(model)
-    n = model.n_vertices
+    n = aug.n_vertices
     sp = [0] * (n + 1)  # all spins 0, and the ghost's 0 last
     samples = np.empty(sweeps, dtype=np.complex128)
     for start in range(0, sweeps, _SWEEP_BLOCK):
@@ -214,7 +215,8 @@ def estimate(
     """
     burn_in = _window(sweeps, burn_in)
     table = _ClusterFactors(model, factors)
-    return _summarize(_single_chain(model, table, sweeps, seed, rao_blackwell), burn_in)
+    samples = _single_chain(augment(model), table, sweeps, seed, rao_blackwell)
+    return _summarize(samples, burn_in)
 
 
 def estimate_pooled(
@@ -238,9 +240,9 @@ def estimate_pooled(
     if chains == 1:
         return estimate(model, factors, sweeps, burn_in, seed, rao_blackwell)
     burn_in = _window(sweeps, burn_in)
-    table = _ClusterFactors(model, factors)
+    aug, table = augment(model), _ClusterFactors(model, factors)
     parts = [
-        _summarize(_single_chain(model, table, sweeps, child, rao_blackwell), burn_in)
+        _summarize(_single_chain(aug, table, sweeps, child, rao_blackwell), burn_in)
         for child in np.random.SeedSequence(seed).spawn(chains)
     ]
     n_each = sweeps - burn_in

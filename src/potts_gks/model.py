@@ -14,7 +14,12 @@ two-operand einsums where that costs less. One reducer (spin_means)
 returns log Z and every requested mean from a single elimination; the
 other exact routines are thin callers of it. potts_distribution, which
 needs the whole law, multiplies the same tables out into one q^|V| array
-instead of summing.
+with one einsum that sums no index, instead of summing.
+
+The tables come from one pair per model, PottsModel.shifted_tables: its
+site and pair tables, built on first use and read-only. potts_distribution
+reads them as they are; spin_means copies them once per column and writes
+each column's factors into its copy.
 
 Overflow policy: every table is shifted so that its largest entry, at
 spin 0 or on the diagonal, is 1: a site table is 1 at sigma == 0 and
@@ -34,6 +39,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from itertools import chain
 from math import fsum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -188,6 +194,23 @@ class PottsModel:
         return not any(self.h)
 
     @functools.cached_property
+    def shifted_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The shifted (n, 1, q) site and (m, 1, q, q) pair tables, read-only:
+        a site table is 1 at sigma == 0 and e^{-h_v} elsewhere, a pair
+        table, indexed (sigma_u, sigma_v) in edge order, 1 on the diagonal
+        and e^{-J_e} off it. Built once per model (a cached_property,
+        outside the fields, eq, hash and repr); _tables copies them."""
+        n, q, m = self.n_vertices, self.q, len(self.edges)
+        site = np.ones((n, 1, q))
+        site[:, :, 1:] = np.exp(-np.asarray(self.h, dtype=float))[:, None, None]
+        pair = np.empty((m, 1, q * q))
+        pair[...] = np.exp(-np.asarray(self.J, dtype=float))[:, None, None]
+        pair[..., :: q + 1] = 1.0  # the diagonal of each flattened q x q table
+        pair = pair.reshape(m, 1, q, q)
+        site.flags.writeable = pair.flags.writeable = False
+        return site, pair
+
+    @functools.cached_property
     def _vertex_positions(self) -> dict[str, int]:
         """Each vertex name's index, built once per model."""
         return {v: i for i, v in enumerate(self.vertices)}
@@ -334,17 +357,13 @@ def check_factors(
 def _tables(
     model: PottsModel, n_cols: int, dtype: type = float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The shifted (n, C, q) site and (m, C, q, q) pair tables, C = n_cols
-    columns alike: a site table is 1 at sigma == 0 and e^{-h_v} elsewhere,
-    a pair table, indexed (sigma_u, sigma_v) in edge order, 1 on the
-    diagonal and e^{-J_e} off it."""
-    n, q, m = model.n_vertices, model.q, len(model.edges)
-    site = np.ones((n, n_cols, q), dtype=dtype)
-    site[:, :, 1:] = np.exp(-np.asarray(model.h, dtype=float))[:, None, None]
-    pair = np.empty((m, n_cols, q * q))
-    pair[...] = np.exp(-np.asarray(model.J, dtype=float))[:, None, None]
-    pair[..., :: q + 1] = 1.0  # the diagonal of each flattened q x q table
-    return site, pair.reshape(m, n_cols, q, q)
+    """Writable (n, C, q) site and (m, C, q, q) pair tables for spin_means,
+    which writes each column's factors into its own: C = n_cols copies of
+    the model's shifted_tables along axis 1, the site tables in dtype.
+    potts_distribution reads shifted_tables without a copy."""
+    site, pair = model.shifted_tables
+    site = site.repeat(n_cols, axis=1).astype(dtype, copy=False)
+    return site, pair.repeat(n_cols, axis=1)
 
 
 def _coordinate_position(model: PottsModel, coordinate) -> tuple[bool, int]:
@@ -459,11 +478,13 @@ def _bucket_pairs(
 
 
 # an order is a tuple of n ints, a plan ~2 KB. The default fuzzer draws
-# n <= 5: 1,099 labelled graphs, about 4.4k (graph, q) plan keys. Over 5000
-# one-trial fuzzes both memos fill their 512 entries, and the plan memo
-# misses about 1,390 times (80-100 us a compile), the order memo about 760.
-# Holding every key would cost ~9 MB, against a 10 % bound on the
-# benchmark's ~43 MB peak RSS, so 512 stays.
+# n <= 5: 1,099 labelled graphs, 4,396 (graph, q) plan keys. Over 5000
+# one-trial fuzzes (after 20 warm-up) both memos fill their 512 entries,
+# and the plan memo misses 1,390 times (39-48 us a compile, quartiles),
+# the order memo 751 times. Holding every key would cost 7.3 MiB (7.18
+# for the plans, 0.14 for the orders; tracemalloc), against a 10 % bound
+# on the fuzz benchmark's ~47 MB peak RSS, so 512 stays. numpy 2.4.6,
+# Python 3.11, 2-vCPU Xeon.
 @functools.lru_cache(maxsize=512)
 def _elimination_order(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, int]:
     """Min-degree order (ties to the lower index) and its width w, the most
@@ -646,18 +667,26 @@ def potts_distribution(model: PottsModel, cap: int | None = None) -> np.ndarray:
     """pi over all spin states, indexed lexicographically (sigma_0 most
     significant digit).
 
-    Column 0 of the elimination tables, multiplied out on a q^|V| array
-    instead of summed: each table broadcasts on its vertex axes.
+    The model's shifted_tables multiplied out on a q^|V| array by einsum,
+    which sums no index: every state's weight is the product of its site
+    tables in vertex order, then its pair tables in edge order. A model
+    with more tables than one einsum takes is folded in runs of them, the
+    law so far the first operand of the next run, which keeps that order.
     """
     n, q = model.n_vertices, model.q
     _check_cap(model.n_states, f"the spin law over {q}^{n} states", cap)
-    site, pair = _tables(model, 1)
-    law = np.ones((q,) * n)
-    for i in range(n):
-        law *= site[i, 0].reshape((q,) + (1,) * (n - 1 - i))
-    for pair_indices, table in zip(model.index_pairs, pair[:, 0]):
-        a, b = sorted(pair_indices)  # a pair table is symmetric
-        law *= table.reshape((q,) + (1,) * (b - a - 1) + (q,) + (1,) * (n - 1 - b))
+    site, pair = model.shifted_tables
+    args = []  # einsum's operands, each table followed by its axes
+    for i, table in enumerate(site[:, 0]):
+        args += (table, (i,))
+    for table, axes in zip(pair[:, 0], model.index_pairs):
+        args += (table, axes)
+    args = args or [np.ones(()), ()]  # a model without vertices: the empty product
+    while len(args) > 2 * _EINSUM_OPERANDS:
+        run, rest = args[: 2 * _EINSUM_OPERANDS], args[2 * _EINSUM_OPERANDS :]
+        axes = tuple(sorted(set(chain.from_iterable(run[1::2]))))
+        args = [np.einsum(*run, axes), axes, *rest]
+    law = np.einsum(*args, tuple(range(n)))
     law = law.ravel()
     return law / law.sum()
 

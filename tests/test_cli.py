@@ -440,7 +440,29 @@ def test_rc_output_is_frozen(capsys, tmp_path):
 def test_rc_malformed_omega_exits_2(capsys, edge_model_path, omega, message):
     code = run(["rc", "--model", edge_model_path, "--omega", omega])
     assert code == 2
-    assert message in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert message in err
+    assert out == ""  # no check is written before the arguments are read
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rc", "--f", "Z"], "unknown family kind 'Z'"),
+        (["rc", "--f", "A", "--R", "zz"], "unknown vertex 'zz'"),
+        (["exact", "--dump-model", "--f", "Z"], "unknown family kind 'Z'"),
+        (["exact", "--dump-model", "--f", "A", "--R", "zz"], "unknown vertex 'zz'"),
+    ],
+    ids=["rc-f", "rc-R", "exact-f", "exact-R"],
+)
+def test_malformed_function_or_region_exits_2_before_any_line(
+    capsys, edge_model_path, argv, message
+):
+    code = run([*argv, "--model", edge_model_path])
+    assert code == 2
+    out, err = capsys.readouterr()
+    assert message in err
+    assert out == ""
 
 
 def test_mc_estimate(capsys, edge_model_path):

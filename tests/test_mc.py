@@ -212,9 +212,9 @@ def test_rao_blackwell_agrees_and_reduces_variance(model, q):
     # per-sample variance cannot grow under conditioning
     rng_a = np.random.default_rng(7)
     rng_b = np.random.default_rng(7)
-    table = _ClusterFactors(model, factors)
-    s_raw = _single_chain(model, table, 20_000, rng_a, rao_blackwell=False)
-    s_rb = _single_chain(model, table, 20_000, rng_b, rao_blackwell=True)
+    aug, table = augment(model), _ClusterFactors(model, factors)
+    s_raw = _single_chain(aug, table, 20_000, rng_a, rao_blackwell=False)
+    s_rb = _single_chain(aug, table, 20_000, rng_b, rao_blackwell=True)
     assert np.var(s_rb[2000:]) <= np.var(s_raw[2000:]) + 1e-12
 
 

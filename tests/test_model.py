@@ -7,7 +7,7 @@ from itertools import combinations, product
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 import hypothesis.strategies as st
 
 from potts_gks import (
@@ -194,6 +194,92 @@ def test_distribution_normalized(model):
     for got, sigma in zip(pi.tolist(), states, strict=True):
         assert got == pytest.approx(brute_weight(model, sigma) / z, rel=1e-12)
     assert potts_distribution(PottsModel((), (), (), (), model.q)).tolist() == [1.0]
+
+
+def _broadcast_law(model):
+    """The spin law as a product of broadcasts: a q^n array of ones times
+    each site table in vertex order, then each pair table in edge order,
+    the tables built from J and h here."""
+    n, q = model.n_vertices, model.q
+    law = np.ones((q,) * n)
+    fields = np.exp(-np.asarray(model.h, dtype=float))
+    for i in range(n):
+        site = np.ones(q)
+        site[1:] = fields[i]
+        law *= site.reshape((q,) + (1,) * (n - 1 - i))
+    couplings = np.exp(-np.asarray(model.J, dtype=float))
+    for (a, b), x in zip(model.index_pairs, couplings):
+        pair = np.full((q, q), x)
+        np.fill_diagonal(pair, 1.0)
+        a, b = sorted((a, b))  # a pair table is symmetric
+        law *= pair.reshape((q,) + (1,) * (b - a - 1) + (q,) + (1,) * (n - 1 - b))
+    law = law.ravel()
+    return law / law.sum()
+
+
+@st.composite
+def scaled_models(draw):
+    """n = 0..6, isolated vertices, edges in either orientation, and J and
+    h up to 800, where e^{-J} and products of the tables underflow to 0."""
+    n, q = draw(st.integers(0, 6)), draw(st.integers(2, 5))
+    names = tuple(f"v{i}" for i in range(n))
+    edges = tuple(
+        (names[j], names[i]) if draw(st.booleans()) else (names[i], names[j])
+        for i, j in combinations(range(n), 2)
+        if draw(st.booleans())
+    )
+    scale = draw(st.sampled_from([1.0, 40.0, 800.0]))
+    unit = st.floats(0.0, 1.0, allow_nan=False)
+    J = tuple(scale * draw(unit) for _ in edges)
+    h = tuple(scale * draw(unit) * draw(st.booleans()) for _ in names)
+    return PottsModel(names, edges, J, h, q)
+
+
+def _complete_graph(n, q, J, h):
+    names = tuple(f"v{i}" for i in range(n))
+    return PottsModel(names, tuple(combinations(names, 2)),
+                      (J,) * (n * (n - 1) // 2), (h,) * n, q)
+
+
+@given(scaled_models())
+@example(_complete_graph(9, 2, 0.3, 0.2))  # 45 tables: more than one einsum takes
+@example(_complete_graph(8, 3, 400.0, 745.0))
+def test_distribution_is_the_broadcast_product_bit_for_bit(model):
+    assert potts_distribution(model).tobytes() == _broadcast_law(model).tobytes()
+
+
+def test_shifted_tables_are_built_once_read_only_and_stay_out_of_eq_hash_and_repr():
+    m = PottsModel(("b", "a", "c"), (("b", "a"), ("c", "a")), (0.5, 2.0),
+                   (0.0, 1.5, 0.0), 3)
+    twin = PottsModel(m.vertices, m.edges, m.J, m.h, m.q)
+    assert "shifted_tables" not in vars(m)
+    pi = potts_distribution(m)
+    tables = site, pair = m.shifted_tables
+    potts_expectation(m, [(make_family("A", 3), ("a", "c"))])
+    spin_means(m, [([], ("c", "a")), ([], "a")])
+    assert m.shifted_tables is tables  # the first call's build, read by every call
+    e = math.exp
+    assert site[:, 0].tolist() == [[1.0] * 3, [1.0, e(-1.5), e(-1.5)], [1.0] * 3]
+    assert pair.shape == (2, 1, 3, 3)
+    for table, J in zip(pair[:, 0], m.J):
+        assert table.tolist() == [[1.0 if x == y else e(-J) for y in range(3)]
+                                  for x in range(3)]
+    for table in tables:
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0, 0] = 0.5
+    assert m == twin and hash(m) == hash(twin) and repr(m) == repr(twin)
+    assert "shifted_tables" not in vars(twin)
+    # a copy with new couplings builds its own tables and reads its own law
+    other = replace(m, J=(0.5, 0.25))
+    other_site, other_pair = other.shifted_tables
+    assert other_site is not site and other_pair is not pair
+    assert other_site.tobytes() == site.tobytes()
+    assert other_pair[1, 0, 0, 1] == e(-0.25) != pair[1, 0, 0, 1]
+    assert other_pair.tobytes() != pair.tobytes()
+    assert potts_distribution(other).tobytes() == _broadcast_law(other).tobytes()
+    assert potts_distribution(other).tobytes() != pi.tobytes()
+    assert potts_distribution(m).tobytes() == pi.tobytes()
 
 
 # ---------------------------------------------------------------------------
