@@ -39,7 +39,6 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from itertools import chain
 from math import fsum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -397,8 +396,9 @@ class _Plan(NamedTuple):
 # about 2.5 us of dispatch against about 5 ns a multiply-add in the loop of an
 # einsum over many operands, the one a split replaces (numpy 2.4, 2-vCPU Xeon)
 _CALL_COST = 500
-# numpy 1.x einsum iterates at most 32 arrays, its output included: a bucket
-# with more operands is paired down before its last einsum
+# numpy 1.x einsum iterates at most 32 arrays, its output included (numpy 2,
+# 64): a bucket with more operands is paired down before its last einsum,
+# and potts_distribution folds a longer product in runs
 _EINSUM_OPERANDS = 31
 
 
@@ -684,7 +684,7 @@ def potts_distribution(model: PottsModel, cap: int | None = None) -> np.ndarray:
     args = args or [np.ones(()), ()]  # a model without vertices: the empty product
     while len(args) > 2 * _EINSUM_OPERANDS:
         run, rest = args[: 2 * _EINSUM_OPERANDS], args[2 * _EINSUM_OPERANDS :]
-        axes = tuple(sorted(set(chain.from_iterable(run[1::2]))))
+        axes = tuple(sorted({x for sub in run[1::2] for x in sub}))
         args = [np.einsum(*run, axes), axes, *rest]
     law = np.einsum(*args, tuple(range(n)))
     law = law.ravel()
