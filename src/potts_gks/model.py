@@ -200,13 +200,15 @@ class PottsModel:
         and e^{-J_e} off it. Built once per model (a cached_property,
         outside the fields, eq, hash and repr); _tables copies them."""
         n, q, m = self.n_vertices, self.q, len(self.edges)
+        shifts = np.exp(-np.array(self.h + self.J, dtype=float))  # e^{-h}, e^{-J}
         site = np.ones((n, 1, q))
-        site[:, :, 1:] = np.exp(-np.asarray(self.h, dtype=float))[:, None, None]
+        site[:, :, 1:] = shifts[:n, None, None]
         pair = np.empty((m, 1, q * q))
-        pair[...] = np.exp(-np.asarray(self.J, dtype=float))[:, None, None]
+        pair[...] = shifts[n:, None, None]
         pair[..., :: q + 1] = 1.0  # the diagonal of each flattened q x q table
         pair = pair.reshape(m, 1, q, q)
-        site.flags.writeable = pair.flags.writeable = False
+        site.setflags(write=False)
+        pair.setflags(write=False)
         return site, pair
 
     @functools.cached_property
