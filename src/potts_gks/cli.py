@@ -27,6 +27,7 @@ from .function_classes import (
     spin_function_from_spec,
 )
 from .model import (
+    DEFAULT_STATE_CAP,
     ModelError,
     PottsModel,
     SpinFunction,
@@ -88,15 +89,19 @@ def _parse_function(raw: str, q: int) -> SpinFunction:
 
 
 def _build_factors(args, model: PottsModel):
-    """[(f, R)], plus (f1 or f, S) when --S or --f1 is given."""
+    """[(f, R)], plus (f1 or f, S) when --S or --f1 is given (rc takes
+    neither). --R, --S or --f1 without --f is refused, not ignored."""
+    S, f1 = getattr(args, "S", None), getattr(args, "f1", None)
     if not args.f:
+        for flag, value in (("--R", args.R), ("--S", S), ("--f1", f1)):
+            if value is not None:
+                raise ModelError(f"{flag} needs --f")
         return []
     f = _parse_function(args.f, model.q)
     factors = [(f, _parse_region(args.R))]
-    S = _parse_region(args.S)
-    if S or args.f1:
-        f1 = _parse_function(args.f1, model.q) if args.f1 else f
-        factors.append((f1, S))
+    S = _parse_region(S)
+    if S or f1:
+        factors.append((_parse_function(f1, model.q) if f1 else f, S))
     return factors
 
 
@@ -128,9 +133,7 @@ def _cmd_rc(args) -> dict:
     # every argument is parsed, and every check computed, before the first
     # line is written, so a bad argument exits 2 with nothing on stdout
     model = PottsModel.from_json_file(args.model)
-    factors = []
-    if args.f:
-        factors = [(_parse_function(args.f, model.q), _parse_region(args.R))]
+    factors = _build_factors(args, model)
     omega = [int(c) for c in args.omega] if args.omega else None
     aug = augment(model)
     checks = []  # (line, value), each value checked against 1e-10
@@ -288,7 +291,7 @@ _SHARED_FLAGS = {
     "--S": dict(help="comma-separated vertex list"),
     "--tol": dict(type=float, default=verify.DEFAULT_VERIFY_TOL),
     "--M": dict(type=int, default=None, help="membership exponent bound"),
-    "--cap": dict(type=int, default=None, help="table-size cap, in entries"),
+    "--cap": dict(type=int, default=DEFAULT_STATE_CAP, help="table-size cap, in entries"),
 }
 
 
@@ -367,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J-max", type=float, default=3.0, dest="J_max")
     p.add_argument("--h-max", type=float, default=3.0, dest="h_max")
     p.add_argument("--tol", type=float, default=verify.DEFAULT_VERIFY_TOL)
-    p.add_argument("--cap", type=int, default=None)
+    p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_fuzz)
 
@@ -378,9 +381,8 @@ def run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        cap = getattr(args, "cap", None)  # exact, rc, verify and fuzz take --cap
-        if cap is not None and cap < 1:
-            raise ModelError(f"--cap must be at least 1, got {cap}")
+        if getattr(args, "cap", 1) < 1:  # exact, rc, verify and fuzz take --cap
+            raise ModelError(f"--cap must be at least 1, got {args.cap}")
         summary = args.func(args)
         if args.csv:
             keys = sorted(summary)

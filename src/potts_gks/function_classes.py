@@ -22,10 +22,12 @@ M*1e-16 bounds the slack's rounding error (Higham, Accuracy and Stability
 of Numerical Algorithms, ch. 3), so the default 1e-9 refuses no member to
 rounding.
 
-The checks (check_Fq, check_Fq_i and moments_real_nonneg) are memoized on
-their exact arguments, defaults filled in: a fuzz trial certifies one f for
-up to four claims, and the families are the same table for a given q.
-Reports are frozen, so a cached one is shared; the uncached body stays
+The checks (check_Fq, check_Fq_i and moments_real_nonneg) are
+functools.lru_cache memos, typed, on their arguments as passed: a fuzz
+trial certifies one f for up to four claims, and the families are the same
+table for a given q. check_Fq(f) and check_Fq(f, 16, 1e-9) are separate
+entries, and so are M=16 and M=16.0. Reports are frozen, so a cached one
+is shared; errors are raised, not cached, and the uncached body stays
 reachable as `__wrapped__`.
 
 Three ready-made families: the centred staircase (q-1)/2 - x, the q-th
@@ -37,7 +39,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import inspect
 import operator
 from dataclasses import dataclass
 from math import fsum
@@ -138,28 +139,20 @@ def _certified_by_sign(f: SpinFunction, M, least: int, tol: float) -> bool:
     return tol >= 0.0 and all(v.imag == 0.0 and v.real >= 0.0 for v in f.values)
 
 
-def _memoized(check):
-    """LRU-cache a check(f, [i,] M, tol) on its arguments, with the defaults
-    filled in, so check(f, 16) and check(f, 16, 1e-9) share one entry.
-    Keys are typed: M=16.0 is not served the report of M=16. Errors are
-    raised, not cached."""
+def _memo(check):
+    """check behind functools.lru_cache(maxsize=_MEMO_SIZE, typed=True),
+    keyed on its arguments as passed. The cache sits in a plain function,
+    as bench/tracer.py wraps plain functions only."""
     cached = functools.lru_cache(maxsize=_MEMO_SIZE, typed=True)(check)
-    signature = inspect.signature(check)
-    defaults = check.__defaults__
-    required = check.__code__.co_argcount - len(defaults)
 
     @functools.wraps(check)
-    def memoized(*args, **kwargs):
-        if kwargs or len(args) < required:
-            bound = signature.bind(*args, **kwargs)
-            bound.apply_defaults()
-            return cached(*bound.args)
-        return cached(*args, *defaults[len(args) - required :])
+    def memo(*args, **kwargs):
+        return cached(*args, **kwargs)
 
-    return memoized
+    return memo
 
 
-@_memoized
+@_memo
 def moments_real_nonneg(
     f: SpinFunction, M: int, tol: float = DEFAULT_TOL
 ) -> tuple[bool, tuple[int, int, float] | None]:
@@ -187,7 +180,7 @@ def _scan_Fq(f: SpinFunction, M: int, tol: float) -> MembershipReport:
     return MembershipReport(True, None, M, tol, None)
 
 
-@_memoized
+@_memo
 def check_Fq(
     f: SpinFunction, M: int = DEFAULT_M, tol: float = DEFAULT_TOL
 ) -> MembershipReport:
@@ -197,7 +190,7 @@ def check_Fq(
     return _scan_Fq(f, M, tol)
 
 
-@_memoized
+@_memo
 def check_Fq_i(
     f: SpinFunction, i: int, M: int = DEFAULT_M, tol: float = DEFAULT_TOL
 ) -> MembershipReport:

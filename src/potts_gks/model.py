@@ -37,7 +37,6 @@ import functools
 import heapq
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from math import fsum
 from typing import Iterable, NamedTuple, Sequence
@@ -45,7 +44,6 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 DEFAULT_STATE_CAP = 1 << 24
-CAP_ENV_VAR = "POTTS_GKS_CAP"
 
 
 class ModelError(ValueError):
@@ -80,36 +78,17 @@ class NonFiniteValue(ModelError):
 class EnumerationTooLarge(ModelError):
     """An exact sum needs a table larger than the cap; use the MC sampler.
 
-    The table is q^(w+1) x columns for spin means (w the elimination
-    width), all q^|V| states for the full spin law, and the partition
-    table's rows x (|V|+1) labels for the random-cluster measure.
+    The cap is the routine's `cap` argument, DEFAULT_STATE_CAP (2**24
+    entries) unless given. The table is q^(w+1) x columns for spin means
+    (w the elimination width), all q^|V| states for the full spin law, and
+    the partition table's rows x (|V|+1) labels for the random-cluster
+    measure.
     """
 
 
-def default_cap() -> int:
-    """Table-size cap: POTTS_GKS_CAP env var if set, else 2**24 entries.
-    The variable is read on every call, so a change to it applies; each
-    value it takes is parsed once."""
-    return _parse_cap(os.environ.get(CAP_ENV_VAR))
-
-
-@functools.lru_cache(maxsize=8)
-def _parse_cap(raw: str | None) -> int:
-    if not raw:
-        return DEFAULT_STATE_CAP
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ModelError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from None
-    if cap < 1:
-        raise ModelError(f"{CAP_ENV_VAR} must be at least 1, got {raw!r}")
-    return cap
-
-
-def _check_cap(entries: int, what: str, cap: int | None) -> None:
+def _check_cap(entries: int, what: str, cap: int) -> None:
     """Raise EnumerationTooLarge if `what`, a table of `entries` entries,
-    is larger than the cap (default_cap() when cap is None)."""
-    cap = default_cap() if cap is None else cap
+    is larger than `cap`, the calling routine's cap argument."""
     if entries > cap:
         raise EnumerationTooLarge(f"{what}: {entries} entries exceed cap {cap}")
 
@@ -593,7 +572,7 @@ def _column_budget(model: PottsModel, cap: int) -> int:
 def spin_means(
     model: PottsModel,
     columns: Sequence[tuple[Sequence[tuple[SpinFunction, Iterable[str]]], object]],
-    cap: int | None = None,
+    cap: int = DEFAULT_STATE_CAP,
 ) -> tuple[float, list[complex]]:
     """log Z and the Gibbs mean of every column, from one elimination pass.
 
@@ -651,12 +630,12 @@ def spin_means(
     return log_z, [complex(s / z) for s in sums[1:]]
 
 
-def log_partition_function(model: PottsModel, cap: int | None = None) -> float:
+def log_partition_function(model: PottsModel, cap: int = DEFAULT_STATE_CAP) -> float:
     """log Z by variable elimination (stable for large couplings/fields)."""
     return spin_means(model, (), cap)[0]
 
 
-def partition_function(model: PottsModel, cap: int | None = None) -> float:
+def partition_function(model: PottsModel, cap: int = DEFAULT_STATE_CAP) -> float:
     """Z = sum over all spin states of exp{sum J_e delta_e + sum h_v delta_v}
     (may overflow to inf)."""
     try:
@@ -665,7 +644,7 @@ def partition_function(model: PottsModel, cap: int | None = None) -> float:
         return math.inf
 
 
-def potts_distribution(model: PottsModel, cap: int | None = None) -> np.ndarray:
+def potts_distribution(model: PottsModel, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
     """pi over all spin states, indexed lexicographically (sigma_0 most
     significant digit).
 
@@ -696,7 +675,7 @@ def potts_distribution(model: PottsModel, cap: int | None = None) -> np.ndarray:
 def potts_expectation(
     model: PottsModel,
     factors: Sequence[tuple[SpinFunction, Iterable[str]]],
-    cap: int | None = None,
+    cap: int = DEFAULT_STATE_CAP,
 ) -> complex:
     """Mean of prod_i prod_{v in R_i} f_i(sigma_v) under the Potts measure.
 

@@ -50,13 +50,13 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .model import (
+    DEFAULT_STATE_CAP,
     EnumerationTooLarge,
     ModelError,
     PottsModel,
     SpinFunction,
     _check_cap,
     check_factors,
-    default_cap,
     region_indices,
 )
 
@@ -299,13 +299,13 @@ def rc_weight(aug: AugmentedGraph, omega: Sequence[int]) -> float:
     return w
 
 
-def rc_partition(aug: AugmentedGraph, cap: int | None = None) -> float:
+def rc_partition(aug: AugmentedGraph, cap: int = DEFAULT_STATE_CAP) -> float:
     """Z of the ghost random-cluster measure: the partitions' summed weights."""
-    return _partition_table(aug, default_cap() if cap is None else cap).z
+    return _partition_table(aug, cap).z
 
 
 def rc_probability(
-    aug: AugmentedGraph, omega: Sequence[int], cap: int | None = None
+    aug: AugmentedGraph, omega: Sequence[int], cap: int = DEFAULT_STATE_CAP
 ) -> float:
     """phi(omega), normalized over all of Omega+."""
     return rc_weight(aug, omega) / rc_partition(aug, cap)
@@ -410,7 +410,7 @@ def _spin_layout(plan: _BondPlan, q: int) -> _SpinLayout:
     return layout
 
 
-def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.ndarray:
+def coupled_spin_marginal(aug: AugmentedGraph, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:
     """Spin law sum_w phi(w) P(sigma|w), over lexicographic spin states.
 
     Must agree with the Potts measure; the acceptance suite checks total
@@ -427,7 +427,6 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int | None = None) -> np.nda
     plan whose weight underflowed adds zeros.
     """
     n, q = aug.n_vertices, aug.base.q
-    cap = default_cap() if cap is None else cap
     _check_cap(q**n, f"the spin law over {q}^{n} states", cap)
     table = _partition_table(aug, cap)
     layout = _spin_layout(table.plan, q)
@@ -516,19 +515,17 @@ class _ClusterFactors:
         val = self._cluster[code] = acc / q
         return val
 
-    def product(self, root, groot, roots, include_ghost=True) -> complex:
+    def product(self, root, groot, roots) -> complex:
         """root[v] is the cluster root of real vertex v, groot the ghost's.
 
-        The ghost's factor comes first (unless include_ghost is False), then
-        the factor of each other root in the order given; a cluster that no
-        region touches has factor exactly 1.
+        The ghost's factor comes first, then the factor of each other root
+        in the order given; a cluster that no region touches has factor
+        exactly 1.
         """
         code_of = self._codes(root)
         ghost, cluster = self._ghost, self._cluster
-        val = complex(1.0, 0.0)
-        if include_ghost:
-            code = code_of.get(groot, 0)
-            val = ghost[code] if code in ghost else self._ghost_factor(code)
+        code = code_of.get(groot, 0)
+        val = ghost[code] if code in ghost else self._ghost_factor(code)
         for x in roots:
             code = code_of.get(x, 0)
             val = val * (cluster[code] if code in cluster else self._mixed_moment(code))
@@ -639,7 +636,7 @@ def event_Z(
 def rc_expectation(
     aug: AugmentedGraph,
     factors: Sequence[tuple[SpinFunction, Iterable[str]]],
-    cap: int | None = None,
+    cap: int = DEFAULT_STATE_CAP,
 ) -> complex:
     """phi-average of the conditional expectation (the tower identity LHS).
 
@@ -649,7 +646,7 @@ def rc_expectation(
     value would be NaN.
     """
     factor_table = _ClusterFactors(aug.base, factors)
-    table = _partition_table(aug, default_cap() if cap is None else cap)
+    table = _partition_table(aug, cap)
     keep = table.weights > 0.0
     g, weights = factor_table.of_rows(table.plan.index)[keep], table.weights[keep]
     return complex(fsum((weights * g.real).tolist()) / table.z,

@@ -35,12 +35,12 @@ from .function_classes import (
 )
 from .instances import random_model
 from .model import (
+    DEFAULT_STATE_CAP,
     ModelError,
     PottsModel,
     SpinFunction,
     _column_budget,
     _coordinate_position,
-    default_cap,
     integer_q,
     potts_expectation,  # noqa: F401  (re-exported: callers read verify.potts_expectation)
     spin_means,
@@ -293,7 +293,7 @@ def verify_real_nonneg(
     R: Iterable[str],
     tol: float = DEFAULT_VERIFY_TOL,
     M: int | None = None,
-    cap: int | None = None,
+    cap: int = DEFAULT_STATE_CAP,
 ) -> VerificationReport:
     """<f^R> must be real and non-negative for certified f."""
     return _verify(_real_nonneg, model, (f, R), tol, M, cap)
@@ -306,7 +306,7 @@ def verify_monotone(
     coordinate,
     tol: float = DEFAULT_VERIFY_TOL,
     M: int | None = None,
-    cap: int | None = None,
+    cap: int = DEFAULT_STATE_CAP,
 ) -> VerificationReport:
     """<f^R> non-decreasing in the given coupling or field coordinate.
 
@@ -330,7 +330,7 @@ def verify_gks_pair(
     S: Iterable[str],
     tol: float = DEFAULT_VERIFY_TOL,
     M: int | None = None,
-    cap: int | None = None,
+    cap: int = DEFAULT_STATE_CAP,
 ) -> VerificationReport:
     """<f^R f^S> >= <f^R><f^S> for certified f."""
     return _verify(_gks_pair, model, (f, R, S), tol, M, cap)
@@ -344,7 +344,7 @@ def verify_disjoint_support(
     S: Iterable[str],
     tol: float = DEFAULT_VERIFY_TOL,
     M: int | None = None,
-    cap: int | None = None,
+    cap: int = DEFAULT_STATE_CAP,
 ) -> VerificationReport:
     """<f0^R f1^S> <= <f0^R><f1^S> for disjointly supported f0, f1.
 
@@ -373,7 +373,7 @@ class FuzzConfig:
     h_range: tuple[float, float] = (0.0, 3.0)
     families: tuple[str, ...] = ("A", "B", "C", "table")
     tol: float = DEFAULT_VERIFY_TOL
-    cap: int | None = None
+    cap: int = DEFAULT_STATE_CAP
 
 
 @dataclass
@@ -468,7 +468,7 @@ def _check_config(config: FuzzConfig) -> None:
     _check_tol(config.tol)
     if config.trials < 0:
         raise ModelError(f"trials must be at least 0, got {config.trials}")
-    if config.cap is not None and config.cap < 1:
+    if config.cap < 1:
         raise ModelError(f"cap must be at least 1, got {config.cap}")
     if not config.q_values or any(integer_q(q) < 2 for q in config.q_values):
         raise ModelError(f"q_values must list q >= 2, got {config.q_values}")
@@ -530,7 +530,6 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
     report, and with it the digest of its inputs.
     """
     _check_config(config)
-    cap = default_cap() if config.cap is None else config.cap
     rng = np.random.default_rng(config.seed)
     result = FuzzResult(config, [])
     for _ in range(config.trials):
@@ -554,7 +553,7 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
         f0, f1 = _draw_disjoint_pair(rng, model.q)
         requests.append((_disjoint_support, (f0, f1, R, S)))
 
-        budget = _column_budget(model, cap)
+        budget = _column_budget(model, config.cap)
         claims = []
         for describe, args in requests:
             try:
@@ -566,7 +565,7 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
                 result.skipped_too_large += 1
                 continue
             claims.append(claim)
-        for claim, means in zip(claims, _trial_means(model, claims, budget, cap)):
+        for claim, means in zip(claims, _trial_means(model, claims, budget, config.cap)):
             result.checks_run += 1
             _, _, primary, imag, _ = claim.margin(means)
             if not _fold(primary, imag, config.tol) >= -config.tol:  # a NaN fails

@@ -1,5 +1,6 @@
 """Core model: validation, weights, partition function, expectations."""
 
+import inspect
 import json
 import math
 from dataclasses import replace
@@ -26,12 +27,13 @@ from potts_gks import (
     potts_expectation,
     validate_model,
 )
+from potts_gks import cli, random_cluster, verify
 from potts_gks import model as model_module
 from potts_gks.instances import torus_grid
 from potts_gks.model import (
+    DEFAULT_STATE_CAP,
     _elimination_plan,
     _model_plan,
-    default_cap,
     log_partition_function,
     region_indices,
     spin_means,
@@ -467,34 +469,31 @@ def test_enumeration_cap_override():
     assert partition_function(m, cap=4) == pytest.approx(4.0)
 
 
-def test_enumeration_cap_env(monkeypatch):
-    m = zero_coupling_edge()
+def test_every_cap_defaults_to_the_state_cap(monkeypatch):
+    # a cap reaches the engines only as an argument, one setter per layer
+    routines = {name: fn for module in (model_module, random_cluster, verify)
+                for name, fn in vars(module).items()
+                if not name.startswith("_") and inspect.isfunction(fn)
+                and fn.__module__ == module.__name__
+                and "cap" in inspect.signature(fn).parameters}
+    assert sorted(routines) == [
+        "coupled_spin_marginal", "log_partition_function", "partition_function",
+        "potts_distribution", "potts_expectation", "rc_expectation", "rc_partition",
+        "rc_probability", "spin_means", "verify_disjoint_support", "verify_gks_pair",
+        "verify_monotone", "verify_real_nonneg",
+    ]
+    for name, fn in routines.items():
+        assert inspect.signature(fn).parameters["cap"].default == DEFAULT_STATE_CAP, name
+    assert verify.FuzzConfig(trials=0, seed=0).cap == DEFAULT_STATE_CAP
+    parser = cli.build_parser()
+    commands = [["exact"], ["rc"], ["fuzz", "--trials", "1", "--seed", "1"]]
+    commands += [["verify", claim, "--f", "A"] for claim in cli._CLAIMS]
+    for argv in commands:
+        model = [] if argv[0] == "fuzz" else ["--model", "m.json"]
+        assert parser.parse_args(argv + model).cap == DEFAULT_STATE_CAP, argv
+    # the environment sets no cap
     monkeypatch.setenv("POTTS_GKS_CAP", "3")
-    with pytest.raises(EnumerationTooLarge):
-        partition_function(m)
-    monkeypatch.setenv("POTTS_GKS_CAP", "4")
-    assert partition_function(m) == pytest.approx(4.0)
-    monkeypatch.setenv("POTTS_GKS_CAP", "abc")
-    with pytest.raises(ModelError, match="POTTS_GKS_CAP must be an integer, got 'abc'"):
-        partition_function(m)
-
-
-def test_cap_env_is_read_every_call_and_parsed_once_a_value(monkeypatch):
-    parse = model_module._parse_cap
-    parse.cache_clear()
-    monkeypatch.setenv("POTTS_GKS_CAP", "12")
-    assert [default_cap() for _ in range(3)] == [12, 12, 12]
-    assert parse.cache_info().misses == 1
-    monkeypatch.setenv("POTTS_GKS_CAP", "7")
-    assert default_cap() == 7
-    monkeypatch.delenv("POTTS_GKS_CAP")
-    assert default_cap() == model_module.DEFAULT_STATE_CAP
-    for raw, message in (("abc", "must be an integer, got 'abc'"),
-                         ("0", "must be at least 1, got '0'")):
-        monkeypatch.setenv("POTTS_GKS_CAP", raw)
-        for _ in range(2):  # an error is raised again, not cached
-            with pytest.raises(ModelError, match=f"POTTS_GKS_CAP {message}"):
-                default_cap()
+    assert partition_function(zero_coupling_edge()) == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,6 @@ from potts_gks.cli import run
 from potts_gks.instances import model_from_indices, torus_grid, verification_suite
 from potts_gks.mc import _run_chain
 from potts_gks.model import (
-    CAP_ENV_VAR,
     DEFAULT_STATE_CAP,
     EnumerationTooLarge,
     ModelError,
@@ -366,7 +365,7 @@ def test_reducers_at_17_bonds_match_per_code_sums():
     assert abs(coupled_spin_marginal(aug)[0b000111] - want) <= 1e-12
 
 
-def test_partition_memo_checks_the_cap_on_every_call(monkeypatch):
+def test_partition_memo_checks_the_cap_on_every_call():
     # 2 live bonds of 5: the table doubles to 2 rows, then to 4 rows x 4 labels
     aug = augment(path3())
     memo = random_cluster._partition_table
@@ -377,11 +376,10 @@ def test_partition_memo_checks_the_cap_on_every_call(monkeypatch):
         memo(aug, 15)
     with pytest.raises(EnumerationTooLarge):
         rc_expectation(aug, [], cap=15)
-    monkeypatch.setenv(CAP_ENV_VAR, "15")
     with pytest.raises(EnumerationTooLarge):
-        rc_partition(aug)
+        rc_partition(aug, cap=15)
     with pytest.raises(EnumerationTooLarge):
-        coupled_spin_marginal(aug)
+        coupled_spin_marginal(aug, cap=15)
 
 
 def test_partition_sum_is_memoized_and_the_cap_checked_on_every_call(monkeypatch):
@@ -399,13 +397,11 @@ def test_partition_sum_is_memoized_and_the_cap_checked_on_every_call(monkeypatch
     assert z == math.fsum(_reduce_bonds(aug)[1].tolist())
     assert probabilities == [rc_weight(aug, omega) / z
                              for omega in ([0] * 5, [1] * 5, [1, 0] * 2 + [1])]
+    for _ in range(2):  # checked on every call, not once per memoized table
+        with pytest.raises(EnumerationTooLarge):
+            rc_probability(aug, [0] * 5, cap=15)
     with pytest.raises(EnumerationTooLarge):
-        rc_probability(aug, [0] * 5, cap=15)
-    monkeypatch.setenv(CAP_ENV_VAR, "15")
-    with pytest.raises(EnumerationTooLarge):
-        rc_probability(aug, [0] * 5)
-    with pytest.raises(EnumerationTooLarge):
-        rc_partition(aug)
+        rc_partition(aug, cap=15)
 
 
 def test_partition_memo_is_read_only():
@@ -1069,8 +1065,9 @@ def test_batched_tower_ghost_cluster_rooted_at_a_real_vertex():
         want = table.product(row, g, [v for v, lab in enumerate(row) if lab == v and v != g])
         assert abs(got - want) <= 1e-15
     without = table.of_rows(labels, include_ghost=False)
-    ghost_free = [table.product(row, row[-1], [v for v, lab in enumerate(row)
-                                               if lab == v and v != row[-1]], False)
+    omegas = first_omegas(aug, code_partition_keys(aug))  # a row's labels are its key
+    ghost_free = [brute_condexp(aug, omegas[tuple(row)], [(f, ("u", "w"))],
+                                include_ghost=False)
                   for row in labels.tolist()]
     assert np.max(np.abs(without - ghost_free)) <= 1e-15
     rows, _ = _tower_by_rows(aug, [(f, ("u", "w"))])
