@@ -117,12 +117,6 @@ class SpinFunction:
     def q(self) -> int:
         return len(self.values)
 
-    @functools.cached_property
-    def json_text(self) -> str:
-        """The values as JSON [[re, im], ...]; computed once per function (a
-        cached_property, outside the fields, eq and hash)."""
-        return json.dumps([[v.real, v.imag] for v in self.values])
-
     def as_array(self) -> np.ndarray:
         return np.asarray(self.values, dtype=np.complex128)
 
@@ -194,12 +188,6 @@ class PottsModel:
     def _vertex_positions(self) -> dict[str, int]:
         """Each vertex name's index, built once per model."""
         return {v: i for i, v in enumerate(self.vertices)}
-
-    @functools.cached_property
-    def json_text(self) -> str:
-        """json.dumps(self.to_json_dict(), sort_keys=True), encoded once per
-        model (a cached_property, outside the fields, eq and hash)."""
-        return json.dumps(self.to_json_dict(), sort_keys=True)
 
     def vertex_index(self, v: str) -> int:
         try:

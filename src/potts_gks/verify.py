@@ -11,7 +11,10 @@ Each claim is described once (_real_nonneg, _monotone, _gks_pair,
 _disjoint_support): its certification, its spin-mean columns, and the
 margin and details it derives from their means. A verify_* function runs
 one description through one elimination; the fuzzer runs all of a trial's
-descriptions through one, reading a column that several claims share once.
+descriptions through one when their columns fit the cap together, reading a
+column that several claims share once, and each through its own otherwise.
+A report's inputs digest is one json.dumps of the claim's name, model dict
+and parts.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ import numpy as np
 
 from .function_classes import (
     DEFAULT_M,
+    DEFAULT_TOL,
     MembershipReport,
     check_Fq,
     check_Fq_i,
@@ -76,23 +80,12 @@ class VerificationReport:
     details: dict = field(default_factory=dict)
 
 
-@functools.lru_cache(maxsize=1024)
-def _json_text(value: str | tuple[str, ...]) -> str:
-    """A claim name, coordinate label or region as JSON."""
-    return json.dumps(value)
-
-
 def _digest(name: str, model: PottsModel, parts: tuple) -> str:
-    """The first 16 hex digits of the SHA-256 of the claim's inputs as JSON.
-
-    The texts, joined by ", " inside [...], are the bytes that
-    json.dumps((name, model.to_json_dict(), *parts), sort_keys=True) writes
-    with each SpinFunction as its [[re, im], ...] values: each part is
-    encoded once and reused, not once per report.
-    """
-    texts = [_json_text(name), model.json_text]
-    texts += [p.json_text if isinstance(p, SpinFunction) else _json_text(p) for p in parts]
-    blob = "[" + ", ".join(texts) + "]"
+    """The first 16 hex digits of the SHA-256 of the claim's inputs as JSON,
+    each SpinFunction written as its [[re, im], ...] values."""
+    parts = [[[v.real, v.imag] for v in p.values] if isinstance(p, SpinFunction) else p
+             for p in parts]
+    blob = json.dumps((name, model.to_json_dict(), *parts), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -129,7 +122,8 @@ def certify(
     field-free regime, so the relaxation does not apply to them.
     """
     relaxed = model.field_free and not need_peak
-    report = check_Fq(f, M) if relaxed else check_Fq_i(f, 0, M)
+    # tol as check_Fq_i passes it on, so both paths share one check_Fq entry
+    report = check_Fq(f, M, DEFAULT_TOL) if relaxed else check_Fq_i(f, 0, M)
     if not report.passed:
         raise NotCertified(
             f"function not certified ({'F_q' if relaxed else 'F_q^0'}, "
@@ -413,7 +407,7 @@ def _draw_model(rng: np.random.Generator, cfg: FuzzConfig) -> PottsModel:
 @functools.lru_cache(maxsize=64)
 def _fixed_function(kind: str, q: int) -> SpinFunction | tuple[SpinFunction, SpinFunction]:
     """A fuzz function whose values depend on q alone, built once per (kind, q),
-    so its json_text and certifications are computed once: family A or B,
+    so its certifications are computed once: family A or B,
     A shifted by one spin, or the indicator pair of spins 0 and 1."""
     if kind == "shiftA":
         base = make_family("A", q).values
@@ -491,31 +485,17 @@ def _check_config(config: FuzzConfig) -> None:
 def _trial_means(
     model: PottsModel, claims: list[_Claim], budget: int, cap: int
 ) -> list[list[complex]]:
-    """Each claim's means, from one spin_means call when the cap allows.
-
-    A column that several claims read (<f^R> feeds four) is computed once
-    per call. Claims go first-fit, in order, into calls whose columns,
-    Z's included, stay within the budget; at the default cap a trial of
-    the default fuzzer is one call. Each column is hashed once, into its
-    index among the trial's distinct columns; the grouping works on those.
-    """
+    """Each claim's means. When the trial's distinct columns, Z's included,
+    fit the budget, they come from one spin_means call, which computes a
+    column that several claims read (<f^R> feeds four) once; at the
+    default cap every trial of the default fuzzer fits. Otherwise each
+    claim makes the call its verify_* function makes."""
     index: dict = {}
     keys = [[index.setdefault(c, len(index)) for c in claim.columns] for claim in claims]
-    columns = list(index)
-    calls: list[dict] = []  # per call, the position of each column in it
-    placed = []
-    for key in keys:
-        for k, call in enumerate(calls):
-            if 1 + len(call) + len(set(key).difference(call)) <= budget:
-                break
-        else:
-            k = len(calls)
-            calls.append({})
-        for j in key:
-            calls[k].setdefault(j, len(calls[k]))
-        placed.append(k)
-    means = [spin_means(model, [columns[j] for j in call], cap)[1] for call in calls]
-    return [[means[k][calls[k][j]] for j in key] for k, key in zip(placed, keys)]
+    if claims and 1 + len(index) <= budget:
+        means = spin_means(model, list(index), cap)[1]
+        return [[means[j] for j in key] for key in keys]
+    return [spin_means(model, claim.columns, cap)[1] for claim in claims]
 
 
 def fuzz(config: FuzzConfig) -> FuzzResult:
@@ -525,7 +505,8 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
     A trial draws its model, f, R, S, coordinates and disjoint pair, then
     describes its claims in a fixed order. Each certified claim whose own
     table, q^(w+1) x (1 + its columns), fits the cap is evaluated; their
-    means come from one elimination when the trial's columns fit together.
+    means come from one elimination when the trial's columns fit together,
+    and from one per claim otherwise.
     A check's verdict is read from its margin; only a failing check gets a
     report, and with it the digest of its inputs.
     """

@@ -701,9 +701,11 @@ def test_cap_below_one_exits_two(capsys, edge_model_path, command, cap):
 
 
 def test_readme_cli_examples_run_as_written(capsys, tmp_path, monkeypatch):
+    # every potts-gks line of the README, the 10^4-trial fuzz included, on
+    # its model block saved as edge.json: exit 0, strict JSON, summary last
     text = README.read_text()
-    model = json.loads(re.search(r"```json\n(.*?)```", text, re.S).group(1))
-    (tmp_path / "edge.json").write_text(json.dumps(model))
+    model = re.search(r"```json\n(.*?)```", text, re.S).group(1)
+    (tmp_path / "edge.json").write_text(model)
     monkeypatch.chdir(tmp_path)
     commands = [
         shlex.split(line, comments=True)[1:]
@@ -711,11 +713,8 @@ def test_readme_cli_examples_run_as_written(capsys, tmp_path, monkeypatch):
         for line in block.replace("\\\n", " ").splitlines()
         if line.startswith("potts-gks ")
     ]
-    assert len(commands) >= 7
+    assert len(commands) == 8  # the CLI block's seven and the scripts' fuzz
     for argv in commands:
-        if argv[0] == "fuzz":
-            # 200 trials: the README's 10^4 would repeat criterion 8
-            argv[argv.index("--trials") + 1] = "200"
         code, lines = run_lines(capsys, argv)
         assert code == 0, argv
         assert lines and lines[-1]["type"] == "summary", argv

@@ -1,7 +1,6 @@
 """Core model: validation, weights, partition function, expectations."""
 
 import inspect
-import json
 import math
 from dataclasses import replace
 from itertools import combinations, product
@@ -431,19 +430,6 @@ def test_index_pairs_are_built_once_and_stay_out_of_eq_and_hash():
     assert m.index_pairs is m.index_pairs
     assert m == twin and hash(m) == hash(twin)
     assert replace(m, J=(0.9, 0.7)).index_pairs == m.index_pairs
-
-
-def test_json_texts_are_encoded_once_and_stay_out_of_eq_and_hash():
-    m = PottsModel(("b", "a"), (("b", "a"),), (0.5,), (0.0, 1.5), 3)
-    text = m.json_text
-    assert text == json.dumps(m.to_json_dict(), sort_keys=True)
-    assert m.json_text is text
-    assert m == PottsModel(m.vertices, m.edges, m.J, m.h, m.q)
-    assert hash(m) == hash(PottsModel(m.vertices, m.edges, m.J, m.h, m.q))
-    f = SpinFunction((1.0, -0.5, 2j))
-    assert f.json_text == "[[1.0, 0.0], [-0.5, 0.0], [0.0, 2.0]]"
-    assert f.json_text is f.json_text
-    assert f == SpinFunction(f.values) and hash(f) == hash(SpinFunction(f.values))
 
 
 def test_field_free_flag_and_cached_hash_stay_out_of_eq_and_repr():

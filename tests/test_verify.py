@@ -26,6 +26,7 @@ from potts_gks import (
     verify_monotone,
     verify_real_nonneg,
 )
+from potts_gks import function_classes as function_classes_module
 from potts_gks import model as model_module
 from potts_gks import verify as verify_module
 from potts_gks.instances import random_model, verification_suite
@@ -376,6 +377,21 @@ def test_field_free_relaxation(q):
         verify_real_nonneg(with_field, f, ("a", "c"))
 
 
+def test_certify_scans_a_table_once_for_the_relaxed_and_the_peak_claim(monkeypatch):
+    # the relaxed path asks check_Fq for the entry check_Fq_i reads, so a
+    # fuzz trial certifying f for real_nonneg and then for a field
+    # coordinate's monotone claim scans f's moments once, not twice
+    scans = []
+    scan = function_classes_module._scan_moments
+    monkeypatch.setattr(function_classes_module, "_scan_moments",
+                        lambda *args: scans.append(args) or scan(*args))
+    f = SpinFunction((0.8125, 0.0, -0.8125))  # family A at q = 3, scaled: signed
+    model = PottsModel(("a", "b"), (("a", "b"),), (0.5,), (0.0, 0.0), 3)
+    assert verify_module.certify(model, f, 16).passed
+    assert verify_module.certify(model, f, 16, need_peak=True).passed
+    assert len(scans) == 1
+
+
 # ---------------------------------------------------------------------------
 # fuzzer
 # ---------------------------------------------------------------------------
@@ -651,17 +667,20 @@ def test_fuzz_reports_match_the_single_claim_route(monkeypatch):
 def test_fuzz_cap_window_skips_as_the_single_claim_route(monkeypatch, cap):
     # every model is a q=3 triangle, width 2, so a column costs 27 entries:
     # cap 81 holds real_nonneg's 2 columns but no 4-column claim, cap 150
-    # every claim but not a trial's 10 columns, which go in several calls
+    # every claim but not a trial's 10 columns, so each claim makes its own
+    # call, the one its verify_* function makes, and gets the same margin
     calls = count_spin_means(monkeypatch)
     asked = record_descriptions(monkeypatch)
+    reports = record_reports(monkeypatch)
     config = FuzzConfig(trials=60, seed=2, q_values=(3,), n_range=(3, 3),
                         edge_density=1.0, cap=cap)
     result = fuzz(config)
     monkeypatch.undo()
     counts = {"checks": 0, "skipped_not_certified": 0, "skipped_too_large": 0}
+    alone = []
     for check, model, args in asked:
         try:
-            check(model, *args, cap=cap)
+            alone.append(check(model, *args, cap=cap))
             counts["checks"] += 1
         except NotCertified:
             counts["skipped_not_certified"] += 1
@@ -671,6 +690,10 @@ def test_fuzz_cap_window_skips_as_the_single_claim_route(monkeypatch, cap):
     assert {key: summary[key] for key in counts} == counts
     assert (counts["skipped_too_large"] > 0) == (cap == 81)
     assert (len(calls) > result.trials_run) == (cap == 150)
+    assert len(reports) == len(alone) == result.checks_run > 0
+    for got, want in zip(reports, alone):
+        assert (got.claim, got.inputs) == (want.claim, want.inputs)
+        assert got.margin == want.margin and got.details == want.details
 
 
 def count_spin_means(monkeypatch) -> list:
