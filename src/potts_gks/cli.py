@@ -4,7 +4,9 @@ Reports stream as JSON lines on stdout, one object per check, with a
 summary object last (--csv renders just the summary as CSV). Each
 subcommand returns its summary; run() writes it and maps its violations
 to the exit code: 0 all checks passed, 1 at least one violation, 2
-malformed input.
+malformed input. Every subcommand that takes a spin function reads it
+from --f as a family name, a JSON spec or a path to one; a family's q is
+the model's, or fclass's --q (default 2).
 """
 
 from __future__ import annotations
@@ -161,20 +163,10 @@ def _cmd_rc(args) -> dict:
 
 
 def _cmd_fclass(args) -> dict:
-    _check_nonnegative("--tol", args.tol)
-    q = 2 if args.q is None else args.q
-    if args.f:
-        for flag, value in (("--kind", args.kind), ("--values", args.values)):
-            if value is not None:
-                raise ModelError(f"--f cannot be combined with {flag}")
-        if args.q is not None and _function_spec(args.f) is not None:
-            raise ModelError("--q cannot be combined with a --f spec, "
-                             "which gives its own q")
-        f = _parse_function(args.f, q)
-    else:
-        values = json.loads(args.values) if args.values else None
-        kind = "table" if args.kind is None else args.kind
-        f = spin_function_from_spec({"kind": kind, "q": q, "values": values})
+    if args.q is not None and _function_spec(args.f) is not None:
+        raise ModelError("--q cannot be combined with a --f spec, "
+                         "which gives its own q")
+    f = _parse_function(args.f, 2 if args.q is None else args.q)
     report = check_Fq_i(f, args.i, args.M, args.tol)
     _emit(
         {
@@ -196,7 +188,6 @@ def _cmd_fclass(args) -> dict:
 
 
 def _cmd_verify(args) -> dict:
-    _check_nonnegative("--tol", args.tol)
     model = PottsModel.from_json_file(args.model)
     f = _parse_function(args.f, model.q)
     R = _parse_region(args.R)
@@ -249,8 +240,7 @@ def _cmd_mc(args) -> dict:
 def _cmd_fuzz(args) -> dict:
     if args.n_max < 1:
         raise ModelError(f"--n-max must be at least 1, got {args.n_max}")
-    for flag, value in (("--J-max", args.J_max), ("--h-max", args.h_max),
-                        ("--tol", args.tol)):
+    for flag, value in (("--J-max", args.J_max), ("--h-max", args.h_max)):
         _check_nonnegative(flag, value)
     if not 0.0 <= args.density <= 1.0:
         raise ModelError(f"--density must lie in [0, 1], got {args.density}")
@@ -331,11 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_rc)
 
     p = sub.add_parser("fclass", help="membership report for a function")
-    p.add_argument("--kind", help="A | B | C | table")
-    p.add_argument("--q", type=int, default=None)
-    p.add_argument("--values", help="JSON value list (for C and table)")
-    p.add_argument("--f", help="family name, JSON spec, or path (not with "
-                   "--kind or --values)")
+    p.add_argument("--f", required=True, help="family name, JSON spec, or path")
+    p.add_argument("--q", type=int, default=None, help="a family name's q (default 2)")
     p.add_argument("--i", type=int, default=0)
     p.add_argument("--M", type=int, default=DEFAULT_M)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
@@ -383,6 +370,8 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "cap", 1) < 1:  # exact, rc, verify and fuzz take --cap
             raise ModelError(f"--cap must be at least 1, got {args.cap}")
+        if hasattr(args, "tol"):  # fclass, verify and fuzz take --tol
+            _check_nonnegative("--tol", args.tol)
         summary = args.func(args)
         if args.csv:
             keys = sorted(summary)

@@ -170,14 +170,6 @@ def _single_chain(
     return samples
 
 
-def _window(sweeps: int, burn_in: int | None) -> int:
-    """burn_in, sweeps // 10 by default, checked to lie in [0, sweeps)."""
-    burn_in = sweeps // 10 if burn_in is None else burn_in
-    if not 0 <= burn_in < sweeps:
-        raise BadWindow(f"burn_in={burn_in} not in [0, sweeps) for sweeps={sweeps}")
-    return burn_in
-
-
 def _summarize(samples: np.ndarray, burn_in: int) -> Estimate:
     kept = samples[burn_in:]
     N = kept.shape[0]
@@ -207,16 +199,15 @@ def estimate(
     seed: int = 0,
     rao_blackwell: bool = False,
 ) -> Estimate:
-    """Time-average of prod_i f_i(sigma)^{R_i} over a seeded chain.
+    """Time-average of prod_i f_i(sigma)^{R_i} over a seeded chain:
+    estimate_pooled with one chain, so a hook on that routine sees it too.
 
     Standard error by batch means (16 batches). rao_blackwell averages
     the conditional expectation given the bonds instead of the raw spin
     functional, which cannot increase the variance.
     """
-    burn_in = _window(sweeps, burn_in)
-    table = _ClusterFactors(model, factors)
-    samples = _single_chain(augment(model), table, sweeps, seed, rao_blackwell)
-    return _summarize(samples, burn_in)
+    return estimate_pooled(model, factors, sweeps, burn_in, seed,
+                           rao_blackwell=rao_blackwell)
 
 
 def estimate_pooled(
@@ -229,22 +220,26 @@ def estimate_pooled(
     jobs: int = 1,
     rao_blackwell: bool = False,
 ) -> Estimate:
-    """Independent chains with spawned seeds, run one after another and
-    merged in chain order.
+    """Independent chains run one after another and merged in chain order.
+    One chain takes seed itself and is returned unmerged; several take
+    seeds spawned from np.random.SeedSequence(seed).
 
     `jobs` is ignored and kept only for callers that still pass it: the
     pure-Python kernel holds the GIL, so threads would not overlap.
     """
     if chains < 1:
         raise BadWindow(f"need at least one chain, got {chains}")
-    if chains == 1:
-        return estimate(model, factors, sweeps, burn_in, seed, rao_blackwell)
-    burn_in = _window(sweeps, burn_in)
+    burn_in = sweeps // 10 if burn_in is None else burn_in
+    if not 0 <= burn_in < sweeps:
+        raise BadWindow(f"burn_in={burn_in} not in [0, sweeps) for sweeps={sweeps}")
     aug, table = augment(model), _ClusterFactors(model, factors)
+    seeds = [seed] if chains == 1 else np.random.SeedSequence(seed).spawn(chains)
     parts = [
         _summarize(_single_chain(aug, table, sweeps, child, rao_blackwell), burn_in)
-        for child in np.random.SeedSequence(seed).spawn(chains)
+        for child in seeds
     ]
+    if chains == 1:
+        return parts[0]
     n_each = sweeps - burn_in
     total = chains * n_each
     mean = sum(p.mean * n_each for p in parts) / total

@@ -86,11 +86,11 @@ class EnumerationTooLarge(ModelError):
     """
 
 
-def _check_cap(entries: int, what: str, cap: int) -> None:
-    """Raise EnumerationTooLarge if `what`, a table of `entries` entries,
-    is larger than `cap`, the calling routine's cap argument."""
+def _check_cap(entries: int, cap: int, what: str, *args) -> None:
+    """Raise EnumerationTooLarge if a table of `entries` entries, described
+    by `what % args` (formatted only then), exceeds the routine's `cap`."""
     if entries > cap:
-        raise EnumerationTooLarge(f"{what}: {entries} entries exceed cap {cap}")
+        raise EnumerationTooLarge(f"{what % args}: {entries} entries exceed cap {cap}")
 
 
 @dataclass(frozen=True)
@@ -589,11 +589,8 @@ def spin_means(
             keys.append(key)
         prepared.append((keys, None if c is None else _coordinate_position(model, c)))
     q, n_cols, width = model.q, 1 + len(prepared), _model_width(model)
-    _check_cap(
-        q ** (width + 1) * n_cols,
-        f"a {q}^{width + 1} x {n_cols} table at elimination width {width}",
-        cap,
-    )
+    _check_cap(q ** (width + 1) * n_cols, cap,
+               "a %d^%d x %d table at elimination width %d", q, width + 1, n_cols, width)
     complex_valued = any(x.imag for f, _ in indexed.values() for x in f.values)
     factors = {
         key: (f.as_array() if complex_valued else f.as_array().real, idx)
@@ -643,7 +640,7 @@ def potts_distribution(model: PottsModel, cap: int = DEFAULT_STATE_CAP) -> np.nd
     law so far the first operand of the next run, which keeps that order.
     """
     n, q = model.n_vertices, model.q
-    _check_cap(model.n_states, f"the spin law over {q}^{n} states", cap)
+    _check_cap(model.n_states, cap, "the spin law over %d^%d states", q, n)
     site, pair = model.shifted_tables
     args = []  # einsum's operands, each table followed by its axes
     for i, table in enumerate(site[:, 0]):

@@ -235,8 +235,8 @@ def _bond_plan(n1: int, bonds: tuple[tuple[int, int], ...], cap: int) -> _BondPl
     labels = np.arange(n1, dtype=np.int8)[None, :]
     regroups = []
     for a, b in bonds:
-        _check_cap(2 * labels.size,
-                   f"a partition table of {2 * len(labels)} rows x {n1} labels", cap)
+        _check_cap(2 * labels.size, cap,
+                   "a partition table of %d rows x %d labels", 2 * len(labels), n1)
         labels = np.concatenate([labels, _merge(labels, a, b)])
         inverse = None
         if len(labels) > _PARTITION_ROWS:
@@ -427,7 +427,7 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int = DEFAULT_STATE_CAP) -> 
     plan whose weight underflowed adds zeros.
     """
     n, q = aug.n_vertices, aug.base.q
-    _check_cap(q**n, f"the spin law over {q}^{n} states", cap)
+    _check_cap(q**n, cap, "the spin law over %d^%d states", q, n)
     table = _partition_table(aug, cap)
     layout = _spin_layout(table.plan, q)
     scaled = table.weights / layout.divisor

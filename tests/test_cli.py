@@ -59,7 +59,7 @@ def run_lines(capsys, argv):
 
 
 def test_fclass_family_b(capsys):
-    code, lines = run_lines(capsys, ["fclass", "--kind", "B", "--q", "4", "--M", "48"])
+    code, lines = run_lines(capsys, ["fclass", "--f", "B", "--q", "4", "--M", "48"])
     assert code == 0
     assert lines[0]["type"] == "membership"
     assert lines[0]["verdict"] == "pass"
@@ -69,7 +69,7 @@ def test_fclass_family_b(capsys):
 def test_fclass_non_member_exits_one(capsys):
     code, lines = run_lines(
         capsys,
-        ["fclass", "--kind", "table", "--q", "2", "--values", "[1.0, -2.0]"],
+        ["fclass", "--f", '{"kind": "table", "q": 2, "values": [1.0, -2.0]}'],
     )
     assert code == 1
     assert lines[0]["verdict"] == "fail"
@@ -79,7 +79,7 @@ def test_fclass_non_member_exits_one(capsys):
 def test_fclass_product_condition_failure_exits_one(capsys):
     code, lines = run_lines(
         capsys,
-        ["fclass", "--kind", "table", "--q", "3", "--values", "[3, -3, 2]"],
+        ["fclass", "--f", '{"kind": "table", "q": 3, "values": [3, -3, 2]}'],
     )
     assert code == 1
     assert lines[0]["in_Fq"] is False
@@ -106,11 +106,17 @@ def test_large_nonnegative_table_is_certified(capsys, tmp_path):
 @pytest.mark.parametrize("flags", [["--kind", "B"], ["--values", "[1, 0, 0]"]],
                          ids=["kind", "values"])
 def test_fclass_f_excludes_kind_and_values(capsys, flags):
-    code = run(["fclass", "--f", "A", "--q", "3", *flags])
+    # --f is fclass's one way to name its function, as in every subcommand
+    with pytest.raises(SystemExit) as exc:
+        run(["fclass", "--f", "A", "--q", "3", *flags])
+    assert exc.value.code == 2
     captured = capsys.readouterr()
-    assert code == 2
-    assert f"error: --f cannot be combined with {flags[0]}" in captured.err
+    assert f"unrecognized arguments: {' '.join(flags)}" in captured.err
     assert captured.out == ""
+    with pytest.raises(SystemExit) as exc:
+        run(["fclass", "--q", "3", *flags])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --f" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
@@ -119,7 +125,7 @@ def test_fclass_f_excludes_kind_and_values(capsys, flags):
     [
         "verify gks --model {model} --f familyA --R u --S v",
         "fuzz --trials 2 --seed 1",
-        "fclass --kind A --q 3",
+        "fclass --f A --q 3",
     ],
     ids=["verify", "fuzz", "fclass"],
 )
@@ -349,15 +355,22 @@ def test_fclass_q_next_to_a_spec_exits_two(capsys, tmp_path, where):
     assert captured.out == ""
     code, lines = run_lines(capsys, ["fclass", "--f", spec])
     assert code == 0 and lines[0]["q"] == 4
-    for argv in (["--f", "B"], ["--kind", "B"]):  # a family reads --q, default 2
-        assert run_lines(capsys, ["fclass", *argv])[1][0]["q"] == 2
-        assert run_lines(capsys, ["fclass", *argv, "--q", "4"])[1][0]["q"] == 4
+    # a family reads --q, default 2
+    assert run_lines(capsys, ["fclass", "--f", "B"])[1][0]["q"] == 2
+    assert run_lines(capsys, ["fclass", "--f", "B", "--q", "4"])[1][0]["q"] == 4
 
 
 def test_fclass_fractional_q_exits_two(capsys):
     # used to certify the 4th roots of unity
     assert run(["fclass", "--f", json.dumps({"kind": "B", "q": 4.9})]) == 2
     assert "q must be an integer, got 4.9" in capsys.readouterr().err
+
+
+def test_fclass_table_spec_without_values_exits_two(capsys):
+    assert run(["fclass", "--f", '{"kind": "table", "q": 2}']) == 2
+    captured = capsys.readouterr()
+    assert captured.err == 'error: function spec kind "table" needs "values"\n'
+    assert captured.out == ""
 
 
 def test_fclass_family_shorthand_reads_q(capsys):
@@ -371,6 +384,12 @@ def test_function_q_mismatch_exits_two(capsys, edge_model_path):
     code = run(["verify", "gks", "--model", edge_model_path, "--f", spec,
                 "--R", "u", "--S", "v"])
     assert code == 2
+    capsys.readouterr()
+    assert run(["verify", "disjoint", "--model", edge_model_path, "--f", "A",
+                "--f1", spec, "--R", "u", "--S", "v"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: f0 and f1 must share q\n"
+    assert captured.out == ""
 
 
 def test_exact_value_and_dump_round_trip(capsys, edge_model_path):

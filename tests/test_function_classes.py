@@ -56,6 +56,8 @@ def test_moments_zero_power_counts_states():
     # 0**0 == 1, so S_0 == q even when f hits 0
     f = SpinFunction((0.0, 0.0, 0.5))
     assert moments(f, 2).S[0] == 3 + 0j
+    with pytest.raises(ModelError, match="M must be >= 0, got -1"):
+        moments(f, -1)
 
 
 @given(st.integers(2, 6), st.integers(0, 10))
@@ -268,6 +270,8 @@ def test_family_c_validation():
         make_family("C", 3, (1.0, -0.5, 0.0))
     with pytest.raises(BadFamilyC):
         make_family("C", 3, None)
+    with pytest.raises(BadFamilyC, match="family C needs 3 values, got 2"):
+        make_family("C", 3, [1.0, 0.5])
 
 
 @pytest.mark.parametrize("q", range(2, 13))

@@ -159,6 +159,9 @@ def test_estimate_effective_samples_bounded():
     f = make_family("A", 2)
     est = estimate(edge_model(), [(f, ("u",))], sweeps=4000, seed=5)
     assert 0 < est.effective_samples <= 4000 - 400
+    # one kept sample: one batch, no spread, one effective sample
+    est = estimate(edge_model(), [(f, ("u",))], sweeps=1, seed=5)
+    assert (est.std_error, est.effective_samples, est.burn_in) == (0.0, 1.0, 0)
 
 
 @pytest.mark.parametrize(
@@ -478,22 +481,25 @@ def _assert_kernel_matches_array_kernel(model, factors, rao, seed, blocks):
 
 
 # the 3x3 tori are past the Hypothesis strategy's five vertices; B on three
-# diagonal vertices with A beside them makes RB samples with negative zeros
+# diagonal vertices with A beside them makes RB samples with negative zeros,
+# and a -0.0 entry of f makes ghost factors with a -0.0 part
 TORUS_CASES = {
     "q3-A-pair": (torus_grid(3, 3, q=3, J=0.5, h=0.2),
-                  (("A", ("s00", "s01")),)),
+                  ((make_family("A", 3), ("s00", "s01")),)),
     "q3-B-diagonal-A-s01": (torus_grid(3, 3, q=3, J=0.5, h=0.2),
-                            (("B", ("s00", "s11", "s22")), ("A", ("s01",)))),
+                            ((make_family("B", 3), ("s00", "s11", "s22")),
+                             (make_family("A", 3), ("s01",)))),
     "q5-B-diagonal": (torus_grid(3, 3, q=5, J=0.5, h=0.2),
-                      (("B", ("s00", "s11", "s22")),)),
+                      ((make_family("B", 5), ("s00", "s11", "s22")),)),
+    "q2-negative-zero-pair": (torus_grid(3, 3, q=2, J=0.5, h=0.2),
+                              ((SpinFunction((-0.0, 1.0)), ("s00", "s01")),)),
 }
 
 
 @pytest.mark.parametrize("rao", [False, True], ids=["raw", "rb"])
 @pytest.mark.parametrize("case", list(TORUS_CASES))
 def test_kernel_matches_array_kernel_on_tori(case, rao):
-    model, spec = TORUS_CASES[case]
-    factors = [(make_family(kind, model.q), region) for kind, region in spec]
+    model, factors = TORUS_CASES[case]
     for seed in range(4):
         _assert_kernel_matches_array_kernel(model, factors, rao, seed, (1, 40, 3000))
 

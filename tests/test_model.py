@@ -76,6 +76,8 @@ def test_negative_field_rejected():
 def test_bad_q_rejected():
     with pytest.raises(BadQ):
         PottsModel(("u",), (), (), (0.0,), 1)
+    with pytest.raises(BadQ, match=r"spin function needs q >= 2 values, got 1"):
+        SpinFunction((1.0,))
 
 
 def test_unknown_endpoint_rejected():
@@ -86,6 +88,20 @@ def test_unknown_endpoint_rejected():
 def test_duplicate_edge_rejected():
     with pytest.raises(BadEdge):
         PottsModel(("u", "v"), (("u", "v"), ("v", "u")), (1.0, 1.0), (0.0, 0.0), 2)
+
+
+@pytest.mark.parametrize(
+    "vertices, edges, J, h, message",
+    [
+        (("u", "v"), (("u", "v"),), (), (0.0, 0.0), "J must align with the edge list"),
+        (("u", "v"), (("u", "v"),), (1.0,), (0.0,), "h must align with the vertex list"),
+        (("u", "u"), (), (), (0.0, 0.0), "duplicate vertex id"),
+    ],
+    ids=["J", "h", "vertex"],
+)
+def test_misaligned_tables_and_duplicate_vertices_rejected(vertices, edges, J, h, message):
+    with pytest.raises(ModelError, match=message):
+        PottsModel(vertices, edges, J, h, 2)
 
 
 def test_region_multiset_rejected():

@@ -1,4 +1,5 @@
-"""Smoke test: the experiment scripts still run against the library."""
+"""Smoke test: the experiment scripts and the CLI's module entry point
+still run against the library."""
 
 import os
 import subprocess
@@ -15,6 +16,7 @@ ROOT = Path(__file__).resolve().parents[1]
     [
         ["scripts/suite_margins.py"],
         ["scripts/mc_vs_exact.py", "--seed", "7", "--sweeps", "1000"],
+        ["-m", "potts_gks.cli", "fclass", "--f", "B", "--q", "4", "--M", "48"],
     ],
 )
 def test_script_exits_zero(argv):
