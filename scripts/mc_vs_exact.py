@@ -14,7 +14,7 @@ import argparse
 import sys
 import time
 
-from potts_gks import estimate, make_family, potts_expectation
+from potts_gks import estimate_pooled, make_family, potts_expectation
 from potts_gks.instances import torus_grid
 
 
@@ -34,14 +34,14 @@ def main() -> int:
     factors = [(f, ("s00", "s01"))]
     exact = potts_expectation(model, factors).real
     for rao in (False, True):
-        estimate(model, factors, sweeps=100, seed=args.seed, rao_blackwell=rao)
+        estimate_pooled(model, factors, sweeps=100, seed=args.seed, rao_blackwell=rao)
     print(f"# exact <f^R> = {exact:.12f}  (variable elimination)")
     print(f"{'sweeps':>8} {'mode':>4} {'estimate':>14} {'stderr':>10} "
           f"{'true err':>10} {'ess':>10} {'secs':>6} {'us/sweep':>8}")
     for sweeps in args.sweeps:
         for rao in (False, True):
             t0 = time.perf_counter()
-            est = estimate(
+            est = estimate_pooled(
                 model, factors, sweeps=sweeps, seed=args.seed, rao_blackwell=rao
             )
             dt = time.perf_counter() - t0

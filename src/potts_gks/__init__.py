@@ -17,7 +17,7 @@ from .function_classes import (
     moments,
     spin_function_from_spec,
 )
-from .mc import BadWindow, Estimate, estimate, estimate_pooled
+from .mc import BadWindow, Estimate, estimate_pooled
 from .model import (
     BadEdge,
     BadQ,
@@ -29,7 +29,7 @@ from .model import (
     NonFiniteValue,
     PottsModel,
     SpinFunction,
-    partition_function,
+    log_partition_function,
     potts_distribution,
     potts_expectation,
     validate_model,

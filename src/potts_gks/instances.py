@@ -48,15 +48,6 @@ def model_from_indices(
     return PottsModel(vertices, edges, J_vec, h_vec, q)
 
 
-def atlas_models(q_values=(2, 3), J: float = 1.0, h: float = 0.0) -> list[PottsModel]:
-    """One field-free model per atlas graph and q (36 for the default qs)."""
-    return [
-        model_from_indices(n, pairs, q, J=J, h=h)
-        for q in q_values
-        for n, pairs in GRAPH_ATLAS
-    ]
-
-
 def random_model(
     rng: np.random.Generator,
     q_values=(2, 3, 4, 5),
@@ -76,16 +67,18 @@ def random_model(
     return model_from_indices(n, pairs, q, J=J, h=h)
 
 
-def verification_suite(seed: int = 20250809, n_random: int = 20) -> list[PottsModel]:
-    """Atlas graphs for q in {2,3} plus random weighted instances with fields.
+def verification_suite() -> list[PottsModel]:
+    """The 56 suite instances: one field-free model at J = 1 per atlas graph
+    for q = 2 then q = 3, then 20 random weighted instances with fields
+    drawn from seed 20250809.
 
     Every instance here satisfies |E+| <= 10, so all bond configurations
     are enumerable and the per-configuration identities can be checked
     exhaustively.
     """
-    rng = np.random.default_rng(seed)
-    suite = atlas_models()
-    suite += [random_model(rng) for _ in range(n_random)]
+    rng = np.random.default_rng(20250809)
+    suite = [model_from_indices(n, pairs, q) for q in (2, 3) for n, pairs in GRAPH_ATLAS]
+    suite += [random_model(rng) for _ in range(20)]
     return suite
 
 

@@ -7,20 +7,22 @@ cluster to 0, every other cluster uniformly). The joint construction
 leaves the Potts measure invariant; the test suite checks that rather
 than assuming it.
 
-The sweep loop is one pure-Python kernel, _run_chain, over random_cluster's
-augmented graph: it advances a list of spins in place, one sweep per row of
-uniforms, and returns the samples; a chain starts with every spin at 0. Its
-bonds and their probabilities come from ``augment``, called once per
-estimate and shared by its chains, and its Rao-Blackwellized samples
-from _ClusterFactors, the factors behind the exact conditional
-expectation. A cluster that no region touches has factor
-exactly 1, so a Rao-Blackwellized sample depends only on the roots of the
-region vertices and of the ghost: the kernel memoizes it by those roots,
-as it memoizes a raw sample by the region vertices' spins. A key whose
-partial products hold a -0.0 (which a factor of 1+0j can flip) falls back
-to the full product over every root on every sweep, so the samples are
-those of the full product bit for bit. All randomness comes from one numpy
-Generator, consumed in a fixed layout, so a seed pins the estimate bit for bit.
+estimate_pooled is the one public estimator: one seeded chain by default,
+or several merged in chain order. The sweep loop is one pure-Python kernel,
+_run_chain, over random_cluster's augmented graph: it advances a list of
+spins in place, one sweep per row of uniforms, and returns the samples; a
+chain starts with every spin at 0. Its bonds and their probabilities come
+from ``augment``, called once per estimate_pooled call and shared by its
+chains, and its Rao-Blackwellized samples from _ClusterFactors, the factors
+behind the exact conditional expectation. A cluster that no region touches
+has factor exactly 1, so a Rao-Blackwellized sample depends only on the
+roots of the region vertices and of the ghost: the kernel memoizes it by
+those roots, as it memoizes a raw sample by the region vertices' spins. A
+key whose partial products hold a -0.0 (which a factor of 1+0j can flip)
+falls back to the full product over every root on every sweep, so the
+samples are those of the full product bit for bit. All randomness comes
+from one numpy Generator, consumed in a fixed layout, so a seed pins the
+estimate bit for bit.
 """
 
 from __future__ import annotations
@@ -191,25 +193,6 @@ def _summarize(samples: np.ndarray, burn_in: int) -> Estimate:
     return Estimate(mean, se, ess, samples.shape[0], burn_in)
 
 
-def estimate(
-    model: PottsModel,
-    factors: Sequence[tuple[SpinFunction, Iterable[str]]],
-    sweeps: int,
-    burn_in: int | None = None,
-    seed: int = 0,
-    rao_blackwell: bool = False,
-) -> Estimate:
-    """Time-average of prod_i f_i(sigma)^{R_i} over a seeded chain:
-    estimate_pooled with one chain, so a hook on that routine sees it too.
-
-    Standard error by batch means (16 batches). rao_blackwell averages
-    the conditional expectation given the bonds instead of the raw spin
-    functional, which cannot increase the variance.
-    """
-    return estimate_pooled(model, factors, sweeps, burn_in, seed,
-                           rao_blackwell=rao_blackwell)
-
-
 def estimate_pooled(
     model: PottsModel,
     factors: Sequence[tuple[SpinFunction, Iterable[str]]],
@@ -220,9 +203,14 @@ def estimate_pooled(
     jobs: int = 1,
     rao_blackwell: bool = False,
 ) -> Estimate:
-    """Independent chains run one after another and merged in chain order.
-    One chain takes seed itself and is returned unmerged; several take
-    seeds spawned from np.random.SeedSequence(seed).
+    """Time-average of prod_i f_i(sigma)^{R_i} over seeded chains, run one
+    after another and merged in chain order. One chain (the default) takes
+    seed itself and is returned unmerged; several take seeds spawned from
+    np.random.SeedSequence(seed).
+
+    Standard error by batch means (16 batches per chain). rao_blackwell
+    averages the conditional expectation given the bonds instead of the raw
+    spin functional, which cannot increase the variance.
 
     `jobs` is ignored and kept only for callers that still pass it: the
     pure-Python kernel holds the GIL, so threads would not overlap.

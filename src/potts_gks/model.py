@@ -274,11 +274,11 @@ def validate_model(model: PottsModel) -> None:
     if model.q < 2:
         raise BadQ(f"q must be >= 2, got {model.q}")
     if len(model.J) != len(model.edges):
-        raise BadEdge("J must align with the edge list")
+        raise ModelError("J must align with the edge list")
     if len(model.h) != len(model.vertices):
-        raise NegativeField("h must align with the vertex list")
+        raise ModelError("h must align with the vertex list")
     if len(set(model.vertices)) != len(model.vertices):
-        raise BadEdge("duplicate vertex id")
+        raise ModelError("duplicate vertex id")
     vset = set(model.vertices)
     seen = set()
     for u, v in model.edges:
@@ -618,15 +618,6 @@ def spin_means(
 def log_partition_function(model: PottsModel, cap: int = DEFAULT_STATE_CAP) -> float:
     """log Z by variable elimination (stable for large couplings/fields)."""
     return spin_means(model, (), cap)[0]
-
-
-def partition_function(model: PottsModel, cap: int = DEFAULT_STATE_CAP) -> float:
-    """Z = sum over all spin states of exp{sum J_e delta_e + sum h_v delta_v}
-    (may overflow to inf)."""
-    try:
-        return math.exp(log_partition_function(model, cap))
-    except OverflowError:
-        return math.inf
 
 
 def potts_distribution(model: PottsModel, cap: int = DEFAULT_STATE_CAP) -> np.ndarray:

@@ -93,10 +93,6 @@ class AugmentedGraph:
         return self.base.n_vertices
 
     @property
-    def ghost_index(self) -> int:
-        return self.base.n_vertices
-
-    @property
     def n_bonds(self) -> int:
         return len(self.edge_index)
 
@@ -629,7 +625,7 @@ def event_Z(
     """1 iff no open path joins S to R or to the ghost."""
     labels = _omega_labels(aug, omega)
     blocked = {labels[v] for v in region_indices(aug.base, R)}
-    blocked.add(labels[aug.ghost_index])
+    blocked.add(labels[aug.n_vertices])
     return 0 if any(labels[v] in blocked for v in region_indices(aug.base, S)) else 1
 
 

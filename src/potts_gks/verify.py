@@ -406,9 +406,10 @@ def _draw_model(rng: np.random.Generator, cfg: FuzzConfig) -> PottsModel:
 # four kinds per q in the run's q_values; each entry is a few hundred bytes
 @functools.lru_cache(maxsize=64)
 def _fixed_function(kind: str, q: int) -> SpinFunction | tuple[SpinFunction, SpinFunction]:
-    """A fuzz function whose values depend on q alone, built once per (kind, q),
-    so its certifications are computed once: family A or B,
-    A shifted by one spin, or the indicator pair of spins 0 and 1."""
+    """A fuzz function whose values depend on q alone, built once per (kind, q)
+    so that no trial rebuilds a SpinFunction (the membership memos key on
+    values and would hit either way): family A or B, A shifted by one spin,
+    or the indicator pair of spins 0 and 1."""
     if kind == "shiftA":
         base = make_family("A", q).values
         return SpinFunction(tuple(base[(x - 1) % q] for x in range(q)))

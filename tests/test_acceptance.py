@@ -23,7 +23,7 @@ from potts_gks import (
     check_Fq_i,
     conditional_expectation,
     coupled_spin_marginal,
-    estimate,
+    estimate_pooled,
     event_Z,
     fuzz,
     make_family,
@@ -250,7 +250,7 @@ def test_criterion_7_mc_agreement():
     exact = potts_expectation(model, factors)  # 3^9 = 19683 states
     hits = 0
     for seed in range(100):
-        est = estimate(model, factors, sweeps=100_000, seed=seed)
+        est = estimate_pooled(model, factors, sweeps=100_000, seed=seed)
         if abs(est.mean - exact) <= 4 * est.std_error:
             hits += 1
     elapsed = time.perf_counter() - start

@@ -13,7 +13,6 @@ from potts_gks import (
     BadWindow,
     PottsModel,
     SpinFunction,
-    estimate,
     estimate_pooled,
     make_family,
     potts_distribution,
@@ -110,20 +109,21 @@ def test_estimate_single_vertex_field():
     # exact mean 1/2 from the 3-state enumeration
     m = PottsModel(("v",), (), (), (LN2,), 3)
     f = make_family("C", 3, (1.0, 0.0, 0.0))
-    est = estimate(m, [(f, ("v",))], sweeps=100_000, seed=10)
+    est = estimate_pooled(m, [(f, ("v",))], sweeps=100_000, seed=10)
     assert abs(est.mean - 0.5) <= 4 * est.std_error
 
 
 def test_estimate_staircase_pair():
     f = make_family("A", 2)
-    est = estimate(
+    est = estimate_pooled(
         edge_model(), [(f, ("u",)), (f, ("v",))], sweeps=100_000, seed=11
     )
     assert abs(est.mean - 0.125) <= 4 * est.std_error
 
 
 def test_estimate_constant_function_exact():
-    est = estimate(edge_model(), [(SpinFunction((1.0, 1.0)), ("u",))], sweeps=2000, seed=3)
+    est = estimate_pooled(edge_model(), [(SpinFunction((1.0, 1.0)), ("u",))],
+                          sweeps=2000, seed=3)
     assert est.mean == 1.0 + 0j
     assert est.std_error == 0.0
     assert est.effective_samples == float(2000 - 200)
@@ -131,8 +131,8 @@ def test_estimate_constant_function_exact():
 
 @pytest.mark.parametrize("rao", [False, True], ids=["raw", "rb"])
 def test_estimate_without_factors_is_exactly_one(rao):
-    est = estimate(torus_grid(3, 3, q=3, J=0.5, h=0.2), [], sweeps=500, seed=1,
-                   rao_blackwell=rao)
+    est = estimate_pooled(torus_grid(3, 3, q=3, J=0.5, h=0.2), [], sweeps=500, seed=1,
+                          rao_blackwell=rao)
     assert est.mean == 1.0 + 0j
     assert est.std_error == 0.0
 
@@ -141,7 +141,7 @@ def test_estimate_rejects_bad_window():
     for burn_in in (100, -1, -3):
         message = f"burn_in={burn_in} not in [0, sweeps) for sweeps=100"
         with pytest.raises(BadWindow, match=re.escape(message)):
-            estimate(edge_model(), [], sweeps=100, burn_in=burn_in, seed=0)
+            estimate_pooled(edge_model(), [], sweeps=100, burn_in=burn_in, seed=0)
     for chains in (0, -2):
         with pytest.raises(BadWindow):
             estimate_pooled(edge_model(), [], sweeps=100, seed=0, chains=chains)
@@ -150,17 +150,17 @@ def test_estimate_rejects_bad_window():
 def test_estimate_deterministic():
     f = make_family("A", 3)
     m = PottsModel(("u", "v"), (("u", "v"),), (0.8,), (0.2, 0.0), 3)
-    a = estimate(m, [(f, ("u", "v"))], sweeps=5000, seed=42)
-    b = estimate(m, [(f, ("u", "v"))], sweeps=5000, seed=42)
+    a = estimate_pooled(m, [(f, ("u", "v"))], sweeps=5000, seed=42)
+    b = estimate_pooled(m, [(f, ("u", "v"))], sweeps=5000, seed=42)
     assert a == b  # bit for bit, including the error bar
 
 
 def test_estimate_effective_samples_bounded():
     f = make_family("A", 2)
-    est = estimate(edge_model(), [(f, ("u",))], sweeps=4000, seed=5)
+    est = estimate_pooled(edge_model(), [(f, ("u",))], sweeps=4000, seed=5)
     assert 0 < est.effective_samples <= 4000 - 400
     # one kept sample: one batch, no spread, one effective sample
-    est = estimate(edge_model(), [(f, ("u",))], sweeps=1, seed=5)
+    est = estimate_pooled(edge_model(), [(f, ("u",))], sweeps=1, seed=5)
     assert (est.std_error, est.effective_samples, est.burn_in) == (0.0, 1.0, 0)
 
 
@@ -182,7 +182,7 @@ def test_estimate_covers_exact_value(model, factors):
     exact = potts_expectation(model, factors)
     hits = 0
     for seed in range(100):
-        est = estimate(model, factors, sweeps=3000, seed=seed)
+        est = estimate_pooled(model, factors, sweeps=3000, seed=seed)
         if abs(est.mean - exact) <= 4 * est.std_error:
             hits += 1
     assert hits >= 95, hits
@@ -208,8 +208,8 @@ def test_estimate_covers_exact_value(model, factors):
 def test_rao_blackwell_agrees_and_reduces_variance(model, q):
     f = make_family("A", q)
     factors = [(f, model.vertices[:2])]
-    raw = estimate(model, factors, sweeps=20_000, seed=7)
-    rb = estimate(model, factors, sweeps=20_000, seed=7, rao_blackwell=True)
+    raw = estimate_pooled(model, factors, sweeps=20_000, seed=7)
+    rb = estimate_pooled(model, factors, sweeps=20_000, seed=7, rao_blackwell=True)
     joint = math.hypot(raw.std_error, rb.std_error)
     assert abs(raw.mean - rb.mean) <= 4 * joint
     # per-sample variance cannot grow under conditioning
@@ -226,7 +226,7 @@ def test_rao_blackwell_tracks_exact_value():
     f = make_family("B", 3)
     factors = [(f, ("u", "v"))]
     exact = potts_expectation(m, factors)
-    est = estimate(m, factors, sweeps=50_000, seed=21, rao_blackwell=True)
+    est = estimate_pooled(m, factors, sweeps=50_000, seed=21, rao_blackwell=True)
     assert abs(est.mean - exact) <= 4 * est.std_error
 
 
@@ -305,7 +305,7 @@ def test_kernel_reproduces_frozen_digest():
         name, spec, sweeps, seed, rao = key
         model = DIGEST_MODELS[name]
         factors = [(_digest_family(kind, model.q), region) for kind, region in spec]
-        est = estimate(model, factors, sweeps=sweeps, seed=seed, rao_blackwell=rao)
+        est = estimate_pooled(model, factors, sweeps=sweeps, seed=seed, rao_blackwell=rao)
         assert (est.mean, est.std_error, est.effective_samples) == want, key
 
 
@@ -493,6 +493,12 @@ TORUS_CASES = {
                       ((make_family("B", 5), ("s00", "s11", "s22")),)),
     "q2-negative-zero-pair": (torus_grid(3, 3, q=2, J=0.5, h=0.2),
                               ((SpinFunction((-0.0, 1.0)), ("s00", "s01")),)),
+    # with all three members in the ghost's cluster its factor is (0.0, -0.0),
+    # which a factor of 1+0j turns into (0.0, 0.0); the literal -1j is
+    # (-0.0, -1.0), and the ghost factor it gives is one that 1+0j keeps
+    "q2-zero-ghost-factor": (torus_grid(3, 3, q=2, J=0.5, h=0.2),
+                             ((SpinFunction((0j, 1.0)), ("s00",)),
+                              (SpinFunction((complex(0.0, -1.0), 1.0)), ("s01", "s11")))),
 }
 
 

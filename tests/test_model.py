@@ -20,8 +20,8 @@ from potts_gks import (
     NegativeField,
     PottsModel,
     SpinFunction,
+    log_partition_function,
     make_family,
-    partition_function,
     potts_distribution,
     potts_expectation,
     validate_model,
@@ -33,7 +33,6 @@ from potts_gks.model import (
     DEFAULT_STATE_CAP,
     _elimination_plan,
     _model_plan,
-    log_partition_function,
     region_indices,
     spin_means,
 )
@@ -100,8 +99,10 @@ def test_duplicate_edge_rejected():
     ids=["J", "h", "vertex"],
 )
 def test_misaligned_tables_and_duplicate_vertices_rejected(vertices, edges, J, h, message):
-    with pytest.raises(ModelError, match=message):
+    # none of these is a bad edge or a negative field: the base class itself
+    with pytest.raises(ModelError, match=message) as exc:
         PottsModel(vertices, edges, J, h, 2)
+    assert type(exc.value) is ModelError
 
 
 def test_region_multiset_rejected():
@@ -148,7 +149,7 @@ def test_edge_position_reads_either_orientation():
 
 def _weights(m):
     """Every state's weight pi(sigma) Z, lexicographic as potts_distribution."""
-    return potts_distribution(m) * partition_function(m)
+    return potts_distribution(m) * math.exp(log_partition_function(m))
 
 
 def test_weight_trivial_when_couplings_vanish():
@@ -177,24 +178,24 @@ def test_partition_single_edge():
     # frozen from the 4-state oracle sum: 3 + 1 + 1 + 3 = 8
     m = edge_model()
     assert brute_partition(m) == pytest.approx(8.0, rel=1e-12)
-    assert partition_function(m) == pytest.approx(8.0, rel=1e-12)
+    assert math.exp(log_partition_function(m)) == pytest.approx(8.0, rel=1e-12)
 
 
 def test_partition_single_vertex_field():
     # oracle: 2 + 1 + 1 = 4
     m = PottsModel(("v",), (), (), (LN2,), 3)
     assert brute_partition(m) == pytest.approx(4.0, rel=1e-12)
-    assert partition_function(m) == pytest.approx(4.0, rel=1e-12)
+    assert math.exp(log_partition_function(m)) == pytest.approx(4.0, rel=1e-12)
 
 
 def test_partition_free_case_counts_states():
     m = PottsModel(("u", "v"), (), (), (0.0, 0.0), 3)
-    assert partition_function(m) == pytest.approx(9.0, rel=1e-14)
+    assert math.exp(log_partition_function(m)) == pytest.approx(9.0, rel=1e-14)
 
 
 @given(small_models())
 def test_partition_matches_oracle(model):
-    z = partition_function(model)
+    z = math.exp(log_partition_function(model))
     assert z == pytest.approx(brute_partition(model), rel=1e-12)
     # q^|V| states each weigh at least 1
     assert z >= model.n_states * (1 - 1e-12)
@@ -391,14 +392,11 @@ def test_log_space_path_matches_analytic():
 
 
 def test_log_partition_function():
-    from potts_gks.model import log_partition_function
-
     m = edge_model()
     assert log_partition_function(m) == pytest.approx(math.log(8.0), abs=1e-12)
     # couplings far past float overflow: log Z = J + log(2 e^{-J} q ... ),
     # dominated by the two aligned states at weight e^J each
     big = edge_model(q=2, J=800.0)
-    assert partition_function(big) == math.inf
     assert log_partition_function(big) == pytest.approx(800.0 + math.log(2), rel=1e-12)
 
 
@@ -410,7 +408,7 @@ def test_chunked_enumeration_large_tree():
     edges = tuple((f"v{i}", f"v{i+1}") for i in range(n - 1))
     m = PottsModel(vertices, edges, (0.8,) * (n - 1), (0.0,) * n, 2)
     want = 2.0 * (math.exp(0.8) + 1.0) ** (n - 1)
-    assert partition_function(m) == pytest.approx(want, rel=1e-10)
+    assert math.exp(log_partition_function(m)) == pytest.approx(want, rel=1e-10)
 
 
 def test_enumeration_cap_enforced():
@@ -419,7 +417,7 @@ def test_enumeration_cap_enforced():
     edges = tuple(combinations(names, 2))
     m = PottsModel(names, edges, (0.1,) * len(edges), (0.0,) * 26, 2)
     with pytest.raises(EnumerationTooLarge, match="width 25"):
-        partition_function(m)
+        log_partition_function(m)
 
 
 def test_cap_refuses_before_any_bucket_is_compiled(monkeypatch):
@@ -434,7 +432,7 @@ def test_cap_refuses_before_any_bucket_is_compiled(monkeypatch):
     edges = tuple(combinations(names, 2))
     m = PottsModel(names, edges, (0.1,) * len(edges), (0.0,) * 26, 2)
     with pytest.raises(EnumerationTooLarge, match="width 25"):
-        partition_function(m)
+        log_partition_function(m)
     with pytest.raises(EnumerationTooLarge, match="width 25"):
         potts_expectation(m, [])
 
@@ -467,8 +465,8 @@ def zero_coupling_edge():
 def test_enumeration_cap_override():
     m = zero_coupling_edge()
     with pytest.raises(EnumerationTooLarge):
-        partition_function(m, cap=3)
-    assert partition_function(m, cap=4) == pytest.approx(4.0)
+        log_partition_function(m, cap=3)
+    assert math.exp(log_partition_function(m, cap=4)) == pytest.approx(4.0)
 
 
 def test_every_cap_defaults_to_the_state_cap(monkeypatch):
@@ -479,10 +477,10 @@ def test_every_cap_defaults_to_the_state_cap(monkeypatch):
                 and fn.__module__ == module.__name__
                 and "cap" in inspect.signature(fn).parameters}
     assert sorted(routines) == [
-        "coupled_spin_marginal", "log_partition_function", "partition_function",
-        "potts_distribution", "potts_expectation", "rc_expectation", "rc_partition",
-        "rc_probability", "spin_means", "verify_disjoint_support", "verify_gks_pair",
-        "verify_monotone", "verify_real_nonneg",
+        "coupled_spin_marginal", "log_partition_function", "potts_distribution",
+        "potts_expectation", "rc_expectation", "rc_partition", "rc_probability",
+        "spin_means", "verify_disjoint_support", "verify_gks_pair", "verify_monotone",
+        "verify_real_nonneg",
     ]
     for name, fn in routines.items():
         assert inspect.signature(fn).parameters["cap"].default == DEFAULT_STATE_CAP, name
@@ -495,7 +493,7 @@ def test_every_cap_defaults_to_the_state_cap(monkeypatch):
         assert parser.parse_args(argv + model).cap == DEFAULT_STATE_CAP, argv
     # the environment sets no cap
     monkeypatch.setenv("POTTS_GKS_CAP", "3")
-    assert partition_function(zero_coupling_edge()) == pytest.approx(4.0)
+    assert math.exp(log_partition_function(zero_coupling_edge())) == pytest.approx(4.0)
 
 
 # ---------------------------------------------------------------------------
