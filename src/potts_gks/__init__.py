@@ -32,7 +32,6 @@ from .model import (
     log_partition_function,
     potts_distribution,
     potts_expectation,
-    validate_model,
 )
 from .random_cluster import (
     AugmentedGraph,

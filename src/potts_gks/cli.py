@@ -136,7 +136,7 @@ def _cmd_rc(args) -> dict:
     # line is written, so a bad argument exits 2 with nothing on stdout
     model = PottsModel.from_json_file(args.model)
     factors = _build_factors(args, model)
-    omega = [int(c) for c in args.omega] if args.omega else None
+    omega = None if args.omega is None else [int(c) for c in args.omega]
     aug = augment(model)
     checks = []  # (line, value), each value checked against 1e-10
     # Z_rc = q Z e^(-sum J - sum h): the bond route against the spin route
@@ -163,6 +163,7 @@ def _cmd_rc(args) -> dict:
 
 
 def _cmd_fclass(args) -> dict:
+    _check_nonnegative("--tol", args.tol)
     if args.q is not None and _function_spec(args.f) is not None:
         raise ModelError("--q cannot be combined with a --f spec, "
                          "which gives its own q")
@@ -191,10 +192,9 @@ def _cmd_verify(args) -> dict:
     model = PottsModel.from_json_file(args.model)
     f = _parse_function(args.f, model.q)
     R = _parse_region(args.R)
-    kw = {"tol": args.tol, "M": args.M, "cap": args.cap}
     reports = []
     if args.claim == "real":
-        reports.append(verify.verify_real_nonneg(model, f, R, **kw))
+        reports.append(verify.verify_real_nonneg(model, f, R, cap=args.cap))
     elif args.claim == "monotone":
         coords = []
         if args.edge:
@@ -207,15 +207,16 @@ def _cmd_verify(args) -> dict:
         if not coords:  # default: every coordinate
             coords = list(model.edges) + list(model.vertices)
         for coord in coords:
-            reports.append(verify.verify_monotone(model, f, R, coord, **kw))
+            reports.append(verify.verify_monotone(model, f, R, coord, cap=args.cap))
     elif args.claim == "gks":
-        reports.append(verify.verify_gks_pair(model, f, R, _parse_region(args.S), **kw))
+        S = _parse_region(args.S)
+        reports.append(verify.verify_gks_pair(model, f, R, S, cap=args.cap))
     elif args.claim == "disjoint":
         if not args.f1:
             raise ModelError("verify disjoint needs --f1 for the second function")
         f1 = _parse_function(args.f1, model.q)
         S = _parse_region(args.S)
-        reports.append(verify.verify_disjoint_support(model, f, f1, R, S, **kw))
+        reports.append(verify.verify_disjoint_support(model, f, f1, R, S, cap=args.cap))
     for report in reports:
         _emit(verify.report_to_json_dict(report))
     return _summary(sum(not r.verdict for r in reports), checks=len(reports))
@@ -262,7 +263,6 @@ def _cmd_fuzz(args) -> dict:
         edge_density=args.density,
         J_range=(0.0, args.J_max),
         h_range=(0.0, args.h_max),
-        tol=args.tol,
         cap=args.cap,
     )
     result = verify.fuzz(config)
@@ -279,13 +279,11 @@ def _cmd_fuzz(args) -> dict:
 _SHARED_FLAGS = {
     "--f1": dict(help="second function (products, disjoint pairs)"),
     "--S": dict(help="comma-separated vertex list"),
-    "--tol": dict(type=float, default=verify.DEFAULT_VERIFY_TOL),
-    "--M": dict(type=int, default=None, help="membership exponent bound"),
     "--cap": dict(type=int, default=DEFAULT_STATE_CAP, help="table-size cap, in entries"),
 }
 
 
-# what each verify claim reads of _SHARED_FLAGS besides --tol --M --cap
+# what each verify claim reads of _SHARED_FLAGS besides --cap
 _CLAIMS = {"real": (), "monotone": (), "gks": ("--S",), "disjoint": ("--f1", "--S")}
 
 
@@ -333,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     claims = p.add_subparsers(dest="claim", required=True)
     for claim, shared in _CLAIMS.items():
         c = claims.add_parser(claim)
-        _add_common(c, *shared, "--tol", "--M", "--cap", f_required=True)
+        _add_common(c, *shared, "--cap", f_required=True)
         if claim == "monotone":
             c.add_argument("--edge", help="edge coordinate, as u,v")
             c.add_argument("--vertex", help="vertex coordinate")
@@ -356,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--density", type=float, default=0.5)
     p.add_argument("--J-max", type=float, default=3.0, dest="J_max")
     p.add_argument("--h-max", type=float, default=3.0, dest="h_max")
-    p.add_argument("--tol", type=float, default=verify.DEFAULT_VERIFY_TOL)
     p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
     p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_fuzz)
@@ -370,8 +367,6 @@ def run(argv) -> int:
         args = parser.parse_args(argv)
         if getattr(args, "cap", 1) < 1:  # exact, rc, verify and fuzz take --cap
             raise ModelError(f"--cap must be at least 1, got {args.cap}")
-        if hasattr(args, "tol"):  # fclass, verify and fuzz take --tol
-            _check_nonnegative("--tol", args.tol)
         summary = args.func(args)
         if args.csv:
             keys = sorted(summary)

@@ -142,7 +142,7 @@ class PottsModel:
         )
         object.__setattr__(self, "J", tuple(float(x) for x in self.J))
         object.__setattr__(self, "h", tuple(float(x) for x in self.h))
-        validate_model(self)
+        _validate_model(self)
 
     @property
     def n_vertices(self) -> int:
@@ -269,7 +269,7 @@ def _number(raw: object, what: str) -> float:
     return float(raw)
 
 
-def validate_model(model: PottsModel) -> None:
+def _validate_model(model: PottsModel) -> None:
     """Raise the appropriate ModelError unless all invariants hold."""
     if model.q < 2:
         raise BadQ(f"q must be >= 2, got {model.q}")

@@ -4,6 +4,8 @@ Every check gates on membership first (the hypotheses are part of the
 claim), computes both sides exactly by variable elimination, and reports
 the raw margin. margin is the worst signed slack across the claim's
 constraints, so verdict == (margin >= -tolerance) holds for every report.
+Neither is a knob: every claim certifies at membership_bound of its
+regions and judges its margin against DEFAULT_VERIFY_TOL.
 The fuzzer drives the same checks over randomized instances and returns
 violations only; with the hypotheses enforced there should be none.
 
@@ -23,7 +25,7 @@ import functools
 import hashlib
 import json
 from dataclasses import dataclass, field, replace
-from math import expm1, inf, isfinite
+from math import expm1, inf
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -149,43 +151,34 @@ class _Claim(NamedTuple):
     margin: Callable[[list], tuple]
 
 
-def _fold(primary: float, imag: float, tol: float) -> float:
+def _fold(primary: float, imag: float) -> float:
     """A claim's margin: the primary slack folded with the imaginary
-    residual, so (margin >= -tol) == (primary >= -tol and imag <= tol)
-    without masking the informative slack in the usual all-real case."""
-    return primary if imag <= tol else min(primary, -imag)
+    residual, so (margin >= -tol) == (primary >= -tol and imag <= tol),
+    tol = DEFAULT_VERIFY_TOL, without masking the informative slack in the
+    usual all-real case."""
+    return primary if imag <= DEFAULT_VERIFY_TOL else min(primary, -imag)
 
 
-def _report(
-    claim: _Claim, model: PottsModel, means: list, tol: float
-) -> VerificationReport:
+def _report(claim: _Claim, model: PottsModel, means: list) -> VerificationReport:
     """The report of one claim from the means of its columns (margin: _fold)."""
     lhs, rhs, primary, imag, details = claim.margin(means)
-    margin = _fold(primary, imag, tol)
+    margin = _fold(primary, imag)
     return VerificationReport(
         claim=claim.name,
         inputs=_digest(claim.name, model, claim.parts),
         lhs=lhs,
         rhs=rhs,
         margin=margin,
-        tolerance=tol,
-        verdict=margin >= -tol,
+        tolerance=DEFAULT_VERIFY_TOL,
+        verdict=margin >= -DEFAULT_VERIFY_TOL,
         details=details,
     )
 
 
-def _check_tol(tol: float) -> None:
-    if not (isfinite(tol) and tol >= 0.0):
-        raise ModelError(f"tol must be finite and at least 0, got {tol}")
-
-
-def _verify(
-    describe, model: PottsModel, args: tuple, tol: float, M, cap
-) -> VerificationReport:
+def _verify(describe, model: PottsModel, args: tuple, cap) -> VerificationReport:
     """One claim on its own: describe (and certify) it, then one elimination."""
-    _check_tol(tol)
-    claim = describe(model, *args, M)
-    return _report(claim, model, spin_means(model, claim.columns, cap)[1], tol)
+    claim = describe(model, *args)
+    return _report(claim, model, spin_means(model, claim.columns, cap)[1])
 
 
 def _pair_margin(anti: bool, key: str, means: list) -> tuple:
@@ -204,9 +197,9 @@ def _pair_margin(anti: bool, key: str, means: list) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def _real_nonneg(model: PottsModel, f: SpinFunction, R: Iterable[str], M) -> _Claim:
+def _real_nonneg(model: PottsModel, f: SpinFunction, R: Iterable[str]) -> _Claim:
     R = tuple(R)
-    certify(model, f, membership_bound(R) if M is None else M)
+    certify(model, f, membership_bound(R))
 
     def margin(means):
         (mean,) = means
@@ -216,13 +209,11 @@ def _real_nonneg(model: PottsModel, f: SpinFunction, R: Iterable[str], M) -> _Cl
     return _Claim("real_nonneg", (f, R), ((((f, R),), None),), margin)
 
 
-def _monotone(
-    model: PottsModel, f: SpinFunction, R: Iterable[str], coordinate, M
-) -> _Claim:
+def _monotone(model: PottsModel, f: SpinFunction, R: Iterable[str], coordinate) -> _Claim:
     R = tuple(R)
     field, _ = _coordinate_position(model, coordinate)
     coord_label = f"h[{coordinate}]" if field else "J[{},{}]".format(*coordinate)
-    certify(model, f, membership_bound(R) if M is None else M, need_peak=field)
+    certify(model, f, membership_bound(R), need_peak=field)
 
     def margin(means):
         mean, mean_fd, mean_d = means
@@ -244,10 +235,10 @@ def _monotone(
 
 
 def _gks_pair(
-    model: PottsModel, f: SpinFunction, R: Iterable[str], S: Iterable[str], M
+    model: PottsModel, f: SpinFunction, R: Iterable[str], S: Iterable[str]
 ) -> _Claim:
     R, S = tuple(R), tuple(S)
-    certify(model, f, membership_bound(R, S) if M is None else M)
+    certify(model, f, membership_bound(R, S))
     columns = ((((f, R), (f, S)), None), (((f, R),), None), (((f, S),), None))
     margin = functools.partial(_pair_margin, False, "gks_margin")
     return _Claim("gks_pair", (f, R, S), columns, margin)
@@ -259,14 +250,13 @@ def _disjoint_support(
     f1: SpinFunction,
     R: Iterable[str],
     S: Iterable[str],
-    M,
 ) -> _Claim:
     R, S = tuple(R), tuple(S)
     if f0.q != f1.q:
         raise ModelError("f0 and f1 must share q")
     if any(a * b != 0 for a, b in zip(f0.values, f1.values)):
         raise NotDisjoint("f0 * f1 must vanish pointwise")
-    bound = membership_bound(R, S) if M is None else M
+    bound = membership_bound(R, S)
     certify(model, f0, bound)
     ok, violation = moments_real_nonneg(f1, bound)
     if not ok:
@@ -285,12 +275,10 @@ def verify_real_nonneg(
     model: PottsModel,
     f: SpinFunction,
     R: Iterable[str],
-    tol: float = DEFAULT_VERIFY_TOL,
-    M: int | None = None,
     cap: int = DEFAULT_STATE_CAP,
 ) -> VerificationReport:
     """<f^R> must be real and non-negative for certified f."""
-    return _verify(_real_nonneg, model, (f, R), tol, M, cap)
+    return _verify(_real_nonneg, model, (f, R), cap)
 
 
 def verify_monotone(
@@ -298,8 +286,6 @@ def verify_monotone(
     f: SpinFunction,
     R: Iterable[str],
     coordinate,
-    tol: float = DEFAULT_VERIFY_TOL,
-    M: int | None = None,
     cap: int = DEFAULT_STATE_CAP,
 ) -> VerificationReport:
     """<f^R> non-decreasing in the given coupling or field coordinate.
@@ -314,7 +300,7 @@ def verify_monotone(
     always has its sign, so the steps are not a second route; the
     independent one is re-enumerating the bumped model, which the tests do.
     """
-    return _verify(_monotone, model, (f, R, coordinate), tol, M, cap)
+    return _verify(_monotone, model, (f, R, coordinate), cap)
 
 
 def verify_gks_pair(
@@ -322,12 +308,10 @@ def verify_gks_pair(
     f: SpinFunction,
     R: Iterable[str],
     S: Iterable[str],
-    tol: float = DEFAULT_VERIFY_TOL,
-    M: int | None = None,
     cap: int = DEFAULT_STATE_CAP,
 ) -> VerificationReport:
     """<f^R f^S> >= <f^R><f^S> for certified f."""
-    return _verify(_gks_pair, model, (f, R, S), tol, M, cap)
+    return _verify(_gks_pair, model, (f, R, S), cap)
 
 
 def verify_disjoint_support(
@@ -336,15 +320,13 @@ def verify_disjoint_support(
     f1: SpinFunction,
     R: Iterable[str],
     S: Iterable[str],
-    tol: float = DEFAULT_VERIFY_TOL,
-    M: int | None = None,
     cap: int = DEFAULT_STATE_CAP,
 ) -> VerificationReport:
     """<f0^R f1^S> <= <f0^R><f1^S> for disjointly supported f0, f1.
 
     f0 must be certified as usual; f1 only needs real non-negative moments.
     """
-    return _verify(_disjoint_support, model, (f0, f1, R, S), tol, M, cap)
+    return _verify(_disjoint_support, model, (f0, f1, R, S), cap)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +348,6 @@ class FuzzConfig:
     J_range: tuple[float, float] = (0.0, 3.0)
     h_range: tuple[float, float] = (0.0, 3.0)
     families: tuple[str, ...] = ("A", "B", "C", "table")
-    tol: float = DEFAULT_VERIFY_TOL
     cap: int = DEFAULT_STATE_CAP
 
 
@@ -460,7 +441,6 @@ def _draw_disjoint_pair(
 
 def _check_config(config: FuzzConfig) -> None:
     """Refuse a config that some trial could not run, before the first draw."""
-    _check_tol(config.tol)
     if config.trials < 0:
         raise ModelError(f"trials must be at least 0, got {config.trials}")
     if config.cap < 1:
@@ -539,7 +519,7 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
         claims = []
         for describe, args in requests:
             try:
-                claim = describe(model, *args, None)
+                claim = describe(model, *args)
             except NotCertified:
                 result.skipped_not_certified += 1
                 continue
@@ -550,7 +530,7 @@ def fuzz(config: FuzzConfig) -> FuzzResult:
         for claim, means in zip(claims, _trial_means(model, claims, budget, config.cap)):
             result.checks_run += 1
             _, _, primary, imag, _ = claim.margin(means)
-            if not _fold(primary, imag, config.tol) >= -config.tol:  # a NaN fails
-                result.failures.append(_report(claim, model, means, config.tol))
+            if not _fold(primary, imag) >= -DEFAULT_VERIFY_TOL:  # a NaN fails
+                result.failures.append(_report(claim, model, means))
         result.trials_run += 1
     return result

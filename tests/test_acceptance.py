@@ -150,17 +150,17 @@ def test_criterion_4_spin_mean_properties(suite):
         for f in (make_family("A", model.q), make_family("B", model.q),
                   _family_c(model.q)):
             R = _seeded_region(rng, model)
-            rep = verify_real_nonneg(model, f, R, tol=TOL_CHECK)
+            rep = verify_real_nonneg(model, f, R)
             worst = min(worst, rep.margin)
             assert rep.details["imag_residual"] <= TOL_CHECK
             n_checks += 1
             for coord in list(model.edges) + list(model.vertices):
-                rep = verify_monotone(model, f, R, coord, tol=TOL_CHECK)
+                rep = verify_monotone(model, f, R, coord)
                 worst = min(worst, rep.margin)
                 n_checks += 1
             for _ in range(10):
                 pair = (_seeded_region(rng, model), _seeded_region(rng, model))
-                rep = verify_gks_pair(model, f, *pair, tol=TOL_CHECK)
+                rep = verify_gks_pair(model, f, *pair)
                 worst = min(worst, rep.margin)
                 n_checks += 1
     _announce(
@@ -186,7 +186,7 @@ def test_criterion_5_disjoint_support(suite):
             for _ in pairs
         ]
         for (f0, f1), (R, S) in zip(pairs, regions):
-            rep = verify_disjoint_support(model, f0, f1, R, S, tol=TOL_CHECK)
+            rep = verify_disjoint_support(model, f0, f1, R, S)
             worst = min(worst, rep.margin)
         # the indicator factorization, configuration by configuration
         aug = augment(model)
@@ -271,7 +271,6 @@ def test_criterion_8_fuzzer_clean():
             n_range=(1, 5),
             J_range=(0.0, 3.0),
             h_range=(0.0, 3.0),
-            tol=TOL_CHECK,
         )
     )
     elapsed = time.perf_counter() - start
@@ -298,11 +297,11 @@ def test_criterion_9_field_free_relaxation(suite):
         R = _seeded_region(rng, model) or model.vertices[:1]
         S = _seeded_region(rng, model)
         checks = [
-            verify_real_nonneg(model, f, R, tol=TOL_CHECK),
-            verify_gks_pair(model, f, R, S, tol=TOL_CHECK),
+            verify_real_nonneg(model, f, R),
+            verify_gks_pair(model, f, R, S),
         ]
         checks += [
-            verify_monotone(model, f, R, edge, tol=TOL_CHECK)
+            verify_monotone(model, f, R, edge)
             for edge in model.edges
         ]
         for rep in checks:

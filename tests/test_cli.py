@@ -120,17 +120,9 @@ def test_fclass_f_excludes_kind_and_values(capsys, flags):
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
-@pytest.mark.parametrize(
-    "command",
-    [
-        "verify gks --model {model} --f familyA --R u --S v",
-        "fuzz --trials 2 --seed 1",
-        "fclass --f A --q 3",
-    ],
-    ids=["verify", "fuzz", "fclass"],
-)
-def test_bad_tolerance_exits_two(capsys, edge_model_path, command, tol):
-    code = run([*command.format(model=edge_model_path).split(), "--tol", tol])
+@pytest.mark.parametrize("command", ["fclass --f A --q 3"], ids=["fclass"])
+def test_bad_tolerance_exits_two(capsys, command, tol):
+    code = run([*command.split(), "--tol", tol])
     captured = capsys.readouterr()
     assert code == 2
     message = f"--tol must be finite and at least 0, got {float(tol)}"
@@ -259,13 +251,37 @@ def test_verify_uncertified_is_input_error(capsys, edge_model_path):
     assert "not certified" in err
 
 
-def test_verify_bound_zero_exits_two(capsys, edge_model_path):
-    # --M 0 used to certify at the default bound
-    code = run(["verify", "gks", "--model", edge_model_path, "--f", "familyA",
-                "--R", "u", "--S", "v", "--M", "0"])
+def test_verify_certifies_at_the_derived_bound_only(capsys, tmp_path):
+    # field-free K3, q = 3: f fails F_3 at m + n = 3, so the GKS claim's
+    # hypothesis does not hold. --M 2 used to certify it anyway and print a
+    # fail verdict (margin -0.0071); no bound can be set below 2 (|R| + |S|)
+    path = tmp_path / "k3.json"
+    edges = [{"u": u, "v": v, "J": 2.0} for u, v in ("ab", "bc", "ac")]
+    path.write_text(json.dumps(
+        {"q": 3, "vertices": ["a", "b", "c"], "edges": edges, "fields": {}}))
+    argv = ["verify", "gks", "--model", str(path),
+            "--f", '{"kind": "table", "q": 3, "values": [-0.5, 0.2, 0.5]}',
+            "--R", "a", "--S", "a,b"]
+    with pytest.raises(SystemExit) as exc:
+        run([*argv, "--M", "2"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --M 2" in captured.err
+    assert captured.out == ""
+    code = run(argv)
     captured = capsys.readouterr()
     assert code == 2
-    assert "M must be >= 1, got 0" in captured.err
+    assert "not certified (F_q, M=16)" in captured.err
+    assert captured.out == ""
+
+
+def test_fuzz_takes_no_tolerance(capsys):
+    # --tol 0 used to turn rounding into violations: 2,355 on 3000 trials
+    with pytest.raises(SystemExit) as exc:
+        run(["fuzz", "--trials", "2", "--seed", "1", "--tol", "0"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --tol 0" in captured.err
     assert captured.out == ""
 
 
@@ -454,6 +470,7 @@ def test_rc_output_is_frozen(capsys, tmp_path):
         ("102", "bond configuration must be 3 bits over E+, got [1, 0, 2]"),
         ("10", "bond configuration must be 3 bits over E+, got [1, 0]"),
         ("1x0", "invalid literal for int()"),
+        ("", "bond configuration must be 3 bits over E+, got []"),
     ],
 )
 def test_rc_malformed_omega_exits_2(capsys, edge_model_path, omega, message):
@@ -462,6 +479,17 @@ def test_rc_malformed_omega_exits_2(capsys, edge_model_path, omega, message):
     out, err = capsys.readouterr()
     assert message in err
     assert out == ""  # no check is written before the arguments are read
+
+
+def test_rc_empty_omega_is_the_one_configuration_of_no_bonds(capsys, tmp_path):
+    # with no vertices, E+ is empty and '' is its one bond configuration; an
+    # empty --omega used to be taken for none and its line dropped
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"q": 2, "vertices": [], "edges": [], "fields": {}}))
+    code, lines = run_lines(capsys, ["rc", "--model", str(path), "--omega", ""])
+    assert code == 0
+    (line,) = [l for l in lines if l["type"] == "rc_probability"]
+    assert line == {"type": "rc_probability", "omega": "", "probability": 1.0}
 
 
 @pytest.mark.parametrize(
@@ -541,6 +569,14 @@ def test_mc_requires_seed(capsys, edge_model_path):
         ("mc", "--tol", "1e-6"),
         ("mc", "--M", "8"),
         ("mc", "--cap", "64"),
+        ("verify real", "--tol", "1e-6"),
+        ("verify monotone", "--tol", "1e-6"),
+        ("verify gks", "--tol", "1e-6"),
+        ("verify disjoint", "--tol", "1e-6"),
+        ("verify real", "--M", "8"),
+        ("verify monotone", "--M", "8"),
+        ("verify gks", "--M", "0"),
+        ("verify disjoint", "--M", "8"),
         ("verify real", "--f1", "familyB"),
         ("verify monotone", "--f1", "familyB"),
         ("verify gks", "--f1", "familyB"),

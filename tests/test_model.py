@@ -24,7 +24,6 @@ from potts_gks import (
     make_family,
     potts_distribution,
     potts_expectation,
-    validate_model,
 )
 from potts_gks import cli, random_cluster, verify
 from potts_gks import model as model_module
@@ -53,8 +52,9 @@ def edge_model(q=2, J=LN3, h=(0.0, 0.0)):
 
 
 def test_minimal_model_ok():
+    # construction runs the validation: a model that exists is valid
     m = PottsModel(("u",), (), (), (0.0,), 2)
-    validate_model(m)
+    assert (m.vertices, m.edges, m.J, m.h, m.q) == (("u",), (), (), (0.0,), 2)
 
 
 def test_self_loop_rejected():

@@ -29,7 +29,7 @@ from potts_gks import (
 from potts_gks import function_classes as function_classes_module
 from potts_gks import model as model_module
 from potts_gks import verify as verify_module
-from potts_gks.instances import random_model, verification_suite
+from potts_gks.instances import random_model, torus_grid, verification_suite
 from potts_gks.verify import report_to_json_dict
 from strategies import model_function_region
 
@@ -392,6 +392,42 @@ def test_certify_scans_a_table_once_for_the_relaxed_and_the_peak_claim(monkeypat
     assert len(scans) == 1
 
 
+@pytest.mark.parametrize("size, bound", [(3, 16), (9, 18)], ids=["floor", "twice"])
+def test_every_claim_certifies_at_the_bound_its_regions_derive(monkeypatch, size, bound):
+    # no caller sets M: each claim certifies at max(2 (|R| + |S|), 16), the
+    # exponents one cluster can carry, so |R| + |S| = 3 reads the floor and
+    # 9, every site of the torus, the 2x rule
+    asked = []
+    certify, moments = verify_module.certify, verify_module.moments_real_nonneg
+
+    def spy_certify(model, f, M, **kw):
+        asked.append(("certify", M))
+        return certify(model, f, M, **kw)
+
+    def spy_moments(f, M):
+        asked.append(("moments", M))
+        return moments(f, M)
+
+    monkeypatch.setattr(verify_module, "certify", spy_certify)
+    monkeypatch.setattr(verify_module, "moments_real_nonneg", spy_moments)
+    model = torus_grid(3, 3, 3, J=0.6, h=0.2)
+    f = make_family("A", 3)
+    pair = SpinFunction((1.0, 0.0, 0.0)), SpinFunction((0.0, 1.0, 0.0))
+    sites = model.vertices[:size]
+    R, S = sites[: size // 2], sites[size // 2:]
+    runs = [
+        (lambda: verify_real_nonneg(model, f, sites), ["certify"]),
+        (lambda: verify_monotone(model, f, sites, model.edges[0]), ["certify"]),
+        (lambda: verify_monotone(model, f, sites, model.vertices[0]), ["certify"]),
+        (lambda: verify_gks_pair(model, f, R, S), ["certify"]),
+        (lambda: verify_disjoint_support(model, *pair, R, S), ["certify", "moments"]),
+    ]
+    for run, checks in runs:
+        asked.clear()
+        assert run().verdict
+        assert asked == [(check, bound) for check in checks]
+
+
 # ---------------------------------------------------------------------------
 # fuzzer
 # ---------------------------------------------------------------------------
@@ -448,16 +484,15 @@ def test_fuzz_builds_each_fixed_function_once_per_kind_and_q():
 
 def record_reports(monkeypatch) -> list:
     """Hook verify._trial_means, which sees every claim the fuzzer checks and
-    its means, and build each check's report there with verify._report at
-    the default tol: the fuzzer itself builds reports only for failing checks."""
+    its means, and build each check's report there with verify._report: the
+    fuzzer itself builds reports only for failing checks."""
     reports = []
     means_of = verify_module._trial_means
 
     def record(model, claims, *args):
         means = means_of(model, claims, *args)
         build = verify_module._report
-        tol = verify_module.DEFAULT_VERIFY_TOL
-        reports.extend(build(c, model, m, tol) for c, m in zip(claims, means))
+        reports.extend(build(c, model, m) for c, m in zip(claims, means))
         return means
 
     monkeypatch.setattr(verify_module, "_trial_means", record)
@@ -543,13 +578,12 @@ def test_a_failing_fuzz_check_carries_its_claims_inputs(monkeypatch):
 
 @pytest.mark.parametrize(
     "changes",
-    [{"cap": -5}, {"cap": 0}, {"tol": math.nan}, {"tol": -1.0}, {"tol": math.inf},
-     {"trials": -3}],
-    ids=["cap-5", "cap0", "tol-nan", "tol-negative", "tol-inf", "trials-negative"],
+    [{"cap": -5}, {"cap": 0}, {"trials": -3}],
+    ids=["cap-5", "cap0", "trials-negative"],
 )
 def test_fuzz_refuses_a_bad_config(changes):
-    # cap -5 used to skip all 14 checks as too large, tol nan or -1 to fail
-    # all 14, and trials -3 to run none, each without an error
+    # cap -5 used to skip all 14 checks as too large, and trials -3 to run
+    # none, each without an error
     with pytest.raises(ModelError, match=f"{next(iter(changes))} must be"):
         fuzz(FuzzConfig(**{"trials": 3, "seed": 1, **changes}))
 
@@ -607,17 +641,6 @@ def test_fuzz_runs_a_config_at_the_edges_of_its_ranges(monkeypatch):
     assert all(m.edges == () and set(m.h) <= {0.0} for m in models)
 
 
-@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
-@pytest.mark.parametrize(
-    "claim, args",
-    CLAIM_CASES,
-    ids=CLAIM_IDS,
-)
-def test_verify_refuses_a_bad_tol(claim, args, tol):
-    with pytest.raises(ModelError, match="tol must be finite and at least 0"):
-        claim(edge_model(), *args, tol=tol)
-
-
 SINGLE_CLAIM = {
     "_real_nonneg": verify_real_nonneg,
     "_monotone": verify_monotone,
@@ -634,7 +657,7 @@ def record_descriptions(monkeypatch) -> list:
         describe = getattr(verify_module, name)
 
         def record(model, *args, _describe=describe, _check=check):
-            asked.append((_check, model, args[:-1]))
+            asked.append((_check, model, args))
             return _describe(model, *args)
 
         monkeypatch.setattr(verify_module, name, record)
