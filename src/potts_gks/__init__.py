@@ -8,25 +8,17 @@ exact range.
 """
 
 from .function_classes import (
-    BadFamilyC,
     MembershipReport,
-    MomentTable,
     check_Fq,
     check_Fq_i,
     make_family,
     moments,
     spin_function_from_spec,
 )
-from .mc import BadWindow, Estimate, estimate_pooled
+from .mc import Estimate, estimate_pooled
 from .model import (
-    BadEdge,
-    BadQ,
-    BadRegion,
     EnumerationTooLarge,
     ModelError,
-    NegativeCoupling,
-    NegativeField,
-    NonFiniteValue,
     PottsModel,
     SpinFunction,
     log_partition_function,
@@ -46,7 +38,6 @@ from .verify import (
     FuzzConfig,
     FuzzResult,
     NotCertified,
-    NotDisjoint,
     VerificationReport,
     fuzz,
     verify_disjoint_support,

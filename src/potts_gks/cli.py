@@ -5,8 +5,9 @@ summary object last (--csv renders just the summary as CSV). Each
 subcommand returns its summary; run() writes it and maps its violations
 to the exit code: 0 all checks passed, 1 at least one violation, 2
 malformed input. Every subcommand that takes a spin function reads it
-from --f as a family name, a JSON spec or a path to one; a family's q is
-the model's, or fclass's --q (default 2).
+from --f as a family name, a JSON spec or a path to one; a family name is
+never looked up on disk, and its q is the model's, or fclass's --q
+(default 2).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .function_classes import (
     DEFAULT_M,
     DEFAULT_TOL,
     check_Fq_i,
+    is_family_name,
     make_family,
     spin_function_from_spec,
 )
@@ -73,11 +75,12 @@ def _parse_region(raw: str | None) -> tuple[str, ...]:
 
 
 def _function_spec(raw: str):
-    """The JSON spec given inline or as a path; None for a family name."""
+    """The JSON spec given inline or as a path; None for a family name,
+    which never reads the disk, and for any other name that is not a path."""
     s = raw.strip()
     if s.startswith("{"):
         return json.loads(s)
-    if os.path.exists(s):
+    if not is_family_name(s) and os.path.exists(s):
         with open(s) as fh:
             return json.load(fh)
     return None
@@ -164,10 +167,14 @@ def _cmd_rc(args) -> dict:
 
 def _cmd_fclass(args) -> dict:
     _check_nonnegative("--tol", args.tol)
-    if args.q is not None and _function_spec(args.f) is not None:
+    spec = _function_spec(args.f)
+    if spec is None:
+        f = make_family(args.f.strip(), 2 if args.q is None else args.q)
+    elif args.q is None:
+        f = spin_function_from_spec(spec)
+    else:
         raise ModelError("--q cannot be combined with a --f spec, "
                          "which gives its own q")
-    f = _parse_function(args.f, 2 if args.q is None else args.q)
     report = check_Fq_i(f, args.i, args.M, args.tol)
     _emit(
         {

@@ -1,4 +1,4 @@
-"""Power-sum moment tables and the membership checks that gate the verifiers.
+"""Power-sum moments and the membership checks that gate the verifiers.
 
 A function f on {0,...,q-1} qualifies when every power sum
 S_m = sum_x f(x)^m is real and non-negative and q*S_{m+n} >= S_m * S_n;
@@ -50,19 +50,6 @@ DEFAULT_TOL = 1e-9
 _MEMO_SIZE = 256
 
 
-class BadFamilyC(ModelError):
-    """Family C values must be real, non-negative, and peak at index 0."""
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    """S[m] = sum_x f(x)^m for m = 0..M (so S[0] == q always)."""
-
-    q: int
-    M: int
-    S: tuple[complex, ...]
-
-
 @dataclass(frozen=True)
 class MembershipReport:
     """Outcome of a membership check, certified up to exponent M_checked.
@@ -88,8 +75,9 @@ class MembershipReport:
         return self.in_Fq_i is not None  # peak-at-i variant
 
 
-def moments(f: SpinFunction, M: int) -> MomentTable:
-    """Exact power sums via compensated summation; 0**0 counts as 1."""
+def moments(f: SpinFunction, M: int) -> tuple[complex, ...]:
+    """S_0..S_M, S_m = sum_x f(x)^m (so S_0 == q), as exact power sums via
+    compensated summation; 0**0 counts as 1."""
     if M < 0:
         raise ModelError(f"M must be >= 0, got {M}")
     # a real table's complex products have these float products as real
@@ -105,7 +93,7 @@ def moments(f: SpinFunction, M: int) -> MomentTable:
             S.append(complex(fsum(powers)))
         else:
             S.append(complex(fsum(p.real for p in powers), fsum(p.imag for p in powers)))
-    return MomentTable(f.q, M, tuple(S))
+    return tuple(S)
 
 
 def _first_bad_moment(S, A, tol: float) -> tuple[int, int, float] | None:
@@ -122,8 +110,8 @@ def _first_bad_moment(S, A, tol: float) -> tuple[int, int, float] | None:
 
 def _scan_moments(f: SpinFunction, M: int, tol: float):
     """S_0..S_M, A_0..A_M (A_m = sum_x |f(x)|^m), and the first bad moment."""
-    S = moments(f, M).S
-    A = [a.real for a in moments(SpinFunction(tuple(abs(v) for v in f.values)), M).S]
+    S = moments(f, M)
+    A = [a.real for a in moments(SpinFunction(tuple(abs(v) for v in f.values)), M)]
     return S, A, _first_bad_moment(S, A, tol)
 
 
@@ -212,6 +200,12 @@ def check_Fq_i(
     )
 
 
+def is_family_name(kind: str) -> bool:
+    """Whether make_family reads kind as a family: "a", "familyA" and "A"
+    all name A."""
+    return kind.upper().removeprefix("FAMILY") in ("A", "B", "C")
+
+
 def make_family(kind: str, q: int, values=None) -> SpinFunction:
     """Construct a family member: A (centred staircase), B (roots of
     unity), or C (caller-supplied non-negative table peaking at 0)."""
@@ -224,14 +218,14 @@ def make_family(kind: str, q: int, values=None) -> SpinFunction:
         return SpinFunction(tuple(cmath.exp(2j * cmath.pi * x / q) for x in range(q)))
     if kind == "C":
         if values is None:
-            raise BadFamilyC("family C needs an explicit value table")
+            raise ModelError("family C needs an explicit value table")
         vals = [complex(v) for v in values]
         if len(vals) != q:
-            raise BadFamilyC(f"family C needs {q} values, got {len(vals)}")
+            raise ModelError(f"family C needs {q} values, got {len(vals)}")
         if any(v.imag != 0.0 or v.real < 0.0 for v in vals):
-            raise BadFamilyC("family C values must be real and non-negative")
+            raise ModelError("family C values must be real and non-negative")
         if any(v.real > vals[0].real for v in vals):
-            raise BadFamilyC("family C values must satisfy f(x) <= f(0)")
+            raise ModelError("family C values must satisfy f(x) <= f(0)")
         return SpinFunction(tuple(vals))
     raise ModelError(f"unknown family kind {kind!r}")
 
@@ -245,7 +239,9 @@ def spin_function_from_spec(spec: dict) -> SpinFunction:
     try:
         kind = str(spec["kind"]).upper().removeprefix("FAMILY")
         q = integer_q(spec["q"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise ModelError(f'function spec needs "{exc.args[0]}"') from exc
+    except (TypeError, ValueError) as exc:
         raise ModelError(f"malformed function spec: {exc}") from exc
     values = spec.get("values")
     if values is not None:

@@ -42,10 +42,6 @@ _SWEEP_BLOCK = 1 << 14
 _N_BATCHES = 16
 
 
-class BadWindow(ModelError):
-    """burn_in must lie in [0, sweeps), and at least one chain must run."""
-
-
 @dataclass(frozen=True)
 class Estimate:
     mean: complex
@@ -216,10 +212,10 @@ def estimate_pooled(
     pure-Python kernel holds the GIL, so threads would not overlap.
     """
     if chains < 1:
-        raise BadWindow(f"need at least one chain, got {chains}")
+        raise ModelError(f"need at least one chain, got {chains}")
     burn_in = sweeps // 10 if burn_in is None else burn_in
     if not 0 <= burn_in < sweeps:
-        raise BadWindow(f"burn_in={burn_in} not in [0, sweeps) for sweeps={sweeps}")
+        raise ModelError(f"burn_in={burn_in} not in [0, sweeps) for sweeps={sweeps}")
     aug, table = augment(model), _ClusterFactors(model, factors)
     seeds = [seed] if chains == 1 else np.random.SeedSequence(seed).spawn(chains)
     parts = [

@@ -50,31 +50,6 @@ class ModelError(ValueError):
     """Invalid model, region, or function input."""
 
 
-class NegativeCoupling(ModelError):
-    pass
-
-
-class NegativeField(ModelError):
-    pass
-
-
-class BadQ(ModelError):
-    pass
-
-
-class BadEdge(ModelError):
-    pass
-
-
-class BadRegion(ModelError):
-    """Region mentions an unknown vertex or repeats one (multisets rejected)."""
-
-
-class NonFiniteValue(ModelError):
-    """A spin function takes a NaN or infinite value, which no moment
-    comparison can certify or refute."""
-
-
 class EnumerationTooLarge(ModelError):
     """An exact sum needs a table larger than the cap; use the MC sampler.
 
@@ -105,9 +80,11 @@ class SpinFunction:
     def __post_init__(self):
         object.__setattr__(self, "values", tuple(complex(v) for v in self.values))
         if len(self.values) < 2:
-            raise BadQ(f"spin function needs q >= 2 values, got {len(self.values)}")
+            raise ModelError(f"spin function needs q >= 2 values, got {len(self.values)}")
         if not all(map(cmath.isfinite, self.values)):
-            raise NonFiniteValue(f"spin function values must be finite, got {self.values}")
+            # a NaN or infinite value, which no moment comparison can
+            # certify or refute
+            raise ModelError(f"spin function values must be finite, got {self.values}")
         object.__setattr__(self, "_hash", hash((self.values,)))
 
     def __hash__(self) -> int:
@@ -193,7 +170,7 @@ class PottsModel:
         try:
             return self._vertex_positions[v]
         except (KeyError, TypeError):
-            raise BadRegion(f"unknown vertex {v!r}") from None
+            raise ModelError(f"unknown vertex {v!r}") from None
 
     @functools.cached_property
     def _edge_positions(self) -> dict[tuple[str, str], int]:
@@ -205,7 +182,7 @@ class PottsModel:
         try:
             return self._edge_positions[u, v]
         except KeyError:
-            raise BadEdge(f"no edge <{u},{v}> in model") from None
+            raise ModelError(f"no edge <{u},{v}> in model") from None
 
     def to_json_dict(self) -> dict:
         return {
@@ -234,9 +211,11 @@ class PottsModel:
                 raise ModelError(f'"fields" must be an object, got {fields!r}')
             for v in fields:
                 if v not in vertices:
-                    raise BadRegion(f"field given for unknown vertex {v!r}")
+                    raise ModelError(f"field given for unknown vertex {v!r}")
             h = tuple(_number(fields.get(v, 0.0), f"field of {v!r}") for v in vertices)
-        except (KeyError, TypeError) as exc:
+        except KeyError as exc:
+            raise ModelError(f"malformed model JSON: missing key {exc}") from exc
+        except TypeError as exc:
             raise ModelError(f"malformed model JSON: {exc}") from exc
         return cls(vertices, edges, J, h, q)
 
@@ -249,7 +228,7 @@ class PottsModel:
 def integer_q(raw: object) -> int:
     """q from outside input, which must be an integer: 2.7 or "3" is refused."""
     if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
-        raise BadQ(f"q must be an integer, got {raw!r}")
+        raise ModelError(f"q must be an integer, got {raw!r}")
     return int(raw)
 
 
@@ -270,9 +249,9 @@ def _number(raw: object, what: str) -> float:
 
 
 def _validate_model(model: PottsModel) -> None:
-    """Raise the appropriate ModelError unless all invariants hold."""
+    """Raise ModelError unless all invariants hold."""
     if model.q < 2:
-        raise BadQ(f"q must be >= 2, got {model.q}")
+        raise ModelError(f"q must be >= 2, got {model.q}")
     if len(model.J) != len(model.edges):
         raise ModelError("J must align with the edge list")
     if len(model.h) != len(model.vertices):
@@ -283,26 +262,26 @@ def _validate_model(model: PottsModel) -> None:
     seen = set()
     for u, v in model.edges:
         if u == v:
-            raise BadEdge(f"self-loop <{u},{v}>")
+            raise ModelError(f"self-loop <{u},{v}>")
         if u not in vset or v not in vset:
-            raise BadEdge(f"edge <{u},{v}> uses unknown vertex")
+            raise ModelError(f"edge <{u},{v}> uses unknown vertex")
         key = frozenset((u, v))
         if key in seen:
-            raise BadEdge(f"duplicate edge <{u},{v}>")
+            raise ModelError(f"duplicate edge <{u},{v}>")
         seen.add(key)
     for J in model.J:
         if not (J >= 0.0) or math.isinf(J):
-            raise NegativeCoupling(f"couplings must be finite and >= 0, got {J}")
+            raise ModelError(f"couplings must be finite and >= 0, got {J}")
     for h in model.h:
         if not (h >= 0.0) or math.isinf(h):
-            raise NegativeField(f"fields must be finite and >= 0, got {h}")
+            raise ModelError(f"fields must be finite and >= 0, got {h}")
 
 
 def region_indices(model: PottsModel, region: Iterable[str]) -> tuple[int, ...]:
     """Map vertex names to indices, rejecting repeats (regions are sets)."""
     names = list(region)
     if len(set(names)) != len(names):
-        raise BadRegion(f"region {names!r} repeats a vertex")
+        raise ModelError(f"region {names!r} repeats a vertex")
     return tuple(model.vertex_index(v) for v in names)
 
 
@@ -312,7 +291,7 @@ def check_factors(
     out = []
     for f, region in factors:
         if f.q != model.q:
-            raise BadQ(f"spin function has q={f.q}, model has q={model.q}")
+            raise ModelError(f"spin function has q={f.q}, model has q={model.q}")
         out.append((f, region_indices(model, region)))
     return out
 
@@ -342,7 +321,7 @@ def _coordinate_position(model: PottsModel, coordinate) -> tuple[bool, int]:
     if isinstance(coordinate, str):
         return True, model.vertex_index(coordinate)
     if not isinstance(coordinate, (tuple, list)) or len(coordinate) != 2:
-        raise BadEdge(
+        raise ModelError(
             f"a coordinate is a vertex name or a (u, v) edge, got {coordinate!r}"
         )
     return False, model.edge_position(*coordinate)
@@ -365,9 +344,11 @@ class _Plan(NamedTuple):
 # about 2.5 us of dispatch against about 5 ns a multiply-add in the loop of an
 # einsum over many operands, the one a split replaces (numpy 2.4, 2-vCPU Xeon)
 _CALL_COST = 500
-# numpy 1.x einsum iterates at most 32 arrays, its output included (numpy 2,
-# 64): a bucket with more operands is paired down before its last einsum,
-# and potts_distribution folds a longer product in runs
+# the most operands one einsum takes: a bucket with more is paired down
+# before its last einsum, and potts_distribution folds a longer product in
+# runs. numpy 2 takes 63 (64 arrays with its output), but the elimination
+# plans that the tests pin were compiled with 31, and a larger bound would
+# change them
 _EINSUM_OPERANDS = 31
 
 

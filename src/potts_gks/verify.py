@@ -1,9 +1,11 @@
 """Checks of the correlation inequalities on concrete instances.
 
-Every check gates on membership first (the hypotheses are part of the
-claim), computes both sides exactly by variable elimination, and reports
-the raw margin. margin is the worst signed slack across the claim's
-constraints, so verdict == (margin >= -tolerance) holds for every report.
+Every check gates on its hypotheses first (they are part of the claim):
+membership, and disjoint supports for the anticorrelation; one that fails
+raises NotCertified. It then computes both sides exactly by variable
+elimination and reports the raw margin. margin is the worst signed slack
+across the claim's constraints, so verdict == (margin >= -tolerance)
+holds for every report.
 Neither is a knob: every claim certifies at membership_bound of its
 regions and judges its margin against DEFAULT_VERIFY_TOL.
 The fuzzer drives the same checks over randomized instances and returns
@@ -59,15 +61,12 @@ _FD_STEPS = tuple((str(s), expm1(s)) for s in (0.1, 1.0))
 
 
 class NotCertified(ModelError):
-    """Function failed the membership check required by the claim."""
+    """A hypothesis of the claim fails: a function is not certified in its
+    class, or f0 * f1 does not vanish pointwise."""
 
     def __init__(self, message: str, report: MembershipReport | None = None):
         super().__init__(message)
         self.report = report
-
-
-class NotDisjoint(ModelError):
-    """f0 * f1 is not identically zero."""
 
 
 @dataclass(frozen=True)
@@ -255,7 +254,7 @@ def _disjoint_support(
     if f0.q != f1.q:
         raise ModelError("f0 and f1 must share q")
     if any(a * b != 0 for a, b in zip(f0.values, f1.values)):
-        raise NotDisjoint("f0 * f1 must vanish pointwise")
+        raise NotCertified("f0 * f1 must vanish pointwise")
     bound = membership_bound(R, S)
     certify(model, f0, bound)
     ok, violation = moments_real_nonneg(f1, bound)

@@ -131,8 +131,8 @@ def test_criterion_3_family_membership():
         for f in (make_family("A", q), make_family("B", q), _family_c(q)):
             if not check_Fq_i(f, 0, M=48, tol=TOL_MEMBERSHIP).passed:
                 ok = False
-        tab = moments(make_family("B", q), 48)
-        for m, s in enumerate(tab.S):
+        S = moments(make_family("B", q), 48)
+        for m, s in enumerate(S):
             want = float(q) if m % q == 0 else 0.0
             worst_residual = max(worst_residual, abs(s - want))
     _announce(

@@ -233,6 +233,22 @@ def test_verify_disjoint(capsys, edge_model_path):
     assert lines[0]["margin"] == pytest.approx(0.125, abs=1e-12)
 
 
+def test_verify_disjoint_overlapping_supports_exits_two(capsys, tmp_path):
+    # disjoint supports are a hypothesis of the claim, so an overlap is not
+    # certified: an input error, not a verdict
+    path = tmp_path / "k2.json"
+    path.write_text(json.dumps({"q": 3, "vertices": ["u", "v"],
+                                "edges": [{"u": "u", "v": "v", "J": 1.0}]}))
+    spec0 = json.dumps({"kind": "table", "q": 3, "values": [1, 0.5, 0]})
+    spec1 = json.dumps({"kind": "table", "q": 3, "values": [0, 1, 0]})
+    code = run(["verify", "disjoint", "--model", str(path), "--f", spec0,
+                "--f1", spec1, "--R", "u", "--S", "v"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: f0 * f1 must vanish pointwise\n"
+    assert captured.out == ""
+
+
 def test_verify_disjoint_without_f1_exits_two(capsys, edge_model_path):
     code = run(["verify", "disjoint", "--model", edge_model_path, "--f", "familyA",
                 "--R", "u", "--S", "v"])
@@ -329,6 +345,10 @@ EDGE_AB = {"q": 2, "vertices": ["a", "b"], "edges": [{"u": "a", "v": "b", "J": 1
          "vertex name must be a string, got None"),
         (EDGE_AB | {"edges": [{"u": "a", "v": 1, "J": 1.0}]},
          "edge end name must be a string, got 1"),
+        (EDGE_AB | {"edges": [{"u": "a", "J": 1.0}]},
+         "malformed model JSON: missing key 'v'"),
+        ({"vertices": ["a"]}, "malformed model JSON: missing key 'q'"),
+        ({"q": 2}, "malformed model JSON: missing key 'vertices'"),
     ],
 )
 def test_model_json_is_rejected_not_coerced(capsys, tmp_path, model, message):
@@ -374,6 +394,44 @@ def test_fclass_q_next_to_a_spec_exits_two(capsys, tmp_path, where):
     # a family reads --q, default 2
     assert run_lines(capsys, ["fclass", "--f", "B"])[1][0]["q"] == 2
     assert run_lines(capsys, ["fclass", "--f", "B", "--q", "4"])[1][0]["q"] == 4
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [({"kind": "table", "values": [1.0, 0.0]}, "q"), ({"q": 2}, "kind")],
+)
+def test_function_spec_missing_key_exits_two(capsys, edge_model_path, spec, key):
+    # used to be reported as the bare key: malformed function spec: 'q'
+    assert run(["verify", "gks", "--model", edge_model_path, "--f", json.dumps(spec),
+                "--R", "u", "--S", "v"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f'error: function spec needs "{key}"\n'
+    assert captured.out == ""
+
+
+def test_family_shorthand_never_reads_the_disk(capsys, tmp_path, monkeypatch):
+    # a file A in the working directory used to turn --f A into its spec
+    # (mean 1/3), and a directory B made --f B exit 2 as "Is a directory"
+    edges = [{"u": u, "v": v, "J": 2.0} for u, v in ("ab", "bc", "ac")]
+    (tmp_path / "tri.json").write_text(json.dumps({"q": 3, "vertices": list("abc"),
+                                                   "edges": edges}))
+    (tmp_path / "A").write_text(json.dumps({"kind": "table", "q": 3,
+                                            "values": [1, 0, 0]}))
+    (tmp_path / "B").mkdir()
+    monkeypatch.chdir(tmp_path)
+    code, lines = run_lines(capsys, ["exact", "--model", "tri.json", "--f", "A",
+                                     "--R", "a"])
+    assert code == 0 and lines[0]["value"] == [0.0, 0.0]
+    code, lines = run_lines(capsys, ["exact", "--model", "tri.json", "--f", "B",
+                                     "--R", "a"])
+    assert code == 0 and lines[0]["value"] == pytest.approx([0.0, 0.0], abs=1e-15)
+    # fclass reads --q for the family, not the file's own q
+    code, lines = run_lines(capsys, ["fclass", "--f", "A", "--q", "4"])
+    assert code == 0 and lines[0]["q"] == 4
+    # a name that is no family is still read as a path
+    code, lines = run_lines(capsys, ["exact", "--model", "tri.json", "--f", "./A",
+                                     "--R", "a"])
+    assert code == 0 and lines[0]["value"] == pytest.approx([1 / 3, 0.0], abs=1e-15)
 
 
 def test_fclass_fractional_q_exits_two(capsys):

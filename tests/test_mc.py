@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from scipy import stats
 
 from potts_gks import (
-    BadWindow,
+    ModelError,
     PottsModel,
     SpinFunction,
     estimate_pooled,
@@ -140,10 +140,10 @@ def test_estimate_without_factors_is_exactly_one(rao):
 def test_estimate_rejects_bad_window():
     for burn_in in (100, -1, -3):
         message = f"burn_in={burn_in} not in [0, sweeps) for sweeps=100"
-        with pytest.raises(BadWindow, match=re.escape(message)):
+        with pytest.raises(ModelError, match=re.escape(message)):
             estimate_pooled(edge_model(), [], sweeps=100, burn_in=burn_in, seed=0)
     for chains in (0, -2):
-        with pytest.raises(BadWindow):
+        with pytest.raises(ModelError, match=f"need at least one chain, got {chains}"):
             estimate_pooled(edge_model(), [], sweeps=100, seed=0, chains=chains)
 
 

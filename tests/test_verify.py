@@ -10,12 +10,10 @@ import pytest
 from hypothesis import given
 
 from potts_gks import (
-    BadEdge,
     EnumerationTooLarge,
     FuzzConfig,
     ModelError,
     NotCertified,
-    NotDisjoint,
     PottsModel,
     SpinFunction,
     fuzz,
@@ -217,7 +215,7 @@ def test_monotone_finite_steps_match_reenumeration():
 @pytest.mark.parametrize("coordinate", [("u", "v", "u"), ("u",), 3, None])
 def test_monotone_malformed_coordinate_is_bad_edge(coordinate):
     # a 3-tuple used to reach edge_position and raise a bare TypeError
-    with pytest.raises(BadEdge, match="a coordinate is a vertex name or a"):
+    with pytest.raises(ModelError, match="a coordinate is a vertex name or a"):
         verify_monotone(edge_model(), make_family("A", 2), ("u",), coordinate)
 
 
@@ -341,7 +339,7 @@ def test_disjoint_free_case_equality():
 def test_disjoint_rejects_overlapping_support():
     f0 = SpinFunction((1.0, 0.5))
     f1 = SpinFunction((0.0, 1.0))
-    with pytest.raises(NotDisjoint):
+    with pytest.raises(NotCertified, match=r"f0 \* f1 must vanish pointwise"):
         verify_disjoint_support(edge_model(), f0, f1, ("u",), ("v",))
 
 
@@ -616,7 +614,7 @@ def test_fuzz_refuses_bad_q_values_before_any_draw(monkeypatch, q_values):
          "J-inf", "h-negative", "density-1.5", "density-nan"],
 )
 def test_fuzz_refuses_a_bad_draw_config_before_any_draw(monkeypatch, changes, message):
-    # at the parent these raised numpy's ValueError, NegativeField or
+    # at the parent these raised numpy's ValueError, a negative-field error or
     # OverflowError inside a draw, ModelError only once "zz" was drawn, or
     # (density 1.5) ran silently
     draws = []
