@@ -139,8 +139,8 @@ def _cmd_rc(args) -> dict:
     # line is written, so a bad argument exits 2 with nothing on stdout
     model = PottsModel.from_json_file(args.model)
     factors = _build_factors(args, model)
-    omega = None if args.omega is None else [int(c) for c in args.omega]
     aug = augment(model)
+    probability = None if args.omega is None else rc_probability(aug, args.omega, args.cap)
     checks = []  # (line, value), each value checked against 1e-10
     # Z_rc = q Z e^(-sum J - sum h): the bond route against the spin route
     shift = fsum(model.J) + fsum(model.h)
@@ -157,10 +157,9 @@ def _cmd_rc(args) -> dict:
         diff = abs(lhs - rhs)
         checks.append(({"type": "tower_check", "rc_mean": [lhs.real, lhs.imag],
                         "potts_mean": [rhs.real, rhs.imag], "difference": diff}, diff))
-    probability = None if omega is None else rc_probability(aug, omega, args.cap)
     failed = sum(_emit_check({**line, "tolerance": 1e-10}, value, 1e-10)
                  for line, value in checks)
-    if omega is not None:
+    if args.omega is not None:
         _emit({"type": "rc_probability", "omega": args.omega, "probability": probability})
     return _summary(failed)
 

@@ -61,7 +61,7 @@ class Estimate:
         }
 
 
-def _run_chain(aug, table, rao, bond_u, colour_u, sp):
+def _run_chain(aug, table, rao, bond_u, colour_u, sp, memo=None):
     """Advance the chain one sweep per row of bond_u and return one sample
     per sweep (raw functional of the new spins, or its conditional
     expectation given the bonds when rao is set).
@@ -69,9 +69,11 @@ def _run_chain(aug, table, rao, bond_u, colour_u, sp):
     sp is the chain's spin list with the ghost's 0 last, advanced in place.
     The spin-independent half of every test is computed once per block
     with numpy: which bonds pass their uniform, and which colour each
-    uniform picks. One memo per call holds the samples: a raw one by the
-    member spins, a Rao-Blackwellized one by the member vertices' roots and
-    the ghost's root, read from par after the recolour loop. A new RB key
+    uniform picks. The memo dict holds the samples, a fresh one unless
+    given: a raw one by the member spins, a Rao-Blackwellized one by the
+    member vertices' roots and the ghost's root, read from par after the
+    recolour loop. A sample depends only on its key and table, so chains
+    on one table may share a memo of one kind (raw or RB). A new RB key
     gets table.touched_product, the factors of the ghost's cluster and of
     the touched clusters; where that could differ from table.product by the
     sign of a zero it is None, and such a key gets table.product over every
@@ -99,7 +101,7 @@ def _run_chain(aug, table, rao, bond_u, colour_u, sp):
     # the members' entries of sp (raw) or par (RB), then the ghost's: its
     # spin 0, or its root; without members itemgetter returns the bare entry
     key_of = itemgetter(*(v for _, v in flat), n)
-    memo = {}
+    memo = {} if memo is None else memo
 
     verts = range(n)
     fresh = list(range(n + 1))
@@ -152,9 +154,10 @@ def _single_chain(
     sweeps: int,
     seed,
     rao_blackwell: bool,
+    memo: dict | None = None,
 ) -> np.ndarray:
     """The samples of one chain on the augmented graph aug; seed is
-    anything np.random.default_rng takes."""
+    anything np.random.default_rng takes, and memo is _run_chain's."""
     rng = np.random.default_rng(seed)
     n = aug.n_vertices
     sp = [0] * (n + 1)  # all spins 0, and the ghost's 0 last
@@ -164,7 +167,7 @@ def _single_chain(
         bond_u = rng.random((stop - start, aug.n_bonds))
         colour_u = rng.random((stop - start, n))
         samples[start:stop] = _run_chain(aug, table, bool(rao_blackwell),
-                                         bond_u, colour_u, sp)
+                                         bond_u, colour_u, sp, memo)
     return samples
 
 
@@ -213,13 +216,16 @@ def estimate_pooled(
     """
     if chains < 1:
         raise ModelError(f"need at least one chain, got {chains}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ModelError(f"seed must be an integer of at least 0, got {seed!r}")
     burn_in = sweeps // 10 if burn_in is None else burn_in
     if not 0 <= burn_in < sweeps:
         raise ModelError(f"burn_in={burn_in} not in [0, sweeps) for sweeps={sweeps}")
     aug, table = augment(model), _ClusterFactors(model, factors)
     seeds = [seed] if chains == 1 else np.random.SeedSequence(seed).spawn(chains)
+    memo = {}  # one sample memo for every chain: they share aug, table and mode
     parts = [
-        _summarize(_single_chain(aug, table, sweeps, child, rao_blackwell), burn_in)
+        _summarize(_single_chain(aug, table, sweeps, child, rao_blackwell, memo), burn_in)
         for child in seeds
     ]
     if chains == 1:

@@ -61,6 +61,26 @@ class EnumerationTooLarge(ModelError):
     """
 
 
+# one object per distinct tuple that the plan memos hold, keys included:
+# plans of one graph at several q, and of graphs that share a bucket, share
+# their steps and sublists. Emptied once it passes a fixed size, so it stays
+# bounded; a tuple interned before that stays valid, only no longer shared
+_INTERNED: dict[tuple, tuple] = {}
+
+
+def _intern(t: tuple) -> tuple:
+    """The held tuple equal to t. A tuple first seen is held as a copy whose
+    tuple items are interned in turn, so one lookup serves a tuple seen
+    before, however deep."""
+    held = _INTERNED.get(t)
+    if held is None:
+        if len(_INTERNED) > 1 << 16:
+            _INTERNED.clear()
+        held = tuple(_intern(x) if type(x) is tuple else x for x in t)
+        _INTERNED[held] = held
+    return held
+
+
 def _check_cap(entries: int, cap: int, what: str, *args) -> None:
     """Raise EnumerationTooLarge if a table of `entries` entries, described
     by `what % args` (formatted only then), exceeds the routine's `cap`."""
@@ -134,7 +154,7 @@ class PottsModel:
         """The edges as pairs of vertex indices, in edge order; computed once
         per model (a cached_property, outside the fields, eq and hash)."""
         index = self._vertex_positions
-        return tuple((index[u], index[v]) for u, v in self.edges)
+        return _intern(tuple((index[u], index[v]) for u, v in self.edges))
 
     @functools.cached_property
     def field_free(self) -> bool:
@@ -370,7 +390,28 @@ def _bucket_pairs(
     most _CALL_COST entries stays whole without the search, since an
     operand that a pair takes out of its einsum saves less than the pair's
     call. Returns [(a, b, result scope)], the scope in the order of
-    `vertices`.
+    `vertices`. The search itself is _pair_steps, on the scopes as masks.
+    """
+    k, entries = len(scopes), q ** len(vertices)
+    if k <= _EINSUM_OPERANDS and (k < 3 or entries <= _CALL_COST):
+        return []
+    bit = {x: 1 << j for j, x in enumerate(vertices)}
+    masks = tuple(sum(bit[x] for x in scope) for scope in scopes)
+    return [
+        (a, b, tuple(x for x in vertices if bit[x] & result))
+        for a, b, result in _pair_steps(masks, len(vertices), n_kept, width, q)
+    ]
+
+
+# the search reads only the operands' masks and its scalars, so one entry
+# serves every bucket of that shape: a 60,000-trial fuzz at n <= 5 meets 35
+@functools.lru_cache(maxsize=1024)
+def _pair_steps(
+    masks: tuple[int, ...], n_vertices: int, n_kept: int, width: int, q: int
+) -> tuple[tuple[int, int, int], ...]:
+    """_bucket_pairs' greedy search on the operands' vertex bitmasks (bit j
+    is the bucket's vertex j; the output keeps the top n_kept bits).
+    Returns ((a, b, result mask), ...).
 
     A step changes how many operands hold a vertex only if both of its
     operands hold it, and then its result holds it unless it is summed out
@@ -378,14 +419,10 @@ def _bucket_pairs(
     scores the same after it as before: each pair is scored once, when its
     newer operand appears, and a heap yields the greedy order.
     """
-    k, entries = len(scopes), q ** len(vertices)
-    if k <= _EINSUM_OPERANDS and (k < 3 or entries <= _CALL_COST):
-        return []
-    bit = {x: 1 << j for j, x in enumerate(vertices)}
-    masks = [sum(bit[x] for x in scope) for scope in scopes]
+    k, entries, masks = len(masks), q**n_vertices, list(masks)
     # how many live operands hold each vertex
-    held = {y: sum(bool(m & y) for m in masks) for y in bit.values()}
-    keep = sum(bit[x] for x in vertices[len(vertices) - n_kept :])
+    held = {1 << j: sum(m >> j & 1 for m in masks) for j in range(n_vertices)}
+    keep = ((1 << n_kept) - 1) << (n_vertices - n_kept)
 
     def scored(older, b):  # the heap entries of the pairs (a, b), a in older
         needed = keep | sum(y for y, c in held.items() if c > 2)
@@ -421,21 +458,16 @@ def _bucket_pairs(
             rest = _CALL_COST + len(live) * q ** sum(1 for c in held.values() if c)
         if cost + rest < best[0]:
             best = (cost + rest, len(pairs))
-    return [
-        (a, b, tuple(x for x in vertices if bit[x] & result))
-        for a, b, result in pairs[: best[1]]
-    ]
+    return tuple(pairs[: best[1]])
 
 
-# an order is a tuple of n ints, a plan ~2 KB. The default fuzzer draws
-# n <= 5: 1,099 labelled graphs, 4,396 (graph, q) plan keys. Over 5000
-# one-trial fuzzes (after 20 warm-up) both memos fill their 512 entries,
-# and the plan memo misses 1,390 times (39-48 us a compile, quartiles),
-# the order memo 751 times. Holding every key would cost 7.3 MiB (7.18
-# for the plans, 0.14 for the orders; tracemalloc), against a 10 % bound
-# on the fuzz benchmark's ~47 MB peak RSS, so 512 stays. numpy 2.4.6,
+# The default fuzzer draws n <= 5: 1,099 labelled graphs, 4,396 (graph, q)
+# plan keys, and both memos hold every one. With their tuples interned, all
+# 4,396 plans and their orders hold 1.62 MiB (tracemalloc after a full
+# collection), where 512 plans unshared held 1.23 MiB. Every graph on 6
+# vertices (131,072 keys) would not fit: a sweep over them evicts.
 # Python 3.11, 2-vCPU Xeon.
-@functools.lru_cache(maxsize=512)
+@functools.lru_cache(maxsize=8192)
 def _elimination_order(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tuple, int]:
     """Min-degree order (ties to the lower index) and its width w, the most
     neighbours a vertex has when it is summed out. Cheap next to the plan's
@@ -453,10 +485,10 @@ def _elimination_order(n: int, pairs: tuple[tuple[int, int], ...]) -> tuple[tupl
             adj[a].update(b for b in adj[v] if b != a)
         width = max(width, len(adj[v]))
         order.append(v)
-    return tuple(order), width
+    return _intern(tuple(order)), width
 
 
-@functools.lru_cache(maxsize=512)
+@functools.lru_cache(maxsize=8192)
 def _elimination_plan(n: int, pairs: tuple[tuple[int, int], ...], q: int) -> _Plan:
     """The einsum steps of _elimination_order.
 
@@ -504,7 +536,7 @@ def _elimination_plan(n: int, pairs: tuple[tuple[int, int], ...], q: int) -> _Pl
             roots.append(ids[0])
         if len(group) > 1:
             break
-    return _Plan(width, tuple(steps), tuple(roots))
+    return _Plan(width, _intern(tuple(steps)), _intern(tuple(roots)))
 
 
 def _eliminate(plan: _Plan, site: np.ndarray, pair: np.ndarray) -> np.ndarray:

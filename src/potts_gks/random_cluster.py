@@ -112,13 +112,24 @@ def augment(model: PottsModel) -> AugmentedGraph:
     return AugmentedGraph(model, tuple(pairs), tuple(p))
 
 
-def _check_bond_config(aug: AugmentedGraph, omega: Sequence[int]) -> list[int]:
-    bits = [int(b) for b in omega]
-    if len(bits) != aug.n_bonds or any(b not in (0, 1) for b in bits):
-        raise ModelError(
-            f"bond configuration must be {aug.n_bonds} bits over E+, got {omega!r}"
-        )
-    return bits
+_CHAR_BITS = {"0": 0, "1": 1}
+
+
+def _check_bond_config(aug: AugmentedGraph, omega: Sequence[int] | str) -> list[int]:
+    """omega as a list of 0s and 1s, one per bond of E+. An entry is 0 or 1
+    as an int or a bool, or the character '0' or '1', so a 01 string is a
+    configuration; anything else (1.5, 'x', None) is refused, not coerced.
+    The message shows omega with each character bit read as its int."""
+    try:
+        bits = [_CHAR_BITS.get(b, b) for b in omega]
+    except TypeError:  # omega is not iterable, or an entry not hashable
+        bits = omega
+    else:
+        if len(bits) == aug.n_bonds and all(
+            isinstance(b, (int, np.integer, np.bool_)) and b in (0, 1) for b in bits
+        ):
+            return [int(b) for b in bits]
+    raise ModelError(f"bond configuration must be {aug.n_bonds} bits over E+, got {bits!r}")
 
 
 # ---------------------------------------------------------------------------

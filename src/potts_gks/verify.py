@@ -64,10 +64,6 @@ class NotCertified(ModelError):
     """A hypothesis of the claim fails: a function is not certified in its
     class, or f0 * f1 does not vanish pointwise."""
 
-    def __init__(self, message: str, report: MembershipReport | None = None):
-        super().__init__(message)
-        self.report = report
-
 
 @dataclass(frozen=True)
 class VerificationReport:
@@ -129,8 +125,7 @@ def certify(
         raise NotCertified(
             f"function not certified ({'F_q' if relaxed else 'F_q^0'}, "
             f"M={M}): violation={report.first_violation}, "
-            f"condition1_margin={report.condition1_margin}",
-            report,
+            f"condition1_margin={report.condition1_margin}"
         )
     return report
 
@@ -442,6 +437,8 @@ def _check_config(config: FuzzConfig) -> None:
     """Refuse a config that some trial could not run, before the first draw."""
     if config.trials < 0:
         raise ModelError(f"trials must be at least 0, got {config.trials}")
+    if not isinstance(config.seed, (int, np.integer)) or config.seed < 0:
+        raise ModelError(f"seed must be an integer of at least 0, got {config.seed!r}")
     if config.cap < 1:
         raise ModelError(f"cap must be at least 1, got {config.cap}")
     if not config.q_values or any(integer_q(q) < 2 for q in config.q_values):

@@ -525,9 +525,9 @@ def test_rc_output_is_frozen(capsys, tmp_path):
 @pytest.mark.parametrize(
     "omega, message",
     [
-        ("102", "bond configuration must be 3 bits over E+, got [1, 0, 2]"),
+        ("102", "bond configuration must be 3 bits over E+, got [1, 0, '2']"),
         ("10", "bond configuration must be 3 bits over E+, got [1, 0]"),
-        ("1x0", "invalid literal for int()"),
+        ("1x0", "bond configuration must be 3 bits over E+, got [1, 'x', 0]"),
         ("", "bond configuration must be 3 bits over E+, got []"),
     ],
 )
@@ -535,7 +535,7 @@ def test_rc_malformed_omega_exits_2(capsys, edge_model_path, omega, message):
     code = run(["rc", "--model", edge_model_path, "--omega", omega])
     assert code == 2
     out, err = capsys.readouterr()
-    assert message in err
+    assert err == f"error: {message}\n"
     assert out == ""  # no check is written before the arguments are read
 
 
@@ -613,6 +613,21 @@ def test_mc_requires_seed(capsys, edge_model_path):
     with pytest.raises(SystemExit) as exc:
         run(["mc", "--model", edge_model_path, "--sweeps", "100"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["fuzz", "--trials", "1", "--seed", "-1"],
+     ["mc", "--f", "familyA", "--R", "u", "--sweeps", "100", "--seed", "-5"]],
+)
+def test_negative_seed_exits_two_naming_the_seed(capsys, edge_model_path, argv):
+    if argv[0] == "mc":
+        argv = argv + ["--model", edge_model_path]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    seed = argv[argv.index("--seed") + 1]
+    assert err == f"error: seed must be an integer of at least 0, got {seed}\n"
+    assert out == ""
 
 
 @pytest.mark.parametrize(

@@ -147,6 +147,15 @@ def test_estimate_rejects_bad_window():
             estimate_pooled(edge_model(), [], sweeps=100, seed=0, chains=chains)
 
 
+@pytest.mark.parametrize("chains", [1, 3])
+@pytest.mark.parametrize("seed", [-1, None, 1.5])
+def test_estimate_rejects_a_seed_below_zero_or_not_an_integer(seed, chains):
+    # refused by name, not by numpy's SeedSequence or default_rng, and None
+    # no longer seeds from the OS
+    with pytest.raises(ModelError, match=rf"seed must be an integer of at least 0, got {seed}$"):
+        estimate_pooled(edge_model(), [], sweeps=100, seed=seed, chains=chains)
+
+
 def test_estimate_deterministic():
     f = make_family("A", 3)
     m = PottsModel(("u", "v"), (("u", "v"),), (0.8,), (0.2, 0.0), 3)
@@ -556,6 +565,23 @@ def test_pooled_chains_merge_deterministically():
     assert a == b  # merge order fixed by seed list, not by scheduling
     exact = potts_expectation(edge_model(), factors)
     assert abs(a.mean - exact) <= 5 * a.std_error
+
+
+@pytest.mark.parametrize("rao", [False, True])
+def test_chains_sharing_one_memo_draw_their_own_samples(rao):
+    # estimate_pooled passes one sample memo through all of its chains: a
+    # chain that reads keys another chain stored gets the samples it would
+    # compute itself, bit for bit
+    model = torus_grid(3, 3, q=3, J=0.5, h=0.2)
+    factors = [(make_family("B", 3), ("s00", "s11")), (make_family("A", 3), ("s22",))]
+    aug, table = augment(model), _ClusterFactors(model, factors)
+    seeds = np.random.SeedSequence(3).spawn(3)
+    memo = {}
+    shared = [_single_chain(aug, table, 400, s, rao, memo) for s in seeds]
+    alone = [_single_chain(aug, table, 400, s, rao) for s in seeds]
+    assert memo
+    for got, want in zip(shared, alone, strict=True):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_pooled_estimate_on_a_torus_past_the_state_cap():

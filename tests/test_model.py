@@ -1,7 +1,9 @@
 """Core model: validation, weights, partition function, expectations."""
 
+import gc
 import inspect
 import math
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations, product
 
@@ -26,8 +28,10 @@ from potts_gks import model as model_module
 from potts_gks.instances import torus_grid
 from potts_gks.model import (
     DEFAULT_STATE_CAP,
+    _elimination_order,
     _elimination_plan,
     _model_plan,
+    _pair_steps,
     region_indices,
     spin_means,
 )
@@ -432,6 +436,7 @@ def test_cap_refuses_before_any_bucket_is_compiled(monkeypatch):
 
     monkeypatch.setattr(model_module, "_bucket_pairs", compiled)
     _elimination_plan.cache_clear()
+    _pair_steps.cache_clear()
     names = tuple(f"v{i}" for i in range(26))
     edges = tuple(combinations(names, 2))
     m = PottsModel(names, edges, (0.1,) * len(edges), (0.0,) * 26, 2)
@@ -584,6 +589,58 @@ def test_plans_are_deterministic(case):
     assert again is not first and again == first
 
 
+def fuzz_plan_keys():
+    """Every (n, pairs, q) key the default fuzzer can draw: each labelled
+    graph on 1..5 vertices, its edges in lexicographic order, at q = 2..5."""
+    for n in range(1, 6):
+        candidates = list(combinations(range(n), 2))
+        for code in range(1 << len(candidates)):
+            pairs = tuple(e for i, e in enumerate(candidates) if code >> i & 1)
+            for q in (2, 3, 4, 5):
+                yield n, pairs, q
+
+
+def test_every_fuzz_plan_is_held_at_once(monkeypatch):
+    # all 4,396 keys fit the memo, their tuples shared, and the split search
+    # memo keyed by masks compiles each plan as the search run afresh does
+    keys = list(fuzz_plan_keys())
+    assert len(keys) == 4396
+    memos = (_elimination_plan, _elimination_order, _pair_steps)
+    for memo in memos:
+        memo.cache_clear()
+    model_module._INTERNED.clear()
+    tracemalloc.start()
+    try:
+        plans = [_elimination_plan(*key) for key in keys]
+        gc.collect()  # a full collection empties the free lists of spent tuples
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _elimination_plan.cache_info().currsize == 4396
+    assert _elimination_order.cache_info().currsize == 1099
+    assert held <= 2.5 * 2**20
+    for memo in memos:
+        memo.cache_clear()
+    monkeypatch.setattr(model_module, "_pair_steps", _pair_steps.__wrapped__)
+    assert [_elimination_plan(*key) for key in keys] == plans
+    _elimination_plan.cache_clear()
+
+
+def test_plans_of_one_graph_share_their_tuples():
+    # the path a-b-c at q = 2 and q = 3 compiles to equal steps, held once;
+    # a recompile after the memo is emptied returns the same objects again
+    models = [PottsModel(("a", "b", "c"), (("a", "b"), ("b", "c")), (0.5, 0.7),
+                         (0.0,) * 3, q) for q in (2, 3)]
+    assert models[0].index_pairs is models[1].index_pairs
+    two, three = map(_model_plan, models)
+    assert two is not three and two.steps is three.steps
+    assert two.roots is three.roots
+    _elimination_plan.cache_clear()
+    again = _model_plan(models[0])
+    assert again is not two
+    assert all(a is b for a, b in zip(again.steps, two.steps, strict=True))
+
+
 @pytest.fixture
 def unsplit(monkeypatch):
     """Plans whose every bucket is one einsum: an extra call costs too much."""
@@ -591,9 +648,12 @@ def unsplit(monkeypatch):
     def enter():
         monkeypatch.setattr(model_module, "_CALL_COST", 10**12)
         _elimination_plan.cache_clear()
+        _pair_steps.cache_clear()
 
     yield enter
+    # the split search reads _CALL_COST: no memo may keep what it found here
     _elimination_plan.cache_clear()
+    _pair_steps.cache_clear()
 
 
 def has_pairs(model):

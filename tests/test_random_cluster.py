@@ -220,6 +220,37 @@ def test_rc_probability_single_config():
     assert rc_probability(aug, [1, 0, 0]) == pytest.approx(1.0 / 3.0, abs=1e-12)
 
 
+def test_bond_configuration_spellings_agree():
+    # 0 and 1 as ints, numpy ints, bools or the characters '0' and '1'
+    aug = augment(edge_model())
+    want = rc_weight(aug, [1, 0, 0])
+    for omega in ("100", [True, False, False], np.array([1, 0, 0]), ["1", 0, False]):
+        assert rc_weight(aug, omega) == want
+        assert _omega_labels(aug, omega) == _omega_labels(aug, [1, 0, 0])
+
+
+@pytest.mark.parametrize(
+    "omega, shown",
+    [
+        ([1.5, 0, 0.7], "[1.5, 0, 0.7]"),  # used to read as [1, 0, 0]
+        ([1.0, 0, 0], "[1.0, 0, 0]"),
+        ("01x", "[0, 1, 'x']"),  # used to raise a bare ValueError
+        ([None, 0, 0], "[None, 0, 0]"),  # and this a TypeError
+        (None, "None"),
+        ([2, 0, 0], "[2, 0, 0]"),
+        ("1 0", "[1, ' ', 0]"),
+        ("10", "[1, 0]"),
+    ],
+)
+def test_bond_configuration_accepts_only_bits(omega, shown):
+    aug = augment(edge_model())
+    message = f"bond configuration must be 3 bits over E+, got {shown}"
+    for read in (rc_weight, _omega_labels, rc_probability):
+        with pytest.raises(ModelError) as exc:
+            read(aug, omega)
+        assert str(exc.value) == message
+
+
 # ---------------------------------------------------------------------------
 # the bond reducers
 # ---------------------------------------------------------------------------
