@@ -41,7 +41,7 @@ import cmath
 import functools
 import operator
 from dataclasses import dataclass
-from math import fsum
+from math import fsum, inf, isfinite
 
 from .model import ModelError, SpinFunction, integer_q
 
@@ -75,9 +75,22 @@ class MembershipReport:
         return self.in_Fq_i is not None  # peak-at-i variant
 
 
+def _power_sum(terms, m: int) -> float:
+    """The fsum of one part of S_m's terms; ModelError where it overflows."""
+    try:
+        s = fsum(terms)
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        s = inf
+    if not isfinite(s):
+        raise ModelError(f"the power sum S_{m} overflows float64; rescale f, "
+                         "as membership is invariant under positive scaling")
+    return s
+
+
 def moments(f: SpinFunction, M: int) -> tuple[complex, ...]:
     """S_0..S_M, S_m = sum_x f(x)^m (so S_0 == q), as exact power sums via
-    compensated summation; 0**0 counts as 1."""
+    compensated summation; 0**0 counts as 1. A power sum that overflows
+    float64 raises ModelError."""
     if M < 0:
         raise ModelError(f"M must be >= 0, got {M}")
     # a real table's complex products have these float products as real
@@ -90,9 +103,10 @@ def moments(f: SpinFunction, M: int) -> tuple[complex, ...]:
         if m > 0:
             powers = [p * v for p, v in zip(powers, values)]
         if real:
-            S.append(complex(fsum(powers)))
+            S.append(complex(_power_sum(powers, m)))
         else:
-            S.append(complex(fsum(p.real for p in powers), fsum(p.imag for p in powers)))
+            S.append(complex(_power_sum((p.real for p in powers), m),
+                             _power_sum((p.imag for p in powers), m)))
     return tuple(S)
 
 

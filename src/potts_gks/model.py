@@ -37,6 +37,7 @@ import functools
 import heapq
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 from math import fsum
 from typing import Iterable, NamedTuple, Sequence
@@ -69,14 +70,19 @@ _INTERNED: dict[tuple, tuple] = {}
 
 
 def _intern(t: tuple) -> tuple:
-    """The held tuple equal to t. A tuple first seen is held as a copy whose
-    tuple items are interned in turn, so one lookup serves a tuple seen
-    before, however deep."""
+    """The held tuple equal to t. A tuple first seen has its tuple items
+    interned in turn; it is held itself when each of them is its held
+    object, and as a copy of the held items otherwise, so one lookup serves
+    a tuple seen before, however deep."""
     held = _INTERNED.get(t)
     if held is None:
         if len(_INTERNED) > 1 << 16:
             _INTERNED.clear()
-        held = tuple(_intern(x) if type(x) is tuple else x for x in t)
+        held = t
+        if tuple in map(type, t):
+            items = tuple(_intern(x) if type(x) is tuple else x for x in t)
+            if any(map(operator.is_not, items, t)):
+                held = items
         _INTERNED[held] = held
     return held
 
@@ -587,7 +593,9 @@ def spin_means(
     column of the vertex's site table, and a coupling coordinate keeps
     only the diagonal of its column of the edge's pair table. The cap is
     checked on the width of the elimination order before its einsum steps
-    are compiled, so a graph far past the cap is refused at once.
+    are compiled, so a graph far past the cap is refused at once. A mean
+    that is not finite, as where a product of factor values overflows
+    float64, raises ModelError.
     """
     # (id(f), region): (f, its vertex indices), each pair checked once per call;
     # keyed on identity, as SpinFunction equality merges a -0.0 table with a 0.0 one
@@ -625,7 +633,12 @@ def spin_means(
     z = float(sums[0].real)
     # the tables' shift: sum(J) + sum(h), the log-weight of sigma == 0
     log_z = fsum(model.J) + fsum(model.h) + math.log(z)
-    return log_z, [complex(s / z) for s in sums[1:]]
+    means = [complex(s / z) for s in sums[1:]]
+    if not all(map(cmath.isfinite, means)):
+        c = next(c for c, mean in enumerate(means) if not cmath.isfinite(mean))
+        raise ModelError(f"the mean of column {c} is {means[c]}: its product of "
+                         "factor values overflows float64")
+    return log_z, means
 
 
 def log_partition_function(model: PottsModel, cap: int = DEFAULT_STATE_CAP) -> float:

@@ -36,7 +36,11 @@ label table in one numpy pass (the tower mean on its plan's index, and a
 single omega as one row, indexed per call), and product for one omega
 of mc's sampler, with touched_product, its bit-identical shortcut over the
 clusters the regions touch; all share one memo of cluster factors per
-value table.
+value table. Every cluster's code lies below the factor list's code range,
+so once a label table has a row per code, of_rows builds from that memo a
+table of the ghost and of the cluster factor of every code and gathers from
+it; a list with more codes than rows (many factors, or one omega's row)
+looks up the distinct codes it meets instead.
 """
 
 from __future__ import annotations
@@ -479,7 +483,9 @@ class _ClusterFactors:
     member (v, base**i) per vertex of each region makes a cluster's m_i the
     base-(max_m + 1) digits of one code, by which both factors are memoized.
     powtab and the two memos come from _factor_powers, so factor lists with
-    the same values and max_m share them, whatever their regions.
+    the same values and max_m share them, whatever their regions. Every code
+    is below code_range, 1 + the sum of the members' weights, as no cluster
+    holds more than every member; of_rows tabulates the codes below it.
     """
 
     def __init__(self, base: PottsModel, factors) -> None:
@@ -492,6 +498,8 @@ class _ClusterFactors:
                         for v in sorted(idx)]
         self._member_v = np.array([v for v, _ in self.members], dtype=np.intp)
         self._member_w = np.array([w for _, w in self.members], dtype=np.float64)
+        # no cluster's code reaches it: no cluster holds more than every member
+        self.code_range = 1 + sum(w for _, w in self.members)
 
     def _counts(self, code: int) -> list[int]:
         base = self.powtab.shape[2]
@@ -577,8 +585,11 @@ class _ClusterFactors:
         plan's index, built once per plan, and a bare table, such as one
         omega's row, is indexed here. A row's roots are its fixed points;
         the ghost's root is labels[:, -1]. One bincount sums each member's
-        weight at its root, giving every cluster's code; the factor of each
-        distinct code comes from the memo product() shares. The ghost's
+        weight at its root, giving every cluster's code. The factors come
+        from the memo product() shares: on a table of at least code_range
+        rows, through _code_tables, built on the first such call and read
+        with one gather per table; on a smaller one (many factors, or one
+        omega's row), _lookup takes the distinct codes it meets. The ghost's
         factor sits in the ghost's column, the others at their roots, and 1
         everywhere else, so a row's product is the product of its columns.
         """
@@ -594,19 +605,41 @@ class _ClusterFactors:
         codes = np.bincount(flat[:, self._member_v].ravel(), member_w.ravel(),
                             minlength=rows * n1)
         values = np.ones((rows, n1), dtype=np.complex128)
-        values[roots] = self._lookup(self._cluster, self._mixed_moment,
-                                     codes.reshape(rows, n1)[roots])
-        if include_ghost:
-            values[:, -1] = self._lookup(self._ghost, self._ghost_factor, codes[ghost])
+        if rows >= self.code_range:
+            ghost_of, cluster_of = self._code_tables
+            codes = codes.astype(np.intp)
+            values[roots] = cluster_of[codes.reshape(rows, n1)[roots]]
+            if include_ghost:
+                values[:, -1] = ghost_of[codes[ghost]]
+        else:
+            values[roots] = self._lookup(self._cluster, self._mixed_moment,
+                                         codes.reshape(rows, n1)[roots])
+            if include_ghost:
+                values[:, -1] = self._lookup(self._ghost, self._ghost_factor, codes[ghost])
         return values.prod(axis=1)
 
+    @functools.cached_property
+    def _code_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """The ghost and the cluster factor of every code below code_range,
+        read-only, from the memos product() shares."""
+        codes = range(self.code_range)
+        tables = (self._factors(self._ghost, self._ghost_factor, codes),
+                  self._factors(self._cluster, self._mixed_moment, codes))
+        for table in tables:
+            table.flags.writeable = False
+        return tables
+
     @staticmethod
-    def _lookup(memo: dict, factor, codes: np.ndarray) -> np.ndarray:
+    def _factors(memo: dict, factor, codes) -> np.ndarray:
+        """memo[code] (factor(code) on a miss) for each of the int codes."""
+        return np.array([memo[c] if c in memo else factor(c) for c in codes],
+                        dtype=np.complex128)
+
+    @classmethod
+    def _lookup(cls, memo: dict, factor, codes: np.ndarray) -> np.ndarray:
         """memo[code] (factor(code) on a miss) for every entry of `codes`."""
         keys = sorted(map(int, set(codes.tolist())))  # codes are exact in float64
-        table = np.array([memo[c] if c in memo else factor(c) for c in keys],
-                         dtype=np.complex128)
-        return table[np.array(keys).searchsorted(codes)]
+        return cls._factors(memo, factor, keys)[np.array(keys).searchsorted(codes)]
 
 
 def conditional_expectation(

@@ -376,6 +376,36 @@ def test_non_finite_function_exits_two(capsys, edge_model_path, values):
     assert captured.out == ""
 
 
+_OVERFLOW5 = '{"kind": "table", "q": 5, "values": [1.2e154, 1.2e154, 1.2e154, -1.0, 0]}'
+_OVERFLOW3 = '{"kind": "table", "q": 3, "values": [1e200, 1e199, 0]}'
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["fclass", "--f", _OVERFLOW5], "the power sum S_2 overflows float64"),
+        (["verify", "real", "--model", "pair", "--f", _OVERFLOW5, "--R", "a"],
+         "the power sum S_2 overflows float64"),
+        (["verify", "gks", "--model", "path", "--f", _OVERFLOW3, "--R", "a,b",
+          "--S", "c"], "the mean of column 0 is (inf+0j)"),
+    ],
+    ids=["fclass", "verify-real", "verify-gks"],
+)
+def test_overflow_exits_two_with_one_error_line(capsys, tmp_path, argv, message):
+    # these used to end in an uncaught OverflowError (exit 1, the code of a
+    # violation) or in a report of inf and NaN that JSON refused
+    models = {"pair": (5, ["a", "b"]), "path": (3, ["a", "b", "c"])}
+    for name, (q, vertices) in models.items():
+        edges = [{"u": u, "v": v, "J": 0.5} for u, v in zip(vertices, vertices[1:])]
+        (tmp_path / name).write_text(json.dumps(
+            {"q": q, "vertices": vertices, "edges": edges, "fields": {}}))
+    argv = [str(tmp_path / a) if a in models else a for a in argv]
+    assert run(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("where", ["inline", "path"])
 def test_fclass_q_next_to_a_spec_exits_two(capsys, tmp_path, where):
     # --q 3 used to be dropped for the spec's own q = 4

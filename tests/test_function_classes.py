@@ -244,6 +244,25 @@ def test_non_finite_values_are_rejected(values):
         spin_function_from_spec({"kind": "table", "q": 2, "values": list(values)})
 
 
+@pytest.mark.parametrize(
+    "values",
+    [
+        (1.2e154, 1.2e154, 1.2e154, -1.0, 0.0),  # S_2's running sum overflows
+        (1e200, 0.0, -1e200),  # each power overflows: inf at S_2, inf - inf at S_3
+        (1e200j, 1.0, -1.0),  # the real part of S_2 overflows
+    ],
+    ids=["intermediate", "powers", "complex"],
+)
+def test_power_sums_past_float64_raise_model_error(values):
+    # they used to raise a bare OverflowError or ValueError from fsum
+    f = SpinFunction(values)
+    assert all(map(math.isfinite, (s.real for s in moments(f, 1))))
+    with pytest.raises(ModelError, match="the power sum S_2 overflows float64"):
+        moments(f, 16)
+    with pytest.raises(ModelError, match="the power sum S_2 overflows float64"):
+        check_Fq(f)
+
+
 # ---------------------------------------------------------------------------
 # families
 # ---------------------------------------------------------------------------

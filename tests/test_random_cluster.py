@@ -1166,6 +1166,81 @@ def test_cluster_factors_share_powers_only_between_equal_value_tables():
     assert np.signbit(tables[1].powtab[0, 2, 1].real)
 
 
+def _table_route_cases():
+    """(model, factors) on pinned_bond_models, the suite and two K5 plans:
+    family A, B and a C table, as one factor (f, R) and as two (f, R), (f, S)."""
+    for model in pinned_bond_models():
+        q, vertices = model.q, model.vertices
+        for f in (make_family("A", q), make_family("B", q),
+                  make_family("C", q, [1.0] + [0.4] * (q - 1))):
+            yield model, [(f, vertices)]
+            yield model, [(f, vertices), (f, vertices[1:])]
+
+
+@pytest.mark.parametrize("include_ghost", [True, False])
+def test_code_tables_gather_the_lookup_bits(include_ghost):
+    # of_rows reads one table per factor list once its plan has a row per
+    # code; a code range raised past the rows turns the tables off. Each
+    # route starts from empty factor memos, so neither reads the other's
+    tabled = cases = 0
+    for model, factors in _table_route_cases():
+        index = random_cluster._partition_table(augment(model), DEFAULT_STATE_CAP).plan.index
+        random_cluster._factor_powers.cache_clear()
+        off = _ClusterFactors(model, factors)
+        off.code_range = len(index.flat) + 1
+        want = off.of_rows(index, include_ghost)
+        random_cluster._factor_powers.cache_clear()
+        on = _ClusterFactors(model, factors)
+        got = on.of_rows(index, include_ghost)
+        assert got.tobytes() == want.tobytes()
+        assert "_code_tables" not in vars(off)
+        assert ("_code_tables" in vars(on)) == (on.code_range <= len(index.flat))
+        tabled += "_code_tables" in vars(on)
+        cases += 1
+    assert (tabled, cases) == (159, 2 * 58 * 3)  # both routes are exercised
+    random_cluster._factor_powers.cache_clear()
+
+
+def test_a_code_range_past_the_rows_takes_the_lookup(monkeypatch):
+    # three factors on a 2-row plan: codes up to 22, so of_rows looks up the
+    # codes it meets; the same rows, repeated past the code range, take the
+    # tables and give the same bits
+    model = edge_model(q=3)
+    labels = random_cluster._partition_table(augment(model), DEFAULT_STATE_CAP).plan.labels
+    factors = [(make_family("A", 3), ("u",)), (make_family("B", 3), ("v",)),
+               (make_family("A", 3), ("u", "v"))]
+    lookups = []
+    lookup = _ClusterFactors._lookup
+
+    def spy(memo, factor, codes):
+        lookups.append(len(codes))
+        return lookup(memo, factor, codes)
+
+    monkeypatch.setattr(_ClusterFactors, "_lookup", staticmethod(spy))
+    table = _ClusterFactors(model, factors)
+    assert (len(labels), table.code_range) == (2, 23)
+    got = table.of_rows(labels)
+    assert lookups == [3, 2] and "_code_tables" not in vars(table)
+    repeated = table.of_rows(np.tile(labels, (12, 1)))
+    assert lookups == [3, 2] and "_code_tables" in vars(table)
+    assert repeated[: len(labels)].tobytes() == got.tobytes()
+    aug = augment(model)
+    for row, g in zip(labels.tolist(), got):
+        omega = first_omegas(aug, code_partition_keys(aug))[tuple(row)]
+        assert abs(g - brute_condexp(aug, omega, factors)) <= 1e-12
+
+
+def test_code_tables_are_read_only():
+    model = path3(q=3)
+    table = _ClusterFactors(model, [(make_family("B", 3), ("u", "w"))])
+    table.of_rows(random_cluster._partition_table(augment(model), DEFAULT_STATE_CAP)
+                  .plan.index)
+    for codes in table._code_tables:
+        assert len(codes) == table.code_range == 3
+        with pytest.raises(ValueError, match="read-only"):
+            codes[0] = 0.0
+
+
 def _monotone_on_bond_lattice(model, f, R):
     aug = augment(model)
     keys = code_partition_keys(aug)

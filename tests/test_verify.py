@@ -342,6 +342,23 @@ def test_disjoint_rejects_overlapping_support():
         verify_disjoint_support(edge_model(), f0, f1, ("u",), ("v",))
 
 
+def test_overflowing_power_sums_and_means_raise_model_error():
+    # a table certified by its sign whose f^R overflows: the report used to
+    # read lhs = rhs = inf and margin = nan, a false violation
+    path = PottsModel(("a", "b", "c"), (("a", "b"), ("b", "c")), (0.5, 0.5),
+                      (0.0, 0.0, 0.0), 3)
+    big = SpinFunction((1e200, 1e199, 0.0))
+    with pytest.raises(ModelError, match="the mean of column 0 is \\(inf\\+0j\\)"):
+        potts_expectation(path, [(big, ("a", "b"))])
+    with pytest.raises(ModelError, match="overflows float64"):
+        verify_gks_pair(path, big, ("a", "b"), ("c",))
+    # a signed table whose power sums overflow: the membership scan raises
+    pair = PottsModel(("a", "b"), (("a", "b"),), (0.5,), (0.0, 0.0), 5)
+    signed = SpinFunction((1.2e154, 1.2e154, 1.2e154, -1.0, 0.0))
+    with pytest.raises(ModelError, match="the power sum S_2 overflows float64"):
+        verify_real_nonneg(pair, signed, ("a",))
+
+
 def test_disjoint_second_function_needs_clean_moments():
     f0 = SpinFunction((1.0, 0.0, 0.0))
     f1 = SpinFunction((0.0, 1.0, -2.0))  # S_1 < 0
