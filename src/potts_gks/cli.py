@@ -1,13 +1,12 @@
 """Command-line front end.
 
-Reports stream as JSON lines on stdout, one object per check, with a
-summary object last (--csv renders just the summary as CSV). Each
-subcommand returns its summary; run() writes it and maps its violations
-to the exit code: 0 all checks passed, 1 at least one violation, 2
-malformed input. Every subcommand that takes a spin function reads it
-from --f as a family name, a JSON spec or a path to one; a family name is
-never looked up on disk, and its q is the model's, or fclass's --q
-(default 2).
+Every stdout line is one JSON object: one per check, with a summary
+object last. Each subcommand returns its summary; run() writes it and
+maps its violations to the exit code: 0 all checks passed, 1 at least one
+violation, 2 malformed input. Every subcommand that takes a spin function
+reads it from --f as a family name, a JSON spec or a path to one, through
+_build_factors where it also takes regions; a family name is never looked
+up on disk, and its q is the model's, or fclass's --q (default 2).
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ def _build_factors(args, model: PottsModel):
     """[(f, R)], plus (f1 or f, S) when --S or --f1 is given (rc takes
     neither). --R, --S or --f1 without --f is refused, not ignored."""
     S, f1 = getattr(args, "S", None), getattr(args, "f1", None)
-    if not args.f:
+    if args.f is None:
         for flag, value in (("--R", args.R), ("--S", S), ("--f1", f1)):
             if value is not None:
                 raise ModelError(f"{flag} needs --f")
@@ -196,8 +195,8 @@ def _cmd_fclass(args) -> dict:
 
 def _cmd_verify(args) -> dict:
     model = PottsModel.from_json_file(args.model)
-    f = _parse_function(args.f, model.q)
-    R = _parse_region(args.R)
+    (f, R), *rest = _build_factors(args, model)
+    f1, S = rest[0] if rest else (f, ())
     reports = []
     if args.claim == "real":
         reports.append(verify.verify_real_nonneg(model, f, R, cap=args.cap))
@@ -215,13 +214,10 @@ def _cmd_verify(args) -> dict:
         for coord in coords:
             reports.append(verify.verify_monotone(model, f, R, coord, cap=args.cap))
     elif args.claim == "gks":
-        S = _parse_region(args.S)
         reports.append(verify.verify_gks_pair(model, f, R, S, cap=args.cap))
     elif args.claim == "disjoint":
         if not args.f1:
             raise ModelError("verify disjoint needs --f1 for the second function")
-        f1 = _parse_function(args.f1, model.q)
-        S = _parse_region(args.S)
         reports.append(verify.verify_disjoint_support(model, f, f1, R, S, cap=args.cap))
     for report in reports:
         _emit(verify.report_to_json_dict(report))
@@ -294,13 +290,12 @@ _CLAIMS = {"real": (), "monotone": (), "gks": ("--S",), "disjoint": ("--f1", "--
 
 
 def _add_common(p: argparse.ArgumentParser, *shared: str, f_required=False) -> None:
-    """--model --f --R --csv, plus the named flags of _SHARED_FLAGS."""
+    """--model --f --R, plus the named flags of _SHARED_FLAGS."""
     p.add_argument("--model", required=True, help="model JSON path")
     p.add_argument("--f", required=f_required, help="family name, JSON spec, or path")
     p.add_argument("--R", help="comma-separated vertex list")
     for flag in shared:
         p.add_argument(flag, **_SHARED_FLAGS[flag])
-    p.add_argument("--csv", action="store_true", help="summary as CSV")
 
 
 @functools.cache
@@ -330,7 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--i", type=int, default=0)
     p.add_argument("--M", type=int, default=DEFAULT_M)
     p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_fclass)
 
     p = sub.add_parser("verify", help="check a correlation inequality")
@@ -361,7 +355,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--J-max", type=float, default=3.0, dest="J_max")
     p.add_argument("--h-max", type=float, default=3.0, dest="h_max")
     p.add_argument("--cap", type=int, default=DEFAULT_STATE_CAP)
-    p.add_argument("--csv", action="store_true")
     p.set_defaults(func=_cmd_fuzz)
 
     return parser
@@ -374,13 +367,8 @@ def run(argv) -> int:
         if getattr(args, "cap", 1) < 1:  # exact, rc, verify and fuzz take --cap
             raise ModelError(f"--cap must be at least 1, got {args.cap}")
         summary = args.func(args)
-        if args.csv:
-            keys = sorted(summary)
-            print(",".join(keys))
-            print(",".join(str(summary[k]) for k in keys))
-        else:
-            _emit(summary)
-    except (ModelError, OSError, json.JSONDecodeError, ValueError) as exc:
+        _emit(summary)
+    except (OSError, ValueError) as exc:  # ModelError and JSONDecodeError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 1 if summary["violations"] else 0

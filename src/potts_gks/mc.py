@@ -22,14 +22,17 @@ key whose partial products hold a -0.0 (which a factor of 1+0j can flip)
 falls back to the full product over every root on every sweep, so the
 samples are those of the full product bit for bit. All randomness comes
 from one numpy Generator, consumed in a fixed layout, so a seed pins the
-estimate bit for bit.
+estimate bit for bit. The chains run under one np.errstate per call, so a
+product of factor values that overflows float64 runs to inf or NaN without
+a warning, and an estimate that is not finite raises ModelError.
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from itertools import compress
-from math import sqrt
+from math import isfinite, sqrt
 from operator import itemgetter
 from typing import Iterable, Sequence
 
@@ -209,7 +212,8 @@ def estimate_pooled(
 
     Standard error by batch means (16 batches per chain). rao_blackwell
     averages the conditional expectation given the bonds instead of the raw
-    spin functional, which cannot increase the variance.
+    spin functional, which cannot increase the variance. A mean or
+    standard error that overflows float64 raises ModelError.
 
     `jobs` is ignored and kept only for callers that still pass it: the
     pure-Python kernel holds the GIL, so threads would not overlap.
@@ -224,15 +228,23 @@ def estimate_pooled(
     aug, table = augment(model), _ClusterFactors(model, factors)
     seeds = [seed] if chains == 1 else np.random.SeedSequence(seed).spawn(chains)
     memo = {}  # one sample memo for every chain: they share aug, table and mode
-    parts = [
-        _summarize(_single_chain(aug, table, sweeps, child, rao_blackwell, memo), burn_in)
-        for child in seeds
-    ]
+    with np.errstate(over="ignore", invalid="ignore"):  # the estimate is tested below
+        parts = [
+            _summarize(_single_chain(aug, table, sweeps, child, rao_blackwell, memo),
+                       burn_in)
+            for child in seeds
+        ]
     if chains == 1:
-        return parts[0]
-    n_each = sweeps - burn_in
-    total = chains * n_each
-    mean = sum(p.mean * n_each for p in parts) / total
-    var_mean = sum((n_each / total) ** 2 * p.std_error**2 for p in parts)
-    ess = min(float(total), sum(p.effective_samples for p in parts))
-    return Estimate(complex(mean), sqrt(var_mean), ess, chains * sweeps, burn_in)
+        est = parts[0]
+    else:
+        n_each = sweeps - burn_in
+        total = chains * n_each
+        mean = sum(p.mean * n_each for p in parts) / total
+        var_mean = sum((n_each / total) ** 2 * p.std_error**2 for p in parts)
+        ess = min(float(total), sum(p.effective_samples for p in parts))
+        est = Estimate(complex(mean), sqrt(var_mean), ess, chains * sweeps, burn_in)
+    if not (cmath.isfinite(est.mean) and isfinite(est.std_error)):
+        raise ModelError(f"the estimate {est.mean} with standard error {est.std_error} "
+                         "is not finite: a product of factor values, or its square, "
+                         "overflows float64")
+    return est

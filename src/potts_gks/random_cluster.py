@@ -40,15 +40,21 @@ value table. Every cluster's code lies below the factor list's code range,
 so once a label table has a row per code, of_rows builds from that memo a
 table of the ghost and of the cluster factor of every code and gathers from
 it; a list with more codes than rows (many factors, or one omega's row)
-looks up the distinct codes it meets instead.
+looks up the distinct codes it meets instead. A mean whose products of
+factor values overflow float64 raises ModelError: rc_expectation and
+conditional_expectation test the mean they return, and where the factors'
+bound leaves room for an overflow, they run under np.errstate, so that it
+runs to inf or NaN without a warning.
 """
 
 from __future__ import annotations
 
+import cmath
+import contextlib
 import functools
 from dataclasses import dataclass, field
 from itertools import product
-from math import copysign, expm1, factorial, fsum, isfinite
+from math import copysign, expm1, factorial, fsum, isfinite, log2, nan
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -454,17 +460,32 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int = DEFAULT_STATE_CAP) -> 
 
 
 @functools.lru_cache(maxsize=128)
-def _factor_powers(values: bytes, q: int, max_m: int) -> tuple[np.ndarray, dict, dict]:
-    """powtab of the factors' value table (its complex128 bytes), and the
-    memos of ghost and cluster factors by code, shared by every _ClusterFactors
-    of these values and this max_m: a factor depends on nothing else."""
+def _factor_powers(values: bytes, q: int, max_m: int) -> tuple[np.ndarray, dict, dict,
+                                                                float]:
+    """powtab of the factors' value table (its complex128 bytes), the memos
+    of ghost and cluster factors by code, shared by every _ClusterFactors of
+    these values and this max_m (a factor depends on nothing else), and
+    log2 of prod_i max(1, max_y |f_i(y)|)^max_m, which bounds every power,
+    the factor of every code and every product of a row's factors. A power
+    past float64 is inf, or NaN, without a warning; only a mean that reads
+    it overflows, and the callers test their means."""
     values = np.frombuffer(values, dtype=np.complex128).reshape(-1, q)
+    bits = max_m * sum(log2(max(1.0, *map(abs, row))) for row in values.tolist())
     powtab = np.empty((len(values), q, max_m + 1), dtype=np.complex128)
     powtab[:, :, 0] = 1.0
-    for m in range(1, max_m + 1):
-        powtab[:, :, m] = powtab[:, :, m - 1] * values
+    with _overflow_context(bits):
+        for m in range(1, max_m + 1):
+            powtab[:, :, m] = powtab[:, :, m - 1] * values
     powtab.flags.writeable = False
-    return powtab, {}, {}
+    return powtab, {}, {}, bits
+
+
+def _overflow_context(bits: float):
+    """np.errstate that lets a product run to inf or NaN without a warning,
+    where 2^bits, a bound on it, may pass float64; else a null context."""
+    if bits < 1000.0:
+        return contextlib.nullcontext()
+    return np.errstate(over="ignore", invalid="ignore")
 
 
 def _fixed_by_one(z: complex) -> bool:
@@ -482,17 +503,18 @@ class _ClusterFactors:
     multiplication, the arithmetic the Monte Carlo digest was frozen with. A
     member (v, base**i) per vertex of each region makes a cluster's m_i the
     base-(max_m + 1) digits of one code, by which both factors are memoized.
-    powtab and the two memos come from _factor_powers, so factor lists with
-    the same values and max_m share them, whatever their regions. Every code
-    is below code_range, 1 + the sum of the members' weights, as no cluster
-    holds more than every member; of_rows tabulates the codes below it.
+    powtab, the two memos and the bound come from _factor_powers, so factor
+    lists with the same values and max_m share them, whatever their regions.
+    Every code is below code_range, 1 + the sum of the members' weights, as
+    no cluster holds more than every member; of_rows tabulates the codes
+    below it.
     """
 
     def __init__(self, base: PottsModel, factors) -> None:
         self.prepared = prepared = check_factors(base, factors)
         max_m = max((len(idx) for _, idx in prepared), default=0)
         values = np.array([f.values for f, _ in prepared], dtype=np.complex128)
-        self.powtab, self._ghost, self._cluster = _factor_powers(
+        self.powtab, self._ghost, self._cluster, self._peak_bits = _factor_powers(
             values.tobytes(), base.q, max_m)
         self.members = [(v, (max_m + 1) ** i) for i, (_, idx) in enumerate(prepared)
                         for v in sorted(idx)]
@@ -500,6 +522,14 @@ class _ClusterFactors:
         self._member_w = np.array([w for _, w in self.members], dtype=np.float64)
         # no cluster's code reaches it: no cluster holds more than every member
         self.code_range = 1 + sum(w for _, w in self.members)
+
+    def errstate(self, weight: float):
+        """_overflow_context for a mean of the factors' products with weights
+        summing to at most weight: the bound of _factor_powers times that
+        weight, q for a cluster's sum over colours and 2 for the cross terms
+        of a complex product."""
+        return _overflow_context(self._peak_bits
+                                 + log2(2.0 * self.powtab.shape[1] * weight))
 
     def _counts(self, code: int) -> list[int]:
         base = self.powtab.shape[2]
@@ -593,7 +623,7 @@ class _ClusterFactors:
         factor sits in the ghost's column, the others at their roots, and 1
         everywhere else, so a row's product is the product of its columns.
         """
-        if self.powtab.shape[2] ** len(self.prepared) > 2**53:
+        if self.code_range > 2**53:
             raise ModelError(
                 f"{len(self.prepared)} factors: cluster codes would not be exact "
                 "in float64"
@@ -642,6 +672,14 @@ class _ClusterFactors:
         return cls._factors(memo, factor, keys)[np.array(keys).searchsorted(codes)]
 
 
+def _finite(mean: complex, what: str) -> complex:
+    """mean, unless a part of it is inf or NaN: then ModelError."""
+    if not cmath.isfinite(mean):
+        raise ModelError(f"{what} is {mean}: its product of factor values "
+                         "overflows float64")
+    return mean
+
+
 def conditional_expectation(
     aug: AugmentedGraph,
     omega: Sequence[int],
@@ -653,11 +691,13 @@ def conditional_expectation(
     With include_ghost=False the ghost cluster's factor prod_i f_i(0)^{m_i}
     is dropped: on one factor (f, S) that is the ghost-free factor of the
     disjoint-support factorization, where the connectivity indicator keeps
-    S off the ghost's cluster.
+    S off the ghost's cluster. A mean that overflows raises ModelError.
     """
     labels = np.array([_omega_labels(aug, omega)])
     table = _ClusterFactors(aug.base, factors)
-    return complex(table.of_rows(labels, include_ghost)[0])
+    with table.errstate(1.0):
+        mean = complex(table.of_rows(labels, include_ghost)[0])
+    return _finite(mean, "the conditional mean")
 
 
 def event_Z(
@@ -683,11 +723,16 @@ def rc_expectation(
     The conditional expectation is taken on every row of the plan, through
     its label index, and summed over the rows of positive weight: a row
     whose weight underflowed to 0.0 is left out, as 0.0 times an infinite
-    value would be NaN.
+    value would be NaN. A mean that overflows raises ModelError.
     """
     factor_table = _ClusterFactors(aug.base, factors)
     table = _partition_table(aug, cap)
     keep = table.weights > 0.0
-    g, weights = factor_table.of_rows(table.plan.index)[keep], table.weights[keep]
-    return complex(fsum((weights * g.real).tolist()) / table.z,
-                   fsum((weights * g.imag).tolist()) / table.z)
+    with factor_table.errstate(table.z):
+        g, weights = factor_table.of_rows(table.plan.index)[keep], table.weights[keep]
+        terms = (weights * g.real).tolist(), (weights * g.imag).tolist()
+    try:
+        mean = complex(fsum(terms[0]) / table.z, fsum(terms[1]) / table.z)
+    except (OverflowError, ValueError):  # an intermediate overflow, or inf - inf
+        mean = complex(nan, nan)
+    return _finite(mean, "the tower mean")

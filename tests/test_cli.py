@@ -388,12 +388,21 @@ _OVERFLOW3 = '{"kind": "table", "q": 3, "values": [1e200, 1e199, 0]}'
          "the power sum S_2 overflows float64"),
         (["verify", "gks", "--model", "path", "--f", _OVERFLOW3, "--R", "a,b",
           "--S", "c"], "the mean of column 0 is (inf+0j)"),
+        (["exact", "--model", "path", "--f", _OVERFLOW3, "--R", "a,b"],
+         "the mean of column 0 is (inf+0j)"),
+        (["rc", "--model", "path", "--f", _OVERFLOW3, "--R", "a,b"],
+         "the tower mean is (nan+nanj)"),
+        (["mc", "--model", "path", "--f", _OVERFLOW3, "--R", "a,b", "--sweeps", "200",
+          "--seed", "1"], "the estimate (inf+nanj) with standard error nan"),
+        (["mc", "--model", "path", "--f", _OVERFLOW3, "--R", "a,b", "--sweeps", "200",
+          "--seed", "1", "--rao"], "the estimate (nan+nanj) with standard error nan"),
     ],
-    ids=["fclass", "verify-real", "verify-gks"],
+    ids=["fclass", "verify-real", "verify-gks", "exact", "rc", "mc", "mc-rao"],
 )
 def test_overflow_exits_two_with_one_error_line(capsys, tmp_path, argv, message):
     # these used to end in an uncaught OverflowError (exit 1, the code of a
-    # violation) or in a report of inf and NaN that JSON refused
+    # violation) or in a report of inf and NaN that JSON refused; rc and mc
+    # must also write no numpy RuntimeWarning, which pyproject makes an error
     models = {"pair": (5, ["a", "b"]), "path": (3, ["a", "b", "c"])}
     for name, (q, vertices) in models.items():
         edges = [{"u": u, "v": v, "J": 0.5} for u, v in zip(vertices, vertices[1:])]
@@ -691,18 +700,28 @@ def test_negative_seed_exits_two_naming_the_seed(capsys, edge_model_path, argv):
         ("verify real", "--vertex", "u"),
         ("verify gks", "--vertex", "u"),
         ("verify disjoint", "--vertex", "u"),
+        # every stdout line is JSON: no subcommand renders its summary as CSV
+        *((command, "--csv", None) for command in (
+            "exact", "rc", "fclass", "verify real", "verify monotone", "verify gks",
+            "verify disjoint", "mc", "fuzz")),
     ],
 )
 def test_flags_a_command_ignores_are_rejected(capsys, edge_model_path, command,
                                               flag, value):
-    argv = [*command.split(), "--model", edge_model_path, "--f", "familyA",
-            "--R", "u", flag, value]
+    extra = [flag] if value is None else [flag, value]
+    if command == "fclass":
+        argv = ["fclass", "--f", "familyA"]
+    elif command == "fuzz":
+        argv = ["fuzz", "--trials", "1", "--seed", "1"]
+    else:
+        argv = [*command.split(), "--model", edge_model_path, "--f", "familyA",
+                "--R", "u"]
     if command == "mc":
         argv += ["--sweeps", "100", "--seed", "1"]
     with pytest.raises(SystemExit) as exc:
-        run(argv)
+        run(argv + extra)
     assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(extra)}\n" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -726,6 +745,19 @@ def test_region_flags_without_f_exit_two(capsys, edge_model_path, command, flags
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == f"error: {named} needs --f\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["exact", "rc", "mc", "verify real", "verify gks"])
+def test_an_empty_f_is_an_unknown_family(capsys, edge_model_path, command):
+    # an empty --f names no family, so every subcommand that reads --f
+    # through _build_factors refuses it before writing a line
+    argv = [*command.split(), "--model", edge_model_path, "--f", ""]
+    if command == "mc":
+        argv += ["--sweeps", "100", "--seed", "1"]
+    assert run(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: unknown family kind ''\n"
     assert captured.out == ""
 
 
@@ -877,11 +909,3 @@ def test_readme_cli_examples_run_as_written(capsys, tmp_path, monkeypatch):
         assert code == 0, argv
         assert lines and lines[-1]["type"] == "summary", argv
 
-
-def test_csv_summary(capsys, edge_model_path):
-    code = run(["exact", "--model", edge_model_path, "--csv"])
-    out = capsys.readouterr().out.strip().splitlines()
-    assert code == 0
-    header, row = out[-2], out[-1]
-    assert header.split(",")[0] == "status"
-    assert "ok" in row

@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 
 import hypothesis.strategies as st
 import numpy as np
@@ -154,6 +155,22 @@ def test_estimate_rejects_a_seed_below_zero_or_not_an_integer(seed, chains):
     # no longer seeds from the OS
     with pytest.raises(ModelError, match=rf"seed must be an integer of at least 0, got {seed}$"):
         estimate_pooled(edge_model(), [], sweeps=100, seed=seed, chains=chains)
+
+
+@pytest.mark.parametrize("chains", [1, 3])
+@pytest.mark.parametrize("rao", [False, True], ids=["raw", "rb"])
+def test_an_overflowing_estimate_raises_model_error_without_a_warning(rao, chains):
+    # f^R overflows float64 on a and b: a typed error from raw and RB chains,
+    # one or merged, and no numpy warning on the way
+    model = PottsModel(("a", "b", "c"), (("a", "b"), ("b", "c")), (0.5, 0.5),
+                       (0.0, 0.0, 0.0), 3)
+    big = SpinFunction((1e200, 1e199, 0.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match=r"^the estimate .* is not finite: a "
+                           "product of factor values, or its square, overflows"):
+            estimate_pooled(model, [(big, ("a", "b"))], sweeps=200, seed=1,
+                            chains=chains, rao_blackwell=rao)
 
 
 def test_estimate_deterministic():

@@ -1151,6 +1151,65 @@ def test_batched_factors_refuse_codes_past_float64():
         rc_expectation(aug, factors)
 
 
+def test_code_range_bounds_the_codes_that_must_be_exact():
+    # 16 factors of max_m 10: 11^16 > 2^53, but every code lies below the
+    # code range, 1 + 10 + 11 + ... + 11^15 < 2^53, so the codes are exact
+    n = 16
+    vertices = tuple(f"v{i}" for i in range(n))
+    model = PottsModel(vertices, (), (), (0.3,) * n, 2)
+    A = make_family("A", 2)
+    factors = [(A, vertices[:10])] + [(A, (v,)) for v in vertices[1:]]
+    table = _ClusterFactors(model, factors)
+    assert 11**16 > 2**53 > table.code_range == 4_594_972_986_357_226
+    exact = potts_expectation(model, factors)
+    assert rc_expectation(augment(model), factors) == pytest.approx(exact, rel=1e-12)
+    # the same list with a 12-vertex factor: a code range past 2^53
+    factors[0] = (A, vertices[:12])
+    assert _ClusterFactors(model, factors).code_range > 2**53
+    with pytest.raises(ModelError, match="16 factors: cluster codes would not be exact"):
+        conditional_expectation(augment(model), [0] * n, factors)
+
+
+_BIG = SpinFunction((1e200, 1e199, 0.0))
+
+
+@pytest.mark.parametrize(
+    "mean, message",
+    [
+        (lambda aug: rc_expectation(aug, [(_BIG, ("u", "v"))]), "the tower mean"),
+        (lambda aug: conditional_expectation(aug, "11000", [(_BIG, ("u", "v"))]),
+         "the conditional mean"),
+    ],
+    ids=["rc_expectation", "conditional_expectation"],
+)
+def test_an_overflowing_mean_raises_model_error_without_a_warning(mean, message):
+    # f^R overflows float64 on the cluster containing u and v: a typed
+    # error, as potts_expectation gives, and no numpy warning on the way
+    aug = augment(path3(q=3, J=0.5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ModelError, match=rf"^{message} is \(nan\+nanj\): its "
+                           "product of factor values overflows float64$"):
+            mean(aug)
+
+
+@pytest.mark.parametrize("h", [0.0, 0.4], ids=["lookup", "code-tables"])
+def test_a_power_past_float64_that_no_cluster_reads_is_harmless(h):
+    # f0 covers one vertex, so f0(0)^2 = 1e400 sits in powtab unread: the
+    # mean is finite on both of_rows routes, and no warning is raised
+    model = path3(q=3, J=0.5, h=(h,) * 3)
+    factors = [(SpinFunction((1e200, 1.0, 2.0)), ("u",)),
+               (make_family("A", 3), ("v", "w"))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rc_expectation(augment(model), factors)
+    assert got == pytest.approx(potts_expectation(model, factors), rel=1e-12)
+    # only such a bound takes np.errstate; A and B on a suite-size model never do
+    assert isinstance(_ClusterFactors(model, factors).errstate(1.0), np.errstate)
+    plain = _ClusterFactors(model, [(make_family("B", 3), ("u", "v", "w"))] * 2)
+    assert not isinstance(plain.errstate(rc_partition(augment(model))), np.errstate)
+
+
 def test_cluster_factors_share_powers_only_between_equal_value_tables():
     model = path3(q=3)
     a = _ClusterFactors(model, [(make_family("A", 3), ("u", "v"))])
