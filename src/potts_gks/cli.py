@@ -165,14 +165,10 @@ def _cmd_rc(args) -> dict:
 
 def _cmd_fclass(args) -> dict:
     _check_nonnegative("--tol", args.tol)
-    spec = _function_spec(args.f)
-    if spec is None:
-        f = make_family(args.f.strip(), 2 if args.q is None else args.q)
-    elif args.q is None:
-        f = spin_function_from_spec(spec)
-    else:
+    if args.q is not None and _function_spec(args.f) is not None:
         raise ModelError("--q cannot be combined with a --f spec, "
                          "which gives its own q")
+    f = _parse_function(args.f, 2 if args.q is None else args.q)
     report = check_Fq_i(f, args.i, args.M, args.tol)
     _emit(
         {

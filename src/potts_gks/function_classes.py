@@ -43,7 +43,7 @@ import operator
 from dataclasses import dataclass
 from math import fsum, inf, isfinite
 
-from .model import ModelError, SpinFunction, integer_q
+from .model import ModelError, SpinFunction, as_integer
 
 DEFAULT_M = 16
 DEFAULT_TOL = 1e-9
@@ -214,10 +214,14 @@ def check_Fq_i(
     )
 
 
+def _family_kind(kind: str) -> str:
+    """kind as make_family reads it: "a", "familyA" and "A" all name A."""
+    return kind.upper().removeprefix("FAMILY")
+
+
 def is_family_name(kind: str) -> bool:
-    """Whether make_family reads kind as a family: "a", "familyA" and "A"
-    all name A."""
-    return kind.upper().removeprefix("FAMILY") in ("A", "B", "C")
+    """Whether make_family reads kind as a family."""
+    return _family_kind(kind) in ("A", "B", "C")
 
 
 def make_family(kind: str, q: int, values=None) -> SpinFunction:
@@ -225,7 +229,7 @@ def make_family(kind: str, q: int, values=None) -> SpinFunction:
     unity), or C (caller-supplied non-negative table peaking at 0)."""
     if q < 2:
         raise ModelError(f"q must be >= 2, got {q}")
-    kind = kind.upper().removeprefix("FAMILY")
+    kind = _family_kind(kind)
     if kind == "A":
         return SpinFunction(tuple((q - 1) / 2 - x for x in range(q)))
     if kind == "B":
@@ -251,8 +255,8 @@ def spin_function_from_spec(spec: dict) -> SpinFunction:
     C and table.
     """
     try:
-        kind = str(spec["kind"]).upper().removeprefix("FAMILY")
-        q = integer_q(spec["q"])
+        kind = _family_kind(str(spec["kind"]))
+        q = as_integer(spec["q"], "q")
     except KeyError as exc:
         raise ModelError(f'function spec needs "{exc.args[0]}"') from exc
     except (TypeError, ValueError) as exc:

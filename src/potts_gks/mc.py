@@ -38,7 +38,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import ModelError, PottsModel, SpinFunction
+from .model import ModelError, PottsModel, SpinFunction, as_integer
 from .random_cluster import AugmentedGraph, _ClusterFactors, augment
 
 _SWEEP_BLOCK = 1 << 14
@@ -212,17 +212,21 @@ def estimate_pooled(
 
     Standard error by batch means (16 batches per chain). rao_blackwell
     averages the conditional expectation given the bonds instead of the raw
-    spin functional, which cannot increase the variance. A mean or
-    standard error that overflows float64 raises ModelError.
+    spin functional, which cannot increase the variance. sweeps, chains
+    and burn_in must be integers, and a mean or standard error that
+    overflows float64 raises ModelError.
 
     `jobs` is ignored and kept only for callers that still pass it: the
     pure-Python kernel holds the GIL, so threads would not overlap.
     """
+    sweeps, chains = as_integer(sweeps, "sweeps"), as_integer(chains, "chains")
+    if sweeps < 1:
+        raise ModelError(f"sweeps must be at least 1, got {sweeps}")
     if chains < 1:
         raise ModelError(f"need at least one chain, got {chains}")
     if not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ModelError(f"seed must be an integer of at least 0, got {seed!r}")
-    burn_in = sweeps // 10 if burn_in is None else burn_in
+    burn_in = sweeps // 10 if burn_in is None else as_integer(burn_in, "burn_in")
     if not 0 <= burn_in < sweeps:
         raise ModelError(f"burn_in={burn_in} not in [0, sweeps) for sweeps={sweeps}")
     aug, table = augment(model), _ClusterFactors(model, factors)

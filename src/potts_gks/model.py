@@ -223,7 +223,7 @@ class PottsModel:
     @classmethod
     def from_json_dict(cls, data: dict) -> "PottsModel":
         try:
-            q = integer_q(data["q"])
+            q = data["q"]  # the constructor refuses a q that is not an integer
             if not isinstance(data["vertices"], list):
                 raise ModelError(f'"vertices" must be a list, got {data["vertices"]!r}')
             vertices = tuple(_name(v, "vertex") for v in data["vertices"])
@@ -251,10 +251,11 @@ class PottsModel:
             return cls.from_json_dict(json.load(fh))
 
 
-def integer_q(raw: object) -> int:
-    """q from outside input, which must be an integer: 2.7 or "3" is refused."""
+def as_integer(raw: object, what: str) -> int:
+    """An integer argument, such as q or a count, as an int: 2.7, "3" or
+    True is refused with a ModelError that names it as `what`."""
     if isinstance(raw, bool) or not isinstance(raw, (int, np.integer)):
-        raise ModelError(f"q must be an integer, got {raw!r}")
+        raise ModelError(f"{what} must be an integer, got {raw!r}")
     return int(raw)
 
 
@@ -276,7 +277,7 @@ def _number(raw: object, what: str) -> float:
 
 def _validate_model(model: PottsModel) -> None:
     """Raise ModelError unless all invariants hold."""
-    if model.q < 2:
+    if as_integer(model.q, "q") < 2:
         raise ModelError(f"q must be >= 2, got {model.q}")
     if len(model.J) != len(model.edges):
         raise ModelError("J must align with the edge list")

@@ -35,10 +35,12 @@ _ClusterFactors gives E(prod f^R | omega): of_rows for every row of a
 label table in one numpy pass (the tower mean on its plan's index, and a
 single omega as one row, indexed per call), and product for one omega
 of mc's sampler, with touched_product, its bit-identical shortcut over the
-clusters the regions touch; all share one memo of cluster factors per
-value table. Every cluster's code lies below the factor list's code range,
-so once a label table has a row per code, of_rows builds from that memo a
-table of the ghost and of the cluster factor of every code and gathers from
+clusters the regions touch; all share one memo of (ghost, cluster)
+factors per value table and radices. A cluster's code writes its counts
+m_i = |R_i ∩ C| in mixed radix, digit i in base |R_i| + 1, so the codes
+below the code range, prod_i (|R_i| + 1), are exactly the count tuples a
+cluster can carry. Once a label table has a row per code, of_rows builds
+from that memo a table of the two factors of every code and gathers from
 it; a list with more codes than rows (many factors, or one omega's row)
 looks up the distinct codes it meets instead. A mean whose products of
 factor values overflow float64 raises ModelError: rc_expectation and
@@ -460,16 +462,18 @@ def coupled_spin_marginal(aug: AugmentedGraph, cap: int = DEFAULT_STATE_CAP) -> 
 
 
 @functools.lru_cache(maxsize=128)
-def _factor_powers(values: bytes, q: int, max_m: int) -> tuple[np.ndarray, dict, dict,
-                                                                float]:
-    """powtab of the factors' value table (its complex128 bytes), the memos
-    of ghost and cluster factors by code, shared by every _ClusterFactors of
-    these values and this max_m (a factor depends on nothing else), and
-    log2 of prod_i max(1, max_y |f_i(y)|)^max_m, which bounds every power,
-    the factor of every code and every product of a row's factors. A power
-    past float64 is inf, or NaN, without a warning; only a mean that reads
-    it overflows, and the callers test their means."""
+def _factor_powers(values: bytes, q: int, radices: tuple[int, ...]) -> tuple[np.ndarray,
+                                                                             dict, float]:
+    """powtab of the factors' value table (its complex128 bytes), the memo
+    of (ghost, cluster) factors by code, shared by every _ClusterFactors of
+    these values and these radices (a factor depends on nothing else), and
+    log2 of prod_i max(1, max_y |f_i(y)|)^max_m, max_m the largest radix
+    less one, which bounds every power, the factors of every code and every
+    product of a row's factors. A power past float64 is inf, or NaN,
+    without a warning; only a mean that reads it overflows, and the callers
+    test their means."""
     values = np.frombuffer(values, dtype=np.complex128).reshape(-1, q)
+    max_m = max(radices, default=1) - 1
     bits = max_m * sum(log2(max(1.0, *map(abs, row))) for row in values.tolist())
     powtab = np.empty((len(values), q, max_m + 1), dtype=np.complex128)
     powtab[:, :, 0] = 1.0
@@ -477,7 +481,7 @@ def _factor_powers(values: bytes, q: int, max_m: int) -> tuple[np.ndarray, dict,
         for m in range(1, max_m + 1):
             powtab[:, :, m] = powtab[:, :, m - 1] * values
     powtab.flags.writeable = False
-    return powtab, {}, {}, bits
+    return powtab, {}, bits
 
 
 def _overflow_context(bits: float):
@@ -498,30 +502,33 @@ class _ClusterFactors:
     """E( prod_i f_i(sigma)^{R_i} | omega ) as a product over omega's clusters.
 
     The ghost's cluster contributes prod_i f_i(0)^{m_i}, every other cluster
-    (1/q) sum_y prod_i f_i(y)^{m_i}, where m_i = |R_i ∩ cluster|. Built once
-    per factor list; powtab[i, x, m] = f_i(x)**m comes from repeated numpy
-    multiplication, the arithmetic the Monte Carlo digest was frozen with. A
-    member (v, base**i) per vertex of each region makes a cluster's m_i the
-    base-(max_m + 1) digits of one code, by which both factors are memoized.
-    powtab, the two memos and the bound come from _factor_powers, so factor
-    lists with the same values and max_m share them, whatever their regions.
-    Every code is below code_range, 1 + the sum of the members' weights, as
-    no cluster holds more than every member; of_rows tabulates the codes
-    below it.
+    (1/q) sum_y prod_i f_i(y)^{m_i}, where m_i = |R_i ∩ cluster| <= |R_i|.
+    Built once per factor list; powtab[i, x, m] = f_i(x)**m comes from
+    repeated numpy multiplication, the arithmetic the Monte Carlo digest was
+    frozen with. The counts are the digits of one mixed-radix code: factor i
+    has radix |R_i| + 1, and a member (v, w_i) per vertex of R_i carries the
+    place value w_i = prod_{j<i} (|R_j| + 1), so a cluster's code is the sum
+    of its members' weights. The codes below code_range, prod_i (|R_i| + 1),
+    are exactly the count tuples a cluster can carry, one each, and both
+    factors are memoized by code. powtab, the memo and the bound come from
+    _factor_powers, so factor lists with the same values and radices share
+    them, whatever their regions; of_rows tabulates the codes below
+    code_range.
     """
 
     def __init__(self, base: PottsModel, factors) -> None:
         self.prepared = prepared = check_factors(base, factors)
-        max_m = max((len(idx) for _, idx in prepared), default=0)
+        self._radices = radices = tuple(len(idx) + 1 for _, idx in prepared)
         values = np.array([f.values for f, _ in prepared], dtype=np.complex128)
-        self.powtab, self._ghost, self._cluster, self._peak_bits = _factor_powers(
-            values.tobytes(), base.q, max_m)
-        self.members = [(v, (max_m + 1) ** i) for i, (_, idx) in enumerate(prepared)
-                        for v in sorted(idx)]
+        self.powtab, self._memo, self._peak_bits = _factor_powers(
+            values.tobytes(), base.q, radices)
+        self.members, place = [], 1
+        for (_, idx), radix in zip(prepared, radices):
+            self.members += [(v, place) for v in sorted(idx)]
+            place *= radix
+        self.code_range = place
         self._member_v = np.array([v for v, _ in self.members], dtype=np.intp)
         self._member_w = np.array([w for _, w in self.members], dtype=np.float64)
-        # no cluster's code reaches it: no cluster holds more than every member
-        self.code_range = 1 + sum(w for _, w in self.members)
 
     def errstate(self, weight: float):
         """_overflow_context for a mean of the factors' products with weights
@@ -531,34 +538,34 @@ class _ClusterFactors:
         return _overflow_context(self._peak_bits
                                  + log2(2.0 * self.powtab.shape[1] * weight))
 
-    def _counts(self, code: int) -> list[int]:
-        base = self.powtab.shape[2]
-        return [code // base**i % base for i in range(len(self.prepared))]
+    def _code_factors(self, code: int) -> tuple[complex, complex]:
+        """The ghost and the cluster factor of a code, memoized.
 
-    def _ghost_factor(self, code: int) -> complex:
-        """prod_i f_i(0)**m_i: the ghost cluster is coloured 0."""
-        val = complex(1.0, 0.0)
-        for i, m in enumerate(self._counts(code)):
-            val = val * self.powtab[i, 0, m]
-        self._ghost[code] = val
-        return val
-
-    def _mixed_moment(self, code: int) -> complex:
-        """(1/q) sum_y prod_i f_i(y)**m_i: a non-ghost cluster's uniform colour.
-
-        The sum is a numpy complex scalar whenever a factor is present, so
-        `acc / q` is numpy's complex division, not Python's.
+        With m_i the code's digits, the cluster factor is the uniform colour's
+        (1/q) sum_y prod_i f_i(y)**m_i, and the ghost factor, its cluster
+        coloured 0, is that sum's y = 0 product. The sum is a numpy complex
+        scalar whenever a factor is present, so `acc / q` is numpy's complex
+        division, not Python's.
         """
-        powtab, ms = self.powtab, self._counts(code)
+        factors = self._memo.get(code)
+        if factors is not None:
+            return factors
+        counts, rest = [], code
+        for radix in self._radices:
+            rest, m = divmod(rest, radix)
+            counts.append(m)
+        powtab = self.powtab
         q = powtab.shape[1]
         acc = complex(0.0, 0.0)
         for y in range(q):
             t = complex(1.0, 0.0)
-            for i, m in enumerate(ms):
+            for i, m in enumerate(counts):
                 t = t * powtab[i, y, m]
+            if y == 0:
+                ghost = t
             acc = acc + t
-        val = self._cluster[code] = acc / q
-        return val
+        factors = self._memo[code] = (ghost, acc / q)
+        return factors
 
     def product(self, root, groot, roots) -> complex:
         """root[v] is the cluster root of real vertex v, groot the ghost's.
@@ -568,12 +575,9 @@ class _ClusterFactors:
         exactly 1.
         """
         code_of = self._codes(root)
-        ghost, cluster = self._ghost, self._cluster
-        code = code_of.get(groot, 0)
-        val = ghost[code] if code in ghost else self._ghost_factor(code)
+        val = self._code_factors(code_of.get(groot, 0))[0]
         for x in roots:
-            code = code_of.get(x, 0)
-            val = val * (cluster[code] if code in cluster else self._mixed_moment(code))
+            val = val * self._code_factors(code_of.get(x, 0))[1]
         return val
 
     def touched_product(self, root, groot) -> complex | None:
@@ -588,14 +592,11 @@ class _ClusterFactors:
         component, the answer is None, and only product() gives the bits.
         """
         code_of = self._codes(root)
-        code = code_of.pop(groot, 0)
-        ghost, cluster = self._ghost, self._cluster
-        val = ghost[code] if code in ghost else self._ghost_factor(code)
+        val = self._code_factors(code_of.pop(groot, 0))[0]
         if not _fixed_by_one(val):
             return None
         for x in sorted(code_of):
-            code = code_of[x]
-            val = val * (cluster[code] if code in cluster else self._mixed_moment(code))
+            val = val * self._code_factors(code_of[x])[1]
             if not _fixed_by_one(val):
                 return None
         return val
@@ -642,34 +643,28 @@ class _ClusterFactors:
             if include_ghost:
                 values[:, -1] = ghost_of[codes[ghost]]
         else:
-            values[roots] = self._lookup(self._cluster, self._mixed_moment,
-                                         codes.reshape(rows, n1)[roots])
+            values[roots] = self._lookup(codes.reshape(rows, n1)[roots])[1]
             if include_ghost:
-                values[:, -1] = self._lookup(self._ghost, self._ghost_factor, codes[ghost])
+                values[:, -1] = self._lookup(codes[ghost])[0]
         return values.prod(axis=1)
 
     @functools.cached_property
-    def _code_tables(self) -> tuple[np.ndarray, np.ndarray]:
+    def _code_tables(self) -> np.ndarray:
         """The ghost and the cluster factor of every code below code_range,
-        read-only, from the memos product() shares."""
-        codes = range(self.code_range)
-        tables = (self._factors(self._ghost, self._ghost_factor, codes),
-                  self._factors(self._cluster, self._mixed_moment, codes))
-        for table in tables:
-            table.flags.writeable = False
+        as two read-only rows, from the memo product() shares."""
+        tables = self._factors(range(self.code_range))
+        tables.flags.writeable = False
         return tables
 
-    @staticmethod
-    def _factors(memo: dict, factor, codes) -> np.ndarray:
-        """memo[code] (factor(code) on a miss) for each of the int codes."""
-        return np.array([memo[c] if c in memo else factor(c) for c in codes],
-                        dtype=np.complex128)
+    def _factors(self, codes) -> np.ndarray:
+        """The ghost and the cluster factor of each of the int codes, as two rows."""
+        return np.array([self._code_factors(c) for c in codes],
+                        dtype=np.complex128).reshape(-1, 2).T
 
-    @classmethod
-    def _lookup(cls, memo: dict, factor, codes: np.ndarray) -> np.ndarray:
-        """memo[code] (factor(code) on a miss) for every entry of `codes`."""
+    def _lookup(self, codes: np.ndarray) -> np.ndarray:
+        """_factors for every entry of `codes`, from those of its distinct codes."""
         keys = sorted(map(int, set(codes.tolist())))  # codes are exact in float64
-        return cls._factors(memo, factor, keys)[np.array(keys).searchsorted(codes)]
+        return self._factors(keys)[:, np.array(keys).searchsorted(codes)]
 
 
 def _finite(mean: complex, what: str) -> complex:

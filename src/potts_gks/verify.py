@@ -49,7 +49,7 @@ from .model import (
     SpinFunction,
     _column_budget,
     _coordinate_position,
-    integer_q,
+    as_integer,
     potts_expectation,  # noqa: F401  (re-exported: callers read verify.potts_expectation)
     spin_means,
 )
@@ -435,19 +435,19 @@ def _draw_disjoint_pair(
 
 def _check_config(config: FuzzConfig) -> None:
     """Refuse a config that some trial could not run, before the first draw."""
-    if config.trials < 0:
+    if as_integer(config.trials, "trials") < 0:
         raise ModelError(f"trials must be at least 0, got {config.trials}")
     if not isinstance(config.seed, (int, np.integer)) or config.seed < 0:
         raise ModelError(f"seed must be an integer of at least 0, got {config.seed!r}")
     if config.cap < 1:
         raise ModelError(f"cap must be at least 1, got {config.cap}")
-    if not config.q_values or any(integer_q(q) < 2 for q in config.q_values):
+    if not config.q_values or any(as_integer(q, "q") < 2 for q in config.q_values):
         raise ModelError(f"q_values must list q >= 2, got {config.q_values}")
     if not config.families or any(k not in _FUNCTION_KINDS for k in config.families):
         raise ModelError(
             f"families must list kinds among {_FUNCTION_KINDS}, got {config.families}"
         )
-    lo, hi = config.n_range
+    lo, hi = (as_integer(n, "each end of n_range") for n in config.n_range)
     if not 0 <= lo <= hi:
         raise ModelError(f"n_range must be (lo, hi) with 0 <= lo <= hi, got {config.n_range}")
     for name, (lo, hi) in (("J_range", config.J_range), ("h_range", config.h_range)):

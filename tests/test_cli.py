@@ -648,6 +648,17 @@ def test_mc_fewer_than_one_chain_exits_two(capsys, edge_model_path, chains):
     assert all(line["type"] != "estimate" for line in lines)
 
 
+@pytest.mark.parametrize("sweeps", ["0", "-5"])
+def test_mc_sweeps_below_one_exits_two_naming_the_sweeps(capsys, edge_model_path, sweeps):
+    # --sweeps -5 used to blame the default burn-in, -1
+    code = run(["mc", "--model", edge_model_path, "--f", "familyA", "--R", "u",
+                "--sweeps", sweeps, "--seed", "7"])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == f"error: sweeps must be at least 1, got {sweeps}\n"
+    assert out == ""
+
+
 def test_mc_requires_seed(capsys, edge_model_path):
     with pytest.raises(SystemExit) as exc:
         run(["mc", "--model", edge_model_path, "--sweeps", "100"])

@@ -148,6 +148,26 @@ def test_estimate_rejects_bad_window():
             estimate_pooled(edge_model(), [], sweeps=100, seed=0, chains=chains)
 
 
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        ({"sweeps": 2.5}, "sweeps must be an integer, got 2.5"),
+        ({"sweeps": "100"}, "sweeps must be an integer, got '100'"),
+        ({"chains": 2.5}, "chains must be an integer, got 2.5"),
+        ({"burn_in": 1.5}, "burn_in must be an integer, got 1.5"),
+        ({"sweeps": -5}, "sweeps must be at least 1, got -5"),
+        ({"sweeps": 0}, "sweeps must be at least 1, got 0"),
+    ],
+    ids=["sweeps-2.5", "sweeps-str", "chains-2.5", "burn-in-1.5", "sweeps--5", "sweeps-0"],
+)
+def test_estimate_refuses_a_count_that_is_not_a_whole_positive_number(counts, message):
+    # the non-integers used to raise a bare TypeError, and sweeps=-5 blamed
+    # the default burn_in of -1
+    kwargs = {"sweeps": 100, "seed": 0, **counts}
+    with pytest.raises(ModelError, match=rf"^{re.escape(message)}$"):
+        estimate_pooled(edge_model(), [], **kwargs)
+
+
 @pytest.mark.parametrize("chains", [1, 3])
 @pytest.mark.parametrize("seed", [-1, None, 1.5])
 def test_estimate_rejects_a_seed_below_zero_or_not_an_integer(seed, chains):

@@ -79,6 +79,14 @@ def test_bad_q_rejected():
         SpinFunction((1.0,))
 
 
+@pytest.mark.parametrize("q", [2.5, "3", True], ids=["2.5", "str-3", "True"])
+def test_a_q_that_is_not_an_integer_is_refused_at_construction(q):
+    # q=2.5 used to build a model whose log partition function raised a bare
+    # TypeError, and q="3" a TypeError from the comparison with 2
+    with pytest.raises(ModelError, match=rf"^q must be an integer, got {q!r}$"):
+        PottsModel(("u",), (), (), (0.0,), q)
+
+
 def test_unknown_endpoint_rejected():
     with pytest.raises(ModelError, match="edge <u,w> uses unknown vertex"):
         PottsModel(("u", "v"), (("u", "w"),), (1.0,), (0.0, 0.0), 2)

@@ -2,8 +2,10 @@
 
 import functools
 import hashlib
+import itertools
 import json
 import math
+import operator
 import warnings
 from dataclasses import replace
 
@@ -1152,22 +1154,78 @@ def test_batched_factors_refuse_codes_past_float64():
 
 
 def test_code_range_bounds_the_codes_that_must_be_exact():
-    # 16 factors of max_m 10: 11^16 > 2^53, but every code lies below the
-    # code range, 1 + 10 + 11 + ... + 11^15 < 2^53, so the codes are exact
+    # 16 factors, the first on 12 vertices: radices 13, 2, ..., 2 give the
+    # code range 13 * 2^15, where one shared base 13 would give codes past
+    # 2^53; the tower mean reads them on the lookup route
     n = 16
     vertices = tuple(f"v{i}" for i in range(n))
     model = PottsModel(vertices, (), (), (0.3,) * n, 2)
     A = make_family("A", 2)
-    factors = [(A, vertices[:10])] + [(A, (v,)) for v in vertices[1:]]
+    factors = [(A, vertices[:12])] + [(A, (v,)) for v in vertices[1:]]
     table = _ClusterFactors(model, factors)
-    assert 11**16 > 2**53 > table.code_range == 4_594_972_986_357_226
+    assert 13**15 > 2**53 and table.code_range == 13 * 2**15 == 425_984
     exact = potts_expectation(model, factors)
     assert rc_expectation(augment(model), factors) == pytest.approx(exact, rel=1e-12)
-    # the same list with a 12-vertex factor: a code range past 2^53
-    factors[0] = (A, vertices[:12])
-    assert _ClusterFactors(model, factors).code_range > 2**53
-    with pytest.raises(ModelError, match="16 factors: cluster codes would not be exact"):
-        conditional_expectation(augment(model), [0] * n, factors)
+    # 54 one-vertex factors on an edgeless field-free model: code range 2^54
+    vertices = tuple(f"v{i}" for i in range(54))
+    model = PottsModel(vertices, (), (), (0.0,) * 54, 2)
+    factors = [(A, (v,)) for v in vertices]
+    assert _ClusterFactors(model, factors).code_range == 2**54
+    for mean in (lambda aug: conditional_expectation(aug, [0] * 54, factors),
+                 lambda aug: rc_expectation(aug, factors)):
+        with pytest.raises(ModelError, match="54 factors: cluster codes would not be exact"):
+            mean(augment(model))
+
+
+def _count_tuples(table, sizes):
+    """(counts, code) for every count tuple m_i <= sizes[i], the code summing
+    the weights of factor i's first m_i members."""
+    weights, pos = [], 0
+    for size in sizes:
+        weights.append([w for _, w in table.members[pos : pos + size]])
+        pos += size
+    for counts in itertools.product(*(range(size + 1) for size in sizes)):
+        yield counts, sum(sum(w[:m]) for w, m in zip(weights, counts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mixed_radix_codes_are_the_count_tuples(data):
+    # each count tuple a cluster can carry has its own code, the codes fill
+    # range(code_range), and each code's ghost and cluster factors are the
+    # naive products of powtab, bit for bit
+    model = data.draw(small_models(max_n=4, max_q=3))
+    factors = [(data.draw(certified_functions(model.q)), data.draw(regions_of(model)))
+               for _ in range(data.draw(st.integers(2, 4)))]
+    table = _ClusterFactors(model, factors)
+    sizes = [len(R) for _, R in factors]
+    assert table.code_range == math.prod(size + 1 for size in sizes)
+    tuples = list(_count_tuples(table, sizes))
+    assert sorted(code for _, code in tuples) == list(range(table.code_range))
+    q = model.q
+    for counts, code in tuples:
+        terms = [functools.reduce(operator.mul, (table.powtab[i, y, m]
+                                                 for i, m in enumerate(counts)),
+                                  complex(1.0, 0.0))
+                 for y in range(q)]
+        acc = complex(0.0, 0.0)
+        for t in terms:  # left to right, as a plain loop adds
+            acc = acc + t
+        ghost, cluster = table._code_factors(code)
+        assert np.complex128(ghost).tobytes() == np.complex128(terms[0]).tobytes()
+        assert np.complex128(cluster).tobytes() == np.complex128(acc / q).tobytes()
+
+
+def test_no_code_is_out_of_a_clusters_reach():
+    # f0 on one vertex and f1 on two: radices 2 and 3, code range 6, and
+    # every code's factors finite; one shared base 3 gave a range of 8 whose
+    # codes 2 and 5 no cluster carries, with f0(0)^2 = 1e400 in their factors
+    model = path3(q=3, J=0.5)
+    factors = [(SpinFunction((1e200, 1.0, 2.0)), ("u",)),
+               (make_family("A", 3), ("v", "w"))]
+    table = _ClusterFactors(model, factors)
+    assert table.code_range == 6
+    assert np.isfinite(table._factors(range(table.code_range))).all()
 
 
 _BIG = SpinFunction((1e200, 1e199, 0.0))
@@ -1214,9 +1272,9 @@ def test_cluster_factors_share_powers_only_between_equal_value_tables():
     model = path3(q=3)
     a = _ClusterFactors(model, [(make_family("A", 3), ("u", "v"))])
     other_region = _ClusterFactors(model, [(make_family("A", 3), ("v", "w"))])
-    assert other_region.powtab is a.powtab and other_region._cluster is a._cluster
-    assert other_region._ghost is a._ghost and not a.powtab.flags.writeable
-    # another max_m is another code base; -0.0 is another table than 0.0
+    assert other_region.powtab is a.powtab and other_region._memo is a._memo
+    assert not a.powtab.flags.writeable
+    # other radices are another code; -0.0 is another table than 0.0
     assert _ClusterFactors(model, [(make_family("A", 3), ("u",))]).powtab is not a.powtab
     zero, signed = (SpinFunction((1.0, 0.5, 0.0)), SpinFunction((1.0, 0.5, -0.0)))
     assert zero == signed
@@ -1261,9 +1319,9 @@ def test_code_tables_gather_the_lookup_bits(include_ghost):
 
 
 def test_a_code_range_past_the_rows_takes_the_lookup(monkeypatch):
-    # three factors on a 2-row plan: codes up to 22, so of_rows looks up the
-    # codes it meets; the same rows, repeated past the code range, take the
-    # tables and give the same bits
+    # three factors on a 2-row plan: radices 2, 2 and 3, codes up to 11, so
+    # of_rows looks up the codes it meets; the same rows, repeated past the
+    # code range, take the tables and give the same bits
     model = edge_model(q=3)
     labels = random_cluster._partition_table(augment(model), DEFAULT_STATE_CAP).plan.labels
     factors = [(make_family("A", 3), ("u",)), (make_family("B", 3), ("v",)),
@@ -1271,13 +1329,13 @@ def test_a_code_range_past_the_rows_takes_the_lookup(monkeypatch):
     lookups = []
     lookup = _ClusterFactors._lookup
 
-    def spy(memo, factor, codes):
+    def spy(self, codes):
         lookups.append(len(codes))
-        return lookup(memo, factor, codes)
+        return lookup(self, codes)
 
-    monkeypatch.setattr(_ClusterFactors, "_lookup", staticmethod(spy))
+    monkeypatch.setattr(_ClusterFactors, "_lookup", spy)
     table = _ClusterFactors(model, factors)
-    assert (len(labels), table.code_range) == (2, 23)
+    assert (len(labels), table.code_range) == (2, 12)
     got = table.of_rows(labels)
     assert lookups == [3, 2] and "_code_tables" not in vars(table)
     repeated = table.of_rows(np.tile(labels, (12, 1)))

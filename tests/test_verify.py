@@ -621,23 +621,27 @@ def test_fuzz_refuses_bad_q_values_before_any_draw(monkeypatch, q_values):
         ({"families": ("A", "zz")}, "families must list kinds among"),
         ({"n_range": (3, 1)}, r"n_range must be \(lo, hi\) with 0 <= lo <= hi"),
         ({"n_range": (-1, 2)}, r"n_range must be \(lo, hi\) with 0 <= lo <= hi"),
+        ({"n_range": (1, 2.5)}, r"^each end of n_range must be an integer, got 2.5$"),
+        ({"trials": 2.5}, r"^trials must be an integer, got 2.5$"),
+        ({"trials": "3"}, r"^trials must be an integer, got '3'$"),
         ({"J_range": (1.0, 0.0)}, r"J_range must be \(lo, hi\) with 0 <= lo <= hi < inf"),
         ({"J_range": (0.0, math.inf)}, r"J_range must be \(lo, hi\)"),
         ({"h_range": (-1.0, 0.0)}, r"h_range must be \(lo, hi\)"),
         ({"edge_density": 1.5}, r"edge_density must lie in \[0, 1\], got 1.5"),
         ({"edge_density": math.nan}, "edge_density must lie in"),
     ],
-    ids=["no-families", "unknown-family", "n-reversed", "n-negative", "J-reversed",
-         "J-inf", "h-negative", "density-1.5", "density-nan"],
+    ids=["no-families", "unknown-family", "n-reversed", "n-negative", "n-2.5", "trials-2.5",
+         "trials-str", "J-reversed", "J-inf", "h-negative", "density-1.5", "density-nan"],
 )
 def test_fuzz_refuses_a_bad_draw_config_before_any_draw(monkeypatch, changes, message):
     # at the parent these raised numpy's ValueError, a negative-field error or
     # OverflowError inside a draw, ModelError only once "zz" was drawn, or
-    # (density 1.5) ran silently
+    # (density 1.5, n_range (1, 2.5)) ran silently, or (trials 2.5) raised a
+    # bare TypeError
     draws = []
     monkeypatch.setattr(verify_module, "_draw_model", lambda *a: draws.append(a))
     with pytest.raises(ModelError, match=message):
-        fuzz(FuzzConfig(trials=50, seed=1, **changes))
+        fuzz(FuzzConfig(**{"trials": 50, "seed": 1, **changes}))
     assert draws == []
 
 
